@@ -57,7 +57,6 @@ from .rcontour import (
 from .quantum import (
     CouplingTable,
     FKParameters,
-    build_hamiltonian,
     effective_energy,
     extract_couplings,
     verify_decay,

@@ -28,7 +28,13 @@ from .bounds import (
 from .classical import ModelCoefficients, extract_contours, h2_relative_energy, h4_relative_energy
 from .lattice import SpinConfiguration, Volume
 from .mc import RunSpec, mc_run
-from .quantum import FKParameters, extract_couplings, verify_decay
+from .quantum import (
+    MAX_ELECTRON_SITES,
+    MAX_ION_CONFIGS,
+    FKParameters,
+    extract_couplings,
+    verify_decay,
+)
 from .rcontour import DobrushinViolation
 from .svgout import faces_svg, tiling_svg
 from .tiling import Region, Tiling, degeneracy_bounds_check, enumerate_tilings, hexagon_region
@@ -86,12 +92,13 @@ def cmd_heff(config_path: str, out: Path, seed) -> int:
     dims = tuple(int(x) for x in doc["dims"])
     vol = Volume(dims=dims, shell=int(doc.get("shell", 1)))
     sites = list(vol.sites())
-    if len(sites) > 14:
-        raise CapError("electron problem capped at 14 sites")
+    if len(sites) > MAX_ELECTRON_SITES:
+        raise CapError(f"electron problem capped at {MAX_ELECTRON_SITES} sites")
     params = FKParameters(U=float(doc["U"]), beta=float(doc["beta"]), t=float(doc.get("t", 1.0)))
     window = [tuple(s) for s in doc["window"]] if "window" in doc else None
-    if len(window or sites) > 12:
-        raise CapError("ion-configuration window capped at 12 sites")
+    max_window = MAX_ION_CONFIGS.bit_length() - 1
+    if len(window or sites) > max_window:
+        raise CapError(f"ion-configuration window capped at {max_window} sites")
     table = extract_couplings(sites, params, max_g=int(doc.get("max_g", 3)), window=window)
     decay = verify_decay(table)
     audit = decay_audit(table)

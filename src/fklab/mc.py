@@ -48,8 +48,10 @@ class RunSpec:
     snapshot_stride: int = 0   # keep pinned-interface faces every n-th measurement
 
     def __post_init__(self):
-        if self.beta < 0 or self.U <= 0:
-            raise ValueError("need beta >= 0 and U > 0")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"need finite beta >= 0, got {self.beta}")
+        if not (math.isfinite(self.U) and self.U > 0):
+            raise ValueError(f"need finite U > 0, got {self.U}")
         if self.sweeps <= self.thermalization:
             raise ValueError("sweeps must exceed thermalization")
         if self.hamiltonian not in HAMILTONIANS:

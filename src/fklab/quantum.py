@@ -1,22 +1,24 @@
-"""Exact quantum side: the itinerant-electron Hamiltonian at fixed ion
-configuration, effective ionic energies from full Fock-space traces, and the
-extraction of multi-spin couplings by Walsh (Mobius) inversion.
+"""Exact quantum side: effective ionic energies from the grand-canonical
+electron trace at fixed ion configuration, and the extraction of multi-spin
+couplings by Walsh (Mobius) inversion.
 
-The appendix-style trajectory sums are deliberately replaced by dense spectral
-decompositions per electron-number block; at desk scale this is exact and the
-decay bounds become something to verify rather than to assume.
+With the ions static the electron Hamiltonian is quadratic, so the full Fock
+trace factorizes over the levels eps_k of the L x L one-body matrix
+``M(W) = diag(2U W - mu_e) - t A`` (A the nearest-neighbour adjacency):
+``Tr e^(-beta H) = e^(beta mu_i sum W) prod_k (1 + e^(-beta eps_k))``.  The
+appendix-style trajectory sums are replaced by this exact trace, so the decay
+bounds become something to verify rather than to assume.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import Site, coordinate_sum, is_connected, walk_g
+from .lattice import UNIT_STEPS, Site, coordinate_sum, is_connected, walk_g
 
 MAX_ELECTRON_SITES = 14
 MAX_ION_CONFIGS = 1 << 12
@@ -27,6 +29,7 @@ class FKParameters:
     """Couplings of the itinerant model; energies in units of the hopping.
 
     The half-filled neutral preset sets both chemical potentials to U.
+    beta must be finite and positive; U, t and both chemical potentials finite.
     """
 
     U: float
@@ -40,126 +43,65 @@ class FKParameters:
             object.__setattr__(self, "mu_e", self.U)
         if self.mu_i is None:
             object.__setattr__(self, "mu_i", self.U)
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        for name in ("U", "t", "mu_e", "mu_i"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def half_filled(self) -> bool:
         return self.mu_e == self.U and self.mu_i == self.U
 
 
-class FockBasis:
-    """Occupation bitstrings over an ordered site list, grouped by electron number."""
-
-    def __init__(self, sites: Sequence[Site]):
-        sites = [tuple(s) for s in sites]
-        if len(set(sites)) != len(sites):
-            raise ValueError("duplicate sites")
-        if len(sites) > MAX_ELECTRON_SITES:
-            raise ValueError(f"electron problem capped at {MAX_ELECTRON_SITES} sites")
-        self.sites = sorted(sites)
-        self.index = {s: i for i, s in enumerate(self.sites)}
-        self.L = len(self.sites)
-
-    @property
-    def dimension(self) -> int:
-        return 1 << self.L
-
-    def bonds(self) -> list[tuple[int, int]]:
-        out = []
-        for i, s in enumerate(self.sites):
-            for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-                t = (s[0] + d[0], s[1] + d[1], s[2] + d[2])
-                j = self.index.get(t)
-                if j is not None:
-                    out.append((i, j))
-        return out
-
-    def sector_states(self, n: int) -> list[int]:
-        return [
-            sum(1 << i for i in occ)
-            for occ in itertools.combinations(range(self.L), n)
-        ]
+def _hopping(sites: Sequence[Site]) -> tuple[list, np.ndarray]:
+    """Sorted electron sites and their nearest-neighbour adjacency matrix."""
+    sites = [tuple(s) for s in sites]
+    if len(set(sites)) != len(sites):
+        raise ValueError("duplicate sites")
+    if len(sites) > MAX_ELECTRON_SITES:
+        raise ValueError(f"electron problem capped at {MAX_ELECTRON_SITES} sites")
+    sites.sort()
+    index = {s: i for i, s in enumerate(sites)}
+    adj = np.zeros((len(sites), len(sites)))
+    for i, s in enumerate(sites):
+        for d in UNIT_STEPS:
+            j = index.get((s[0] + d[0], s[1] + d[1], s[2] + d[2]))
+            if j is not None:
+                adj[i, j] = adj[j, i] = 1.0
+    return sites, adj
 
 
-def _hop_sign(state: int, i: int, j: int) -> int:
-    """Fermionic sign of c+_i c_j on ``state`` (bit j set, bit i clear)."""
-    lo, hi = (i, j) if i < j else (j, i)
-    mask = ((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1)
-    return -1 if bin(state & mask).count("1") % 2 else 1
+def _trace_energies(adj: np.ndarray, W: np.ndarray, params: FKParameters) -> np.ndarray:
+    """H_eff for every row of ion occupations ``W`` (shape (..., L)).
 
-
-@dataclass
-class FKHamiltonian:
-    """Block-diagonal real symmetric Hamiltonian in the occupation basis."""
-
-    basis: FockBasis
-    ion: dict                       # site -> 0/1
-    params: FKParameters
-    blocks: dict = field(default_factory=dict)  # n -> (states, matrix)
-
-    def eigenvalues(self) -> np.ndarray:
-        out = []
-        for n in sorted(self.blocks):
-            _, mat = self.blocks[n]
-            if mat.shape[0] == 1:
-                out.append(np.array([mat[0, 0]]))
-            else:
-                out.append(np.linalg.eigvalsh(mat))
-        return np.concatenate(out)
-
-
-def build_hamiltonian(sites: Sequence[Site], ion_config: dict, params: FKParameters) -> FKHamiltonian:
-    """Assemble H = 2U sum W n - mu_e sum n - mu_i sum W - t sum (c+c + h.c.).
-
-    ``ion_config`` maps each site to W(x) in {0,1}.  The matrix is real
-    symmetric and block diagonal in the electron number.
+    One batched eigvalsh of the one-body matrices, then the overflow-safe
+    -(1/beta) log(1 + e^(-beta eps)) = min(eps, 0) - log1p(e^(-beta |eps|))/beta.
     """
-    basis = FockBasis(sites)
-    W = np.array([int(ion_config[s]) for s in basis.sites], dtype=np.int64)
-    if not np.all((W == 0) | (W == 1)):
-        raise ValueError("ion occupations must be 0/1")
-    onsite = 2.0 * params.U * W - params.mu_e
-    classical = -params.mu_i * float(W.sum())
-    bonds = [(i, j) for (i, j) in FockBasis(sites).bonds() if i < j]
-
-    ham = FKHamiltonian(basis=basis, ion={s: int(ion_config[s]) for s in basis.sites}, params=params)
-    for n in range(basis.L + 1):
-        states = basis.sector_states(n)
-        pos = {s: a for a, s in enumerate(states)}
-        dim = len(states)
-        mat = np.zeros((dim, dim))
-        for a, st in enumerate(states):
-            diag = classical
-            rem = st
-            while rem:
-                bit = rem & -rem
-                diag += onsite[bit.bit_length() - 1]
-                rem ^= bit
-            mat[a, a] = diag
-            for (i, j) in bonds:
-                # c+_i c_j moves an electron j -> i
-                if (st >> j) & 1 and not (st >> i) & 1:
-                    st2 = (st ^ (1 << j)) | (1 << i)
-                    b = pos[st2]
-                    amp = -params.t * _hop_sign(st, i, j)
-                    mat[b, a] += amp
-                    mat[a, b] += amp
-        ham.blocks[n] = (states, mat)
-    return ham
+    L = adj.shape[0]
+    M = np.empty(W.shape + (L,))
+    M[...] = -params.t * adj
+    diag = np.arange(L)
+    M[..., diag, diag] = 2.0 * params.U * W - params.mu_e
+    eps = np.linalg.eigvalsh(M)
+    if not np.all(np.isfinite(eps)):
+        raise FloatingPointError("non-finite spectrum")
+    levels = np.minimum(eps, 0.0) - np.log1p(np.exp(-params.beta * np.abs(eps))) / params.beta
+    return levels.sum(axis=-1) - params.mu_i * W.sum(axis=-1)
 
 
 def effective_energy(sites: Sequence[Site], ion_config: dict, params: FKParameters) -> float:
     """H_eff = -(1/beta) log Tr exp(-beta H), traced over the full Fock space.
 
-    Overflow-guarded by log-sum-exp; finite for all inputs with a finite
-    spectrum.
+    ``ion_config`` maps each site to W(x) in {0,1}.  H = sum (2U W - mu_e) n
+    - mu_i sum W - t sum (c+c + h.c.) is quadratic in the electrons, so the
+    trace is taken over its one-body levels; finite for all finite parameters.
     """
-    ham = build_hamiltonian(sites, ion_config, params)
-    ev = ham.eigenvalues()
-    if not np.all(np.isfinite(ev)):
-        raise FloatingPointError("non-finite spectrum")
-    m = float(np.min(ev))
-    z = np.sum(np.exp(-params.beta * (ev - m)))
-    return m - math.log(z) / params.beta
+    sites, adj = _hopping(sites)
+    W = np.array([int(ion_config[s]) for s in sites], dtype=float)
+    if not np.all((W == 0) | (W == 1)):
+        raise ValueError("ion occupations must be 0/1")
+    return float(_trace_energies(adj, W, params))
 
 
 def neel_ion(site: Site) -> int:
@@ -290,25 +232,24 @@ def extract_couplings(
     monomial on support A appears at order U^(-g(A)), with g measured by the
     minimal closed walk through A.
     """
-    sites = [tuple(s) for s in sites]
     window = [tuple(s) for s in (window if window is not None else sites)]
     w = len(window)
     if 1 << w > MAX_ION_CONFIGS:
         raise ValueError(f"window of {w} sites exceeds {MAX_ION_CONFIGS} ion configurations")
-    wset = set(window)
-    for s in window:
-        if s not in set(sites):
-            raise ValueError("window must be a subset of the electron sites")
+    sites, adj = _hopping(sites)
+    index = {s: i for i, s in enumerate(sites)}
+    if any(s not in index for s in window):
+        raise ValueError("window must be a subset of the electron sites")
 
-    energies = np.empty(1 << w)
-    for m in range(1 << w):
-        ion = {}
-        for s in sites:
-            if s in wset:
-                ion[s] = (m >> window.index(s)) & 1
-            else:
-                ion[s] = frozen(s)
-        energies[m] = effective_energy(sites, ion, params)
+    # one row of ion occupations per window bitmask; only the diagonal of the
+    # one-body matrix depends on it
+    wset = set(window)
+    base = np.array([0 if s in wset else int(frozen(s)) for s in sites])
+    if not np.all((base == 0) | (base == 1)):
+        raise ValueError("ion occupations must be 0/1")
+    W = np.tile(base.astype(float), (1 << w, 1))
+    W[:, [index[s] for s in window]] = (np.arange(1 << w)[:, None] >> np.arange(w)) & 1
+    energies = _trace_energies(adj, W, params)
 
     # Phi_A = (-1)^|A| * WHT(F)[A] / 2^w  for s' = 2W - 1
     coeffs = _walsh_transform(energies) / float(1 << w)

@@ -1,6 +1,7 @@
 """Subcommand drivers: schemas, exit codes, determinism, output formats."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,14 @@ def test_heff_unknown_key_exits_2(tmp_path):
 def test_heff_cap_exits_3(tmp_path):
     cfg = _write(tmp_path, "c.json", {"dims": [4, 4, 1], "U": 4.0, "beta": 1.0})
     assert main(["heff", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("beta", [0.0, math.nan, -5.0])
+def test_heff_bad_beta_exits_2(tmp_path, beta):
+    cfg = _write(tmp_path, "c.json", {"dims": [2, 1, 1], "U": 16.0, "beta": beta})
+    out = tmp_path / "o"
+    assert main(["heff", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_heff_deterministic_outputs(tmp_path):

@@ -34,6 +34,11 @@ def test_spec_validation():
         _spec(sweeps=5, thermalization=10)
     with pytest.raises(ValueError):
         _spec(U=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _spec(beta=bad)
+        with pytest.raises(ValueError):
+            _spec(U=bad)
     with pytest.raises(ValueError):
         _spec(hamiltonian="h6")
     with pytest.raises(ValueError):
@@ -143,7 +148,10 @@ def test_hexagon_move_set_mixes_at_h2():
                    measure_stride=10)
     s = mc_run(spec)
     assert s.mean_good_fraction() < 0.95  # tiling moves are free under h2
-    assert thermalization_diagnostic(s)["stationary"] or True  # diagnostic runs
+    # h2 is flat over minimal 111 interfaces: the tiling moves leave the
+    # energy trace constant, so the diagnostic must see no drift at all
+    assert len(set(s.energies)) == 1
+    assert thermalization_diagnostic(s) == {"stationary": True, "delta": 0.0, "stderr": 0.0}
 
 
 def test_h4_freezes_staircase():

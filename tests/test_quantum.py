@@ -1,16 +1,18 @@
-"""Exact diagonalization, effective energies, coupling extraction, decay."""
+"""Free-fermion effective energies against the Fock-space oracle, coupling
+extraction, decay."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
+from fock_oracle import fock_blocks, fock_energy, fock_spectrum
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fklab.lattice import Volume
 from fklab.quantum import (
     CouplingTable,
     FKParameters,
-    build_hamiltonian,
     effective_energy,
     extract_couplings,
     neel_ion,
@@ -24,8 +26,7 @@ PLAQ4 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
 def test_one_site_spectrum_and_energy():
     p = FKParameters(U=8.0, beta=80.0)
     site = (0, 0, 0)
-    ham = build_hamiltonian([site], {site: 1}, p)
-    assert sorted(ham.eigenvalues()) == pytest.approx([-8.0, 0.0])
+    assert sorted(fock_spectrum([site], {site: 1}, p)) == pytest.approx([-8.0, 0.0])
     # H_eff = -(1/beta) log(e^{beta U} + 1), exactly
     expected = -(1 / p.beta) * math.log(math.exp(p.beta * p.U) + 1.0)
     assert effective_energy([site], {site: 1}, p) == pytest.approx(expected, abs=1e-12)
@@ -33,8 +34,7 @@ def test_one_site_spectrum_and_energy():
 
 def test_two_site_single_electron_block():
     p = FKParameters(U=32.0, beta=320.0)
-    ham = build_hamiltonian(CHAIN2, {CHAIN2[0]: 1, CHAIN2[1]: 0}, p)
-    _, mat = ham.blocks[1]
+    mat = fock_blocks(CHAIN2, {CHAIN2[0]: 1, CHAIN2[1]: 0}, p)[1]
     ev = sorted(np.linalg.eigvalsh(mat))
     root = math.sqrt(p.U**2 + p.t**2)
     assert ev == pytest.approx([-p.U - root, -p.U + root], abs=1e-10)
@@ -43,8 +43,7 @@ def test_two_site_single_electron_block():
 def test_t0_hamiltonian_is_diagonal():
     p = FKParameters(U=8.0, beta=16.0, t=0.0)
     ion = {PLAQ4[0]: 1, PLAQ4[1]: 0, PLAQ4[2]: 1, PLAQ4[3]: 1}
-    ham = build_hamiltonian(PLAQ4, ion, p)
-    for _, mat in ham.blocks.values():
+    for mat in fock_blocks(PLAQ4, ion, p).values():
         assert np.allclose(mat, np.diag(np.diag(mat)))
     # the effective energy factorizes over sites at t=0
     per_site = sum(
@@ -60,10 +59,24 @@ def test_blocks_commute_with_number_operator():
     # so eigenvalues collected per sector reproduce the full trace
     p = FKParameters(U=4.0, beta=8.0)
     ion = {s: neel_ion(s) for s in PLAQ4}
-    ham = build_hamiltonian(PLAQ4, ion, p)
-    dims = sum(len(states) for states, _ in ham.blocks.values())
-    assert dims == 2 ** len(PLAQ4)
-    assert np.all(np.isfinite(ham.eigenvalues()))
+    blocks = fock_blocks(PLAQ4, ion, p)
+    assert sum(m.shape[0] for m in blocks.values()) == 2 ** len(PLAQ4)
+    assert np.all(np.isfinite(fock_spectrum(PLAQ4, ion, p)))
+    assert effective_energy(PLAQ4, ion, p) == pytest.approx(fock_energy(PLAQ4, ion, p), abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 1), (2, 2, 2), (3, 2, 2)])
+def test_free_fermion_trace_matches_fock_oracle(dims):
+    sites = list(Volume(dims=dims, shell=1).sites())
+    rng = np.random.default_rng(sum(dims))
+    cases = [dict(U=U, beta=beta)
+             for U, beta in ((4.0, 8.0), (8.0, 128.0), (16.0, 256.0), (32.0, 512.0))]
+    # a hot point off half filling, where levels near zero weigh in the trace
+    cases.append(dict(U=2.0, beta=1.5, t=0.7, mu_e=1.0, mu_i=2.5))
+    for kw in cases:
+        p = FKParameters(**kw)
+        ion = {s: int(rng.integers(0, 2)) for s in sites}
+        assert abs(effective_energy(sites, ion, p) - fock_energy(sites, ion, p)) <= 1e-11
 
 
 def test_site_relabeling_invariance():
@@ -101,6 +114,27 @@ def test_reconstruction_identity():
         ion = {s: (mask >> i) & 1 for i, s in enumerate(PLAQ4)}
         he = effective_energy(PLAQ4, ion, p)
         assert abs(table.synthesize(ion) - he) <= 1e-9 * max(1.0, abs(he))
+
+
+_CUBE = list(Volume(dims=(2, 2, 2), shell=1).sites())
+_FACE = [s for s in _CUBE if s[2] == _CUBE[0][2]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    U=st.floats(4.0, 64.0),
+    beta_u=st.floats(1.0, 20.0),
+    window=st.permutations(_FACE),
+    mask=st.integers(0, 15),
+)
+def test_synthesize_reproduces_effective_energy(U, beta_u, window, mask):
+    """A 4-site window, in any site order, inside a 2x2x2 cluster whose
+    exterior is frozen to the checkerboard."""
+    p = FKParameters(U=U, beta=beta_u * U)
+    table = extract_couplings(_CUBE, p, max_g=4, window=window)
+    ion = {s: neel_ion(s) for s in _CUBE}
+    ion.update({s: (mask >> i) & 1 for i, s in enumerate(window)})
+    assert abs(table.synthesize(ion) - effective_energy(_CUBE, ion, p)) <= 1e-9
 
 
 def test_t0_couplings_vanish():
@@ -165,9 +199,17 @@ def test_window_with_frozen_exterior():
     assert abs(4 * p.U * J - 1) <= 0.2  # window values differ from bulk but stay O(1/4U)
 
 
+def test_parameters_reject_bad_values():
+    for bad in (dict(beta=0.0), dict(beta=-5.0), dict(beta=math.nan), dict(beta=math.inf),
+                dict(U=math.nan), dict(t=math.inf), dict(mu_e=math.nan), dict(mu_i=-math.inf)):
+        with pytest.raises(ValueError):
+            FKParameters(**{"U": 8.0, "beta": 8.0, **bad})
+    assert FKParameters(U=8.0, beta=8.0, t=0.0).t == 0.0  # the atomic limit stays legal
+
+
 def test_caps():
     with pytest.raises(ValueError):
-        build_hamiltonian(
+        effective_energy(
             [(i, j, 0) for i in range(4) for j in range(4)],
             {(i, j, 0): 0 for i in range(4) for j in range(4)},
             FKParameters(U=8.0, beta=8.0),
