@@ -27,7 +27,7 @@ from .bounds import (
 )
 from .classical import ModelCoefficients, extract_contours, h2_relative_energy, h4_relative_energy
 from .lattice import SpinConfiguration, Volume
-from .mc import RunSpec, mc_run
+from .mc import RunSpec, _pinned_faces, mc_run
 from .quantum import (
     MAX_ELECTRON_SITES,
     MAX_ION_CONFIGS,
@@ -221,17 +221,10 @@ def cmd_mc(config_path: str, out: Path, seed) -> int:
         for sweep, faces in series.snapshots:
             (out / f"snapshot_r{rep}_s{sweep:06d}.svg").write_text(faces_svg(faces))
         if doc.get("snapshot") and spec.bc == "bc111":
-            faces = _pinned(series.final_config)
+            faces = _pinned_faces(series.final_config)
             (out / f"snapshot_r{rep}.svg").write_text(faces_svg(faces))
     _write_json(out / "summary.json", summary)
     return EXIT_OK
-
-
-def _pinned(config: SpinConfiguration):
-    for c in extract_contours(config):
-        if c.pinned:
-            return c.faces
-    raise RuntimeError("no pinned interface")
 
 
 def cmd_bounds(config_path: str, out: Path, seed) -> int:

@@ -3,12 +3,24 @@ conditions, with the observables that make interface rigidity visible at desk
 scale: layer magnetization profiles, the good-pair fraction of the projected
 111 interface, and its excess width.
 
-Proposal kernels are symmetric (uniform random site; the compound move applies
-the flip only when the site is an interface corner, which leaves the proposal
-distribution symmetric), so plain Metropolis acceptance min(1, e^(-beta dE))
-satisfies detailed balance by construction.  Randomness comes from a
-counter-based Philox stream keyed by (seed, replica): replicas are independent
-and runs reproduce exactly regardless of scheduling.
+A sweep is a single-flip round and, with the hexagon move set, a corner round.
+Each round visits the seven colour classes c(k) = (k1 + 2 k2 + 4 k3) mod 7 in
+order.  The colouring separates every pair of sites that h2 or h4 couples
+(axis offsets 1 and 2, face diagonals, plaquette corners), so the sites of one
+class take their Metropolis steps at once, each with the energy change it
+would have alone.  Each site of the class is proposed with probability 1/2 and
+a proposal is accepted with probability min(1, e^(-beta dE)); the corner round
+also requires the site to be an interface corner, a predicate that reads only
+neighbours of other colours and ignores the site's own spin, so the proposal
+stays symmetric.  A class update is thus a product of commuting reversible
+single-site kernels: the sweep leaves the Boltzmann distribution stationary,
+but, visiting the classes in a fixed order, it is not itself reversible.  The
+proposal coin keeps the kernel aperiodic: without it, every dE = 0 move would
+be taken with certainty and a cold chain could run deterministically.
+
+Randomness comes from a counter-based Philox stream keyed by (seed, replica),
+one fixed-size draw per sweep: replicas are independent and runs reproduce
+exactly regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -24,11 +36,14 @@ from .classical import (
     h2_relative_energy,
     h4_relative_energy,
 )
-from .lattice import SpinConfiguration, Volume, coordinate_sum
-from .tiling import good_pair_fraction_of_faces, phi, stair_height
+from .lattice import SpinConfiguration, Volume
+from .tiling import good_pair_fraction_of_faces, stair_height
 
 HAMILTONIANS = ("h2", "h4")
 MOVE_SETS = ("single-flip", "single-flip+hexagon-flip")
+N_COLOURS = 7
+# a corner has spin +1 at its three up neighbours and -1 at its three down ones
+_CORNER = np.array((1, 1, 1, -1, -1, -1), dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -58,6 +73,10 @@ class RunSpec:
             raise ValueError(f"hamiltonian must be one of {HAMILTONIANS}")
         if self.move_set not in MOVE_SETS:
             raise ValueError(f"move_set must be one of {MOVE_SETS}")
+        if self.measure_stride < 1 or self.cross_check_stride < 1:
+            raise ValueError("measure_stride and cross_check_stride must be >= 1")
+        if self.snapshot_stride < 0:
+            raise ValueError("snapshot_stride must be >= 0")
         object.__setattr__(self, "dims", tuple(self.dims))
 
     def volume(self) -> Volume:
@@ -109,6 +128,10 @@ class _Lattice:
 
     Tables are built by rolling the padded index cube; every shift used is at
     most 2 sites, so a shell of depth >= 2 keeps all lookups off the wrap.
+    Columns 0-2 of ``pair_idx`` are the ``up`` neighbours and 3-5 the ``dn``
+    neighbours.  ``classes`` holds, for each colour c = (i1 + 2 i2 + 4 i3) mod 7
+    of the padded index, the class's rows of ``vol_flat``, ``pair_idx`` and
+    ``plq``; no row of a class refers to a site of the same class.
     """
 
     def __init__(self, volume: Volume):
@@ -160,12 +183,17 @@ class _Lattice:
             [np.stack([shift_flat(a), shift_flat(b), shift_flat(c)], axis=1) for (a, b, c) in plq],
             axis=1,
         )  # (n_vol, 12, 3)
+        i1, i2, i3 = np.indices(dims)
+        colour = ((i1 + 2 * i2 + 4 * i3) % N_COLOURS).ravel()[self.vol_flat]
+        self.classes = [
+            (self.vol_flat[m], self.pair_idx[m], self.plq[m])
+            for m in (colour == c for c in range(N_COLOURS))
+        ]
 
     def pair_weights(self, co: ModelCoefficients, hamiltonian: str) -> np.ndarray:
+        """Couplings of the leading columns of ``pair_idx`` (the rest are 0)."""
         if hamiltonian == "h2":
-            w = np.zeros(24)
-            w[:6] = co.j
-            return w
+            return np.full(6, co.j)
         return np.concatenate([
             np.full(6, co.c_nn), np.full(12, -co.c_nnn), np.full(6, -co.c_2),
         ])
@@ -177,23 +205,31 @@ def _total_energy(config: SpinConfiguration, co: ModelCoefficients, hamiltonian:
     return h4_relative_energy(config, co)
 
 
+def _box_arrays(config: SpinConfiguration):
+    """Coordinates (3, n) and spins (n,) of the box sites, in ``Volume.sites`` order."""
+    vol = config.volume
+    k = np.indices(vol.dims).reshape(3, -1) + np.array(vol.lo)[:, None]
+    box = tuple(slice(vol.shell, vol.shell + d) for d in vol.dims)
+    return k, config.spins[box].ravel()
+
+
 def layer_magnetization(config: SpinConfiguration, normal: str = "e3"):
     """Mean spin per lattice layer: x3 layers for e3, coordinate-sum layers for 111."""
-    vol = config.volume
-    layers: dict = {}
-    for site in vol.sites():
-        key = site[2] if normal == "e3" else coordinate_sum(site)
-        layers.setdefault(key, []).append(config.spin(site))
-    labels = sorted(layers)
-    return labels, np.array([np.mean(layers[k]) for k in labels])
+    k, spins = _box_arrays(config)
+    key = k[2] if normal == "e3" else k.sum(axis=0)
+    first = key.min()
+    counts = np.bincount(key - first)
+    sums = np.bincount(key - first, weights=spins)
+    rows = np.flatnonzero(counts)
+    return (rows + first).tolist(), sums[rows] / counts[rows]
 
 
 def _pinned_faces(config: SpinConfiguration):
-    contours = extract_contours(config)
-    pinned = [c for c in contours if c.pinned]
-    if not pinned:
-        raise ValueError("no pinned interface present")
-    return pinned[0].faces
+    """Faces of the pinned interface; a bc111 configuration always has one."""
+    for c in extract_contours(config):
+        if c.pinned:
+            return c.faces
+    raise RuntimeError("no pinned interface present")
 
 
 def good_pair_fraction(config: SpinConfiguration) -> float:
@@ -214,26 +250,19 @@ def interface_width(config: SpinConfiguration) -> float:
     maximal length count (box corners clip short columns, which would turn a
     rigid height shift into spurious roughness); on the retained columns the
     staircase gives D = 0 and a rigid shift adds a constant, so the standard
-    deviation measures roughness only.
+    deviation measures roughness only.  In a cube only the main diagonal has
+    maximal length, so the width is identically 0 there; boxes with a short
+    side (e.g. 7x7x3) have many full-length columns.
     """
-    vol = config.volume
-    cols: dict = {}
-    lengths: dict = {}
-    for site in vol.sites():
-        c = phi(site)
-        gs = 1 if coordinate_sum(site) >= stair_height(c) - 1 else -1
-        cols[c] = cols.get(c, 0) + (config.spin(site) - gs)
-        lengths[c] = lengths.get(c, 0) + 1
-    full = max(lengths.values())
-    d = np.array([v for c, v in cols.items() if lengths[c] == full], dtype=float) / 2.0
-    return float(np.std(d))
-
-
-def metropolis_ratio(beta: float, delta_e: float) -> float:
-    """a(dE)/a(-dE) for the Metropolis rule equals e^(-beta dE) identically."""
-    a_fwd = min(1.0, math.exp(-beta * delta_e))
-    a_bwd = min(1.0, math.exp(beta * delta_e))
-    return a_fwd / a_bwd
+    k, spins = _box_arrays(config)
+    a, b = k[0] - k[2], k[1] - k[2]   # phi, the projection along (1,1,1)
+    # stair_height depends on the column only through (a + b) mod 3
+    stair = np.array([stair_height((r, 0)) for r in range(3)])[(a + b) % 3]
+    ground = np.where(k.sum(axis=0) >= stair - 1, 1, -1)
+    col = (a - a.min()) * (b.max() - b.min() + 1) + (b - b.min())
+    lengths = np.bincount(col)
+    disp = np.bincount(col, weights=spins - ground)
+    return float(np.std(disp[lengths == lengths.max()] / 2.0))
 
 
 def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
@@ -241,54 +270,55 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
 
     Starts in the boundary ground configuration, accumulates local energy
     differences, and cross-checks the running energy against a full
-    re-evaluation every ``cross_check_stride`` sweeps to 1e-9.
+    re-evaluation every ``cross_check_stride`` sweeps to 1e-9.  The acceptance
+    of a measurement is the sweep's accepted / proposed moves; a proposed
+    corner move at a site that is not a corner counts as rejected.
     """
     vol = spec.volume()
     co = ModelCoefficients(U=spec.U)
     config0 = SpinConfiguration.from_boundary(vol, spec.bc)
-    spins = config0.spins.astype(np.int64).ravel()
+    spins = config0.spins.ravel().copy()
     lat = _Lattice(vol)
     rng = np.random.Generator(np.random.Philox(key=(spec.seed, replica)))
     pair_w = lat.pair_weights(co, spec.hamiltonian)
     use_plq = spec.hamiltonian == "h4"
-    hex_moves = spec.move_set == "single-flip+hexagon-flip"
+    c_plq = co.c_plq
+    rounds = 2 if spec.move_set == "single-flip+hexagon-flip" else 1
     beta = spec.beta
-    n = lat.n_vol
+    # each class reads its own block of the sweep's uniforms
+    ends = np.cumsum([len(sites) for sites, _, _ in lat.classes])
+    classes = [
+        (sites, pair[:, :pair_w.size], plq if use_plq else None, slice(end - len(sites), end))
+        for (sites, pair, plq), end in zip(lat.classes, ends)
+    ]
 
     def view_config() -> SpinConfiguration:
-        return SpinConfiguration(vol, spins.reshape(lat.shape).astype(np.int8), bc=spec.bc)
+        return SpinConfiguration(vol, spins.reshape(lat.shape).copy(), bc=spec.bc)
 
     energy = _total_energy(view_config(), co, spec.hamiltonian)
     series = ObservableSeries(spec=spec, replica=replica)
 
-    def delta_e(p: int, i: int) -> float:
-        pair = float(pair_w @ spins[lat.pair_idx[p]])
-        if use_plq:
-            trip = spins[lat.plq[p]]
-            pair -= co.c_plq * float((trip[:, 0] * trip[:, 1] * trip[:, 2]).sum())
-        return 2.0 * spins[i] * pair
-
     for sweep in range(1, spec.sweeps + 1):
+        # one uniform u per site and round: the site is proposed when u < 1/2
+        # and flipped when u < min(1, e^(-beta dE)) / 2, so given a proposal,
+        # 2u is the uniform of the acceptance test
+        us = rng.random(size=(rounds, lat.n_vol))
+        proposals = int(np.count_nonzero(us < 0.5))
         accepted = 0
-        proposals = 0
-        rounds = 2 if hex_moves else 1
-        picks = rng.integers(0, n, size=rounds * n)
-        us = rng.random(size=rounds * n)
         for r in range(rounds):
-            corner_round = r == 1
-            for p, u in zip(picks[r * n:(r + 1) * n], us[r * n:(r + 1) * n]):
-                proposals += 1
-                p = int(p)
-                i = int(lat.vol_flat[p])
-                if corner_round and not (
-                    np.all(spins[lat.up[p]] == 1) and np.all(spins[lat.dn[p]] == -1)
-                ):
-                    continue
-                de = delta_e(p, i)
-                if de <= 0.0 or u < math.exp(-beta * de):
-                    spins[i] = -spins[i]
-                    energy += de
-                    accepted += 1
+            for sites, pair, plq, block in classes:
+                nb = spins[pair]
+                field = nb @ pair_w
+                if plq is not None:
+                    trip = spins[plq]
+                    field -= c_plq * (trip[..., 0] * trip[..., 1] * trip[..., 2]).sum(axis=1)
+                de = 2.0 * spins[sites] * field
+                flip = us[r, block] < 0.5 * np.exp(-beta * np.maximum(de, 0.0))
+                if r == 1:
+                    flip &= nb[:, :6] @ _CORNER == 6
+                spins[sites[flip]] *= -1
+                energy += float(de[flip].sum())
+                accepted += int(np.count_nonzero(flip))
         if sweep % spec.cross_check_stride == 0:
             full = _total_energy(view_config(), co, spec.hamiltonian)
             if abs(energy - full) > 1e-9 * max(1.0, abs(full)):

@@ -1,0 +1,123 @@
+"""Reference implementations for the sampler tests.
+
+``reference_mc_run`` is the random-site Metropolis kernel: every round draws
+n uniformly random sites, and each proposal is accepted with probability
+min(1, e^(-beta dE)); in the corner round, a site that is not an interface
+corner counts as a rejected proposal.  ``interface_width`` and
+``layer_magnetization`` are the per-site dictionary loops that define the
+observables.  The colour-sweep sampler and the vectorised observables in
+``fklab.mc`` are checked against these.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from fklab.classical import ModelCoefficients
+from fklab.lattice import SpinConfiguration, coordinate_sum
+from fklab.mc import ObservableSeries, RunSpec, _Lattice, _pinned_faces, _total_energy
+from fklab.tiling import good_pair_fraction_of_faces, phi, stair_height
+
+
+def layer_magnetization(config: SpinConfiguration, normal: str = "e3"):
+    vol = config.volume
+    layers: dict = {}
+    for site in vol.sites():
+        key = site[2] if normal == "e3" else coordinate_sum(site)
+        layers.setdefault(key, []).append(config.spin(site))
+    labels = sorted(layers)
+    return labels, np.array([np.mean(layers[k]) for k in labels])
+
+
+def interface_width(config: SpinConfiguration) -> float:
+    vol = config.volume
+    cols: dict = {}
+    lengths: dict = {}
+    for site in vol.sites():
+        c = phi(site)
+        gs = 1 if coordinate_sum(site) >= stair_height(c) - 1 else -1
+        cols[c] = cols.get(c, 0) + (config.spin(site) - gs)
+        lengths[c] = lengths.get(c, 0) + 1
+    full = max(lengths.values())
+    d = np.array([v for c, v in cols.items() if lengths[c] == full], dtype=float) / 2.0
+    return float(np.std(d))
+
+
+def reference_mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
+    """One random-site Metropolis chain with the same measurements as ``mc_run``."""
+    vol = spec.volume()
+    co = ModelCoefficients(U=spec.U)
+    config0 = SpinConfiguration.from_boundary(vol, spec.bc)
+    spins = config0.spins.astype(np.int64).ravel()
+    lat = _Lattice(vol)
+    rng = np.random.Generator(np.random.Philox(key=(spec.seed, replica)))
+    pair_w = np.zeros(lat.pair_idx.shape[1])
+    weights = lat.pair_weights(co, spec.hamiltonian)
+    pair_w[:weights.size] = weights
+    use_plq = spec.hamiltonian == "h4"
+    hex_moves = spec.move_set == "single-flip+hexagon-flip"
+    beta = spec.beta
+    n = lat.n_vol
+
+    def view_config() -> SpinConfiguration:
+        return SpinConfiguration(vol, spins.reshape(lat.shape).astype(np.int8), bc=spec.bc)
+
+    energy = _total_energy(view_config(), co, spec.hamiltonian)
+    series = ObservableSeries(spec=spec, replica=replica)
+
+    def delta_e(p: int, i: int) -> float:
+        pair = float(pair_w @ spins[lat.pair_idx[p]])
+        if use_plq:
+            trip = spins[lat.plq[p]]
+            pair -= co.c_plq * float((trip[:, 0] * trip[:, 1] * trip[:, 2]).sum())
+        return 2.0 * spins[i] * pair
+
+    for sweep in range(1, spec.sweeps + 1):
+        accepted = 0
+        proposals = 0
+        rounds = 2 if hex_moves else 1
+        picks = rng.integers(0, n, size=rounds * n)
+        us = rng.random(size=rounds * n)
+        for r in range(rounds):
+            corner_round = r == 1
+            for p, u in zip(picks[r * n:(r + 1) * n], us[r * n:(r + 1) * n]):
+                proposals += 1
+                p = int(p)
+                i = int(lat.vol_flat[p])
+                if corner_round and not (
+                    np.all(spins[lat.up[p]] == 1) and np.all(spins[lat.dn[p]] == -1)
+                ):
+                    continue
+                de = delta_e(p, i)
+                if de <= 0.0 or u < math.exp(-beta * de):
+                    spins[i] = -spins[i]
+                    energy += de
+                    accepted += 1
+        if sweep % spec.cross_check_stride == 0:
+            full = _total_energy(view_config(), co, spec.hamiltonian)
+            if abs(energy - full) > 1e-9 * max(1.0, abs(full)):
+                raise RuntimeError(
+                    f"energy bookkeeping drifted: running {energy!r} vs full {full!r}"
+                )
+            energy = full
+        if sweep > spec.thermalization and (sweep - spec.thermalization) % spec.measure_stride == 0:
+            series.sweeps.append(sweep)
+            series.energies.append(energy)
+            series.acceptance.append(accepted / max(proposals, 1))
+            cfg = view_config()
+            if spec.bc == "bc111":
+                faces = _pinned_faces(cfg)
+                frac, flag = good_pair_fraction_of_faces(faces)
+                series.good_fractions.append(frac)
+                series.overlap_flags.append(flag)
+                series.widths.append(interface_width(cfg))
+                if spec.snapshot_stride and len(series.sweeps) % spec.snapshot_stride == 0:
+                    series.snapshots.append((sweep, faces))
+            elif spec.bc == "bc100":
+                labels, prof = layer_magnetization(cfg, normal="e3")
+                series.layers = labels
+                series.profiles.append(prof)
+    series.final_config = view_config()
+    return series

@@ -130,6 +130,18 @@ def test_mc_snapshot_stride_and_workers_env(tmp_path, monkeypatch):
         assert p1.read_bytes() == p2.read_bytes()  # scheduling-independent
 
 
+@pytest.mark.parametrize("bad", [{"measure_stride": 0}, {"cross_check_stride": 0},
+                                 {"snapshot_stride": -1}])
+def test_mc_bad_stride_exits_2(tmp_path, bad):
+    cfg = _write(tmp_path, "m.json", {
+        "dims": [4, 4, 4], "bc": "hom_plus", "hamiltonian": "h2", "U": 4.0,
+        "beta": 1.0, "sweeps": 10, "thermalization": 2, **bad,
+    })
+    out = tmp_path / "o"
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_mc_bc100_emits_layer_profile(tmp_path):
     cfg = _write(tmp_path, "m.json", {
         "dims": [4, 4, 4], "bc": "bc100", "hamiltonian": "h2", "U": 8.0,

@@ -13,10 +13,12 @@ from fklab.mc import (
     interface_width,
     layer_magnetization,
     mc_run,
-    metropolis_ratio,
     thermalization_diagnostic,
+    _Lattice,
 )
 from fklab.tiling import config_from_heights
+
+import mc_reference as ref
 
 
 def _spec(**kw):
@@ -43,6 +45,10 @@ def test_spec_validation():
         _spec(hamiltonian="h6")
     with pytest.raises(ValueError):
         _spec(move_set="cluster")
+    for bad in (dict(measure_stride=0), dict(measure_stride=-1),
+                dict(cross_check_stride=0), dict(snapshot_stride=-1)):
+        with pytest.raises(ValueError):
+            _spec(**bad)
 
 
 def test_determinism_byte_for_byte():
@@ -66,14 +72,6 @@ def test_frozen_regime_no_contours():
                  move_set="single-flip", measure_stride=10)
     s = mc_run(spec)
     assert all(e == 0.0 for e in s.energies)
-
-
-def test_metropolis_ratio_identity():
-    for beta in (0.5, 1.0, 7.0):
-        for de in (-2.0, -0.3, 0.0, 0.3, 2.0):
-            assert metropolis_ratio(beta, de) == pytest.approx(
-                math.exp(-beta * de), rel=1e-12
-            )
 
 
 def test_energy_bookkeeping_cross_check_runs():
@@ -120,19 +118,22 @@ def test_good_pair_fraction_translation_invariance():
 
 
 def test_interface_width_values():
-    vol = Volume(dims=(7, 7, 7), shell=2)
-    stair = config_from_heights(vol)
-    assert interface_width(stair) == 0.0
-    pyr = stair.with_flip((0, 0, 0))
-    w = interface_width(pyr)
-    # one full-length column displaced by one unit among the N full columns
-    lengths = {}
-    for k in vol.sites():
-        c = (k[0] - k[2], k[1] - k[2])
-        lengths[c] = lengths.get(c, 0) + 1
-    n_cols = sum(1 for v in lengths.values() if v == max(lengths.values()))
-    expected = math.sqrt(n_cols - 1) / n_cols
-    assert w == pytest.approx(expected, abs=1e-12)
+    # a cube has one full-length column (N = 1, width 0); the flat box has many
+    for dims in ((7, 7, 7), (7, 7, 3)):
+        vol = Volume(dims=dims, shell=2)
+        stair = config_from_heights(vol)
+        assert interface_width(stair) == 0.0
+        pyr = stair.with_flip((0, 0, 0))
+        w = interface_width(pyr)
+        # one full-length column displaced by one unit among the N full columns
+        lengths = {}
+        for k in vol.sites():
+            c = (k[0] - k[2], k[1] - k[2])
+            lengths[c] = lengths.get(c, 0) + 1
+        n_cols = sum(1 for v in lengths.values() if v == max(lengths.values()))
+        expected = math.sqrt(n_cols - 1) / n_cols
+        assert w == pytest.approx(expected, abs=1e-12)
+    assert n_cols > 1 and w > 0.1
 
 
 def test_interface_width_height_shift_invariance():
@@ -161,3 +162,61 @@ def test_h4_freezes_staircase():
     s = mc_run(spec)
     assert s.mean_good_fraction() == pytest.approx(1.0, abs=1e-12)
     assert s.mean_width() == pytest.approx(0.0, abs=1e-12)
+
+
+def test_observables_match_reference_loops():
+    rng = np.random.default_rng(11)
+    for dims, lo, bc in (((5, 5, 5), None, "bc111"), ((7, 7, 3), None, "bc111"),
+                         ((4, 6, 3), (2, -7, 1), "bc100"), ((1, 3, 2), None, "hom_plus")):
+        vol = Volume(dims=dims, shell=2, lo=lo)
+        for _ in range(5):
+            cfg = SpinConfiguration.from_function(vol, bc, lambda k: int(rng.choice([-1, 1])))
+            assert interface_width(cfg) == pytest.approx(ref.interface_width(cfg), abs=1e-12)
+            for normal in ("e3", "111"):
+                labels, prof = layer_magnetization(cfg, normal)
+                ref_labels, ref_prof = ref.layer_magnetization(cfg, normal)
+                assert labels == ref_labels
+                np.testing.assert_allclose(prof, ref_prof, rtol=0, atol=1e-12)
+
+
+def test_pinned_interface_missing_is_invariant_violation():
+    cfg = SpinConfiguration.from_boundary(Volume(dims=(4, 4, 4), shell=2), "hom_plus")
+    with pytest.raises(RuntimeError):
+        good_pair_fraction(cfg)
+
+
+@pytest.mark.parametrize("dims", [(9, 9, 9), (4, 5, 6), (1, 2, 3)])
+def test_colour_classes_are_independent_sets(dims):
+    lat = _Lattice(Volume(dims=dims, shell=2))
+    assert np.array_equal(lat.pair_idx[:, :3], lat.up)
+    assert np.array_equal(lat.pair_idx[:, 3:6], lat.dn)
+    sites = np.concatenate([c[0] for c in lat.classes])
+    assert np.array_equal(np.sort(sites), np.sort(lat.vol_flat))
+    for own, pair, plq in lat.classes:
+        # no coupling partner of a class site is in the class itself
+        assert not np.isin(pair, own).any()
+        assert not np.isin(plq, own).any()
+
+
+@pytest.mark.parametrize("ham", ["h2", "h4"])
+@pytest.mark.parametrize("bc", ["bc111", "hom_plus"])
+def test_colour_sweep_matches_random_site_kernel(ham, bc):
+    """Mean energy and acceptance of the colour sweep and of the random-site
+    kernel agree within 4 combined standard errors over independent replicas."""
+    # beta = 2 at U = 4: acceptance 0.3-0.45 in all four cases, away from the
+    # h2 ordering transition (beta J ~ 0.22), so chains of 200 sweeps mix
+    spec = _spec(bc=bc, hamiltonian=ham, beta=2.0, sweeps=200,
+                 thermalization=40, seed=7, measure_stride=5, cross_check_stride=20)
+    replicas = 6
+    stats = {}
+    for name, run in (("colour", mc_run), ("random-site", ref.reference_mc_run)):
+        chains = [run(spec, replica=r) for r in range(replicas)]
+        stats[name] = {
+            key: (np.mean(v), np.std(v, ddof=1) / math.sqrt(replicas))
+            for key, v in (("energy", [c.mean_energy() for c in chains]),
+                           ("acceptance", [c.mean_acceptance() for c in chains]))
+        }
+    for key in ("energy", "acceptance"):
+        (m1, se1), (m2, se2) = stats["colour"][key], stats["random-site"][key]
+        assert se1 > 0 and se2 > 0
+        assert abs(m1 - m2) <= 4.0 * math.hypot(se1, se2), (key, stats)
