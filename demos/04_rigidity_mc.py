@@ -22,8 +22,7 @@ for ham in ("h2", "h4"):
                    sweeps=300, thermalization=100, seed=11, measure_stride=10)
     series = [mc_run(spec, replica=r) for r in range(2)]
     frac = np.mean([s.mean_good_fraction() for s in series])
-    width = np.mean([s.mean_width() for s in series])
-    print(f"  {ham}: good-pair fraction {frac:.3f}   excess width {width:.3f}")
+    print(f"  {ham}: good-pair fraction {frac:.3f}")
 
 print("\nbc100 on 7^3 under the second-order model, beta/U = 40")
 spec = RunSpec(dims=(7, 7, 7), bc="bc100", hamiltonian="h2", U=8.0, beta=8.0 * 40,

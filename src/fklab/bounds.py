@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .quantum import CouplingTable
+from .quantum import CouplingTable, verify_decay
 
 #: Connectivity constant of the walk-counting bound in d = 3: (2d)^2.
 C_D = 36.0
@@ -279,28 +277,18 @@ def decay_audit(table: CouplingTable, table_2u: CouplingTable | None = None,
                 tiny: float = 1e-13) -> DecayAudit:
     """Fit |coupling| <= c2t (c1/U)^g to a coupling table and audit it.
 
+    The fit is the one of ``quantum.verify_decay``: c1 is its decay base c,
+    c2t its prefactor c1.
+
     With a companion table at doubled U the audit also checks the pair-cluster
     refinement: after removing the explicit 1/(4U) part, nearest-neighbour
     couplings must decay with exponent 3, i.e. drop by at least 4x (expected
     8x) when U doubles.
     """
-    levels: dict = {}
-    for e in table.entries:
-        if e.size < 2:
-            continue
-        levels[e.g] = max(levels.get(e.g, 0.0), abs(e.value))
-    live = {g: v for g, v in levels.items() if v > tiny}
-    if not live:
+    fit = verify_decay(table, tiny)
+    if fit.trivial:
         return DecayAudit(c1=None, c2t=None, violations=[], pair_exponent_ok=None, trivial=True)
-    if len(live) == 1:
-        ((g, v),) = live.items()
-        c1, c2t = None, v
-    else:
-        gs = np.array(sorted(live))
-        logs = np.log([live[g] for g in gs])
-        slope, _ = np.polyfit(gs, logs, 1)
-        c1 = table.U * math.exp(slope)
-        c2t = max(live[g] / (c1 / table.U) ** g for g in gs)
+    c1, c2t = fit.c, fit.c1
     violations = []
     if c1 is not None:
         for e in table.entries:

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import Site, SpinConfiguration, UNIT_STEPS, Volume
+from .lattice import Site, SpinConfiguration, UNIT_STEPS, Volume, components
 
 # ---------------------------------------------------------------------------
 # Coefficients of the truncated effective Hamiltonians
@@ -272,38 +272,11 @@ def extract_contours(
     """
     bc = bc if bc is not None else config.bc
     faces, involume = broken_faces(config)
-    n = len(faces)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    key_of = face_edges if not corner_connect else (
-        lambda f: [frozenset((v,)) for v in face_vertices(f)]
-    )
-    bucket: dict = {}
-    for i, f in enumerate(faces):
-        for key in key_of(f):
-            j = bucket.get(key)
-            if j is None:
-                bucket[key] = i
-            else:
-                union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    key_of = face_vertices if corner_connect else face_edges
 
     mixed = bc in ("bc100", "bc111")
     contours = []
-    for members in groups.values():
+    for members in components(key_of(f) for f in faces):
         fs = frozenset(faces[i] for i in members)
         area = sum(1 for i in members if involume[i])
         has_shell_only = any(not involume[i] for i in members)

@@ -11,9 +11,8 @@ boundary classification is bit-exact.  The coordinate sum ``x1+x2+x3`` equals
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +25,12 @@ NEIGHBOR_STEPS: tuple[Site, ...] = (
 
 UNIT_STEPS: tuple[Site, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-VALID_BC = ("hom_plus", "hom_minus", "bc100", "bc111")
+#: Largest site set ``closed_walk_length`` solves (Held-Karp is 2^n n^2).
+MAX_WALK_SITES = 10
+
+
+class CapExceeded(ValueError):
+    """A desk-scale resource cap was exceeded; the CLI maps it to exit code 3."""
 
 
 def coordinate_sum(site: Site) -> int:
@@ -223,6 +227,37 @@ def stagger(config: SpinConfiguration) -> SpinConfiguration:
 # Bond clusters and the connectivity measure g(B)
 # ---------------------------------------------------------------------------
 
+def components(keys: Iterable[Iterable[Hashable]]) -> list[list[int]]:
+    """Connected components of items joined through shared keys.
+
+    Item ``i`` carries the hashable keys ``keys[i]``; two items that share a
+    key are connected.  Returns each component's item indices in ascending
+    order, and the components in order of their first index.  An item without
+    keys is a component of its own.
+    """
+    parent: list[int] = []
+    owner: dict = {}
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, item_keys in enumerate(keys):
+        parent.append(i)
+        for k in item_keys:
+            j = owner.setdefault(k, i)
+            if j != i:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups: dict[int, list[int]] = {}
+    for i in range(len(parent)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
 def is_connected(sites: Iterable[Site]) -> bool:
     """Nearest-neighbour connectedness of a site set."""
     todo = set(sites)
@@ -250,7 +285,8 @@ def closed_walk_length(sites: Sequence[Site]) -> int:
     The walk may leave the set; between consecutive visited sites it costs at
     least the L1 distance and any L1 geodesic is realizable on the lattice, so
     the minimum equals the shortest closed tour under the L1 metric.  Solved
-    exactly by Held-Karp dynamic programming (desk scale: <= 10 sites).
+    exactly by Held-Karp dynamic programming (desk scale: at most
+    ``MAX_WALK_SITES`` sites).
     """
     pts = list(dict.fromkeys(sites))
     n = len(pts)
@@ -258,8 +294,8 @@ def closed_walk_length(sites: Sequence[Site]) -> int:
         raise ValueError("empty site set")
     if n == 1:
         return 0
-    if n > 10:
-        raise ValueError("closed_walk_length capped at 10 sites")
+    if n > MAX_WALK_SITES:
+        raise CapExceeded(f"closed_walk_length capped at {MAX_WALK_SITES} sites")
     dist = [[_l1(a, b) for b in pts] for a in pts]
     full = 1 << (n - 1)
     # dp[mask][j]: shortest path from pts[n-1] through mask ending at j < n-1
@@ -340,7 +376,7 @@ def enumerate_clusters(volume: Volume, anchor: Site, max_g: int) -> list[BondClu
     produces each subset exactly once.
     """
     if max_g > 8:
-        raise ValueError("enumerate_clusters capped at max_g <= 8")
+        raise CapExceeded("enumerate_clusters capped at max_g <= 8")
     if not volume.contains_padded(anchor):
         raise ValueError("anchor outside volume")
     max_size = max_g + 1
@@ -375,16 +411,3 @@ def enumerate_clusters(volume: Volume, anchor: Site, max_g: int) -> list[BondClu
     grow(frozenset({anchor}), neighbors(anchor), set())
     results.sort(key=lambda c: (len(c.sites), sorted(c.sites)))
     return results
-
-
-def run_config_block(volume: Volume, bc: str) -> str:
-    """Serialize the (volume, bc) pair to the JSON run-config block."""
-    return json.dumps(volume.to_json(bc=bc), sort_keys=True)
-
-
-def parse_run_config_block(text: str) -> tuple[Volume, str]:
-    doc = json.loads(text)
-    bc = doc.get("bc")
-    if bc not in VALID_BC:
-        raise ValueError(f"bc must be one of {VALID_BC}")
-    return Volume.from_json(doc), bc

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import UNIT_STEPS, Site, coordinate_sum, is_connected, walk_g
+from .lattice import MAX_WALK_SITES, UNIT_STEPS, CapExceeded, Site, coordinate_sum, is_connected, walk_g
 
 MAX_ELECTRON_SITES = 14
 MAX_ION_CONFIGS = 1 << 12
@@ -60,7 +60,7 @@ def _hopping(sites: Sequence[Site]) -> tuple[list, np.ndarray]:
     if len(set(sites)) != len(sites):
         raise ValueError("duplicate sites")
     if len(sites) > MAX_ELECTRON_SITES:
-        raise ValueError(f"electron problem capped at {MAX_ELECTRON_SITES} sites")
+        raise CapExceeded(f"electron problem capped at {MAX_ELECTRON_SITES} sites")
     sites.sort()
     index = {s: i for i, s in enumerate(sites)}
     adj = np.zeros((len(sites), len(sites)))
@@ -235,7 +235,12 @@ def extract_couplings(
     window = [tuple(s) for s in (window if window is not None else sites)]
     w = len(window)
     if 1 << w > MAX_ION_CONFIGS:
-        raise ValueError(f"window of {w} sites exceeds {MAX_ION_CONFIGS} ion configurations")
+        max_window = MAX_ION_CONFIGS.bit_length() - 1
+        raise CapExceeded(f"ion-configuration window capped at {max_window} sites")
+    # g(A) >= |A| - 1, so no support larger than max_g + 1 sites is kept
+    if min(w, max_g + 1) > MAX_WALK_SITES:
+        raise CapExceeded(f"supports of up to {min(w, max_g + 1)} sites: "
+                          f"closed_walk_length capped at {MAX_WALK_SITES} sites")
     sites, adj = _hopping(sites)
     index = {s: i for i, s in enumerate(sites)}
     if any(s not in index for s in window):
@@ -259,6 +264,8 @@ def extract_couplings(
 
     entries = []
     for a in range(1, 1 << w):
+        if bin(a).count("1") - 1 > max_g:
+            continue
         support = tuple(sorted(window[i] for i in range(w) if (a >> i) & 1))
         g = walk_g(support)
         if g > max_g:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classical import ModelCoefficients
+from .lattice import CapExceeded, components
 from .tiling import (
     RConfiguration,
     Region,
@@ -23,7 +24,8 @@ from .tiling import (
     rhombus_sides,
     rhombus_type,
     tiling_to_interface,
-    triangles_of_edge,
+    triangle_edges,
+    triangles_across,
     type_rhombus,
 )
 
@@ -167,28 +169,20 @@ def f_energy(contour: RContour, coeffs: ModelCoefficients) -> float:
     return e
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+def _rhombus_vertices(r: Rhombus) -> set:
+    return {p for t in r for p in t}
 
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+def _link_vertices(pt) -> tuple:
+    """The lattice vertices a lambda link is tied to.
 
-    def groups(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
+    The link joins the projected centres of two stacked faces, which are
+    interior points of their rhombi; it is tied to the nearest lattice
+    vertices of its doubled-coordinate key, since the structures it joins
+    already share vertices in every configuration arising from an interface.
+    """
+    a, b = pt
+    return ((a // 2, b // 2), ((a + 1) // 2, (b + 1) // 2))
 
 
 def decompose(faces_or_rc, boundary_rhombus: Rhombus | None = None) -> Decomposition:
@@ -213,21 +207,16 @@ def decompose(faces_or_rc, boundary_rhombus: Rhombus | None = None) -> Decomposi
     for r in simple:
         for e in rhombus_sides(r):
             side_index.setdefault(e, []).append(r)
-    good_pairs = []
+    paired: dict = {}  # rhombus -> its good-pair sides, in order of first appearance
     for e, count in rc.good_edges.items():
         rs = side_index.get(e, [])
         if len(rs) == 2:
-            good_pairs.append((e, rs[0], rs[1]))
-
-    uf = _UnionFind()
-    paired = set()
-    for e, r1, r2 in good_pairs:
-        uf.union(("r", r1), ("r", r2))
-        paired.add(r1)
-        paired.add(r2)
+            for r in rs:
+                paired.setdefault(r, []).append(e)
+    paired_rhombi = list(paired)
     bases = []
-    for members in uf.groups().values():
-        rhombi = frozenset(m[1] for m in members)
+    for members in components(paired.values()):
+        rhombi = frozenset(paired_rhombi[i] for i in members)
         types = {rhombus_type(r) for r in rhombi}
         assert len(types) == 1, "a base must have a single type"
         bases.append(Base(rhombi=rhombi, type=types.pop()))
@@ -239,51 +228,24 @@ def decompose(faces_or_rc, boundary_rhombus: Rhombus | None = None) -> Decomposi
                     big = i
         bases[big] = Base(rhombi=bases[big].rhombi, type=bases[big].type, boundary=True)
 
-    # contour material: unbased rhombi, delta/omega edges, lambda links
-    unbased = [r for r in rc.rhombus_multiplicity if r not in paired]
-    cuf = _UnionFind()
-    for r in unbased:
-        key = ("r", r)
-        cuf.find(key)
-        for t in r:
-            for p in t:
-                cuf.union(key, ("v", p))
-    for e in rc.delta_edges:
-        key = ("d", e)
-        cuf.find(key)
-        for p in e:
-            cuf.union(key, ("v", p))
-    for e in rc.omega_edges:
-        key = ("o", e)
-        cuf.find(key)
-        for p in e:
-            cuf.union(key, ("v", p))
-    for (pt, mu), mult in rc.lambda_links.items():
-        key = ("l", (pt, mu))
-        cuf.find(key)
-        # endpoints of the link: the projections of the two face centers are
-        # interior points of the two rhombi; connect through the rhombi they
-        # belong to instead (the link joins structures that already share
-        # vertices in every configuration arising from an interface), so tie
-        # the link to the nearest lattice vertex of its doubled-coordinate key.
-        a, b = pt
-        for p in ((a // 2, b // 2), ((a + 1) // 2, (b + 1) // 2)):
-            cuf.union(key, ("v", p))
-
-    groups = cuf.groups()
+    # contour material: unbased rhombi, delta/omega edges, lambda links, each
+    # tagged and keyed by the plane vertices it touches
+    material = (
+        [("r", r, _rhombus_vertices(r)) for r in rc.rhombus_multiplicity if r not in paired]
+        + [("d", e, e) for e in rc.delta_edges]
+        + [("o", e, e) for e in rc.omega_edges]
+        + [("l", link, _link_vertices(link[0])) for link in rc.lambda_links]
+    )
     contours = []
-    for members in groups.values():
-        rhombi = frozenset(m[1] for m in members if m[0] == "r")
-        deltas = frozenset(m[1] for m in members if m[0] == "d")
-        omegas = frozenset(m[1] for m in members if m[0] == "o")
-        lams = frozenset(m[1] for m in members if m[0] == "l")
-        if not (rhombi or deltas or omegas or lams):
-            continue  # isolated vertices are not contours
+    for members in components(m[2] for m in material):
+        parts = {tag: [] for tag in "rdol"}
+        for i in members:
+            parts[material[i][0]].append(material[i][1])
         contour = RContour(
-            rhombi=rhombi,
-            delta_edges=deltas,
-            omega_edges=omegas,
-            lambda_links=lams,
+            rhombi=frozenset(parts["r"]),
+            delta_edges=frozenset(parts["d"]),
+            omega_edges=frozenset(parts["o"]),
+            lambda_links=frozenset(parts["l"]),
         )
         _split_subcontours(contour, rc)
         contours.append(contour)
@@ -294,18 +256,10 @@ def decompose(faces_or_rc, boundary_rhombus: Rhombus | None = None) -> Decomposi
 def _split_subcontours(contour: RContour, rc: RConfiguration) -> None:
     """Group a contour's material into overlapping and standard subcontours."""
     ov_rhombi = [r for r in contour.rhombi if r in rc.overlapping_rhombi]
-    uf = _UnionFind()
-    for r in ov_rhombi:
-        key = ("r", r)
-        uf.find(key)
-        for t in r:
-            for p in t:
-                uf.union(key, ("v", p))
-    comps = []
-    for members in uf.groups().values():
-        rhombi = frozenset(m[1] for m in members if m[0] == "r")
-        if rhombi:
-            comps.append(rhombi)
+    comps = [
+        frozenset(ov_rhombi[i] for i in members)
+        for members in components(_rhombus_vertices(r) for r in ov_rhombi)
+    ]
     subcontours = []
     claimed_delta = set()
     for rhombi in comps:
@@ -323,31 +277,21 @@ def _split_subcontours(contour: RContour, rc: RConfiguration) -> None:
             if set(e) & verts:
                 claimed_delta.add(e)
         omega = sum(rc.omega_edges[e] for e in contour.omega_edges if set(e) & verts)
-        lam = 0
-        for (pt, mu) in contour.lambda_links:
-            a, b = pt
-            near = {(a // 2, b // 2), ((a + 1) // 2, (b + 1) // 2)}
-            if near & verts:
-                lam += rc.lambda_links[(pt, mu)]
+        lam = sum(
+            rc.lambda_links[link] for link in contour.lambda_links
+            if verts.intersection(_link_vertices(link[0]))
+        )
         subcontours.append(
             OverlappingSubcontour(rhombi=rhombi, overlap=overlap, delta=delta, omega=omega, lam=lam)
         )
     contour.overlapping = subcontours
 
     # standard subcontours: connected components of the unclaimed delta edges
-    suf = _UnionFind()
-    for e in contour.delta_edges:
-        if e in claimed_delta:
-            continue
-        key = ("d", e)
-        suf.find(key)
-        for p in e:
-            suf.union(key, ("v", p))
-    standard = []
-    for members in suf.groups().values():
-        edges = [m[1] for m in members if m[0] == "d"]
-        if edges:
-            standard.append(sum(rc.delta_edges[e] for e in edges))
+    unclaimed = [e for e in contour.delta_edges if e not in claimed_delta]
+    standard = [
+        sum(rc.delta_edges[unclaimed[i]] for i in members)
+        for members in components(unclaimed)
+    ]
     contour.standard_delta = sorted(standard, reverse=True)
 
 
@@ -376,14 +320,12 @@ def minimal_rhombus_cover(support: frozenset) -> int:
     Exact branch-and-bound over the first uncovered triangle; rhombi may
     overlap (covers are by whole rhombi).  Desk scale: at most 12 rhombi.
     """
+    if len(support) > 24:
+        raise CapExceeded("minimal cover capped at supports of 12 rhombi")
     tris = sorted(support, key=lambda t: sorted(t))
     candidates: dict = {}
     for t in tris:
-        cand = []
-        for e in _triangle_edges(t):
-            for u in triangles_of_edge(tuple(e)):
-                if u != t and u in support:
-                    cand.append(rhombus_of(t, u))
+        cand = [rhombus_of(t, u) for u in triangles_across(t) if u in support]
         if not cand:
             raise ValueError("support triangle not coverable by a rhombus inside support")
         candidates[t] = cand
@@ -400,15 +342,8 @@ def minimal_rhombus_cover(support: frozenset) -> int:
         for r in candidates[t]:
             search(uncovered - set(r), used + 1)
 
-    if len(tris) > 24:
-        raise ValueError("minimal cover capped at supports of 12 rhombi")
     search(frozenset(tris), 0)
     return best[0]
-
-
-def _triangle_edges(t):
-    vs = sorted(t)
-    return [frozenset((vs[0], vs[1])), frozenset((vs[0], vs[2])), frozenset((vs[1], vs[2]))]
 
 
 def geometric_class(contour: RContour) -> GeometricContour:
@@ -466,10 +401,9 @@ def _collared_assignment(tiling: Tiling, collar: int) -> dict:
     for _ in range(2 * collar + 2):
         new = set()
         for t in frontier:
-            for e in _triangle_edges(t):
-                for u in triangles_of_edge(tuple(e)):
-                    if u not in assign and u not in new:
-                        new.add(u)
+            for u in triangles_across(t):
+                if u not in assign and u not in new:
+                    new.add(u)
         for t in new:
             r = r0_rhombus(t)
             assign[t] = r
@@ -529,33 +463,21 @@ def dobrushin_remove(
     supp_tris = set(target.support_triangles)
     supp_verts = set(target.support_vertices)
 
-    # complement components: triangles connected across non-support edges,
-    # merged across shared vertices not in the support
-    comp = _UnionFind()
-    for t in window:
-        if t in supp_tris:
-            continue
-        comp.find(("t", t))
-        for e in _triangle_edges(t):
-            if e <= supp_verts and frozenset(e) in (target.delta_edges | target.omega_edges):
-                continue
-            for u in triangles_of_edge(tuple(e)):
-                if u in window and u not in supp_tris:
-                    comp.union(("t", t), ("t", u))
-        for p in t:
-            if p not in supp_verts:
-                comp.union(("t", t), ("p", p))
+    # complement components: triangles joined across edges that are not the
+    # target's delta/omega lines and through vertices outside its support
+    # (edge keys are frozensets, vertex keys tuples: they never collide)
+    blocked = target.delta_edges | target.omega_edges
+    outside = [t for t in window if t not in supp_tris]
     groups = {}
-    for members in comp.groups().values():
-        tris = [m[1] for m in members if m[0] == "t"]
-        if tris:
-            groups[min(tris, key=lambda x: sorted(x))] = set(tris)
+    for members in components(
+        [e for e in triangle_edges(t) if e not in blocked] + [p for p in t if p not in supp_verts]
+        for t in outside
+    ):
+        tris = [outside[i] for i in members]
+        groups[min(tris, key=lambda x: sorted(x))] = set(tris)
 
     # exterior = component containing a window-boundary triangle
-    boundary_tris = {
-        t for t in window
-        if any(u not in window for e in _triangle_edges(t) for u in triangles_of_edge(tuple(e)))
-    }
+    boundary_tris = {t for t in window if any(u not in window for u in triangles_across(t))}
     exterior_key = None
     for key, tris in groups.items():
         if tris & boundary_tris:

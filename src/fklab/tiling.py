@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .classical import Face, face_vertices
-from .lattice import Site, SpinConfiguration, Volume, coordinate_sum
+from .lattice import CapExceeded, Site, SpinConfiguration, Volume, coordinate_sum
 
 PlaneVertex = tuple[int, int]
 Triangle = frozenset  # of 3 PlaneVertex
@@ -94,6 +94,11 @@ def triangles_of_edge(e: Iterable[PlaneVertex]) -> list[Triangle]:
 def triangle_edges(t: Triangle) -> list[frozenset]:
     vs = sorted(t)
     return [frozenset((vs[0], vs[1])), frozenset((vs[0], vs[2])), frozenset((vs[1], vs[2]))]
+
+
+def triangles_across(t: Triangle) -> list[Triangle]:
+    """The three triangles sharing a side with ``t``, in ``triangle_edges`` order."""
+    return [u for e in triangle_edges(t) for u in triangles_of_edge(tuple(e)) if u != t]
 
 
 def rhombus_of(t1: Triangle, t2: Triangle) -> Rhombus:
@@ -340,17 +345,12 @@ def enumerate_tilings(region: Region) -> list[Tiling]:
     """
     tris = region.sorted_triangles()
     if len(tris) > 60:
-        raise ValueError("enumeration capped at 60 triangles")
-    tri_set = set(tris)
+        raise CapExceeded("enumeration capped at 60 triangles")
     order = {t: i for i, t in enumerate(tris)}
-    neighbors: dict = {}
-    for t in tris:
-        nb = []
-        for e in triangle_edges(t):
-            for u in triangles_of_edge(tuple(e)):
-                if u != t and u in tri_set:
-                    nb.append(u)
-        neighbors[t] = sorted(nb, key=lambda u: order[u])
+    neighbors = {
+        t: sorted((u for u in triangles_across(t) if u in order), key=lambda u: order[u])
+        for t in tris
+    }
 
     out: list[Tiling] = []
     covered: set = set()

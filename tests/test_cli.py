@@ -44,6 +44,15 @@ def test_heff_cap_exits_3(tmp_path):
     assert main(["heff", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_heff_twelve_site_window_finishes(tmp_path):
+    # every support kept at max_g = 3 has at most 4 sites, far below the walk cap
+    cfg = _write(tmp_path, "c.json", {"dims": [3, 2, 2], "U": 16, "beta": 256})
+    out = tmp_path / "o"
+    assert main(["heff", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "couplings.json").read_text())
+    assert len(doc["window"]) == 12 and max(c["g"] for c in doc["couplings"]) <= 3
+
+
 @pytest.mark.parametrize("beta", [0.0, math.nan, -5.0])
 def test_heff_bad_beta_exits_2(tmp_path, beta):
     cfg = _write(tmp_path, "c.json", {"dims": [2, 1, 1], "U": 16.0, "beta": beta})
@@ -131,7 +140,7 @@ def test_mc_snapshot_stride_and_workers_env(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [{"measure_stride": 0}, {"cross_check_stride": 0},
-                                 {"snapshot_stride": -1}])
+                                 {"snapshot_stride": -1}, {"replicas": 0}])
 def test_mc_bad_stride_exits_2(tmp_path, bad):
     cfg = _write(tmp_path, "m.json", {
         "dims": [4, 4, 4], "bc": "hom_plus", "hamiltonian": "h2", "U": 4.0,

@@ -1,0 +1,124 @@
+"""Golden digests of the connectivity-driven outputs.
+
+The SHA-256 values below were recorded from the union-find implementations
+that preceded ``lattice.components``.  They pin, byte for byte:
+
+* ``decompose_tiling(...).to_json`` on seeded random R0-closed hexagon tilings
+  (bases in group order, contours in sort order with their subcontour lists),
+  and ``decompose(...).to_json`` of every Ising contour of seeded bc111 boxes
+  with flips next to the interface (non-minimal, with overlapping subcontours);
+* every ``dobrushin_remove`` on those tilings (new tiling JSON, energies,
+  contour counts, shifts and interiors in component order);
+* ``extract_contours`` with edge and corner connectivity on seeded bc111 boxes
+  with bulk flips (contour order, faces, areas and the pinned flag).
+
+Any change to component membership or to the order of groups shows up here.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from fklab.classical import ModelCoefficients, extract_contours
+from fklab.lattice import SpinConfiguration, Volume
+from fklab.rcontour import DobrushinViolation, decompose, decompose_tiling, dobrushin_remove
+from fklab.tiling import hexagon_region, r0_closure, random_tiling
+
+CO = ModelCoefficients(U=8.0)
+
+GOLDEN = {
+    "decompositions": "78118bdc7aeb9e9e7224e1d755f09cc518ae13fc836de66c53961164efb64f04",
+    "removals": "e96074861167d476a336a3077f47b26b02dc47e6dbfb11711eb0d0d2b37123de",
+    "contours": "7da5c994b3d1398243d3207f23d46186afeebda76c5ab8f467fe6b3fd8da9572",
+}
+
+
+def _digest(records) -> str:
+    h = hashlib.sha256()
+    for rec in records:
+        h.update(json.dumps(rec, sort_keys=True).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _tilings():
+    for side, seeds, flips in ((3, range(10), 15), (4, range(6), 25), (5, range(2), 30)):
+        region = r0_closure(hexagon_region(side).triangles)
+        for seed in seeds:
+            yield side, seed, random_tiling(region, flips + seed, seed=100 * side + seed)
+
+
+def _tiling_records():
+    decos, removals = [], []
+    for side, seed, tiling in _tilings():
+        deco = decompose_tiling(tiling)
+        decos.append({"side": side, "seed": seed, "deco": deco.to_json(CO)})
+        for idx in range(len(deco.contours)):
+            try:
+                new_t, rep = dobrushin_remove(tiling, idx, coeffs=CO)
+            except DobrushinViolation as exc:
+                removals.append({"side": side, "seed": seed, "idx": idx, "violation": str(exc)})
+                continue
+            removals.append({
+                "side": side, "seed": seed, "idx": idx,
+                "tiling": new_t.to_json(),
+                "removed_f": rep.removed_f,
+                "before": rep.contours_before,
+                "after": rep.contours_after,
+                "shifts": [[sorted(k), n] for k, n in rep.shifts.items()],
+                "interiors": rep.interiors,
+            })
+    return decos, removals
+
+
+def _flipped_bc111(seed, near_interface):
+    """A 7^3 bc111 ground state with seeded flips, in the bulk or next to the interface."""
+    vol = Volume(dims=(7, 7, 7), shell=2)
+    ground = SpinConfiguration.from_boundary(vol, "bc111")
+    sites = list(vol.sites())
+    if near_interface:
+        sites = [s for s in sites if abs(sum(s) + 1) <= 2]
+        count = 6 + 3 * seed
+    else:
+        count = 40 + 20 * seed
+    rng = np.random.default_rng(seed)
+    spins = ground.spins.copy()
+    for k in rng.choice(len(sites), size=count, replace=False):
+        spins[vol.index(sites[k])] *= -1
+    return ground.with_spins(spins)
+
+
+def _interface_records():
+    out = []
+    for seed in range(6):
+        for i, c in enumerate(extract_contours(_flipped_bc111(seed, True))):
+            out.append({"seed": seed, "contour": i, "deco": decompose(c.faces).to_json(CO)})
+    return out
+
+
+def _contour_records():
+    out = []
+    for seed in range(3):
+        config = _flipped_bc111(seed, False)
+        for corner in (False, True):
+            out.append({
+                "seed": seed, "corner": corner,
+                "contours": [
+                    {"faces": sorted([list(k), mu] for k, mu in c.faces),
+                     "area": c.area, "pinned": c.pinned}
+                    for c in extract_contours(config, corner_connect=corner)
+                ],
+            })
+    return out
+
+
+def test_connectivity_outputs_match_golden_digests():
+    decos, removals = _tiling_records()
+    assert len(removals) >= 20
+    got = {
+        "decompositions": _digest(decos + _interface_records()),
+        "removals": _digest(removals),
+        "contours": _digest(_contour_records()),
+    }
+    assert got == GOLDEN

@@ -1,23 +1,26 @@
 """Lattice geometry, boundary conditions, staggering and bond clusters."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fklab.lattice import (
     BondCluster,
+    CapExceeded,
     NEIGHBOR_STEPS,
     SpinConfiguration,
     Volume,
     boundary_spin,
     closed_walk_length,
+    components,
     connectivity_g,
     coordinate_sum,
     enumerate_clusters,
     is_connected,
-    parse_run_config_block,
-    run_config_block,
     stagger,
     sublattice_sign,
     walk_g,
@@ -144,9 +147,9 @@ def test_enumerate_clusters_matches_subset_scan():
 
 def test_volume_json_roundtrip():
     vol = Volume(dims=(6, 4, 8), shell=2)
-    text = run_config_block(vol, "bc111")
-    vol2, bc = parse_run_config_block(text)
-    assert bc == "bc111"
+    doc = json.loads(json.dumps(vol.to_json(bc="bc111")))
+    assert doc["bc"] == "bc111"
+    vol2 = Volume.from_json(doc)
     assert vol2.dims == vol.dims and vol2.shell == vol.shell and vol2.lo == vol.lo
 
 
@@ -158,3 +161,68 @@ def test_shell_consistency_flag():
     assert cfg2.shell_consistent()  # interior flips never touch the shell
     with pytest.raises(ValueError):
         cfg.with_flip((5, 5, 5))
+
+
+def _bfs_components(keys):
+    """Reference partition: breadth-first search over items sharing a key,
+    started from each unvisited item in index order."""
+    holders = {}
+    for i, ks in enumerate(keys):
+        for k in ks:
+            holders.setdefault(k, []).append(i)
+    seen = set()
+    out = []
+    for i in range(len(keys)):
+        if i in seen:
+            continue
+        seen.add(i)
+        comp, frontier = [], [i]
+        while frontier:
+            j = frontier.pop()
+            comp.append(j)
+            for k in keys[j]:
+                for m in holders[k]:
+                    if m not in seen:
+                        seen.add(m)
+                        frontier.append(m)
+        out.append(comp)
+    return out
+
+
+_KEY = st.one_of(st.integers(0, 25), st.tuples(st.integers(0, 3), st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_KEY, max_size=4), max_size=40))
+def test_components_matches_bfs_oracle(keys):
+    got = components(iter(keys))
+    expect = _bfs_components(keys)
+    # the same partition ...
+    assert sorted(map(sorted, got)) == sorted(map(sorted, expect))
+    # ... each group in ascending order, groups ordered by their first index
+    assert all(g == sorted(g) for g in got)
+    assert [g[0] for g in got] == [min(c) for c in expect]
+
+
+def test_library_caps_raise_cap_exceeded():
+    from fklab.quantum import FKParameters, effective_energy, extract_couplings
+    from fklab.rcontour import minimal_rhombus_cover
+    from fklab.tiling import enumerate_tilings, hexagon_region
+
+    params = FKParameters(U=8.0, beta=8.0)
+    line = [(i, 0, 0) for i in range(11)]
+    with pytest.raises(CapExceeded):
+        closed_walk_length(line)
+    with pytest.raises(CapExceeded):
+        enumerate_clusters(Volume(dims=(3, 3, 3)), (0, 0, 0), max_g=9)
+    sites16 = [(i, j, 0) for i in range(4) for j in range(4)]
+    with pytest.raises(CapExceeded):
+        effective_energy(sites16, {s: 0 for s in sites16}, params)
+    with pytest.raises(CapExceeded):
+        extract_couplings(sites16[:13], params, max_g=3)
+    with pytest.raises(CapExceeded):  # supports of 11 sites could reach walk_g
+        extract_couplings(line, params, max_g=10)
+    with pytest.raises(CapExceeded):
+        enumerate_tilings(hexagon_region(4))
+    with pytest.raises(CapExceeded):
+        minimal_rhombus_cover(hexagon_region(3).triangles)

@@ -123,7 +123,7 @@ def test_pyramid_contour_counts_and_f_energy_relation():
 
 
 def test_minimal_cover_examples():
-    from fklab.tiling import triangle_edges, triangles_of_edge
+    from fklab.tiling import triangles_across
 
     # a single rhombus support decomposes into itself
     r = r0_rhombus(tri_up(0, 0))
@@ -132,12 +132,7 @@ def test_minimal_cover_examples():
     # two rhombi sharing one triangle: three triangles, covers are by whole
     # rhombi, so the minimum is 2
     t0 = tri_up(0, 0)
-    partners = [
-        u
-        for e in triangle_edges(t0)
-        for u in triangles_of_edge(tuple(e))
-        if u != t0
-    ]
+    partners = triangles_across(t0)
     support = frozenset([t0, partners[0], partners[1]])
     assert minimal_rhombus_cover(support) == 2
 
