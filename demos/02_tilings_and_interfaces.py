@@ -26,7 +26,7 @@ out.mkdir(exist_ok=True)
 
 for side in (1, 2, 3):
     region = hexagon_region(side)
-    rep = degeneracy_bounds_check(region)
+    rep = degeneracy_bounds_check(region, enumerate_tilings(region))
     print(
         f"hexagon side {side}: {len(region):3d} triangles, area {rep.area:2d} rhombi, "
         f"{rep.count:4d} tilings; bounds 2^(A/3) = {rep.lower:9.1f} <= N <= 2^(2A)"

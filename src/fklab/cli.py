@@ -105,6 +105,18 @@ def cmd_heff(config_path: str, out: Path, seed) -> int:
     return EXIT_OK
 
 
+def _list(x) -> list:
+    if not isinstance(x, list):
+        raise ConfigError(f"expected a JSON list, got {x!r}")
+    return x
+
+
+def _plane_vertex(p) -> tuple[int, int]:
+    if len(_list(p)) != 2 or not all(type(x) is int for x in p):
+        raise ConfigError(f"a triangle vertex is a pair of integers, got {p!r}")
+    return tuple(p)
+
+
 def cmd_tilings(config_path: str, out: Path, seed) -> int:
     doc = _load_config(
         config_path,
@@ -114,11 +126,15 @@ def cmd_tilings(config_path: str, out: Path, seed) -> int:
     if "side" in doc:
         region = hexagon_region(int(doc["side"]))
     elif "triangles" in doc:
-        region = Region(frozenset(frozenset(tuple(p) for p in t) for t in doc["triangles"]))
+        tris = [frozenset(map(_plane_vertex, _list(t))) for t in _list(doc["triangles"])]
+        region = Region(frozenset(tris))
     else:
         raise ConfigError("config needs 'side' or 'triangles'")
+    cap = int(doc.get("max_render", 32))
+    if cap < 0:
+        raise ConfigError(f"max_render must be >= 0, got {cap}")
     tilings = enumerate_tilings(region)
-    report = degeneracy_bounds_check(region)
+    report = degeneracy_bounds_check(region, tilings)
     prov = _provenance(doc, seed)
     _write_json(out / "tilings.json", {
         "provenance": prov,
@@ -131,7 +147,6 @@ def cmd_tilings(config_path: str, out: Path, seed) -> int:
         "tilings": [t.to_json() for t in tilings],
     })
     if doc.get("render"):
-        cap = int(doc.get("max_render", 32))
         for i, t in enumerate(tilings[:cap]):
             (out / f"tiling_{i:04d}.svg").write_text(tiling_svg(t))
     return EXIT_OK

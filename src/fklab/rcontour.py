@@ -393,24 +393,14 @@ class RemovalReport:
 
 def _collared_assignment(tiling: Tiling, collar: int) -> dict:
     """triangle -> rhombus map of the tiling extended by an R0 collar."""
-    assign = {}
-    for r in tiling.rhombi:
-        for t in r:
-            assign[t] = r
+    assign = tiling.assignment()
     frontier = set(tiling.region.triangles)
     for _ in range(2 * collar + 2):
-        new = set()
+        frontier = {u for t in frontier for u in triangles_across(t) if u not in assign}
         for t in frontier:
-            for u in triangles_across(t):
-                if u not in assign and u not in new:
-                    new.add(u)
-        for t in new:
             r = r0_rhombus(t)
-            assign[t] = r
             for u in r:
-                if u not in assign:
-                    assign[u] = r
-        frontier = new
+                assign.setdefault(u, r)
     return assign
 
 

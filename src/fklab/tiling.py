@@ -16,6 +16,15 @@ A face dual to the bond (k, k + e_mu) has corners with coordinate sums
 K+1, K+2, K+2, K+3 (K = k1+k2+k3); its level is n(f) = K + 2 and its projected
 rhombus consists of the two triangles flanking the projection of the low-high
 corner diagonal.  The rhombus type is n(f) mod 3.
+
+Triangle adjacency
+------------------
+Every triangle is ``tri_up(a, b)`` = {(a,b), (a+1,b), (a+1,b+1)} or
+``tri_dn(a, b)`` = {(a,b), (a,b+1), (a+1,b+1)} of its lowest vertex (a, b), so
+all adjacency is closed form.  An edge p < q flanks up(p) and dn(p - (0,1))
+when q - p = (1,0), up(p - (1,0)) and dn(p) when q - p = (0,1), and up(p) and
+dn(p) when q - p = (1,1).  The star of (a, b) in cyclic order is up(a,b),
+dn(a,b), up(a-1,b), dn(a-1,b-1), up(a-1,b-1), dn(a,b-1).
 """
 
 from __future__ import annotations
@@ -73,22 +82,28 @@ def tri_dn(a: int, b: int) -> Triangle:
 
 
 def triangles_at_vertex(p: PlaneVertex) -> list[Triangle]:
+    """The six triangles around ``p`` in cyclic order, each sharing a side
+    with the next."""
     a, b = p
     return [
-        tri_up(a, b), tri_up(a - 1, b), tri_up(a - 1, b - 1),
-        tri_dn(a, b), tri_dn(a, b - 1), tri_dn(a - 1, b - 1),
+        tri_up(a, b), tri_dn(a, b), tri_up(a - 1, b),
+        tri_dn(a - 1, b - 1), tri_up(a - 1, b - 1), tri_dn(a, b - 1),
     ]
 
 
 def triangles_of_edge(e: Iterable[PlaneVertex]) -> list[Triangle]:
-    """The (at most two) elementary triangles having segment ``e`` as a side."""
-    es = frozenset(e)
-    out = []
-    for p in es:
-        for t in triangles_at_vertex(p):
-            if es <= t and t not in out:
-                out.append(t)
-    return out
+    """The two elementary triangles having segment ``e`` as a side, up first;
+    ``[]`` when ``e`` is not a lattice edge."""
+    p, q = sorted(e)
+    a, b = p
+    d = (q[0] - a, q[1] - b)
+    if d == (1, 0):
+        return [tri_up(a, b), tri_dn(a, b - 1)]
+    if d == (0, 1):
+        return [tri_up(a - 1, b), tri_dn(a, b)]
+    if d == (1, 1):
+        return [tri_up(a, b), tri_dn(a, b)]
+    return []
 
 
 def triangle_edges(t: Triangle) -> list[frozenset]:
@@ -98,7 +113,10 @@ def triangle_edges(t: Triangle) -> list[frozenset]:
 
 def triangles_across(t: Triangle) -> list[Triangle]:
     """The three triangles sharing a side with ``t``, in ``triangle_edges`` order."""
-    return [u for e in triangle_edges(t) for u in triangles_of_edge(tuple(e)) if u != t]
+    a, b = min(t)
+    if (a + 1, b) in t:
+        return [tri_dn(a, b - 1), tri_dn(a, b), tri_dn(a + 1, b)]
+    return [tri_up(a - 1, b), tri_up(a, b), tri_up(a, b + 1)]
 
 
 def rhombus_of(t1: Triangle, t2: Triangle) -> Rhombus:
@@ -150,25 +168,16 @@ def type_partner(t: Triangle, tau: int) -> Triangle:
     A type-tau rhombus containing a given triangle is unique: it pairs the
     triangle across its single edge joining the two vertex classes != tau.
     """
-    by_class = {vertex_class(p): p for p in t}
-    classes = [c for c in (0, 1, 2) if c != tau]
-    e = (by_class[classes[0]], by_class[classes[1]])
-    for cand in triangles_of_edge(e):
-        if cand != t:
-            return cand
-    raise AssertionError("triangle lattice inconsistency")
+    u, w = triangles_of_edge(p for p in t if vertex_class(p) != tau)
+    return w if u == t else u
 
 
 def type_rhombus(t: Triangle, tau: int) -> Rhombus:
     return rhombus_of(t, type_partner(t, tau))
 
 
-def r0_partner(t: Triangle) -> Triangle:
-    return type_partner(t, 0)
-
-
 def r0_rhombus(t: Triangle) -> Rhombus:
-    return rhombus_of(t, r0_partner(t))
+    return type_rhombus(t, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +233,10 @@ class Region:
     def __post_init__(self):
         if len(self.triangles) % 2:
             raise ValueError("region must contain an even number of triangles")
+        for t in self.triangles:
+            a, b = min(t)
+            if t != tri_up(a, b) and t != tri_dn(a, b):
+                raise ValueError(f"{sorted(t)} is not an elementary triangle")
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -235,7 +248,7 @@ class Region:
     def r0_closed(self) -> bool:
         """True if the exterior can be tiled with type-0 rhombi, i.e. the region
         itself is a union of rhombi of the all-type-0 tiling."""
-        return all(r0_partner(t) in self.triangles for t in self.triangles)
+        return all(type_partner(t, 0) in self.triangles for t in self.triangles)
 
     def sorted_triangles(self) -> list[Triangle]:
         return sorted(self.triangles, key=lambda t: sorted(t))
@@ -249,6 +262,8 @@ def hexagon_region(side: int, center: PlaneVertex | None = None) -> Region:
     needs a class-1 or class-2 center, side = 2 a class-0 one; side = 0 mod 3
     vertex-centered hexagons are never closed and are used for counting only).
     """
+    if side < 1:
+        raise ValueError(f"hexagon side must be >= 1, got {side}")
     if center is None:
         center = {1: (0, 1), 2: (0, 0), 0: (0, 0)}[side % 3]
     ca, cb = center
@@ -279,7 +294,7 @@ def r0_closure(triangles: Iterable[Triangle]) -> Region:
     todo = list(tris)
     while todo:
         t = todo.pop()
-        p = r0_partner(t)
+        p = type_partner(t, 0)
         if p not in tris:
             tris.add(p)
             todo.append(p)
@@ -294,17 +309,18 @@ class Tiling:
     rhombi: tuple
 
     def __post_init__(self):
-        covered: set = set()
-        for r in self.rhombi:
-            for t in r:
-                if t in covered:
-                    raise ValueError("rhombi overlap")
-                covered.add(t)
-        if covered != set(self.region.triangles):
+        covered = self.assignment()
+        if len(covered) != sum(map(len, self.rhombi)):
+            raise ValueError("rhombi overlap")
+        if covered.keys() != self.region.triangles:
             raise ValueError("rhombi do not cover the region exactly")
 
     def __len__(self) -> int:
         return len(self.rhombi)
+
+    def assignment(self) -> dict:
+        """A fresh triangle -> rhombus map of the tiling."""
+        return {t: r for r in self.rhombi for t in r}
 
     def type_counts(self) -> tuple[int, int, int]:
         c = [0, 0, 0]
@@ -377,56 +393,43 @@ def enumerate_tilings(region: Region) -> list[Tiling]:
     return out
 
 
-def _hexagon_order(tris: list) -> list:
-    """Order the six triangles around a vertex cyclically by shared edges."""
-    order = [tris[0]]
-    rest = list(tris[1:])
-    while rest:
-        cur = order[-1]
-        nxt = next((u for u in rest if len(cur & u) == 2), None)
-        if nxt is None:
-            raise AssertionError("triangles do not form a hexagon")
-        order.append(nxt)
-        rest.remove(nxt)
-    return order
+#: The two ways three rhombi can cover a vertex star (``triangles_at_vertex``
+#: order); an elementary flip turns one into the other.
+_STAR_PAIRINGS = (((0, 1), (2, 3), (4, 5)), ((1, 2), (3, 4), (5, 0)))
+
+
+def _star_pairing(assign: dict, p: PlaneVertex) -> int | None:
+    """Index into ``_STAR_PAIRINGS`` of the rhombi covering the star of ``p``,
+    or None when ``p`` is not a flip position of the assignment."""
+    star = triangles_at_vertex(p)
+    if all(t in assign for t in star):
+        for k, pairs in enumerate(_STAR_PAIRINGS):
+            if all(assign[star[i]] == assign[star[j]] for i, j in pairs):
+                return k
+    return None
+
+
+def _flip(assign: dict, p: PlaneVertex) -> None:
+    """Rotate the three rhombi around ``p`` in the assignment, in place."""
+    k = _star_pairing(assign, p)
+    if k is None:
+        raise ValueError("vertex is not flippable in this tiling")
+    star = triangles_at_vertex(p)
+    for i, j in _STAR_PAIRINGS[1 - k]:
+        assign[star[i]] = assign[star[j]] = rhombus_of(star[i], star[j])
 
 
 def flippable_vertices(tiling: Tiling) -> list:
     """Vertices whose six surrounding triangles are covered by exactly three
     rhombi of the tiling: the elementary flip positions."""
-    assign = {}
-    for r in tiling.rhombi:
-        for t in r:
-            assign[t] = r
-    out = []
-    for p in sorted(tiling.region.vertices):
-        tris = triangles_at_vertex(p)
-        if not all(t in assign for t in tris):
-            continue
-        rs = {assign[t] for t in tris}
-        if len(rs) == 3 and all(all(t in tris for t in r) for r in rs):
-            out.append(p)
-    return out
+    assign = tiling.assignment()
+    return [p for p in sorted(tiling.region.vertices) if _star_pairing(assign, p) is not None]
 
 
 def apply_flip(tiling: Tiling, vertex: PlaneVertex) -> Tiling:
     """Rotate the three rhombi around a flippable vertex."""
-    assign = {}
-    for r in tiling.rhombi:
-        for t in r:
-            assign[t] = r
-    tris = triangles_at_vertex(vertex)
-    if not all(t in assign for t in tris):
-        raise ValueError("vertex is not interior to the tiling")
-    rs = {assign[t] for t in tris}
-    if len(rs) != 3 or not all(all(t in tris for t in r) for r in rs):
-        raise ValueError("vertex is not flippable in this tiling")
-    order = _hexagon_order(tris)
-    pairs = [(1, 2), (3, 4), (5, 0)] if assign[order[0]] == assign[order[1]] else [(0, 1), (2, 3), (4, 5)]
-    for i, j in pairs:
-        r = rhombus_of(order[i], order[j])
-        assign[order[i]] = r
-        assign[order[j]] = r
+    assign = tiling.assignment()
+    _flip(assign, vertex)
     return Tiling(tiling.region, tuple(set(assign.values())))
 
 
@@ -439,14 +442,15 @@ def random_tiling(region: Region, flips: int, seed: int) -> Tiling:
     """
     if not region.r0_closed():
         raise ValueError("random_tiling needs an R0-closed region")
-    tiling = Tiling(region, tuple({r0_rhombus(t) for t in region.triangles}))
+    assign = Tiling(region, tuple({r0_rhombus(t) for t in region.triangles})).assignment()
+    vertices = sorted(region.vertices)
     rng = np.random.default_rng(seed)
     for _ in range(flips):
-        cands = flippable_vertices(tiling)
+        cands = [p for p in vertices if _star_pairing(assign, p) is not None]
         if not cands:
             break
-        tiling = apply_flip(tiling, cands[int(rng.integers(0, len(cands)))])
-    return tiling
+        _flip(assign, cands[int(rng.integers(0, len(cands)))])
+    return Tiling(region, tuple(set(assign.values())))
 
 
 @dataclass
@@ -464,14 +468,14 @@ class DegeneracyReport:
         return self.lower <= self.count <= self.upper
 
 
-def degeneracy_bounds_check(region: Region) -> DegeneracyReport:
-    """Check 2^(A/3) <= N <= 2^(2A) for the enumerated tiling count.
+def degeneracy_bounds_check(region: Region, tilings: Sequence[Tiling]) -> DegeneracyReport:
+    """Check 2^(A/3) <= N <= 2^(2A) for the count N of ``tilings``, the
+    output of ``enumerate_tilings(region)``.
 
     The lower-bound construction needs at least one full flippable hexagon,
     so regions with fewer than 3 rhombi are flagged as below the regime and
     reported rather than asserted.
     """
-    tilings = enumerate_tilings(region)
     area = len(region) // 2
     return DegeneracyReport(
         area=area,

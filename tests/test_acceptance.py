@@ -134,7 +134,8 @@ def test_criterion_5_degeneracy_bounds():
     t0 = time.time()
     got = {}
     for side in (1, 2, 3):
-        rep = degeneracy_bounds_check(hexagon_region(side))
+        region = hexagon_region(side)
+        rep = degeneracy_bounds_check(region, enumerate_tilings(region))
         assert rep.in_regime and rep.ok
         got[rep.area] = rep.count
     assert set(got) == {3, 12, 27}

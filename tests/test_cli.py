@@ -90,6 +90,41 @@ def test_tilings_cap_exits_3(tmp_path):
     assert main(["tilings", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("bad", [
+    {"triangles": [[[0, 0], [2, 0], [0, 5]], [[0, 0], [1, 0], [1, 1]]]},
+    {"triangles": [[[0, 0], [1, 0]], [[0, 0], [0, 1], [1, 1]]]},
+    {"triangles": [[0, 1]]},
+    {"triangles": [[[0, 0], [1, 0], [1.5, 1]], [[0, 0], [0, 1], [1, 1]]]},
+    {"side": 0},
+    {"side": -1},
+    {"side": 1, "render": True, "max_render": -1},
+])
+def test_tilings_bad_config_exits_2(tmp_path, bad):
+    cfg = _write(tmp_path, "t.json", bad)
+    out = tmp_path / "o"
+    assert main(["tilings", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_tilings_enumerates_once(tmp_path, monkeypatch):
+    import fklab.cli
+    import fklab.tiling
+
+    calls = []
+
+    def counting(region):
+        calls.append(region)
+        return enumerate_tilings(region)
+
+    enumerate_tilings = fklab.tiling.enumerate_tilings
+    monkeypatch.setattr(fklab.tiling, "enumerate_tilings", counting)
+    monkeypatch.setattr(fklab.cli, "enumerate_tilings", counting)
+    cfg = _write(tmp_path, "t.json", {"side": 2})
+    assert main(["tilings", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+    assert json.loads((tmp_path / "o" / "tilings.json").read_text())["count"] == 20
+
+
 def test_tilings_deterministic_order(tmp_path):
     cfg = _write(tmp_path, "t.json", {"side": 2})
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -237,6 +272,15 @@ def test_render_from_tilings_json(tmp_path):
     rout = tmp_path / "r"
     assert main(["render", "--config", rcfg, "--out", str(rout)]) == 0
     assert (rout / "render.svg").read_text().startswith("<svg")
+
+
+def test_render_rejects_non_elementary_triangle(tmp_path):
+    # the rhombus is well formed (two triangles sharing a side), one triangle is not elementary
+    doc = {"triangles": [[[0, 0], [1, 0], [3, 4]], [[0, 0], [1, 0], [1, 1]]],
+           "rhombi": [{"pair": [0, 1], "type": 0, "orientation": 0}]}
+    path = _write(tmp_path, "tiling.json", doc)
+    rcfg = _write(tmp_path, "r.json", {"kind": "tiling", "path": path})
+    assert main(["render", "--config", rcfg, "--out", str(tmp_path / "r")]) == 2
 
 
 def test_console_script_entry_point(tmp_path):

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tiling_reference as ref
 from fklab.classical import extract_contours, face_vertices
 from fklab.lattice import SpinConfiguration, Volume, coordinate_sum
 from fklab.tiling import (
@@ -37,7 +40,13 @@ from fklab.tiling import (
     tiling_from_heights,
     tiling_heights,
     tiling_to_interface,
+    tri_dn,
+    tri_up,
+    triangle_edges,
+    triangles_across,
     triangles_at_vertex,
+    triangles_of_edge,
+    type_partner,
     vertex_class,
 )
 
@@ -97,16 +106,17 @@ def test_macmahon_box_formula_oracle():
 
 def test_degeneracy_bounds():
     for side in (1, 2):
-        rep = degeneracy_bounds_check(hexagon_region(side))
+        region = hexagon_region(side)
+        rep = degeneracy_bounds_check(region, enumerate_tilings(region))
         assert rep.in_regime and rep.ok
-    r1 = degeneracy_bounds_check(hexagon_region(1))
+    r1 = degeneracy_bounds_check(hexagon_region(1), enumerate_tilings(hexagon_region(1)))
     assert r1.area == 3 and r1.count == 2 and r1.lower == 2 and r1.upper == 64
 
 
 def test_degeneracy_below_regime_flagged():
     # a single rhombus: one tiling, bound 2^(1/3) > 1 fails but is out of regime
     region = Region(frozenset(r0_rhombus(next(iter(hexagon_region(1).triangles)))))
-    rep = degeneracy_bounds_check(region)
+    rep = degeneracy_bounds_check(region, enumerate_tilings(region))
     assert not rep.in_regime
     assert rep.count == 1 and rep.lower > rep.count
     assert rep.ok  # reported, not asserted
@@ -301,6 +311,78 @@ def test_flip_is_involution():
     v = flippable_vertices(t)[0]
     t2 = apply_flip(apply_flip(t, v), v)
     assert set(t2.rhombi) == set(t.rhombi)
+
+
+def test_closed_form_adjacency_matches_search_oracle():
+    region = r0_closure(hexagon_region(5).triangles)
+    verts = sorted(region.vertices)
+    edges = {e for t in region.triangles for e in triangle_edges(t)}
+    for i, p in enumerate(verts):
+        for q in verts[i + 1:]:
+            expect = ref.search_triangles_of_edge((p, q))
+            assert len(expect) == (2 if frozenset((p, q)) in edges else 0)
+            assert triangles_of_edge((p, q)) == triangles_of_edge((q, p)) == expect
+    for t in region.triangles:
+        assert triangles_across(t) == ref.search_triangles_across(t)
+        for tau in range(3):
+            (e,) = [e for e in triangle_edges(t) if all(vertex_class(p) != tau for p in e)]
+            (u,) = [u for u in ref.search_triangles_of_edge(e) if u != t]
+            assert type_partner(t, tau) == u
+    # boundary vertices included: their stars leave the region
+    assert any(not set(triangles_at_vertex(p)) <= region.triangles for p in verts)
+    for p in verts:
+        star = ref.search_triangles_at_vertex(p)
+        assert triangles_at_vertex(p) == ref.hexagon_order(star)
+
+
+def test_flip_positions_and_flips_match_search_oracle():
+    region = r0_closure(hexagon_region(5).triangles)
+    for seed, flips in ((0, 0), (1, 30), (2, 200)):
+        t = random_tiling(region, flips, seed=seed)
+        assign = t.assignment()
+        expect = [p for p in sorted(region.vertices) if ref.is_flip_position(assign, p)]
+        assert flippable_vertices(t) == expect
+        for p in expect:
+            assert set(apply_flip(t, p).rhombi) == ref.flipped_rhombi(t, p)
+    with pytest.raises(ValueError):
+        apply_flip(t, min(region.vertices))  # a corner: its star leaves the region
+
+
+def test_region_rejects_non_elementary_triangles():
+    good = tri_up(0, 0)
+    for bad in ({(0, 0), (2, 0), (0, 5)}, {(0, 0), (1, 0)}, {(0, 0), (1, 0), (0, 1)},
+                {(0, 0), (1, 0), (1, 1), (0, 1)}):
+        with pytest.raises(ValueError, match="not an elementary triangle"):
+            Region(frozenset((frozenset(bad), good)))
+    assert len(Region(frozenset((good, tri_dn(0, 0))))) == 2
+
+
+@pytest.mark.parametrize("side", [0, -1])
+def test_hexagon_region_rejects_empty_sides(side):
+    with pytest.raises(ValueError):
+        hexagon_region(side)
+
+
+_BASE3 = r0_closure(hexagon_region(3).triangles)
+
+
+@settings(max_examples=30, deadline=None)
+@given(flips=st.integers(0, 60), seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 10**6))
+def test_flip_twice_is_identity(flips, seed, pick):
+    t = random_tiling(_BASE3, flips, seed=seed)
+    cands = flippable_vertices(t)
+    v = cands[pick % len(cands)]  # a tiling of this hexagon always has a flip
+    once = apply_flip(t, v)
+    assert set(once.rhombi) != set(t.rhombi)
+    assert set(apply_flip(once, v).rhombi) == set(t.rhombi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(flips=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+def test_heights_round_trip(flips, seed):
+    t = random_tiling(_BASE3, flips, seed=seed)
+    back = tiling_from_heights(_BASE3, tiling_heights(t))
+    assert set(back.rhombi) == set(t.rhombi)
 
 
 def test_lift_consistency_with_spin_configuration():
