@@ -173,6 +173,10 @@ def _rhombus_vertices(r: Rhombus) -> set:
     return {p for t in r for p in t}
 
 
+def _rhombus_key(r: Rhombus) -> tuple:
+    return tuple(sorted(tuple(sorted(t)) for t in r))
+
+
 def _link_vertices(pt) -> tuple:
     """The lattice vertices a lambda link is tied to.
 
@@ -190,8 +194,10 @@ def decompose(faces_or_rc, boundary_rhombus: Rhombus | None = None) -> Decomposi
 
     Accepts a face set (projected via RConfiguration.from_faces) or a
     prebuilt RConfiguration.  Good pairs require both rhombi simple and
-    non-overlapping.  The base of largest extent is flagged as the
-    boundary-connected one (type 0 under standard boundary conditions);
+    non-overlapping.  Bases are listed in order of their least rhombus
+    (sorted vertex lists), so the order does not depend on how the
+    configuration was built.  The first base of largest extent is flagged as
+    the boundary-connected one (type 0 under standard boundary conditions);
     ``boundary_rhombus`` can pin the choice explicitly.
     """
     if isinstance(faces_or_rc, RConfiguration):
@@ -220,6 +226,7 @@ def decompose(faces_or_rc, boundary_rhombus: Rhombus | None = None) -> Decomposi
         types = {rhombus_type(r) for r in rhombi}
         assert len(types) == 1, "a base must have a single type"
         bases.append(Base(rhombi=rhombi, type=types.pop()))
+    bases.sort(key=lambda b: min(_rhombus_key(r) for r in b.rhombi))
     if bases:
         big = max(range(len(bases)), key=lambda i: len(bases[i].rhombi))
         if boundary_rhombus is not None:

@@ -1,10 +1,12 @@
 """Golden digests of the connectivity-driven outputs.
 
 The SHA-256 values below were recorded from the union-find implementations
-that preceded ``lattice.components``.  They pin, byte for byte:
+that preceded ``lattice.components``; ``decompositions`` was recorded again,
+on the path that lifts each tiling to 3D faces, when ``decompose`` began to
+sort its bases by their least rhombus.  They pin, byte for byte:
 
 * ``decompose_tiling(...).to_json`` on seeded random R0-closed hexagon tilings
-  (bases in group order, contours in sort order with their subcontour lists),
+  (bases in canonical order, contours in sort order with their subcontour lists),
   and ``decompose(...).to_json`` of every Ising contour of seeded bc111 boxes
   with flips next to the interface (non-minimal, with overlapping subcontours);
 * every ``dobrushin_remove`` on those tilings (new tiling JSON, energies,
@@ -28,7 +30,7 @@ from fklab.tiling import hexagon_region, r0_closure, random_tiling
 CO = ModelCoefficients(U=8.0)
 
 GOLDEN = {
-    "decompositions": "78118bdc7aeb9e9e7224e1d755f09cc518ae13fc836de66c53961164efb64f04",
+    "decompositions": "f45d9a7f4b829cd6dda9b63fd09e4c280e1d09310b3381dbac7ab5c6046fe005",
     "removals": "e96074861167d476a336a3077f47b26b02dc47e6dbfb11711eb0d0d2b37123de",
     "contours": "7da5c994b3d1398243d3207f23d46186afeebda76c5ab8f467fe6b3fd8da9572",
 }
