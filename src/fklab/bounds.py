@@ -101,10 +101,6 @@ class ConvergenceReport:
     cond2: bool
     cond4: bool
 
-    @property
-    def feasible(self) -> bool:
-        return self.cond1 and self.cond2
-
 
 def polymer_report(inp: PolymerInputs) -> ConvergenceReport:
     """Evaluate the whole constant chain of the polymer-gas bound.

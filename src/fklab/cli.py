@@ -31,7 +31,14 @@ from .mc import RunSpec, _pinned_faces, mc_run
 from .quantum import FKParameters, extract_couplings, verify_decay
 from .rcontour import DobrushinViolation
 from .svgout import faces_svg, tiling_svg
-from .tiling import Region, Tiling, degeneracy_bounds_check, enumerate_tilings, hexagon_region
+from .tiling import (
+    Region,
+    Tiling,
+    degeneracy_bounds_check,
+    enumerate_tilings,
+    hexagon_region,
+    triangles_from_json,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,18 +112,6 @@ def cmd_heff(config_path: str, out: Path, seed) -> int:
     return EXIT_OK
 
 
-def _list(x) -> list:
-    if not isinstance(x, list):
-        raise ConfigError(f"expected a JSON list, got {x!r}")
-    return x
-
-
-def _plane_vertex(p) -> tuple[int, int]:
-    if len(_list(p)) != 2 or not all(type(x) is int for x in p):
-        raise ConfigError(f"a triangle vertex is a pair of integers, got {p!r}")
-    return tuple(p)
-
-
 def cmd_tilings(config_path: str, out: Path, seed) -> int:
     doc = _load_config(
         config_path,
@@ -126,8 +121,7 @@ def cmd_tilings(config_path: str, out: Path, seed) -> int:
     if "side" in doc:
         region = hexagon_region(int(doc["side"]))
     elif "triangles" in doc:
-        tris = [frozenset(map(_plane_vertex, _list(t))) for t in _list(doc["triangles"])]
-        region = Region(frozenset(tris))
+        region = Region(frozenset(triangles_from_json(doc["triangles"])))
     else:
         raise ConfigError("config needs 'side' or 'triangles'")
     cap = int(doc.get("max_render", 32))
@@ -320,14 +314,16 @@ def cmd_render(config_path: str, out: Path, seed) -> int:
         required={"kind", "path"},
         optional={"index"},
     )
-    out.mkdir(parents=True, exist_ok=True)
     if doc["kind"] == "tiling":
         blob = json.loads(Path(doc["path"]).read_text())
-        tilings = blob.get("tilings", [blob])
+        tilings = blob.get("tilings", [blob]) if isinstance(blob, dict) else None
+        if not isinstance(tilings, list):
+            raise ConfigError('a stored tiling file holds a tiling or {"tilings": [...]}')
         idx = int(doc.get("index", 0))
         if not (0 <= idx < len(tilings)):
             raise ConfigError("tiling index out of range")
         t = Tiling.from_json(tilings[idx])
+        out.mkdir(parents=True, exist_ok=True)
         (out / "render.svg").write_text(tiling_svg(t))
     else:
         raise ConfigError(f"unknown render kind {doc['kind']!r}")

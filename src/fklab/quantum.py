@@ -49,10 +49,6 @@ class FKParameters:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
-    @property
-    def half_filled(self) -> bool:
-        return self.mu_e == self.U and self.mu_i == self.U
-
 
 def _hopping(sites: Sequence[Site]) -> tuple[list, np.ndarray]:
     """Sorted electron sites and their nearest-neighbour adjacency matrix."""
@@ -146,12 +142,6 @@ class CouplingTable:
             if e.sites == key:
                 return e.value
         raise KeyError(f"no entry for {key}")
-
-    def by_g(self) -> dict:
-        out: dict = {}
-        for e in self.entries:
-            out.setdefault(e.g, []).append(e)
-        return out
 
     def synthesize(self, ion_config: dict) -> float:
         """Reconstruct H_eff for an ion configuration from all coefficients."""

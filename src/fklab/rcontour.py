@@ -23,7 +23,6 @@ from .tiling import (
     rhombus_of,
     rhombus_sides,
     rhombus_type,
-    tiling_to_interface,
     triangle_edges,
     triangles_across,
     type_rhombus,
@@ -316,10 +315,6 @@ class GeometricContour:
     overlapping_supports: tuple    # of frozensets of triangles
     r_ov: tuple
 
-    @property
-    def total_r_ov(self) -> int:
-        return sum(self.r_ov)
-
 
 def minimal_rhombus_cover(support: frozenset) -> int:
     """Minimum number of rhombi inside ``support`` whose union covers it.
@@ -411,21 +406,10 @@ def _collared_assignment(tiling: Tiling, collar: int) -> dict:
     return assign
 
 
-def faces_of_assignment(assign: dict) -> set:
-    """Lift a minimal triangle->rhombus window to its interface face set.
-
-    Heights follow from the staircase values on the window boundary.
-    """
-    region = Region(frozenset(assign))
-    tiling = Tiling(region, tuple(set(assign.values())))
-    faces, _ = tiling_to_interface(tiling)
-    return faces
-
-
 def decompose_tiling(tiling: Tiling, collar: int = 2) -> Decomposition:
     """Decompose a minimal configuration, embedded in an R0 collar of the
     given width so that boundary edges classify correctly."""
-    return decompose(faces_of_assignment(_collared_assignment(tiling, collar)))
+    return decompose(RConfiguration.from_assignment(_collared_assignment(tiling, collar)))
 
 
 def dobrushin_remove(
@@ -448,8 +432,7 @@ def dobrushin_remove(
     coeffs = coeffs or ModelCoefficients(U=8.0)
     assign = _collared_assignment(tiling, collar)
     window = frozenset(assign)
-    faces = faces_of_assignment(assign)
-    deco = decompose(faces)
+    deco = decompose(RConfiguration.from_assignment(assign))
     if not deco.contours:
         raise ValueError("configuration has no contours to remove")
     if not (0 <= contour_index < len(deco.contours)):
@@ -556,8 +539,7 @@ def dobrushin_remove(
     out_tris = frozenset(t for r in out_rhombi for t in r)
     new_tiling = Tiling(Region(out_tris), tuple(out_rhombi))
 
-    new_faces = faces_of_assignment(new_assign)
-    new_deco = decompose(new_faces)
+    new_deco = decompose(RConfiguration.from_assignment(new_assign))
     f_after = sorted(f_energy(c, coeffs) for c in new_deco.contours)
     report = RemovalReport(
         removed_f=f_energy(target, coeffs),

@@ -345,11 +345,35 @@ class Tiling:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Tiling":
-        tris = [frozenset(tuple(p) for p in t) for t in doc["triangles"]]
-        rhombi = tuple(
-            rhombus_of(tris[r["pair"][0]], tris[r["pair"][1]]) for r in doc["rhombi"]
-        )
-        return cls(Region(frozenset(tris)), rhombi)
+        """Inverse of ``to_json``; raises ValueError on a malformed document."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a tiling is a JSON object, got {doc!r}")
+        tris = triangles_from_json(doc["triangles"])
+        rhombi = []
+        for r in _json_list(doc["rhombi"]):
+            pair = r.get("pair") if isinstance(r, dict) else None
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(type(i) is int and 0 <= i < len(tris) for i in pair)):
+                raise ValueError(f"a rhombus pair is two triangle indices below {len(tris)}, got {pair!r}")
+            rhombi.append(rhombus_of(tris[pair[0]], tris[pair[1]]))
+        return cls(Region(frozenset(tris)), tuple(rhombi))
+
+
+def _json_list(x) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"expected a JSON list, got {x!r}")
+    return x
+
+
+def triangles_from_json(doc) -> list[Triangle]:
+    """Triangles from a JSON list of vertex lists, each vertex a pair of
+    integers; raises ValueError on any other shape."""
+    def vertex(p):
+        if len(_json_list(p)) != 2 or not all(type(x) is int for x in p):
+            raise ValueError(f"a triangle vertex is a pair of integers, got {p!r}")
+        return tuple(p)
+
+    return [frozenset(map(vertex, _json_list(t))) for t in _json_list(doc)]
 
 
 def enumerate_tilings(region: Region) -> list[Tiling]:
@@ -419,6 +443,21 @@ def _flip(assign: dict, p: PlaneVertex) -> None:
         assign[star[i]] = assign[star[j]] = rhombus_of(star[i], star[j])
 
 
+def _flip_tracked(assign: dict, flippable: set, p: PlaneVertex) -> None:
+    """``_flip`` at ``p``, keeping ``flippable`` the set of flip positions.
+
+    The flip changes the assignment only on the star of p, and a vertex's
+    flip test reads only its own star, so only p and its six neighbours can
+    change.
+    """
+    _flip(assign, p)
+    for q in [p] + [(p[0] + da, p[1] + db) for da, db in ALL_DIRS]:
+        if _star_pairing(assign, q) is None:
+            flippable.discard(q)
+        else:
+            flippable.add(q)
+
+
 def flippable_vertices(tiling: Tiling) -> list:
     """Vertices whose six surrounding triangles are covered by exactly three
     rhombi of the tiling: the elementary flip positions."""
@@ -439,17 +478,23 @@ def random_tiling(region: Region, flips: int, seed: int) -> Tiling:
     Starts from the all-type-0 tiling (the region must be a union of type-0
     rhombi) and applies ``flips`` uniformly chosen flips; deterministic in
     the seed.
+
+    The flip positions are kept as a set, and after each flip only the
+    flipped vertex and its six neighbours are tested again
+    (``_flip_tracked``).  Each step indexes the *sorted* positions, so a seed
+    gives the same walk as a full scan of the region's vertices in sorted
+    order, and the same tilings as before the set was kept.
     """
     if not region.r0_closed():
         raise ValueError("random_tiling needs an R0-closed region")
     assign = Tiling(region, tuple({r0_rhombus(t) for t in region.triangles})).assignment()
-    vertices = sorted(region.vertices)
+    flippable = {p for p in region.vertices if _star_pairing(assign, p) is not None}
     rng = np.random.default_rng(seed)
     for _ in range(flips):
-        cands = [p for p in vertices if _star_pairing(assign, p) is not None]
-        if not cands:
+        if not flippable:
             break
-        _flip(assign, cands[int(rng.integers(0, len(cands)))])
+        cands = sorted(flippable)
+        _flip_tracked(assign, flippable, cands[int(rng.integers(0, len(cands)))])
     return Tiling(region, tuple(set(assign.values())))
 
 
@@ -668,9 +713,12 @@ class RConfiguration:
     * omega edges: four faces around one 3D edge (the diagonal pattern);
     * lambda links: stacked parallel faces one lattice unit apart, counted
       with multiplicity.
+
+    A 3D face set is projected by ``from_faces``.  A tiling (a minimal
+    interface) needs no lift: ``from_assignment`` reads the same edge sets
+    off its triangle -> rhombus map.
     """
 
-    faces: frozenset
     rhombus_multiplicity: dict = field(default_factory=dict)
     coverage: dict = field(default_factory=dict)
     good_edges: dict = field(default_factory=dict)
@@ -728,13 +776,39 @@ class RConfiguration:
                 key = (phi(center2), mu)
                 lam[key] = lam.get(key, 0) + 1
         return cls(
-            faces=faces,
             rhombus_multiplicity=rmult,
             coverage=coverage,
             good_edges=good,
             delta_edges=delta,
             omega_edges=omega,
             lambda_links=lam,
+        )
+
+    @classmethod
+    def from_assignment(cls, assign: dict) -> "RConfiguration":
+        """The configuration of a tiling, given as its triangle -> rhombus map.
+
+        On a minimal interface every triangle is covered once, each rhombus
+        is one face, and there are no omega edges and no lambda links (a
+        monotone height never alternates along e_mu).  A side between two
+        different rhombi is good when they have the same type and delta
+        otherwise, as ``classify_local`` states; a side with a triangle
+        outside the map stays unclassified, as it has no second face.
+        """
+        rmult = dict.fromkeys(assign.values(), 1)
+        types = {r: rhombus_type(r) for r in rmult}
+        good: dict = {}
+        delta: dict = {}
+        for t, r in assign.items():
+            for e, u in zip(triangle_edges(t), triangles_across(t)):
+                s = assign.get(u)
+                if s is not None and s != r:
+                    (good if types[s] == types[r] else delta)[e] = 1
+        return cls(
+            rhombus_multiplicity=rmult,
+            coverage=dict.fromkeys(assign, 1),
+            good_edges=good,
+            delta_edges=delta,
         )
 
     def overlap_number(self, t: Triangle) -> int:

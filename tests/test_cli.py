@@ -283,6 +283,26 @@ def test_render_rejects_non_elementary_triangle(tmp_path):
     assert main(["render", "--config", rcfg, "--out", str(tmp_path / "r")]) == 2
 
 
+_RHOMBUS = [{"pair": [0, 1], "type": 0, "orientation": 0}]
+_TRIANGLES = [[[0, 0], [1, 0], [1, 1]], [[0, 0], [0, 1], [1, 1]]]
+
+
+@pytest.mark.parametrize("blob", [
+    {"triangles": [[0, 1]], "rhombi": []},
+    {"triangles": _TRIANGLES, "rhombi": [{"pair": [0, 2], "type": 0, "orientation": 0}]},
+    {"triangles": _TRIANGLES, "rhombi": [{"pair": [-1, 0], "type": 0, "orientation": 0}]},
+    {"triangles": _TRIANGLES, "rhombi": [{"pair": [0, 0.5], "type": 0, "orientation": 0}]},
+    [{"triangles": _TRIANGLES, "rhombi": _RHOMBUS}],
+], ids=["vertex_not_a_pair", "pair_out_of_range", "pair_negative", "pair_not_integer",
+        "top_level_list"])
+def test_render_malformed_stored_tiling_exits_2(tmp_path, blob):
+    path = _write(tmp_path, "tiling.json", blob)
+    rcfg = _write(tmp_path, "r.json", {"kind": "tiling", "path": path})
+    out = tmp_path / "r"
+    assert main(["render", "--config", rcfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_console_script_entry_point(tmp_path):
     cfg = _write(tmp_path, "t.json", {"side": 1})
     proc = subprocess.run(

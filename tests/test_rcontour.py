@@ -1,7 +1,10 @@
 """Bases, R-contours, contour energies, geometric classes, Dobrushin removal."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import tiling_reference as ref
 from fklab.classical import (
     ModelCoefficients,
     extract_contours,
@@ -10,6 +13,7 @@ from fklab.classical import (
 from fklab.lattice import Volume
 from fklab.rcontour import (
     DobrushinViolation,
+    _collared_assignment,
     decompose,
     decompose_tiling,
     dobrushin_remove,
@@ -18,6 +22,7 @@ from fklab.rcontour import (
     minimal_rhombus_cover,
 )
 from fklab.tiling import (
+    RConfiguration,
     Region,
     Tiling,
     config_from_heights,
@@ -30,6 +35,7 @@ from fklab.tiling import (
     rhombus_of,
     stair_height,
     tiling_from_heights,
+    tiling_to_interface,
     tri_up,
     vertex_class,
 )
@@ -244,3 +250,36 @@ def test_removal_errors():
     t = _single_flip_tilings(hexagon_region(2))[0]
     with pytest.raises(ValueError):
         dobrushin_remove(t, 5)
+
+
+_REGIONS = {side: r0_closure(hexagon_region(side).triangles) for side in range(2, 7)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(side=st.integers(2, 5), flips=st.integers(0, 80), seed=st.integers(0, 2**32 - 1),
+       collar=st.integers(0, 2))
+def test_tiling_native_rconfig_matches_lift_oracle(side, flips, seed, collar):
+    assign = _collared_assignment(random_tiling(_REGIONS[side], flips, seed=seed), collar)
+    got = RConfiguration.from_assignment(assign)
+    want = ref.lifted_rconfig(assign)
+    for name in ("good_edges", "delta_edges", "omega_edges", "lambda_links",
+                 "coverage", "rhombus_multiplicity"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert want.good_edges and want.coverage
+
+
+@settings(max_examples=25, deadline=None)
+@given(side=st.sampled_from([5, 6]), flips=st.integers(5, 120),
+       seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 10**6))
+def test_dobrushin_invariants_on_large_hexagons(side, flips, seed, pick):
+    tiling = random_tiling(_REGIONS[side], flips, seed=seed)
+    deco = decompose_tiling(tiling)
+    assume(deco.contours)
+    idx = pick % len(deco.contours)
+    new_t, rep = dobrushin_remove(tiling, idx, coeffs=CO)
+    # the result is a tiling with the standard boundary: it lifts to an interface
+    tiling_to_interface(Tiling(new_t.region, new_t.rhombi))
+    after = decompose_tiling(new_t)
+    assert len(after.contours) == rep.contours_after == len(deco.contours) - 1
+    expect = sorted(f_energy(c, CO) for j, c in enumerate(deco.contours) if j != idx)
+    assert sorted(f_energy(c, CO) for c in after.contours) == pytest.approx(expect, abs=1e-12)

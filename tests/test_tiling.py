@@ -48,6 +48,7 @@ from fklab.tiling import (
     triangles_of_edge,
     type_partner,
     vertex_class,
+    _flip_tracked,
 )
 
 
@@ -383,6 +384,25 @@ def test_heights_round_trip(flips, seed):
     t = random_tiling(_BASE3, flips, seed=seed)
     back = tiling_from_heights(_BASE3, tiling_heights(t))
     assert set(back.rhombi) == set(t.rhombi)
+
+
+_REGIONS = {side: r0_closure(hexagon_region(side).triangles) for side in range(2, 6)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(side=st.integers(2, 5), flips=st.integers(0, 80), seed=st.integers(0, 2**32 - 1))
+def test_tracked_flip_set_matches_full_scan(side, flips, seed):
+    """random_tiling's walk, re-testing only around each flip, keeps exactly the
+    flip positions a full search finds and ends on random_tiling's tiling."""
+    region = _REGIONS[side]
+    assign = {t: r0_rhombus(t) for t in region.triangles}
+    flippable = set(flippable_vertices(Tiling(region, tuple(set(assign.values())))))
+    rng = np.random.default_rng(seed)
+    for _ in range(flips):
+        cands = sorted(flippable)
+        _flip_tracked(assign, flippable, cands[int(rng.integers(0, len(cands)))])
+        assert flippable == {p for p in region.vertices if ref.is_flip_position(assign, p)}
+    assert set(assign.values()) == set(random_tiling(region, flips, seed=seed).rhombi)
 
 
 def test_lift_consistency_with_spin_configuration():

@@ -1,12 +1,21 @@
 """Search-based triangle adjacency and flip test, kept as the oracle for the
-closed forms in ``fklab.tiling``.
+closed forms in ``fklab.tiling``, and the 3D lift kept as the oracle for
+``RConfiguration.from_assignment``.
 
 These find neighbours by testing vertex subsets against every triangle at a
 vertex, order a vertex star by walking shared sides, and test a flip position
 by collecting the rhombi that cover the star.
 """
 
-from fklab.tiling import tri_dn, tri_up, triangle_edges
+from fklab.tiling import (
+    RConfiguration,
+    Region,
+    Tiling,
+    tiling_to_interface,
+    tri_dn,
+    tri_up,
+    triangle_edges,
+)
 
 
 def search_triangles_at_vertex(p):
@@ -70,3 +79,14 @@ def flipped_rhombi(tiling, p):
         assign[order[i]] = r
         assign[order[j]] = r
     return set(assign.values())
+
+
+def lifted_rconfig(assign):
+    """The configuration of a triangle -> rhombus window, through its 3D faces.
+
+    The window is lifted to its minimal interface (heights from the staircase
+    values on the window boundary) and projected back by ``from_faces``.
+    """
+    tiling = Tiling(Region(frozenset(assign)), tuple(set(assign.values())))
+    faces, _ = tiling_to_interface(tiling)
+    return RConfiguration.from_faces(faces)
