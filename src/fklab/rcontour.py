@@ -6,6 +6,10 @@ A base is a maximal connected set of good pairs (all rhombi of one type); the
 R-contours are the connected components of everything else: delta/omega edges,
 lambda links and rhombi that belong to no good pair.  Connectivity of contour
 material is through shared plane vertices (contours are closed complexes).
+
+A tiling (a minimal interface) is decomposed from its triangle -> rhombus map
+in an R0 collar, through ``RConfiguration.from_assignment``, with no lift to
+3D faces; any other face set goes through ``RConfiguration.from_faces``.
 """
 
 from __future__ import annotations

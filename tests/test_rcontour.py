@@ -278,7 +278,7 @@ def test_dobrushin_invariants_on_large_hexagons(side, flips, seed, pick):
     idx = pick % len(deco.contours)
     new_t, rep = dobrushin_remove(tiling, idx, coeffs=CO)
     # the result is a tiling with the standard boundary: it lifts to an interface
-    tiling_to_interface(Tiling(new_t.region, new_t.rhombi))
+    tiling_to_interface(new_t)
     after = decompose_tiling(new_t)
     assert len(after.contours) == rep.contours_after == len(deco.contours) - 1
     expect = sorted(f_energy(c, CO) for j, c in enumerate(deco.contours) if j != idx)
