@@ -50,11 +50,48 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str, required: set, optional: set) -> dict:
+def _read_json(path, what: str):
+    """Parse the JSON file at ``path``; an unreadable file is a config error."""
+    if not isinstance(path, str):
+        raise ConfigError(f"{what} must be a file path, got {path!r}")
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+
+
+def _int(value, key: str) -> int:
+    """An integer config value; a float is accepted only when integral (3.0)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _real(value, key: str) -> float:
+    """A real config value: any JSON number (the models reject non-finite ones)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
+def _site(value, key: str) -> tuple[int, int, int]:
+    """An integer triple: a site, or box dimensions."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{key} must be a list of three integers, got {value!r}")
+    return tuple(_int(x, key) for x in value)
+
+
+def _sites(value, key: str) -> list[tuple[int, int, int]]:
+    """A list of sites, each a list of three integers."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of sites, got {value!r}")
+    return [_site(s, key) for s in value]
+
+
+def _load_config(path: str, required: set, optional: set) -> dict:
+    doc = _read_json(path, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     missing = required - set(doc)
@@ -86,12 +123,13 @@ def cmd_heff(config_path: str, out: Path, seed) -> int:
         required={"dims", "U", "beta"},
         optional={"t", "max_g", "window", "shell"},
     )
-    dims = tuple(int(x) for x in doc["dims"])
-    vol = Volume(dims=dims, shell=int(doc.get("shell", 1)))
+    vol = Volume(dims=_site(doc["dims"], "dims"), shell=_int(doc.get("shell", 1), "shell"))
     sites = list(vol.sites())
-    params = FKParameters(U=float(doc["U"]), beta=float(doc["beta"]), t=float(doc.get("t", 1.0)))
-    window = [tuple(s) for s in doc["window"]] if "window" in doc else None
-    table = extract_couplings(sites, params, max_g=int(doc.get("max_g", 3)), window=window)
+    params = FKParameters(U=_real(doc["U"], "U"), beta=_real(doc["beta"], "beta"),
+                          t=_real(doc.get("t", 1.0), "t"))
+    window = _sites(doc["window"], "window") if "window" in doc else None
+    table = extract_couplings(sites, params, max_g=_int(doc.get("max_g", 3), "max_g"),
+                              window=window)
     decay = verify_decay(table)
     audit = decay_audit(table)
     prov = _provenance(doc, seed)
@@ -119,12 +157,12 @@ def cmd_tilings(config_path: str, out: Path, seed) -> int:
         optional={"side", "triangles", "render", "max_render"},
     )
     if "side" in doc:
-        region = hexagon_region(int(doc["side"]))
+        region = hexagon_region(_int(doc["side"], "side"))
     elif "triangles" in doc:
         region = Region(frozenset(triangles_from_json(doc["triangles"])))
     else:
         raise ConfigError("config needs 'side' or 'triangles'")
-    cap = int(doc.get("max_render", 32))
+    cap = _int(doc.get("max_render", 32), "max_render")
     if cap < 0:
         raise ConfigError(f"max_render must be >= 0, got {cap}")
     tilings = enumerate_tilings(region)
@@ -153,23 +191,23 @@ def cmd_mc(config_path: str, out: Path, seed) -> int:
         optional={"seed", "move_set", "measure_stride", "cross_check_stride",
                   "shell", "replicas", "snapshot", "snapshot_stride"},
     )
-    run_seed = int(doc.get("seed", seed if seed is not None else 0))
+    run_seed = _int(doc.get("seed", seed if seed is not None else 0), "seed")
     spec = RunSpec(
-        dims=tuple(int(x) for x in doc["dims"]),
+        dims=_site(doc["dims"], "dims"),
         bc=str(doc["bc"]),
         hamiltonian=str(doc["hamiltonian"]),
-        U=float(doc["U"]),
-        beta=float(doc["beta"]),
-        sweeps=int(doc["sweeps"]),
-        thermalization=int(doc["thermalization"]),
+        U=_real(doc["U"], "U"),
+        beta=_real(doc["beta"], "beta"),
+        sweeps=_int(doc["sweeps"], "sweeps"),
+        thermalization=_int(doc["thermalization"], "thermalization"),
         seed=run_seed,
         move_set=str(doc.get("move_set", "single-flip+hexagon-flip")),
-        measure_stride=int(doc.get("measure_stride", 10)),
-        cross_check_stride=int(doc.get("cross_check_stride", 200)),
-        shell=int(doc.get("shell", 2)),
-        snapshot_stride=int(doc.get("snapshot_stride", 0)),
+        measure_stride=_int(doc.get("measure_stride", 10), "measure_stride"),
+        cross_check_stride=_int(doc.get("cross_check_stride", 200), "cross_check_stride"),
+        shell=_int(doc.get("shell", 2), "shell"),
+        snapshot_stride=_int(doc.get("snapshot_stride", 0), "snapshot_stride"),
     )
-    replicas = int(doc.get("replicas", 1))
+    replicas = _int(doc.get("replicas", 1), "replicas")
     if replicas < 1:
         raise ConfigError(f"replicas must be >= 1, got {replicas}")
     prov = _provenance(doc, run_seed)
@@ -231,9 +269,9 @@ def cmd_bounds(config_path: str, out: Path, seed) -> int:
     op = doc["op"]
     prov = _provenance(doc, seed)
     if op == "polymer":
-        inp = PolymerInputs(C1=float(doc["C1"]), C2=float(doc["C2"]),
-                            lam=float(doc["lambda"]), b=float(doc["b"]),
-                            a=float(doc.get("a", 2.0)))
+        inp = PolymerInputs(C1=_real(doc["C1"], "C1"), C2=_real(doc["C2"], "C2"),
+                            lam=_real(doc["lambda"], "lambda"), b=_real(doc["b"], "b"),
+                            a=_real(doc.get("a", 2.0), "a"))
         r = polymer_report(inp)
         payload = {
             "provenance": prov, "k0": r.k0, "alpha": r.alpha, "a0": r.a0,
@@ -243,9 +281,9 @@ def cmd_bounds(config_path: str, out: Path, seed) -> int:
             "flags": {"cond1": r.cond1, "cond2": r.cond2, "cond4": r.cond4},
         }
     elif op == "cj":
-        r = cj_sequence(d=int(doc.get("d", 3)), t=float(doc.get("t", 1.0)),
-                        U=float(doc["U"]), beta=float(doc["beta"]),
-                        c=float(doc.get("c", 0.5)))
+        r = cj_sequence(d=_int(doc.get("d", 3), "d"), t=_real(doc.get("t", 1.0), "t"),
+                        U=_real(doc["U"], "U"), beta=_real(doc["beta"], "beta"),
+                        c=_real(doc.get("c", 0.5), "c"))
         payload = {
             "provenance": prov, "ratio": r.ratio, "C0": r.c0,
             "tail_sum": None if r.tail_sum == float("inf") else r.tail_sum,
@@ -254,15 +292,15 @@ def cmd_bounds(config_path: str, out: Path, seed) -> int:
             "values": {str(j): v for j, v in sorted(r.values.items())},
         }
     elif op == "b0":
-        r = find_b0(C1=float(doc["C1"]), C2=float(doc["C2"]), lam=float(doc["lambda"]),
-                    a=float(doc.get("a", 2.0)))
+        r = find_b0(C1=_real(doc["C1"], "C1"), C2=_real(doc["C2"], "C2"),
+                    lam=_real(doc["lambda"], "lambda"), a=_real(doc.get("a", 2.0), "a"))
         payload = {"provenance": prov, "b0": r.b0, "lambda0": r.lambda0, "B": r.B}
     elif op == "audit":
         from .quantum import CouplingTable
-        table = CouplingTable.from_json(json.loads(Path(doc["couplings"]).read_text()))
+        table = CouplingTable.from_json(_read_json(doc["couplings"], "couplings"))
         table2 = None
         if "couplings_2u" in doc:
-            table2 = CouplingTable.from_json(json.loads(Path(doc["couplings_2u"]).read_text()))
+            table2 = CouplingTable.from_json(_read_json(doc["couplings_2u"], "couplings_2u"))
         r = decay_audit(table, table2)
         payload = {
             "provenance": prov, "c1": r.c1, "c2_tilde": r.c2t,
@@ -286,17 +324,23 @@ def cmd_energy(config_path: str, out: Path, seed) -> int:
         required={"volume", "U"},
         optional={"flips"},
     )
-    vdoc = dict(doc["volume"])
+    vdoc = doc["volume"]
+    if not isinstance(vdoc, dict):
+        raise ConfigError(f"volume must be a JSON object, got {vdoc!r}")
     bc = vdoc.get("bc")
     if bc is None:
         raise ConfigError("volume block needs a 'bc' entry")
-    vol = Volume.from_json(vdoc)
+    typed = {"dims": _site(vdoc.get("dims"), "volume.dims"),
+             "shell": _int(vdoc.get("shell", 2), "volume.shell")}
+    if "lo" in vdoc:
+        typed["lo"] = _site(vdoc["lo"], "volume.lo")
+    vol = Volume.from_json({**vdoc, **typed})
     if vol.shell < 2:
         raise ConfigError("energy evaluation needs shell depth >= 2")
     config = SpinConfiguration.from_boundary(vol, bc)
-    for site in doc.get("flips", []):
-        config = config.with_flip(tuple(int(x) for x in site))
-    co = ModelCoefficients(U=float(doc["U"]))
+    for site in _sites(doc.get("flips", []), "flips"):
+        config = config.with_flip(site)
+    co = ModelCoefficients(U=_real(doc["U"], "U"))
     contours = extract_contours(config)
     payload = {
         "provenance": _provenance(doc, seed),
@@ -315,11 +359,11 @@ def cmd_render(config_path: str, out: Path, seed) -> int:
         optional={"index"},
     )
     if doc["kind"] == "tiling":
-        blob = json.loads(Path(doc["path"]).read_text())
+        blob = _read_json(doc["path"], "path")
         tilings = blob.get("tilings", [blob]) if isinstance(blob, dict) else None
         if not isinstance(tilings, list):
             raise ConfigError('a stored tiling file holds a tiling or {"tilings": [...]}')
-        idx = int(doc.get("index", 0))
+        idx = _int(doc.get("index", 0), "index")
         if not (0 <= idx < len(tilings)):
             raise ConfigError("tiling index out of range")
         t = Tiling.from_json(tilings[idx])

@@ -6,6 +6,11 @@ All geometric predicates are evaluated on the integer representation, so
 boundary classification is bit-exact.  The coordinate sum ``x1+x2+x3`` equals
 ``k1+k2+k3 + 3/2`` and is therefore always a half-odd integer, never inside
 (-1/2, 1/2).
+
+The closed-walk measure g of a site set comes from one subset Held-Karp,
+``subset_walks``, which solves every subset of a site list in one numpy pass
+and also reports each subset's nearest-neighbour connectedness;
+``closed_walk_length`` reads its full-set entry.
 """
 
 from __future__ import annotations
@@ -275,8 +280,73 @@ def is_connected(sites: Iterable[Site]) -> bool:
     return seen == todo
 
 
-def _l1(a: Site, b: Site) -> int:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1]) + abs(a[2] - b[2])
+def popcounts(n: int) -> np.ndarray:
+    """Number of set bits of every bitmask 0 .. 2^n - 1."""
+    pc = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        pc = np.concatenate([pc, pc + 1])
+    return pc
+
+
+def subset_walks(pts: Sequence[Site], max_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-walk length and connectedness of every subset of ``pts``.
+
+    Both arrays have 2^len(pts) entries, indexed by bitmask (bit i stands for
+    ``pts[i]``).  ``tour[mask]`` is the minimal closed-walk length through the
+    sites of ``mask`` (see ``closed_walk_length``; 0 for a singleton) for masks
+    of 1 .. ``max_size`` sites, and -1 for the empty mask and larger ones.
+    ``connected[mask]`` is nearest-neighbour connectedness of every mask (False
+    for the empty one).
+
+    One Held-Karp dynamic program serves every subset: ``dp[mask, j]`` is the
+    shortest L1 path from the lowest site of ``mask`` through all of ``mask``,
+    ending at j.  Its only predecessor is ``mask ^ (1 << j)``, which starts at
+    the same lowest site, so each popcount layer is one numpy pull from the
+    layer below followed by a min.  Connectedness grows ``reach = mask & -mask``
+    by the neighbours of ``reach`` inside ``mask``, for all masks at once, until
+    nothing changes.
+    """
+    pts = [tuple(p) for p in pts]
+    n = len(pts)
+    if len(set(pts)) != n:
+        raise ValueError("repeated sites")
+    max_size = min(max_size, n)
+    if max_size > MAX_WALK_SITES:
+        raise CapExceeded(f"closed walks capped at {MAX_WALK_SITES} sites")
+    if n == 0:
+        return np.full(1, -1, dtype=np.int64), np.zeros(1, dtype=bool)
+    coords = np.array(pts, dtype=np.int64).reshape(n, 3)
+    dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=-1)
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    masks = np.arange(1 << n, dtype=np.int64)
+    member = (masks[:, None] & bits) != 0
+    size = popcounts(n)
+    position = np.zeros(1 << n, dtype=np.int64)
+    position[bits] = np.arange(n)
+    low = position[masks & -masks]
+
+    # dp[mask, j] is finite only for j in mask, j != low(mask), or a singleton
+    inf = np.int64(1) << 40
+    ends = member.copy()
+    ends[masks, low] = size == 1
+    dp = np.where(ends & (size == 1)[:, None], 0, inf)
+    for k in range(2, max_size + 1):
+        layer = masks[size == k]
+        # best[m, j] = min_i dp[layer[m] ^ bit j, i] + dist[i, j]
+        best = (dp[layer[:, None] ^ bits] + dist.T).min(axis=-1)
+        dp[layer] = np.where(ends[layer], best, inf)
+    tour = (dp + dist[:, low].T).min(axis=1)
+    tour[(size == 0) | (size > max_size)] = -1
+
+    nbr_or = np.bitwise_or.reduce(np.where(member, (dist == 1) @ bits, 0), axis=1)
+    reach = masks & -masks
+    while True:
+        grown = (reach | nbr_or[reach]) & masks
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    connected = (reach == masks) & (size > 0)
+    return tour, connected
 
 
 def closed_walk_length(sites: Sequence[Site]) -> int:
@@ -284,42 +354,18 @@ def closed_walk_length(sites: Sequence[Site]) -> int:
 
     The walk may leave the set; between consecutive visited sites it costs at
     least the L1 distance and any L1 geodesic is realizable on the lattice, so
-    the minimum equals the shortest closed tour under the L1 metric.  Solved
-    exactly by Held-Karp dynamic programming (desk scale: at most
+    the minimum equals the shortest closed tour under the L1 metric.  This is
+    the full-set entry of ``subset_walks`` (desk scale: at most
     ``MAX_WALK_SITES`` sites).
     """
     pts = list(dict.fromkeys(sites))
     n = len(pts)
     if n == 0:
         raise ValueError("empty site set")
-    if n == 1:
-        return 0
     if n > MAX_WALK_SITES:
         raise CapExceeded(f"closed_walk_length capped at {MAX_WALK_SITES} sites")
-    dist = [[_l1(a, b) for b in pts] for a in pts]
-    full = 1 << (n - 1)
-    # dp[mask][j]: shortest path from pts[n-1] through mask ending at j < n-1
-    INF = 1 << 30
-    dp = [[INF] * (n - 1) for _ in range(full)]
-    for j in range(n - 1):
-        dp[1 << j][j] = dist[n - 1][j]
-    for mask in range(full):
-        row = dp[mask]
-        for j in range(n - 1):
-            base = row[j]
-            if base >= INF:
-                continue
-            rem = ~mask & (full - 1)
-            while rem:
-                bit = rem & -rem
-                i = bit.bit_length() - 1
-                nm = mask | bit
-                cand = base + dist[j][i]
-                if cand < dp[nm][i]:
-                    dp[nm][i] = cand
-                rem ^= bit
-    best = min(dp[full - 1][j] + dist[j][n - 1] for j in range(n - 1))
-    return best
+    tour, _ = subset_walks(pts, n)
+    return int(tour[-1])
 
 
 @dataclass(frozen=True)
@@ -353,19 +399,6 @@ def connectivity_g(cluster: BondCluster | Iterable[Site]) -> int:
     if isinstance(cluster, BondCluster):
         return cluster.g
     return BondCluster.from_sites(cluster).g
-
-
-def walk_g(sites: Iterable[Site]) -> int:
-    """g = n - 1 for an arbitrary (possibly disconnected) site set.
-
-    Used by the coupling-table machinery, where interaction supports such as a
-    pair at distance sqrt(2) are legitimate monomial supports even though they
-    are not connected clusters.
-    """
-    pts = sorted(set(tuple(s) for s in sites))
-    if len(pts) <= 1:
-        return 0
-    return closed_walk_length(pts) - 1
 
 
 def enumerate_clusters(volume: Volume, anchor: Site, max_g: int) -> list[BondCluster]:

@@ -8,6 +8,10 @@ trace factorizes over the levels eps_k of the L x L one-body matrix
 ``Tr e^(-beta H) = e^(beta mu_i sum W) prod_k (1 + e^(-beta eps_k))``.  The
 appendix-style trajectory sums are replaced by this exact trace, so the decay
 bounds become something to verify rather than to assume.
+
+The closed-walk measure g and the connectedness of every support in a window
+come from one ``lattice.subset_walks`` pass, and ``CouplingTable.synthesize``
+re-sums a table with one parity lookup and one dot product.
 """
 
 from __future__ import annotations
@@ -18,7 +22,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import MAX_WALK_SITES, UNIT_STEPS, CapExceeded, Site, coordinate_sum, is_connected, walk_g
+from .lattice import (
+    MAX_WALK_SITES,
+    UNIT_STEPS,
+    CapExceeded,
+    Site,
+    coordinate_sum,
+    popcounts,
+    subset_walks,
+)
 
 MAX_ELECTRON_SITES = 14
 MAX_ION_CONFIGS = 1 << 12
@@ -144,19 +156,22 @@ class CouplingTable:
         raise KeyError(f"no entry for {key}")
 
     def synthesize(self, ion_config: dict) -> float:
-        """Reconstruct H_eff for an ion configuration from all coefficients."""
+        """Reconstruct H_eff for an ion configuration from all coefficients.
+
+        Each support A contributes Phi_A with the sign (-1)^k, k the number of
+        empty window sites in A; the signs come from one parity lookup and
+        the sum is one dot product.
+        """
         if self._coeffs is None:
             raise ValueError("table was loaded without the full coefficient vector")
         m = 0
         for i, s in enumerate(self.window):
             if ion_config[s]:
                 m |= 1 << i
-        total = 0.0
         w = len(self.window)
-        for a in range(1 << w):
-            sign = 1 - 2 * (bin(a & ~m & ((1 << w) - 1)).count("1") % 2)
-            total += self._coeffs[a] * sign
-        return float(total)
+        empty = np.arange(1 << w) & ~m
+        signs = 1 - 2 * (popcounts(w)[empty] & 1)
+        return float(self._coeffs @ signs)
 
     def to_json(self) -> dict:
         return {
@@ -220,10 +235,16 @@ def extract_couplings(
     pattern by default) is solved exactly; the Walsh transform of the energy
     vector gives the coupling of each spin monomial.  The coefficient of the
     monomial on support A appears at order U^(-g(A)), with g measured by the
-    minimal closed walk through A.
+    minimal closed walk through A.  The closed walk and the nearest-neighbour
+    connectedness of every support come from one ``subset_walks`` pass over
+    the window.  Repeated window sites and ``max_g < 0`` raise ValueError.
     """
     window = [tuple(s) for s in (window if window is not None else sites)]
     w = len(window)
+    if len(set(window)) != w:
+        raise ValueError("repeated window sites")
+    if max_g < 0:
+        raise ValueError(f"max_g must be >= 0, got {max_g}")
     if 1 << w > MAX_ION_CONFIGS:
         max_window = MAX_ION_CONFIGS.bit_length() - 1
         raise CapExceeded(f"ion-configuration window capped at {max_window} sites")
@@ -247,25 +268,20 @@ def extract_couplings(
     energies = _trace_energies(adj, W, params)
 
     # Phi_A = (-1)^|A| * WHT(F)[A] / 2^w  for s' = 2W - 1
+    size = popcounts(w)
     coeffs = _walsh_transform(energies) / float(1 << w)
-    for a in range(1 << w):
-        if bin(a).count("1") % 2:
-            coeffs[a] = -coeffs[a]
+    coeffs[(size & 1) == 1] *= -1
 
+    tour, connected = subset_walks(window, max_g + 1)
+    g = np.maximum(tour - 1, 0)
     entries = []
-    for a in range(1, 1 << w):
-        if bin(a).count("1") - 1 > max_g:
-            continue
-        support = tuple(sorted(window[i] for i in range(w) if (a >> i) & 1))
-        g = walk_g(support)
-        if g > max_g:
-            continue
+    for a in np.flatnonzero((size >= 1) & (size <= max_g + 1) & (g <= max_g)).tolist():
         entries.append(
             CouplingEntry(
-                sites=support,
+                sites=tuple(sorted(window[i] for i in range(w) if (a >> i) & 1)),
                 value=float(coeffs[a]),
-                g=g,
-                connected=is_connected(support),
+                g=int(g[a]),
+                connected=bool(connected[a]),
             )
         )
     entries.sort(key=lambda e: (e.g, e.size, e.sites))

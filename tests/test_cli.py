@@ -1,12 +1,16 @@
 """Subcommand drivers: schemas, exit codes, determinism, output formats."""
 
+import copy
 import json
 import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fklab.cli import main
 
@@ -311,3 +315,91 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True,
     )
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("bad", [
+    {"max_g": None}, {"max_g": 2.7}, {"max_g": -1}, {"max_g": True},
+    {"dims": [[2], 1, 1]}, {"dims": [2, 1]}, {"U": [16.0]}, {"beta": None},
+    {"window": 5}, {"window": "x"}, {"window": [[0, 0, 0], [0, 0, 0]]},
+    {"window": [[0, 0]]},
+])
+def test_heff_bad_value_exits_2(tmp_path, bad):
+    cfg = _write(tmp_path, "c.json", {"dims": [2, 1, 1], "U": 16.0, "beta": 160.0, **bad})
+    out = tmp_path / "o"
+    assert main(["heff", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_integral_float_reads_as_integer(tmp_path):
+    cfg = _write(tmp_path, "c.json", {"dims": [2.0, 1, 1], "U": 16, "beta": 160, "max_g": 3.0})
+    out = tmp_path / "o"
+    assert main(["heff", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "couplings.json").read_text())["max_g"] == 3
+
+
+@pytest.mark.parametrize("index", [1.7, None, [1], True, "1"])
+def test_render_non_integer_index_exits_2(tmp_path, index):
+    tout = tmp_path / "t"
+    main(["tilings", "--config", _write(tmp_path, "t.json", {"side": 1}), "--out", str(tout)])
+    rcfg = _write(tmp_path, "r.json", {"kind": "tiling", "path": str(tout / "tilings.json"),
+                                       "index": index})
+    out = tmp_path / "r"
+    assert main(["render", "--config", rcfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def _positions(node, prefix=()):
+    """Every key of every object and every index of every list in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _positions(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases(tmp_path_factory):
+    """A tiny valid config per driver (several for bounds and tilings), with the
+    stored tiling and coupling tables that render and audit read."""
+    d = tmp_path_factory.mktemp("fuzz")
+    heff = {"dims": [2, 1, 1], "U": 16.0, "beta": 160.0, "t": 1.0, "max_g": 3, "shell": 1,
+            "window": [[-1, 0, 0], [0, 0, 0]]}
+    assert main(["heff", "--config", _write(d, "h.json", heff), "--out", str(d / "h")]) == 0
+    assert main(["tilings", "--config", _write(d, "t.json", {"side": 1}),
+                 "--out", str(d / "t")]) == 0
+    couplings = str(d / "h" / "couplings.json")
+    return d, [
+        ("heff", heff),
+        ("tilings", {"side": 1, "render": True, "max_render": 1}),
+        ("tilings", {"triangles": _TRIANGLES}),
+        ("mc", {"dims": [3, 3, 3], "bc": "bc111", "hamiltonian": "h2", "U": 4.0,
+                "beta": 100.0, "sweeps": 2, "thermalization": 1, "seed": 1,
+                "move_set": "single-flip+hexagon-flip", "measure_stride": 1,
+                "cross_check_stride": 1, "shell": 2, "replicas": 1, "snapshot": True,
+                "snapshot_stride": 1}),
+        ("bounds", {"op": "polymer", "C1": 1.0, "C2": 1.0, "lambda": 1e-6, "b": 1e14,
+                    "a": 2.0}),
+        ("bounds", {"op": "cj", "d": 3, "t": 1.0, "U": 24.0, "beta": 50.0, "c": 0.5}),
+        ("bounds", {"op": "b0", "C1": 1.0, "C2": 1.0, "lambda": 1e-6, "a": 2.0}),
+        ("bounds", {"op": "audit", "couplings": couplings, "couplings_2u": couplings}),
+        ("energy", {"volume": {"dims": [3, 3, 3], "shell": 2, "bc": "bc111", "lo": [-1, -1, -1]},
+                    "U": 8.0, "flips": [[0, 0, 0]]}),
+        ("render", {"kind": "tiling", "path": str(d / "t" / "tilings.json"), "index": 1}),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_fuzz_exits_with_contract_code(fuzz_bases, data):
+    """One value anywhere in a valid config replaced by a value of the wrong
+    kind: the driver exits with a contract code and never raises."""
+    d, bases = fuzz_bases
+    command, base = data.draw(st.sampled_from(bases))
+    position = data.draw(st.sampled_from(list(_positions(base))))
+    doc = copy.deepcopy(base)
+    node = doc
+    for key in position[:-1]:
+        node = node[key]
+    node[position[-1]] = data.draw(st.sampled_from([None, [], {}, "x", True, 1.7]))
+    out = d / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    assert main([command, "--config", _write(d, "fuzz.json", doc), "--out", str(out)]) in {0, 2, 3, 4}

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fklab.lattice import (
@@ -22,9 +22,10 @@ from fklab.lattice import (
     enumerate_clusters,
     is_connected,
     stagger,
+    subset_walks,
     sublattice_sign,
-    walk_g,
 )
+from walk_reference import held_karp_tour, walk_g
 
 
 def test_boundary_spin_prescriptions():
@@ -104,8 +105,31 @@ def test_connectivity_g_rejects_disconnected():
     with pytest.raises(ValueError):
         connectivity_g([(0, 0, 0), (2, 0, 0)])
     # but the walk measure itself is defined for any support
-    assert walk_g([(0, 0, 0), (1, 1, 0)]) == 3
-    assert walk_g([(0, 0, 0), (2, 0, 0)]) == 3
+    assert closed_walk_length([(0, 0, 0), (1, 1, 0)]) - 1 == 3
+    assert closed_walk_length([(0, 0, 0), (2, 0, 0)]) - 1 == 3
+
+
+_NEAR = st.tuples(st.integers(-1, 2), st.integers(-1, 2), st.integers(-1, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_NEAR, min_size=1, max_size=10, unique=True), st.integers(1, 10))
+@example([(2, 1, 0), (0, 0, 0), (1, 2, 0), (0, 1, 0), (2, 2, 0), (1, 0, 0), (0, 2, 0),
+          (2, 0, 0), (1, 1, 0), (-1, -1, 1)], 10)  # a shuffled 3x3 plaquette and a far site
+def test_subset_walks_match_per_set_oracle(pts, max_size):
+    """Every subset of a site set in arbitrary order, connected or not: the
+    one subset DP against one Held-Karp run and one BFS per subset."""
+    tour, connected = subset_walks(pts, max_size)
+    assert tour[0] == -1 and not connected[0]
+    for mask in range(1, 1 << len(pts)):
+        subset = [p for i, p in enumerate(pts) if mask >> i & 1]
+        assert connected[mask] == is_connected(subset)
+        assert tour[mask] == (held_karp_tour(subset) if len(subset) <= max_size else -1)
+
+
+def test_subset_walks_rejects_repeated_sites():
+    with pytest.raises(ValueError):
+        subset_walks([(0, 0, 0), (1, 0, 0), (0, 0, 0)], 3)
 
 
 def _subset_scan_oracle(volume, anchor, max_g):
@@ -214,13 +238,15 @@ def test_library_caps_raise_cap_exceeded():
     with pytest.raises(CapExceeded):
         closed_walk_length(line)
     with pytest.raises(CapExceeded):
+        subset_walks(line, 11)
+    with pytest.raises(CapExceeded):
         enumerate_clusters(Volume(dims=(3, 3, 3)), (0, 0, 0), max_g=9)
     sites16 = [(i, j, 0) for i in range(4) for j in range(4)]
     with pytest.raises(CapExceeded):
         effective_energy(sites16, {s: 0 for s in sites16}, params)
     with pytest.raises(CapExceeded):
         extract_couplings(sites16[:13], params, max_g=3)
-    with pytest.raises(CapExceeded):  # supports of 11 sites could reach walk_g
+    with pytest.raises(CapExceeded):  # supports of 11 sites could reach max_g
         extract_couplings(line, params, max_g=10)
     with pytest.raises(CapExceeded):
         enumerate_tilings(hexagon_region(4))

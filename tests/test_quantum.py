@@ -8,6 +8,7 @@ import pytest
 from fock_oracle import fock_blocks, fock_energy, fock_spectrum
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from walk_reference import support_table
 
 from fklab.lattice import Volume
 from fklab.quantum import (
@@ -135,6 +136,31 @@ def test_synthesize_reproduces_effective_energy(U, beta_u, window, mask):
     ion = {s: neel_ion(s) for s in _CUBE}
     ion.update({s: (mask >> i) & 1 for i, s in enumerate(window)})
     assert abs(table.synthesize(ion) - effective_energy(_CUBE, ion, p)) <= 1e-9
+
+
+_CUBE_PARAMS = FKParameters(U=16.0, beta=256.0)
+_CUBE_TABLE = extract_couplings(_CUBE, _CUBE_PARAMS, max_g=4)
+
+
+@settings(max_examples=15, deadline=None)
+@given(window=st.permutations(_CUBE))
+def test_permuted_window_matches_per_support_oracle(window):
+    """The whole 2x2x2 cube as a window, in any site order: every entry's g
+    and connectedness equal the per-support oracle's, and every value equals
+    the sorted-window table's."""
+    table = extract_couplings(_CUBE, _CUBE_PARAMS, max_g=4, window=window)
+    got = {e.sites: (e.g, e.connected) for e in table.entries}
+    assert got == support_table(window, max_g=4)
+    for e in table.entries:
+        assert e.value == pytest.approx(_CUBE_TABLE.value(e.sites), abs=1e-12)
+
+
+def test_malformed_window_rejected():
+    p = FKParameters(U=16.0, beta=160.0)
+    with pytest.raises(ValueError):
+        extract_couplings(PLAQ4, p, max_g=3, window=[PLAQ4[0], PLAQ4[1], PLAQ4[0]])
+    with pytest.raises(ValueError):
+        extract_couplings(PLAQ4, p, max_g=-1)
 
 
 def test_t0_couplings_vanish():
