@@ -7,12 +7,9 @@ constant chains behind the convergence bounds."""
 __version__ = "0.1.0"
 
 from .lattice import (
-    BondCluster,
     SpinConfiguration,
     Volume,
     boundary_spin,
-    connectivity_g,
-    enumerate_clusters,
     stagger,
 )
 from .classical import (

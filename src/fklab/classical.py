@@ -231,26 +231,24 @@ class IsingContour:
         return self.area
 
 
-def broken_faces(config: SpinConfiguration, include_shell_bonds: bool = True):
+def broken_faces(config: SpinConfiguration):
     """Faces dual to anti-aligned bonds.
 
-    Returns (faces, in_volume_flags): by default bonds lying entirely in the
-    shell are included so that the pinned interface stays connected through
-    the boundary ring, but they are marked as out-of-volume and do not count
+    Returns (faces, in_volume_flags): bonds lying entirely in the shell are
+    included so that the pinned interface stays connected through the
+    boundary ring, but they are marked as out-of-volume and do not count
     toward contour areas.
     """
     vol = config.volume
     spins = config.spins
+    volmask = _volume_mask(vol)
     faces: list[Face] = []
     involume: list[bool] = []
     for mu, d in enumerate(UNIT_STEPS):
         s1, s2 = _shifted_view(spins, d)
-        volmask = _volume_mask(vol)
         m1, m2 = _shifted_view(volmask, d)
-        anti = (s1 != s2)
         iv = m1 | m2
-        take = anti if include_shell_bonds else (anti & iv)
-        for idx in np.argwhere(take):
+        for idx in np.argwhere(s1 != s2):
             site = vol.site_of_index(idx)
             faces.append((site, mu))
             involume.append(bool(iv[tuple(idx)]))
@@ -259,7 +257,6 @@ def broken_faces(config: SpinConfiguration, include_shell_bonds: bool = True):
 
 def extract_contours(
     config: SpinConfiguration,
-    bc: str | None = None,
     corner_connect: bool = False,
 ) -> list[IsingContour]:
     """Decompose the broken-bond face set into maximal connected components.
@@ -268,13 +265,13 @@ def extract_contours(
     shared corners instead, for sensitivity checks).  Under the mixed boundary
     conditions exactly one component is flagged as the pinned interface: the
     one containing faces dual to shell-shell bonds, i.e. the component forced
-    through the boundary by the prescription itself.
+    through the boundary by the prescription itself.  The boundary condition
+    is ``config.bc``.
     """
-    bc = bc if bc is not None else config.bc
     faces, involume = broken_faces(config)
     key_of = face_vertices if corner_connect else face_edges
 
-    mixed = bc in ("bc100", "bc111")
+    mixed = config.bc in ("bc100", "bc111")
     contours = []
     for members in components(key_of(f) for f in faces):
         fs = frozenset(faces[i] for i in members)

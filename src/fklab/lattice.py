@@ -1,4 +1,4 @@
-"""Finite 3D lattice geometry, boundary conditions, spin configurations and bond clusters.
+"""Finite 3D lattice geometry, boundary conditions, spin configurations and closed walks.
 
 Sites live on a cubic lattice with half-integer physical coordinates: a site is
 stored as an integer triple ``k`` and sits at ``x = k + 1/2`` componentwise.
@@ -9,8 +9,8 @@ boundary classification is bit-exact.  The coordinate sum ``x1+x2+x3`` equals
 
 The closed-walk measure g of a site set comes from one subset Held-Karp,
 ``subset_walks``, which solves every subset of a site list in one numpy pass
-and also reports each subset's nearest-neighbour connectedness;
-``closed_walk_length`` reads its full-set entry.
+and also reports each subset's nearest-neighbour connectedness.  It is the
+only closed-walk and connectedness code in the package.
 """
 
 from __future__ import annotations
@@ -23,14 +23,9 @@ import numpy as np
 
 Site = tuple[int, int, int]
 
-#: Nearest-neighbour steps, in a fixed order (+x, -x, +y, -y, +z, -z).
-NEIGHBOR_STEPS: tuple[Site, ...] = (
-    (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
-)
-
 UNIT_STEPS: tuple[Site, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-#: Largest site set ``closed_walk_length`` solves (Held-Karp is 2^n n^2).
+#: Largest subset ``subset_walks`` solves (Held-Karp is 2^n n^2); raised only there.
 MAX_WALK_SITES = 10
 
 
@@ -103,12 +98,6 @@ class Volume:
 
     def contains(self, site: Site) -> bool:
         return all(l <= s <= h for l, s, h in zip(self.lo, site, self.hi))
-
-    def contains_padded(self, site: Site) -> bool:
-        return all(
-            l - self.shell <= s <= h + self.shell
-            for l, s, h in zip(self.lo, site, self.hi)
-        )
 
     def sites(self) -> Iterator[Site]:
         for k in itertools.product(*(range(l, l + d) for l, d in zip(self.lo, self.dims))):
@@ -229,7 +218,7 @@ def stagger(config: SpinConfiguration) -> SpinConfiguration:
 
 
 # ---------------------------------------------------------------------------
-# Bond clusters and the connectivity measure g(B)
+# Connected components, closed walks and the connectivity measure g(B)
 # ---------------------------------------------------------------------------
 
 def components(keys: Iterable[Iterable[Hashable]]) -> list[list[int]]:
@@ -263,23 +252,6 @@ def components(keys: Iterable[Iterable[Hashable]]) -> list[list[int]]:
     return list(groups.values())
 
 
-def is_connected(sites: Iterable[Site]) -> bool:
-    """Nearest-neighbour connectedness of a site set."""
-    todo = set(sites)
-    if not todo:
-        return False
-    seen = {next(iter(todo))}
-    frontier = list(seen)
-    while frontier:
-        s = frontier.pop()
-        for d in NEIGHBOR_STEPS:
-            t = (s[0] + d[0], s[1] + d[1], s[2] + d[2])
-            if t in todo and t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return seen == todo
-
-
 def popcounts(n: int) -> np.ndarray:
     """Number of set bits of every bitmask 0 .. 2^n - 1."""
     pc = np.zeros(1, dtype=np.int64)
@@ -292,11 +264,15 @@ def subset_walks(pts: Sequence[Site], max_size: int) -> tuple[np.ndarray, np.nda
     """Closed-walk length and connectedness of every subset of ``pts``.
 
     Both arrays have 2^len(pts) entries, indexed by bitmask (bit i stands for
-    ``pts[i]``).  ``tour[mask]`` is the minimal closed-walk length through the
-    sites of ``mask`` (see ``closed_walk_length``; 0 for a singleton) for masks
-    of 1 .. ``max_size`` sites, and -1 for the empty mask and larger ones.
-    ``connected[mask]`` is nearest-neighbour connectedness of every mask (False
-    for the empty one).
+    ``pts[i]``).  ``tour[mask]`` is the minimal length of a closed lattice walk
+    visiting every site of ``mask`` (0 for a singleton) for masks of
+    1 .. ``max_size`` sites, and -1 for the empty mask and larger ones.  The
+    walk may leave the set; between consecutive visited sites it costs at least
+    the L1 distance and any L1 geodesic is realizable on the lattice, so the
+    minimum is the shortest closed tour under the L1 metric.  ``connected[mask]``
+    is nearest-neighbour connectedness of every mask (False for the empty one).
+    More than ``MAX_WALK_SITES`` sites in ``min(max_size, len(pts))`` raises
+    ``CapExceeded``; repeated sites raise ValueError.
 
     One Held-Karp dynamic program serves every subset: ``dp[mask, j]`` is the
     shortest L1 path from the lowest site of ``mask`` through all of ``mask``,
@@ -347,100 +323,3 @@ def subset_walks(pts: Sequence[Site], max_size: int) -> tuple[np.ndarray, np.nda
         reach = grown
     connected = (reach == masks) & (size > 0)
     return tour, connected
-
-
-def closed_walk_length(sites: Sequence[Site]) -> int:
-    """Minimum length of a closed lattice walk visiting every site of the set.
-
-    The walk may leave the set; between consecutive visited sites it costs at
-    least the L1 distance and any L1 geodesic is realizable on the lattice, so
-    the minimum equals the shortest closed tour under the L1 metric.  This is
-    the full-set entry of ``subset_walks`` (desk scale: at most
-    ``MAX_WALK_SITES`` sites).
-    """
-    pts = list(dict.fromkeys(sites))
-    n = len(pts)
-    if n == 0:
-        raise ValueError("empty site set")
-    if n > MAX_WALK_SITES:
-        raise CapExceeded(f"closed_walk_length capped at {MAX_WALK_SITES} sites")
-    tour, _ = subset_walks(pts, n)
-    return int(tour[-1])
-
-
-@dataclass(frozen=True)
-class BondCluster:
-    """A connected finite site set with its cached connectivity measure.
-
-    ``g`` is the minimal closed-walk length through all sites minus one
-    (by convention 0 for a singleton).
-    """
-
-    sites: frozenset
-    g: int
-
-    @classmethod
-    def from_sites(cls, sites: Iterable[Site]) -> "BondCluster":
-        fs = frozenset(tuple(s) for s in sites)
-        if not fs:
-            raise ValueError("empty cluster")
-        if not is_connected(fs):
-            raise ValueError("cluster is not nearest-neighbour connected")
-        if len(fs) == 1:
-            return cls(fs, 0)
-        return cls(fs, closed_walk_length(sorted(fs)) - 1)
-
-    def __len__(self) -> int:
-        return len(self.sites)
-
-
-def connectivity_g(cluster: BondCluster | Iterable[Site]) -> int:
-    """Exact g(B) = n(B) - 1 for a connected cluster (singleton: 0)."""
-    if isinstance(cluster, BondCluster):
-        return cluster.g
-    return BondCluster.from_sites(cluster).g
-
-
-def enumerate_clusters(volume: Volume, anchor: Site, max_g: int) -> list[BondCluster]:
-    """All connected clusters through ``anchor`` inside the volume with g <= max_g.
-
-    Since g(B) >= |B| - 1, only sets of at most max_g + 1 sites are candidates.
-    Enumeration of connected supersets follows the standard rooted scheme that
-    produces each subset exactly once.
-    """
-    if max_g > 8:
-        raise CapExceeded("enumerate_clusters capped at max_g <= 8")
-    if not volume.contains_padded(anchor):
-        raise ValueError("anchor outside volume")
-    max_size = max_g + 1
-    results: list[BondCluster] = []
-    seen: set[frozenset] = set()
-
-    def neighbors(s: Site) -> list[Site]:
-        return [
-            (s[0] + d[0], s[1] + d[1], s[2] + d[2])
-            for d in NEIGHBOR_STEPS
-            if volume.contains_padded((s[0] + d[0], s[1] + d[1], s[2] + d[2]))
-        ]
-
-    def grow(current: frozenset, frontier: list[Site], banned: set):
-        if current in seen:
-            return
-        seen.add(current)
-        cl = BondCluster.from_sites(current)
-        if cl.g <= max_g:
-            results.append(cl)
-        if len(current) == max_size:
-            return
-        local_banned = set(banned)
-        for cand in frontier:
-            if cand in current or cand in local_banned:
-                continue
-            new = current | {cand}
-            new_frontier = frontier + [n for n in neighbors(cand) if n not in new]
-            grow(frozenset(new), new_frontier, local_banned)
-            local_banned.add(cand)
-
-    grow(frozenset({anchor}), neighbors(anchor), set())
-    results.sort(key=lambda c: (len(c.sites), sorted(c.sites)))
-    return results

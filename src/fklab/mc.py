@@ -36,7 +36,7 @@ from .classical import (
     h2_relative_energy,
     h4_relative_energy,
 )
-from .lattice import SpinConfiguration, Volume
+from .lattice import SpinConfiguration, Volume, boundary_spin
 from .tiling import good_pair_fraction_of_faces, stair_height
 
 HAMILTONIANS = ("h2", "h4")
@@ -69,6 +69,7 @@ class RunSpec:
             raise ValueError(f"need finite U > 0, got {self.U}")
         if self.sweeps <= self.thermalization:
             raise ValueError("sweeps must exceed thermalization")
+        boundary_spin(self.bc, (0, 0, 0))  # raises ValueError for an unknown bc
         if self.hamiltonian not in HAMILTONIANS:
             raise ValueError(f"hamiltonian must be one of {HAMILTONIANS}")
         if self.move_set not in MOVE_SETS:

@@ -10,8 +10,10 @@ appendix-style trajectory sums are replaced by this exact trace, so the decay
 bounds become something to verify rather than to assume.
 
 The closed-walk measure g and the connectedness of every support in a window
-come from one ``lattice.subset_walks`` pass, and ``CouplingTable.synthesize``
-re-sums a table with one parity lookup and one dot product.
+come from one ``lattice.subset_walks`` pass, which is also the one place the
+walk cap ``MAX_WALK_SITES`` is raised; ``extract_couplings`` takes it before
+any eigensolve.  ``CouplingTable.synthesize`` re-sums a table with one parity
+lookup and one dot product.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .lattice import (
-    MAX_WALK_SITES,
     UNIT_STEPS,
     CapExceeded,
     Site,
@@ -227,17 +228,17 @@ def extract_couplings(
     params: FKParameters,
     max_g: int,
     window: Sequence[Site] | None = None,
-    frozen=neel_ion,
 ) -> CouplingTable:
     """Mobius inversion of S -> H_eff over the +-1 monomial basis.
 
     Every ion configuration of the window (exterior frozen to the checkerboard
-    pattern by default) is solved exactly; the Walsh transform of the energy
+    pattern ``neel_ion``) is solved exactly; the Walsh transform of the energy
     vector gives the coupling of each spin monomial.  The coefficient of the
     monomial on support A appears at order U^(-g(A)), with g measured by the
     minimal closed walk through A.  The closed walk and the nearest-neighbour
     connectedness of every support come from one ``subset_walks`` pass over
-    the window.  Repeated window sites and ``max_g < 0`` raise ValueError.
+    the window, taken before any eigensolve so that its ``MAX_WALK_SITES`` cap
+    is raised first.  Repeated window sites and ``max_g < 0`` raise ValueError.
     """
     window = [tuple(s) for s in (window if window is not None else sites)]
     w = len(window)
@@ -249,9 +250,7 @@ def extract_couplings(
         max_window = MAX_ION_CONFIGS.bit_length() - 1
         raise CapExceeded(f"ion-configuration window capped at {max_window} sites")
     # g(A) >= |A| - 1, so no support larger than max_g + 1 sites is kept
-    if min(w, max_g + 1) > MAX_WALK_SITES:
-        raise CapExceeded(f"supports of up to {min(w, max_g + 1)} sites: "
-                          f"closed_walk_length capped at {MAX_WALK_SITES} sites")
+    tour, connected = subset_walks(window, max_g + 1)
     sites, adj = _hopping(sites)
     index = {s: i for i, s in enumerate(sites)}
     if any(s not in index for s in window):
@@ -260,10 +259,8 @@ def extract_couplings(
     # one row of ion occupations per window bitmask; only the diagonal of the
     # one-body matrix depends on it
     wset = set(window)
-    base = np.array([0 if s in wset else int(frozen(s)) for s in sites])
-    if not np.all((base == 0) | (base == 1)):
-        raise ValueError("ion occupations must be 0/1")
-    W = np.tile(base.astype(float), (1 << w, 1))
+    base = np.array([0 if s in wset else neel_ion(s) for s in sites], dtype=float)
+    W = np.tile(base, (1 << w, 1))
     W[:, [index[s] for s in window]] = (np.arange(1 << w)[:, None] >> np.arange(w)) & 1
     energies = _trace_energies(adj, W, params)
 
@@ -272,7 +269,6 @@ def extract_couplings(
     coeffs = _walsh_transform(energies) / float(1 << w)
     coeffs[(size & 1) == 1] *= -1
 
-    tour, connected = subset_walks(window, max_g + 1)
     g = np.maximum(tour - 1, 0)
     entries = []
     for a in np.flatnonzero((size >= 1) & (size <= max_g + 1) & (g <= max_g)).tolist():

@@ -192,7 +192,7 @@ def _link_vertices(pt) -> tuple:
     return ((a // 2, b // 2), ((a + 1) // 2, (b + 1) // 2))
 
 
-def decompose(faces_or_rc, boundary_rhombus: Rhombus | None = None) -> Decomposition:
+def decompose(faces_or_rc) -> Decomposition:
     """Split a rhombus configuration into bases and R-contours.
 
     Accepts a face set (projected via RConfiguration.from_faces) or a
@@ -200,8 +200,7 @@ def decompose(faces_or_rc, boundary_rhombus: Rhombus | None = None) -> Decomposi
     non-overlapping.  Bases are listed in order of their least rhombus
     (sorted vertex lists), so the order does not depend on how the
     configuration was built.  The first base of largest extent is flagged as
-    the boundary-connected one (type 0 under standard boundary conditions);
-    ``boundary_rhombus`` can pin the choice explicitly.
+    the boundary-connected one (type 0 under standard boundary conditions).
     """
     if isinstance(faces_or_rc, RConfiguration):
         rc = faces_or_rc
@@ -232,10 +231,6 @@ def decompose(faces_or_rc, boundary_rhombus: Rhombus | None = None) -> Decomposi
     bases.sort(key=lambda b: min(_rhombus_key(r) for r in b.rhombi))
     if bases:
         big = max(range(len(bases)), key=lambda i: len(bases[i].rhombi))
-        if boundary_rhombus is not None:
-            for i, b in enumerate(bases):
-                if boundary_rhombus in b.rhombi:
-                    big = i
         bases[big] = Base(rhombi=bases[big].rhombi, type=bases[big].type, boundary=True)
 
     # contour material: unbased rhombi, delta/omega edges, lambda links, each

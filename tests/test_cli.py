@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fklab.cli import main
+from fklab.lattice import Volume
+from fklab.quantum import MAX_ELECTRON_SITES
 
 
 def _write(tmp_path, name, doc):
@@ -46,6 +48,25 @@ def test_heff_unknown_key_exits_2(tmp_path):
 def test_heff_cap_exits_3(tmp_path):
     cfg = _write(tmp_path, "c.json", {"dims": [4, 4, 1], "U": 4.0, "beta": 1.0})
     assert main(["heff", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_heff_cap_draws_at_most_one_site_past_it(tmp_path, monkeypatch, capsys):
+    """A huge box reaches the electron cap without listing its sites."""
+    drawn = []
+    sites = Volume.sites
+
+    def counted(self):
+        for s in sites(self):
+            drawn.append(s)
+            yield s
+
+    monkeypatch.setattr(Volume, "sites", counted)
+    cfg = _write(tmp_path, "c.json", {"dims": [100, 100, 100], "U": 16.0, "beta": 256.0})
+    out = tmp_path / "o"
+    assert main(["heff", "--config", cfg, "--out", str(out)]) == 3
+    assert 0 < len(drawn) <= MAX_ELECTRON_SITES + 1
+    assert json.loads(capsys.readouterr().err)["code"] == 3
+    assert not out.exists()
 
 
 def test_heff_twelve_site_window_finishes(tmp_path):
@@ -179,7 +200,8 @@ def test_mc_snapshot_stride_and_workers_env(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [{"measure_stride": 0}, {"cross_check_stride": 0},
-                                 {"snapshot_stride": -1}, {"replicas": 0}])
+                                 {"snapshot_stride": -1}, {"replicas": 0},
+                                 {"bc": "bogus"}])
 def test_mc_bad_stride_exits_2(tmp_path, bad):
     cfg = _write(tmp_path, "m.json", {
         "dims": [4, 4, 4], "bc": "hom_plus", "hamiltonian": "h2", "U": 4.0,

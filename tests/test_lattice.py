@@ -1,7 +1,8 @@
-"""Lattice geometry, boundary conditions, staggering and bond clusters."""
+"""Lattice geometry, boundary conditions, staggering and closed walks."""
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,23 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fklab.lattice import (
-    BondCluster,
     CapExceeded,
-    NEIGHBOR_STEPS,
     SpinConfiguration,
     Volume,
     boundary_spin,
-    closed_walk_length,
     components,
-    connectivity_g,
     coordinate_sum,
-    enumerate_clusters,
-    is_connected,
     stagger,
     subset_walks,
     sublattice_sign,
 )
-from walk_reference import held_karp_tour, walk_g
+from walk_reference import held_karp_tour, is_connected
 
 
 def test_boundary_spin_prescriptions():
@@ -83,30 +78,36 @@ def _walk_oracle(sites):
     return best
 
 
+def _full_set(sites):
+    """(g, connected) of the whole site set, read off the full mask."""
+    tour, connected = subset_walks(sites, len(sites))
+    return int(tour[-1]) - 1, bool(connected[-1])
+
+
 def test_connectivity_g_examples():
-    assert connectivity_g([(0, 0, 0), (1, 0, 0)]) == 1
-    assert connectivity_g([(0, 0, 0), (1, 0, 0), (2, 0, 0)]) == 3
-    assert connectivity_g([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 3
+    assert _full_set([(0, 0, 0), (1, 0, 0)]) == (1, True)
+    assert _full_set([(0, 0, 0), (1, 0, 0), (2, 0, 0)]) == (3, True)
+    assert _full_set([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]) == (3, True)
+    # the walk measure is defined for disconnected supports too
+    assert _full_set([(0, 0, 0), (1, 1, 0)]) == (3, False)
+    assert _full_set([(0, 0, 0), (2, 0, 0)]) == (3, False)
 
 
 def test_connectivity_g_matches_brute_force_oracle():
-    vol = Volume(dims=(4, 4, 4), shell=1)
-    clusters = enumerate_clusters(vol, (0, 0, 0), max_g=5)
+    """Every subset of up to 6 sites of a 3x2x2 window, connected or not,
+    against the permutation oracle and the breadth-first search."""
+    window = sorted(itertools.product(range(3), range(2), range(2)))
+    tour, connected = subset_walks(window, 6)
     checked = 0
-    for cl in clusters:
-        if len(cl.sites) <= 6:
-            assert closed_walk_length(sorted(cl.sites)) == _walk_oracle(cl.sites)
-            assert cl.g >= len(cl.sites) - 1
-            checked += 1
-    assert checked > 50
-
-
-def test_connectivity_g_rejects_disconnected():
-    with pytest.raises(ValueError):
-        connectivity_g([(0, 0, 0), (2, 0, 0)])
-    # but the walk measure itself is defined for any support
-    assert closed_walk_length([(0, 0, 0), (1, 1, 0)]) - 1 == 3
-    assert closed_walk_length([(0, 0, 0), (2, 0, 0)]) - 1 == 3
+    for mask in range(1, 1 << len(window)):
+        subset = [p for i, p in enumerate(window) if mask >> i & 1]
+        if len(subset) > 6:
+            assert tour[mask] == -1
+            continue
+        assert tour[mask] == _walk_oracle(subset)
+        assert connected[mask] == is_connected(subset)
+        checked += 1
+    assert checked == sum(math.comb(12, k) for k in range(1, 7))
 
 
 _NEAR = st.tuples(st.integers(-1, 2), st.integers(-1, 2), st.integers(-1, 1))
@@ -130,43 +131,6 @@ def test_subset_walks_match_per_set_oracle(pts, max_size):
 def test_subset_walks_rejects_repeated_sites():
     with pytest.raises(ValueError):
         subset_walks([(0, 0, 0), (1, 0, 0), (0, 0, 0)], 3)
-
-
-def _subset_scan_oracle(volume, anchor, max_g):
-    """Independent enumeration: scan all subsets of a small ball around anchor."""
-    ball = [
-        s for s in volume.padded_sites()
-        if sum(abs(a - b) for a, b in zip(s, anchor)) <= max_g
-    ]
-    found = set()
-    for size in range(1, max_g + 2):
-        for combo in itertools.combinations(ball, size):
-            if anchor not in combo:
-                continue
-            if not is_connected(combo):
-                continue
-            if walk_g(combo) <= max_g:
-                found.add(frozenset(combo))
-    return found
-
-
-def test_enumerate_clusters_small_cutoffs():
-    vol = Volume(dims=(5, 5, 5), shell=1)
-    only_anchor = enumerate_clusters(vol, (0, 0, 0), max_g=0)
-    assert [set(c.sites) for c in only_anchor] == [{(0, 0, 0)}]
-
-    pairs = enumerate_clusters(vol, (0, 0, 0), max_g=1)
-    assert len(pairs) == 7  # singleton + 6 nearest-neighbour pairs
-    sizes = sorted(len(c.sites) for c in pairs)
-    assert sizes == [1, 2, 2, 2, 2, 2, 2]
-
-
-def test_enumerate_clusters_matches_subset_scan():
-    vol = Volume(dims=(5, 5, 5), shell=1)
-    got = {c.sites for c in enumerate_clusters(vol, (0, 0, 0), max_g=3)}
-    expect = _subset_scan_oracle(vol, (0, 0, 0), max_g=3)
-    assert got == expect
-    assert len(got) == len(enumerate_clusters(vol, (0, 0, 0), max_g=3))  # no duplicates
 
 
 def test_volume_json_roundtrip():
@@ -236,11 +200,7 @@ def test_library_caps_raise_cap_exceeded():
     params = FKParameters(U=8.0, beta=8.0)
     line = [(i, 0, 0) for i in range(11)]
     with pytest.raises(CapExceeded):
-        closed_walk_length(line)
-    with pytest.raises(CapExceeded):
         subset_walks(line, 11)
-    with pytest.raises(CapExceeded):
-        enumerate_clusters(Volume(dims=(3, 3, 3)), (0, 0, 0), max_g=9)
     sites16 = [(i, j, 0) for i in range(4) for j in range(4)]
     with pytest.raises(CapExceeded):
         effective_energy(sites16, {s: 0 for s in sites16}, params)

@@ -1,13 +1,34 @@
 """Reference closed-walk measures, one site set at a time.
 
-``held_karp_tour`` is a per-set Held-Karp over the L1 metric and
-``support_table`` runs it, with a breadth-first connectedness test, over
-every support of a window, one support at a time.  Tests compare the single
-subset dynamic program of ``fklab.lattice.subset_walks`` and the g and
-``connected`` fields of ``fklab.quantum.extract_couplings`` against them.
+``held_karp_tour`` is a per-set Held-Karp over the L1 metric,
+``is_connected`` a breadth-first connectedness test, and ``support_table``
+runs both over every support of a window, one support at a time.  Tests
+compare the single subset dynamic program of ``fklab.lattice.subset_walks``
+and the g and ``connected`` fields of ``fklab.quantum.extract_couplings``
+against them.
 """
 
-from fklab.lattice import is_connected
+#: Nearest-neighbour steps, in a fixed order (+x, -x, +y, -y, +z, -z).
+NEIGHBOR_STEPS = (
+    (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+)
+
+
+def is_connected(sites):
+    """Nearest-neighbour connectedness of a site set."""
+    todo = set(sites)
+    if not todo:
+        return False
+    seen = {next(iter(todo))}
+    frontier = list(seen)
+    while frontier:
+        s = frontier.pop()
+        for d in NEIGHBOR_STEPS:
+            t = (s[0] + d[0], s[1] + d[1], s[2] + d[2])
+            if t in todo and t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return seen == todo
 
 
 def _l1(a, b):
