@@ -88,9 +88,16 @@ def test_connectivity_g_examples():
     assert _full_set([(0, 0, 0), (1, 0, 0)]) == (1, True)
     assert _full_set([(0, 0, 0), (1, 0, 0), (2, 0, 0)]) == (3, True)
     assert _full_set([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]) == (3, True)
-    # the walk measure is defined for disconnected supports too
+
+
+def test_connectivity_g_rejects_disconnected():
+    """Disconnected supports are flagged not connected, on the full mask and on
+    every mask that holds them, while the walk measure stays defined for them."""
     assert _full_set([(0, 0, 0), (1, 1, 0)]) == (3, False)
     assert _full_set([(0, 0, 0), (2, 0, 0)]) == (3, False)
+    tour, connected = subset_walks([(0, 0, 0), (2, 0, 0), (1, 0, 0)], 3)
+    assert not connected[0b011] and tour[0b011] - 1 == 3
+    assert connected[0b111] and tour[0b111] - 1 == 3
 
 
 def test_connectivity_g_matches_brute_force_oracle():
