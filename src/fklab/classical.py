@@ -112,8 +112,7 @@ _PLAQUETTE_PLANES = ((0, 1), (0, 2), (1, 2))
 
 def _volume_mask(volume: Volume) -> np.ndarray:
     mask = np.zeros(volume.padded_dims, dtype=bool)
-    s = volume.shell
-    mask[s:-s, s:-s, s:-s] = True
+    mask[volume.box] = True
     return mask
 
 

@@ -12,7 +12,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -214,16 +213,8 @@ def cmd_mc(config_path: str, out: Path, seed) -> int:
     prov = _provenance(doc, run_seed)
     out.mkdir(parents=True, exist_ok=True)
     summary = {"provenance": prov, "spec": doc, "replicas": []}
-    workers = int(os.environ.get("FKLAB_WORKERS", "1"))
-    if workers > 1 and replicas > 1:
-        # replicas are independent chains on separate Philox streams, so the
-        # results are identical to the serial run regardless of scheduling
-        from concurrent.futures import ProcessPoolExecutor
+    all_series = [mc_run(spec, replica=rep) for rep in range(replicas)]
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_series = list(pool.map(mc_run, [spec] * replicas, range(replicas)))
-    else:
-        all_series = [mc_run(spec, replica=rep) for rep in range(replicas)]
     def _se(values) -> float:
         v = np.asarray(values, dtype=float)
         return float(np.std(v) / math.sqrt(len(v))) if len(v) else float("nan")

@@ -7,6 +7,13 @@ boundary classification is bit-exact.  The coordinate sum ``x1+x2+x3`` equals
 ``k1+k2+k3 + 3/2`` and is therefore always a half-odd integer, never inside
 (-1/2, 1/2).
 
+``Volume`` is the only code that knows the padded spin-array layout: a box
+plus a frozen shell of width ``shell``, stored as one array of shape
+``padded_dims``.  ``Volume.box`` is the slices of the box inside that array and
+``Volume.coords()`` the site of every cell, shape ``(3, *padded_dims)``.
+``boundary_spin`` takes one site or such a coordinate array; with ``bc111`` it
+is the staircase, k1+k2+k3 >= -1, the ground state of the 111 interface.
+
 The closed-walk measure g of a site set comes from one subset Held-Karp,
 ``subset_walks``, which solves every subset of a site list in one numpy pass
 and also reports each subset's nearest-neighbour connectedness.  It is the
@@ -38,22 +45,26 @@ def coordinate_sum(site: Site) -> int:
     return site[0] + site[1] + site[2]
 
 
-def boundary_spin(bc: str, site: Site) -> int:
+def boundary_spin(bc: str, site) -> int | np.ndarray:
     """Spin prescribed at ``site`` when it is treated as exterior.
 
     ``bc100`` puts +1 where the third physical coordinate is >= 1/2 (k3 >= 0),
-    ``bc111`` puts +1 where x1+x2+x3 >= 1/2 (k1+k2+k3 >= -1).  The homogeneous
-    conditions are constant.
+    ``bc111`` puts +1 where x1+x2+x3 >= 1/2 (k1+k2+k3 >= -1), the staircase.
+    The homogeneous conditions are constant.  ``site`` is one site (the spin
+    is an int) or an array whose first axis holds the three coordinates, such
+    as ``Volume.coords()`` (the spins are an int8 array of the remaining shape).
     """
-    if bc == "hom_plus":
-        return 1
-    if bc == "hom_minus":
-        return -1
-    if bc == "bc100":
-        return 1 if site[2] >= 0 else -1
-    if bc == "bc111":
-        return 1 if coordinate_sum(site) >= -1 else -1
-    raise ValueError(f"unknown boundary condition {bc!r}")
+    k = np.asarray(site)
+    if bc in ("hom_plus", "hom_minus"):
+        up = np.full(k.shape[1:], bc == "hom_plus")
+    elif bc == "bc100":
+        up = k[2] >= 0
+    elif bc == "bc111":
+        up = k[0] + k[1] + k[2] >= -1
+    else:
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    spins = np.where(up, 1, -1).astype(np.int8)
+    return int(spins) if spins.ndim == 0 else spins
 
 
 def sublattice_sign(site: Site) -> int:
@@ -99,13 +110,18 @@ class Volume:
     def contains(self, site: Site) -> bool:
         return all(l <= s <= h for l, s, h in zip(self.lo, site, self.hi))
 
+    @property
+    def box(self) -> tuple[slice, slice, slice]:
+        """Slices of the box inside the padded array."""
+        return tuple(slice(self.shell, self.shell + d) for d in self.dims)
+
+    def coords(self) -> np.ndarray:
+        """Site of every padded cell, shape ``(3, *padded_dims)``:
+        ``coords()[:, i, j, k] == site_of_index((i, j, k))``."""
+        return np.indices(self.padded_dims) + np.reshape(self.padded_lo, (3, 1, 1, 1))
+
     def sites(self) -> Iterator[Site]:
         for k in itertools.product(*(range(l, l + d) for l, d in zip(self.lo, self.dims))):
-            yield k
-
-    def padded_sites(self) -> Iterator[Site]:
-        lo, dims = self.padded_lo, self.padded_dims
-        for k in itertools.product(*(range(l, l + d) for l, d in zip(lo, dims))):
             yield k
 
     def index(self, site: Site) -> tuple[int, int, int]:
@@ -163,20 +179,15 @@ class SpinConfiguration:
     @classmethod
     def from_boundary(cls, volume: Volume, bc: str) -> "SpinConfiguration":
         """Configuration equal to the boundary prescription everywhere (shell and bulk)."""
-        spins = np.empty(volume.padded_dims, dtype=np.int8)
-        for site in volume.padded_sites():
-            spins[volume.index(site)] = boundary_spin(bc, site)
-        return cls(volume, spins, bc=bc)
+        return cls(volume, boundary_spin(bc, volume.coords()), bc=bc)
 
     @classmethod
     def from_function(cls, volume: Volume, bc: str, fn) -> "SpinConfiguration":
-        """Interior spins from ``fn(site)``; shell spins forced to the bc prescription."""
-        spins = np.empty(volume.padded_dims, dtype=np.int8)
-        for site in volume.padded_sites():
-            if volume.contains(site):
-                spins[volume.index(site)] = fn(site)
-            else:
-                spins[volume.index(site)] = boundary_spin(bc, site)
+        """Interior spins from ``fn(site)``, called in ``Volume.sites`` order;
+        shell spins forced to the bc prescription."""
+        spins = boundary_spin(bc, volume.coords())
+        interior = np.array([fn(site) for site in volume.sites()], dtype=np.int8)
+        spins[volume.box] = interior.reshape(volume.dims)
         return cls(volume, spins, bc=bc)
 
     def with_flip(self, site: Site) -> "SpinConfiguration":
@@ -193,11 +204,9 @@ class SpinConfiguration:
         """True if every shell spin equals the active boundary prescription."""
         if self.bc is None:
             return True
-        for site in self.volume.padded_sites():
-            if not self.volume.contains(site):
-                if self.spin(site) != boundary_spin(self.bc, site):
-                    return False
-        return True
+        expected = boundary_spin(self.bc, self.volume.coords())
+        expected[self.volume.box] = self._spins[self.volume.box]
+        return bool(np.array_equal(expected, self._spins))
 
 
 def stagger(config: SpinConfiguration) -> SpinConfiguration:
@@ -207,13 +216,7 @@ def stagger(config: SpinConfiguration) -> SpinConfiguration:
     to the uniform +1 configuration and vice versa.  It is an involution.
     """
     vol = config.volume
-    lo = vol.padded_lo
-    dims = vol.padded_dims
-    g = np.add.outer(
-        np.add.outer(np.arange(lo[0], lo[0] + dims[0]), np.arange(lo[1], lo[1] + dims[1])),
-        np.arange(lo[2], lo[2] + dims[2]),
-    )
-    sign = np.where(g & 1, -1, 1).astype(np.int8)
+    sign = np.where(vol.coords().sum(axis=0) & 1, -1, 1).astype(np.int8)
     return SpinConfiguration(vol, sign * config.spins, bc=None)
 
 

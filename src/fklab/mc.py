@@ -37,7 +37,7 @@ from .classical import (
     h4_relative_energy,
 )
 from .lattice import SpinConfiguration, Volume, boundary_spin
-from .tiling import good_pair_fraction_of_faces, stair_height
+from .tiling import good_pair_fraction_of_faces
 
 HAMILTONIANS = ("h2", "h4")
 MOVE_SETS = ("single-flip", "single-flip+hexagon-flip")
@@ -127,8 +127,10 @@ class ObservableSeries:
 class _Lattice:
     """Flattened neighbour tables for O(1) local energy differences.
 
-    Tables are built by rolling the padded index cube; every shift used is at
-    most 2 sites, so a shell of depth >= 2 keeps all lookups off the wrap.
+    Tables hold flat indices into the padded spin array: a neighbour at offset
+    d is the box site's flat index plus the flat offset of d.  Every offset
+    used is at most 2 sites along an axis, so with a shell of depth >= 2 no
+    lookup leaves the padded array or wraps into another row.
     Columns 0-2 of ``pair_idx`` are the ``up`` neighbours and 3-5 the ``dn``
     neighbours.  ``classes`` holds, for each colour c = (i1 + 2 i2 + 4 i3) mod 7
     of the padded index, the class's rows of ``vol_flat``, ``pair_idx`` and
@@ -141,13 +143,12 @@ class _Lattice:
         self.volume = volume
         dims = volume.padded_dims
         self.shape = dims
-        idx = np.arange(int(np.prod(dims))).reshape(dims)
-        s = volume.shell
-        self.vol_flat = idx[s:-s, s:-s, s:-s].ravel()
+        self.vol_flat = np.arange(int(np.prod(dims))).reshape(dims)[volume.box].ravel()
         self.n_vol = self.vol_flat.size
+        strides = (dims[1] * dims[2], dims[2], 1)
 
         def shift_flat(d):
-            return np.roll(idx, shift=tuple(-x for x in d), axis=(0, 1, 2))[s:-s, s:-s, s:-s].ravel()
+            return self.vol_flat + sum(x * st for x, st in zip(d, strides))
 
         up_dirs = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         dn_dirs = ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
@@ -209,9 +210,7 @@ def _total_energy(config: SpinConfiguration, co: ModelCoefficients, hamiltonian:
 def _box_arrays(config: SpinConfiguration):
     """Coordinates (3, n) and spins (n,) of the box sites, in ``Volume.sites`` order."""
     vol = config.volume
-    k = np.indices(vol.dims).reshape(3, -1) + np.array(vol.lo)[:, None]
-    box = tuple(slice(vol.shell, vol.shell + d) for d in vol.dims)
-    return k, config.spins[box].ravel()
+    return vol.coords()[(slice(None),) + vol.box].reshape(3, -1), config.spins[vol.box].ravel()
 
 
 def layer_magnetization(config: SpinConfiguration, normal: str = "e3"):
@@ -257,9 +256,7 @@ def interface_width(config: SpinConfiguration) -> float:
     """
     k, spins = _box_arrays(config)
     a, b = k[0] - k[2], k[1] - k[2]   # phi, the projection along (1,1,1)
-    # stair_height depends on the column only through (a + b) mod 3
-    stair = np.array([stair_height((r, 0)) for r in range(3)])[(a + b) % 3]
-    ground = np.where(k.sum(axis=0) >= stair - 1, 1, -1)
+    ground = boundary_spin("bc111", k)
     col = (a - a.min()) * (b.max() - b.min() + 1) + (b - b.min())
     lengths = np.bincount(col)
     disp = np.bincount(col, weights=spins - ground)

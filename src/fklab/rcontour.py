@@ -134,8 +134,7 @@ class Decomposition:
                 return b
         raise ValueError("no boundary base identified")
 
-    def to_json(self, coeffs: ModelCoefficients | None = None) -> dict:
-        co = coeffs or ModelCoefficients(U=8.0)
+    def to_json(self, coeffs: ModelCoefficients) -> dict:
         return {
             "bases": [
                 {"type": b.type, "size": len(b.rhombi), "boundary": b.boundary}
@@ -147,7 +146,7 @@ class Decomposition:
                     "a_ov": [ov.a_ov for ov in c.overlapping],
                     "omega": [ov.omega for ov in c.overlapping],
                     "lambda": [ov.lam for ov in c.overlapping],
-                    "F": f_energy(c, co),
+                    "F": f_energy(c, coeffs),
                 }
                 for c in self.contours
             ],
@@ -392,6 +391,10 @@ class RemovalReport:
         return any(info["contours_inside"] > 0 for info in self.interiors)
 
 
+#: Width of the R0 collar a tiling is embedded in before it is decomposed.
+_COLLAR = 2
+
+
 def _collared_assignment(tiling: Tiling, collar: int) -> dict:
     """triangle -> rhombus map of the tiling extended by an R0 collar."""
     assign = tiling.assignment()
@@ -405,18 +408,13 @@ def _collared_assignment(tiling: Tiling, collar: int) -> dict:
     return assign
 
 
-def decompose_tiling(tiling: Tiling, collar: int = 2) -> Decomposition:
+def decompose_tiling(tiling: Tiling, collar: int = _COLLAR) -> Decomposition:
     """Decompose a minimal configuration, embedded in an R0 collar of the
     given width so that boundary edges classify correctly."""
     return decompose(RConfiguration.from_assignment(_collared_assignment(tiling, collar)))
 
 
-def dobrushin_remove(
-    tiling: Tiling,
-    contour_index: int = 0,
-    collar: int = 2,
-    coeffs: ModelCoefficients | None = None,
-):
+def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoefficients):
     """Remove one R-contour from a minimal configuration.
 
     The contour's complement splits into the exterior and interior components;
@@ -428,8 +426,7 @@ def dobrushin_remove(
     Raises DobrushinViolation if translated material collides inconsistently,
     which would falsify the non-intersection property.
     """
-    coeffs = coeffs or ModelCoefficients(U=8.0)
-    assign = _collared_assignment(tiling, collar)
+    assign = _collared_assignment(tiling, _COLLAR)
     window = frozenset(assign)
     deco = decompose(RConfiguration.from_assignment(assign))
     if not deco.contours:

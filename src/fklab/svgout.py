@@ -64,22 +64,7 @@ def _bbox(points):
 def tiling_svg(tiling: Tiling, scale: float = 36.0) -> str:
     """Rhombi colored by type; edges between different types (delta edges)
     drawn as heavy strokes."""
-    from .tiling import rhombus_sides
-
-    elements = []
-    pts_all = []
-    side_types: dict = {}
-    for r in sorted(tiling.rhombi, key=lambda r: sorted(map(sorted, r))):
-        corners = [_xy(p, scale) for p in rhombus_corners(r)]
-        pts_all.extend(corners)
-        elements.append(_polygon(corners, TYPE_COLORS[rhombus_type(r)], stroke=GOOD_COLOR))
-        for e in rhombus_sides(r):
-            side_types.setdefault(e, []).append(rhombus_type(r))
-    for e, types in sorted(side_types.items(), key=lambda kv: sorted(kv[0])):
-        if len(types) == 2 and types[0] != types[1]:
-            p1, p2 = sorted(e)
-            elements.append(_line(_xy(p1, scale), _xy(p2, scale), DELTA_COLOR, 3.0))
-    return _wrap(elements, _bbox(pts_all))
+    return rconfig_svg(RConfiguration.from_assignment(tiling.assignment()), scale)
 
 
 def rconfig_svg(rc: RConfiguration, scale: float = 36.0) -> str:

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .classical import Face, face_vertices
-from .lattice import CapExceeded, Site, SpinConfiguration, Volume, coordinate_sum
+from .lattice import CapExceeded, SpinConfiguration, Volume, boundary_spin, coordinate_sum
 
 PlaneVertex = tuple[int, int]
 Triangle = frozenset  # of 3 PlaneVertex
@@ -676,21 +676,21 @@ def config_from_heights(
     ``heights`` maps plane vertices to interface heights (staircase values by
     default and outside the mapping).  A site k is + exactly when its
     coordinate sum is >= h(phi(k)) - 1; with the staircase heights this is the
-    bc111 ground configuration.
+    bc111 ground configuration, ``boundary_spin("bc111", k)``.  The heights
+    are read once per (1,1,1) column of the padded box.
     """
+    k = volume.coords()
     if heights is None:
-        hfun = stair_height
-    elif isinstance(heights, dict):
+        return SpinConfiguration(volume, boundary_spin("bc111", k), bc="bc111")
+    if isinstance(heights, dict):
         hfun = lambda p: heights.get(p, stair_height(p))  # noqa: E731
     else:
         hfun = heights
-
-    def spin(site: Site) -> int:
-        return 1 if coordinate_sum(site) >= hfun(phi(site)) - 1 else -1
-
-    spins = np.empty(volume.padded_dims, dtype=np.int8)
-    for site in volume.padded_sites():
-        spins[volume.index(site)] = spin(site)
+    a, b = k[0] - k[2], k[1] - k[2]   # phi(k), one value per column
+    _, first, col_of = np.unique(a * (b.max() - b.min() + 1) + b,
+                                 return_index=True, return_inverse=True)
+    h = np.array([hfun((int(a.flat[i]), int(b.flat[i]))) for i in first])[col_of]
+    spins = np.where(k.sum(axis=0) >= h.reshape(volume.padded_dims) - 1, 1, -1).astype(np.int8)
     return SpinConfiguration(volume, spins, bc="bc111")
 
 

@@ -17,6 +17,7 @@ from fklab.classical import (
     plaquette_potential,
 )
 from fklab.lattice import SpinConfiguration, Volume
+from layout_reference import padded_sites
 
 CO8 = ModelCoefficients(U=8.0)
 
@@ -77,7 +78,7 @@ def test_h2_single_and_double_flip():
 def _h4_bruteforce(cfg: SpinConfiguration, co: ModelCoefficients) -> float:
     """Independent term-by-term loop over pairs and plaquettes."""
     vol = cfg.volume
-    sites = set(vol.padded_sites())
+    sites = set(padded_sites(vol))
     involume = set(vol.sites())
 
     def spin(s):

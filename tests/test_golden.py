@@ -12,7 +12,10 @@ sort its bases by their least rhombus.  They pin, byte for byte:
 * every ``dobrushin_remove`` on those tilings (new tiling JSON, energies,
   contour counts, shifts and interiors in component order);
 * ``extract_contours`` with edge and corner connectivity on seeded bc111 boxes
-  with bulk flips (contour order, faces, areas and the pinned flag).
+  with bulk flips (contour order, faces, areas and the pinned flag);
+* ``tiling_svg`` of every tiling of the hexagons of side 2 and 3, in
+  ``enumerate_tilings`` order (recorded when ``tiling_svg`` still found the
+  delta edges itself, before it rendered ``RConfiguration.from_assignment``).
 
 Any change to component membership or to the order of groups shows up here.
 """
@@ -25,7 +28,8 @@ import numpy as np
 from fklab.classical import ModelCoefficients, extract_contours
 from fklab.lattice import SpinConfiguration, Volume
 from fklab.rcontour import DobrushinViolation, decompose, decompose_tiling, dobrushin_remove
-from fklab.tiling import hexagon_region, r0_closure, random_tiling
+from fklab.svgout import tiling_svg
+from fklab.tiling import enumerate_tilings, hexagon_region, r0_closure, random_tiling
 
 CO = ModelCoefficients(U=8.0)
 
@@ -34,6 +38,8 @@ GOLDEN = {
     "removals": "e96074861167d476a336a3077f47b26b02dc47e6dbfb11711eb0d0d2b37123de",
     "contours": "7da5c994b3d1398243d3207f23d46186afeebda76c5ab8f467fe6b3fd8da9572",
 }
+
+TILING_SVGS = "7be81a51efa1278dbd2ca7af09a8c1c07f18d792967c52fa190564fd19facf76"
 
 
 def _digest(records) -> str:
@@ -124,3 +130,14 @@ def test_connectivity_outputs_match_golden_digests():
         "contours": _digest(_contour_records()),
     }
     assert got == GOLDEN
+
+
+def test_tiling_svgs_match_golden_digest():
+    h = hashlib.sha256()
+    count = 0
+    for side in (2, 3):
+        for tiling in enumerate_tilings(hexagon_region(side)):
+            h.update(tiling_svg(tiling).encode())
+            count += 1
+    assert count == 20 + 980
+    assert h.hexdigest() == TILING_SVGS

@@ -20,6 +20,7 @@ from fklab.lattice import (
     subset_walks,
     sublattice_sign,
 )
+import layout_reference as layout
 from walk_reference import held_karp_tour, is_connected
 
 
@@ -156,6 +157,37 @@ def test_shell_consistency_flag():
     assert cfg2.shell_consistent()  # interior flips never touch the shell
     with pytest.raises(ValueError):
         cfg.with_flip((5, 5, 5))
+    spins = cfg.spins.copy()
+    spins[vol.index((2, 0, 0))] *= -1  # a shell site, next to the box
+    assert not cfg.with_spins(spins).shell_consistent()
+
+
+_VOLUMES = st.builds(
+    Volume,
+    dims=st.tuples(*[st.integers(1, 5)] * 3),
+    shell=st.integers(1, 3),
+    lo=st.tuples(*[st.integers(-6, 4)] * 3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_VOLUMES, st.sampled_from(sorted(layout.PRESCRIPTIONS)))
+def test_from_boundary_matches_per_site_loop(vol, bc):
+    got = SpinConfiguration.from_boundary(vol, bc)
+    expect = layout.from_boundary(vol, bc)
+    assert got.bc == bc and np.array_equal(got.spins, expect.spins)
+    assert got.shell_consistent()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_VOLUMES)
+def test_coords_and_box_follow_the_padded_layout(vol):
+    coords = vol.coords()
+    assert coords.shape == (3, *vol.padded_dims)
+    for site in layout.padded_sites(vol):
+        assert tuple(coords[(slice(None),) + vol.index(site)]) == site
+    box = coords[(slice(None),) + vol.box].reshape(3, -1)
+    assert [tuple(k) for k in box.T] == list(vol.sites())
 
 
 def _bfs_components(keys):

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fklab.classical import ModelCoefficients, h2_relative_energy, h4_relative_energy
 from fklab.lattice import SpinConfiguration, Volume, coordinate_sum
 from fklab.mc import (
     ObservableSeries,
@@ -196,6 +199,32 @@ def test_colour_classes_are_independent_sets(dims):
         # no coupling partner of a class site is in the class itself
         assert not np.isin(pair, own).any()
         assert not np.isin(plq, own).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 5)] * 3), lo=st.tuples(*[st.integers(-4, 2)] * 3),
+       U=st.floats(2.0, 32.0), seed=st.integers(0, 2**16))
+def test_local_energy_change_equals_full_difference(dims, lo, U, seed):
+    """The flip energy change read off ``_Lattice``'s tables equals h2 and h4
+    of the flipped configuration minus h2 and h4 before, at every tried site
+    of a random shell-2 configuration (shell spins random too)."""
+    vol = Volume(dims=dims, shell=2, lo=lo)
+    lat = _Lattice(vol)
+    co = ModelCoefficients(U=U)
+    rng = np.random.default_rng(seed)
+    cfg = SpinConfiguration(vol, rng.choice(np.array([-1, 1], dtype=np.int8), size=vol.padded_dims))
+    spins = cfg.spins.ravel()
+    sites = list(vol.sites())
+    for m in rng.choice(lat.n_vol, size=min(lat.n_vol, 4), replace=False):
+        flipped = cfg.with_flip(sites[m])
+        assert vol.index(sites[m]) == np.unravel_index(lat.vol_flat[m], lat.shape)
+        for ham, energy in (("h2", h2_relative_energy), ("h4", h4_relative_energy)):
+            w = lat.pair_weights(co, ham)
+            field = spins[lat.pair_idx[m, :w.size]] @ w
+            if ham == "h4":
+                field -= co.c_plq * spins[lat.plq[m]].prod(axis=1).sum()
+            de = 2.0 * spins[lat.vol_flat[m]] * field
+            assert de == pytest.approx(energy(flipped, co) - energy(cfg, co), abs=1e-12)
 
 
 @pytest.mark.parametrize("ham", ["h2", "h4"])

@@ -246,10 +246,10 @@ def test_decomposition_json_report():
 def test_removal_errors():
     t0 = _r0_tiling(hexagon_region(2))
     with pytest.raises(ValueError):
-        dobrushin_remove(t0, 0)
+        dobrushin_remove(t0, 0, coeffs=CO)
     t = _single_flip_tilings(hexagon_region(2))[0]
     with pytest.raises(ValueError):
-        dobrushin_remove(t, 5)
+        dobrushin_remove(t, 5, coeffs=CO)
 
 
 _REGIONS = {side: r0_closure(hexagon_region(side).triangles) for side in range(2, 7)}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import layout_reference as layout
 import tiling_reference as ref
 from fklab.classical import extract_contours, face_vertices
 from fklab.lattice import SpinConfiguration, Volume, coordinate_sum
@@ -279,6 +280,26 @@ def test_config_from_heights_staircase_consistency():
     stair = config_from_heights(vol)
     bc = SpinConfiguration.from_boundary(vol, "bc111")
     assert np.array_equal(stair.spins, bc.spins)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 5)] * 3), shell=st.integers(1, 3),
+       lo=st.tuples(*[st.integers(-5, 3)] * 3), seed=st.integers(0, 2**16))
+def test_config_from_heights_matches_per_site_loop(dims, shell, lo, seed):
+    vol = Volume(dims=dims, shell=shell, lo=lo)
+    rng = np.random.default_rng(seed)
+    plane = sorted({phi(k) for k in layout.padded_sites(vol)})
+    picked = rng.choice(len(plane), size=len(plane) // 3, replace=False)
+    raised = {plane[i]: stair_height(plane[i]) + 3 * int(rng.integers(-2, 3)) for i in picked}
+    offset = int(rng.integers(-4, 5))
+
+    def shifted(p):
+        return stair_height(p) + offset
+
+    for heights in (None, raised, shifted):
+        got = config_from_heights(vol, heights)
+        expect = layout.config_from_heights(vol, heights)
+        assert got.bc == "bc111" and np.array_equal(got.spins, expect.spins)
 
 
 def test_tiling_from_heights_inverse():
