@@ -24,9 +24,12 @@ from .tiling import (
     Rhombus,
     Tiling,
     r0_rhombus,
+    rhombus_corners,
     rhombus_of,
     rhombus_sides,
     rhombus_type,
+    stair_height,
+    tiling_heights,
     triangle_edges,
     triangles_across,
     type_rhombus,
@@ -380,6 +383,15 @@ class DobrushinViolation(RuntimeError):
 
 @dataclass
 class RemovalReport:
+    """What one Dobrushin removal did.
+
+    ``shifts`` maps each interior (keyed by its least triangle) to its shift
+    n: the level of its adjacent base minus the level of the exterior's base.
+    A shift is a level difference, so it can be any integer (a pocket two
+    levels below the exterior moves by S^-2); ``interiors`` lists the same
+    shifts with each interior's size and the number of contours inside it.
+    """
+
     removed_f: float
     contours_before: int
     contours_after: int
@@ -418,10 +430,12 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
     """Remove one R-contour from a minimal configuration.
 
     The contour's complement splits into the exterior and interior components;
-    each interior is translated by S^n (plane step n * (1,1)) with n chosen so
-    its adjacent base becomes type 0, the contour is erased, and all gaps are
-    filled with the type-0 tiling (which is triangle-unique, so the fill is
-    deterministic and order independent).  Returns (new_tiling, report).
+    each interior is translated by S^n (plane step n * (1,1)), n the level of
+    its adjacent base minus the level of the exterior's (the level of a base is
+    the middle corner height of its rhombi), the contour is erased, and all
+    gaps are filled with the tiling of the exterior's base type (which is
+    triangle-unique, so the fill is deterministic and order independent).
+    Returns (new_tiling, report).
 
     Raises DobrushinViolation if translated material collides inconsistently,
     which would falsify the non-intersection property.
@@ -472,28 +486,33 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
         if j != contour_index
     ]
 
-    def adjacent_base_type(tris) -> int:
-        types = set()
+    # heights of the window: the tiling's, and the staircase in the collar
+    heights = tiling_heights(tiling)
+
+    def adjacent_base_level(tris) -> int:
+        """The level (middle corner height) of the rhombi next to the contour."""
+        levels = set()
         for t in tris:
             if set(t) & supp_verts:
-                types.add(rhombus_type(assign[t]))
-        if len(types) != 1:
+                hs = sorted(heights.get(p, stair_height(p)) for p in rhombus_corners(assign[t]))
+                levels.add(hs[1])
+        if len(levels) != 1:
             raise DobrushinViolation(
-                "component has an ambiguous adjacent base type", dump={"types": types}
+                "component has an ambiguous adjacent base level", dump={"levels": levels}
             )
-        return types.pop()
+        return levels.pop()
 
-    # the gap is refilled with the base type of the exterior; interiors are
-    # translated so their adjacent bases match it (tau(S^n[C]) = tau - n)
-    tau0 = adjacent_base_type(groups[exterior_key])
+    # the gap is refilled with the base of the exterior; each interior is
+    # translated by S^n, n its base level minus the exterior's, so its base
+    # lands on the exterior's level (S lowers levels by one)
+    level0 = adjacent_base_level(groups[exterior_key])
     shifts = {}
     interiors = []
     conflicts = []
     for key, tris in groups.items():
         if key == exterior_key:
             continue
-        tau = adjacent_base_type(tris)
-        n = {0: 0, 1: 1, 2: -1}[(tau - tau0) % 3]
+        n = adjacent_base_level(tris) - level0
         d = (n * S_STEP[0], n * S_STEP[1])
         shifts[key] = n
         tri_verts = {p for t in tris for p in t}
@@ -519,7 +538,7 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
     for t in window:
         if t in new_assign:
             continue
-        r = type_rhombus(t, tau0)
+        r = type_rhombus(t, level0 % 3)
         for u in r:
             prev = new_assign.get(u)
             if prev is not None and prev != r:

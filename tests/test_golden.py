@@ -3,7 +3,11 @@
 The SHA-256 values below were recorded from the union-find implementations
 that preceded ``lattice.components``; ``decompositions`` was recorded again,
 on the path that lifts each tiling to 3D faces, when ``decompose`` began to
-sort its bases by their least rhombus.  They pin, byte for byte:
+sort its bases by their least rhombus; ``removals`` was recorded again when
+``dobrushin_remove`` began to take each interior's shift from the height
+function (a level difference) instead of its base type mod 3, which turned
+three pocket shifts from +1 into -2 and left every tiling and energy as it was.
+They pin, byte for byte:
 
 * ``decompose_tiling(...).to_json`` on seeded random R0-closed hexagon tilings
   (bases in canonical order, contours in sort order with their subcontour lists),
@@ -35,7 +39,7 @@ CO = ModelCoefficients(U=8.0)
 
 GOLDEN = {
     "decompositions": "f45d9a7f4b829cd6dda9b63fd09e4c280e1d09310b3381dbac7ab5c6046fe005",
-    "removals": "e96074861167d476a336a3077f47b26b02dc47e6dbfb11711eb0d0d2b37123de",
+    "removals": "c45c8782f1670997c77e12dd24d276661eda90f1a0cd0afa76285f5714d64ae8",
     "contours": "7da5c994b3d1398243d3207f23d46186afeebda76c5ab8f467fe6b3fd8da9572",
 }
 

@@ -231,6 +231,19 @@ def test_randomized_removal_campaign_small():
     assert done >= 20
 
 
+def test_removal_shift_is_the_level_difference():
+    """A pocket pinched off the contour at two vertices lies two levels below
+    the exterior, not one above: its base type alone (mod 3) would move it by
+    S^+1, into the interior around it."""
+    tiling = random_tiling(r0_closure(hexagon_region(4).triangles), 30, seed=241250750)
+    assert len(decompose_tiling(tiling).contours) == 2
+    new_t, rep = dobrushin_remove(tiling, 0, coeffs=CO)
+    assert [info["shift"] for info in rep.interiors] == [-1, -2, -1]
+    assert list(rep.shifts.values()) == [-1, -2, -1]
+    assert rep.contours_after == 1
+    assert len(decompose_tiling(new_t).contours) == 1
+
+
 def test_decomposition_json_report():
     t = _single_flip_tilings(hexagon_region(2))[0]
     deco = decompose_tiling(t)
