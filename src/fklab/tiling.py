@@ -1,7 +1,13 @@
 """111-interface geometry: projection onto the triangular lattice, rhombus
 typing, the tiling <-> interface bijection through height functions, exhaustive
-tiling enumeration, and rhombus-configuration bookkeeping for interfaces that
-are not minimal (overlap numbers, delta/omega edges, lambda links).
+tiling enumeration, random tilings, and rhombus-configuration bookkeeping for
+interfaces that are not minimal (overlap numbers, delta/omega edges, lambda
+links).
+
+Tilings change only through their height function: ``tiling_heights`` reads
+it off a tiling and ``tiling_from_heights`` assembles the tiling of a field.
+An elementary flip is the terrace move h(p) +- 3 at a strict local extremum
+(it rotates the three rhombi around p); ``random_tiling`` walks by such moves.
 
 Plane conventions
 -----------------
@@ -29,6 +35,7 @@ dn(a,b), up(a-1,b), dn(a-1,b-1), up(a-1,b-1), dn(a,b-1).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -254,6 +261,12 @@ class Region:
         return sorted(self.triangles, key=lambda t: sorted(t))
 
 
+def _inner_vertices(region: Region) -> set:
+    """The vertices whose whole star (six triangles) lies in the region."""
+    stars = Counter(p for t in region.triangles for p in t)
+    return {p for p, n in stars.items() if n == 6}
+
+
 def hexagon_region(side: int, center: PlaneVertex | None = None) -> Region:
     """The regular hexagon of the given side length centered at a lattice vertex.
 
@@ -417,85 +430,46 @@ def enumerate_tilings(region: Region) -> list[Tiling]:
     return out
 
 
-#: The two ways three rhombi can cover a vertex star (``triangles_at_vertex``
-#: order); an elementary flip turns one into the other.
-_STAR_PAIRINGS = (((0, 1), (2, 3), (4, 5)), ((1, 2), (3, 4), (5, 0)))
-
-
-def _star_pairing(assign: dict, p: PlaneVertex) -> int | None:
-    """Index into ``_STAR_PAIRINGS`` of the rhombi covering the star of ``p``,
-    or None when ``p`` is not a flip position of the assignment."""
-    star = triangles_at_vertex(p)
-    if all(t in assign for t in star):
-        for k, pairs in enumerate(_STAR_PAIRINGS):
-            if all(assign[star[i]] == assign[star[j]] for i, j in pairs):
-                return k
-    return None
-
-
-def _flip(assign: dict, p: PlaneVertex) -> None:
-    """Rotate the three rhombi around ``p`` in the assignment, in place."""
-    k = _star_pairing(assign, p)
-    if k is None:
-        raise ValueError("vertex is not flippable in this tiling")
-    star = triangles_at_vertex(p)
-    for i, j in _STAR_PAIRINGS[1 - k]:
-        assign[star[i]] = assign[star[j]] = rhombus_of(star[i], star[j])
-
-
-def _flip_tracked(assign: dict, flippable: set, p: PlaneVertex) -> None:
-    """``_flip`` at ``p``, keeping ``flippable`` the set of flip positions.
-
-    The flip changes the assignment only on the star of p, and a vertex's
-    flip test reads only its own star, so only p and its six neighbours can
-    change.
-    """
-    _flip(assign, p)
-    for q in [p] + [(p[0] + da, p[1] + db) for da, db in ALL_DIRS]:
-        if _star_pairing(assign, q) is None:
-            flippable.discard(q)
-        else:
-            flippable.add(q)
-
-
-def flippable_vertices(tiling: Tiling) -> list:
-    """Vertices whose six surrounding triangles are covered by exactly three
-    rhombi of the tiling: the elementary flip positions."""
-    assign = tiling.assignment()
-    return [p for p in sorted(tiling.region.vertices) if _star_pairing(assign, p) is not None]
-
-
-def apply_flip(tiling: Tiling, vertex: PlaneVertex) -> Tiling:
-    """Rotate the three rhombi around a flippable vertex."""
-    assign = tiling.assignment()
-    _flip(assign, vertex)
-    return Tiling(tiling.region, tuple(set(assign.values())))
-
-
 def random_tiling(region: Region, flips: int, seed: int) -> Tiling:
-    """Seeded random walk over tilings by elementary hexagon flips.
+    """Seeded random walk over tilings by elementary flips of the height function.
 
-    Starts from the all-type-0 tiling (the region must be a union of type-0
-    rhombi) and applies ``flips`` uniformly chosen flips; deterministic in
-    the seed.
+    Starts from the staircase heights, the all-type-0 tiling (the region must
+    be a union of type-0 rhombi), and applies ``flips`` uniformly chosen
+    flips; deterministic in the seed.  A vertex can flip when its whole star
+    lies in the region and it is a strict local extremum: its six neighbours
+    lie 1 and 2 above it, or 1 and 2 below.  The flip is the terrace move
+    h(p) +- 3 towards the other side, which rotates the three rhombi around p.
 
-    The flip positions are kept as a set, and after each flip only the
-    flipped vertex and its six neighbours are tested again
-    (``_flip_tracked``).  Each step indexes the *sorted* positions, so a seed
-    gives the same walk as a full scan of the region's vertices in sorted
-    order, and the same tilings as before the set was kept.
+    After a flip only p and its six neighbours are tested again.  Each step
+    indexes the *sorted* flip positions, so a seed gives the same walk as a
+    full scan of the region's vertices in sorted order.
     """
     if not region.r0_closed():
         raise ValueError("random_tiling needs an R0-closed region")
-    assign = Tiling(region, tuple({r0_rhombus(t) for t in region.triangles})).assignment()
-    flippable = {p for p in region.vertices if _star_pairing(assign, p) is not None}
+    h = {p: stair_height(p) for p in region.vertices}
+    inner = _inner_vertices(region)
+
+    def terrace_step(p: PlaneVertex) -> int:
+        """+3 at a flippable local minimum, -3 at a local maximum, else 0."""
+        if p not in inner:
+            return 0
+        d = {h[(p[0] + da, p[1] + db)] - h[p] for da, db in ALL_DIRS}
+        return 3 if d == {1, 2} else -3 if d == {-1, -2} else 0
+
+    flippable = {p for p in inner if terrace_step(p)}
     rng = np.random.default_rng(seed)
     for _ in range(flips):
         if not flippable:
             break
         cands = sorted(flippable)
-        _flip_tracked(assign, flippable, cands[int(rng.integers(0, len(cands)))])
-    return Tiling(region, tuple(set(assign.values())))
+        p = cands[int(rng.integers(0, len(cands)))]
+        h[p] += terrace_step(p)
+        for q in [p] + [(p[0] + da, p[1] + db) for da, db in ALL_DIRS]:
+            if terrace_step(q):
+                flippable.add(q)
+            else:
+                flippable.discard(q)
+    return tiling_from_heights(region, h)
 
 
 @dataclass
@@ -562,18 +536,14 @@ def tiling_heights(tiling: Tiling) -> dict:
     inconsistency (impossible for a valid tiling) aborts with the offending
     cycle attached.
     """
-    region_vertices = tiling.region.vertices
-    interior = {
-        p for p in region_vertices
-        if all(t in tiling.region.triangles for t in triangles_at_vertex(p))
-    }
-    h: dict = {p: stair_height(p) for p in region_vertices - interior}
+    region = tiling.region
+    h: dict = {p: stair_height(p) for p in region.vertices - _inner_vertices(region)}
     adj: dict = {}
     for r in tiling.rhombi:
-        for e in rhombus_sides(r):
-            u, w = tuple(e)
-            adj.setdefault(u, set()).add(w)
-            adj.setdefault(w, set()).add(u)
+        p, w1, q, w2 = rhombus_corners(r)
+        for u, w in ((p, w1), (w1, q), (q, w2), (w2, p)):
+            adj.setdefault(u, []).append(w)
+            adj.setdefault(w, []).append(u)
     frontier = [p for p in h if p in adj]
     while frontier:
         u = frontier.pop()
@@ -585,7 +555,7 @@ def tiling_heights(tiling: Tiling) -> dict:
             else:
                 h[w] = val
                 frontier.append(w)
-    missing = [p for p in region_vertices if p not in h]
+    missing = [p for p in region.vertices if p not in h]
     if missing:
         raise HeightError(f"unreached vertices {missing[:4]}")
     return h
@@ -626,19 +596,18 @@ def tiling_from_heights(region: Region, heights) -> Tiling:
         hfun = lambda p: heights.get(p, stair_height(p))  # noqa: E731
     else:
         hfun = heights
-    assign: dict = {}
+    hv = {p: hfun(p) for p in region.vertices}
+    rhombi: set = set()
     for t in region.triangles:
-        hs = {p: hfun(p) for p in t}
-        vals = sorted(hs.values())
-        if vals[2] - vals[0] != 2 or vals[1] - vals[0] != 1:
-            raise HeightError(f"triangle heights {vals} are not consecutive")
-        lo = next(p for p, h in hs.items() if h == vals[0])
-        hi = next(p for p, h in hs.items() if h == vals[2])
-        partner = next(u for u in triangles_of_edge((lo, hi)) if u != t)
+        lo, mid, hi = sorted(t, key=hv.__getitem__)
+        if hv[mid] - hv[lo] != 1 or hv[hi] - hv[mid] != 1:
+            raise HeightError(f"triangle heights {sorted(map(hv.get, t))} are not consecutive")
+        u, w = triangles_of_edge((lo, hi))
+        partner = w if u == t else u
         if partner not in region.triangles:
             raise HeightError("rhombus diagonal leaves the region")
-        assign[t] = rhombus_of(t, partner)
-    return Tiling(region, tuple(set(assign.values())))
+        rhombi.add(frozenset((t, partner)))
+    return Tiling(region, tuple(rhombi))
 
 
 class OverlapError(ValueError):

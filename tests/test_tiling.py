@@ -13,18 +13,17 @@ import tiling_reference as ref
 from fklab.classical import extract_contours, face_vertices
 from fklab.lattice import SpinConfiguration, Volume, coordinate_sum
 from fklab.tiling import (
+    ALL_DIRS,
     HeightError,
     OverlapError,
     RConfiguration,
     Region,
     Tiling,
-    apply_flip,
     classify_local,
     config_from_heights,
     degeneracy_bounds_check,
     enumerate_tilings,
     face_of_rhombus,
-    flippable_vertices,
     good_pair_fraction_of_faces,
     height_increment,
     hexagon_region,
@@ -49,7 +48,6 @@ from fklab.tiling import (
     triangles_of_edge,
     type_partner,
     vertex_class,
-    _flip_tracked,
 )
 
 
@@ -327,14 +325,6 @@ def test_r0_closure_and_random_tiling():
     assert len(t.rhombi) == len(base) // 2
 
 
-def test_flip_is_involution():
-    base = r0_closure(hexagon_region(2).triangles)
-    t = random_tiling(base, 5, seed=9)
-    v = flippable_vertices(t)[0]
-    t2 = apply_flip(apply_flip(t, v), v)
-    assert set(t2.rhombi) == set(t.rhombi)
-
-
 def test_closed_form_adjacency_matches_search_oracle():
     region = r0_closure(hexagon_region(5).triangles)
     verts = sorted(region.vertices)
@@ -358,16 +348,30 @@ def test_closed_form_adjacency_matches_search_oracle():
 
 
 def test_flip_positions_and_flips_match_search_oracle():
+    """The flip positions are the strict local extrema of the height function
+    (six neighbours 1 and 2 above, or 1 and 2 below) whose star lies in the
+    region, and the terrace move h(p) +- 3 rotates the three rhombi there."""
     region = r0_closure(hexagon_region(5).triangles)
+    verts = sorted(region.vertices)
     for seed, flips in ((0, 0), (1, 30), (2, 200)):
         t = random_tiling(region, flips, seed=seed)
         assign = t.assignment()
-        expect = [p for p in sorted(region.vertices) if ref.is_flip_position(assign, p)]
-        assert flippable_vertices(t) == expect
-        for p in expect:
-            assert set(apply_flip(t, p).rhombi) == ref.flipped_rhombi(t, p)
-    with pytest.raises(ValueError):
-        apply_flip(t, min(region.vertices))  # a corner: its star leaves the region
+        h = tiling_heights(t)
+        steps = {}
+        for p in verts:
+            if set(triangles_at_vertex(p)) <= region.triangles:
+                d = {h[(p[0] + da, p[1] + db)] - h[p] for da, db in ALL_DIRS}
+                if d in ({1, 2}, {-1, -2}):
+                    steps[p] = 3 if d == {1, 2} else -3
+        assert sorted(steps) == [p for p in verts if ref.is_flip_position(assign, p)]
+        assert steps
+        for p, step in steps.items():
+            flipped = tiling_from_heights(region, {**h, p: h[p] + step})
+            assert set(flipped.rhombi) == ref.flipped_rhombi(t, p)
+    corner = min(region.vertices)  # its star leaves the region
+    for step in (3, -3):
+        with pytest.raises(HeightError):
+            tiling_from_heights(region, {**h, corner: h[corner] + step})
 
 
 def test_region_rejects_non_elementary_triangles():
@@ -389,17 +393,6 @@ _BASE3 = r0_closure(hexagon_region(3).triangles)
 
 
 @settings(max_examples=30, deadline=None)
-@given(flips=st.integers(0, 60), seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 10**6))
-def test_flip_twice_is_identity(flips, seed, pick):
-    t = random_tiling(_BASE3, flips, seed=seed)
-    cands = flippable_vertices(t)
-    v = cands[pick % len(cands)]  # a tiling of this hexagon always has a flip
-    once = apply_flip(t, v)
-    assert set(once.rhombi) != set(t.rhombi)
-    assert set(apply_flip(once, v).rhombi) == set(t.rhombi)
-
-
-@settings(max_examples=30, deadline=None)
 @given(flips=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
 def test_heights_round_trip(flips, seed):
     t = random_tiling(_BASE3, flips, seed=seed)
@@ -412,18 +405,21 @@ _REGIONS = {side: r0_closure(hexagon_region(side).triangles) for side in range(2
 
 @settings(max_examples=25, deadline=None)
 @given(side=st.integers(2, 5), flips=st.integers(0, 80), seed=st.integers(0, 2**32 - 1))
-def test_tracked_flip_set_matches_full_scan(side, flips, seed):
-    """random_tiling's walk, re-testing only around each flip, keeps exactly the
-    flip positions a full search finds and ends on random_tiling's tiling."""
+def test_random_tiling_matches_full_scan_walk(side, flips, seed):
+    """random_tiling's height walk, re-testing only around each flip, takes the
+    same steps as a walk that searches every vertex for a flip position and
+    rotates rhombi, and ends on the same tiling."""
     region = _REGIONS[side]
-    assign = {t: r0_rhombus(t) for t in region.triangles}
-    flippable = set(flippable_vertices(Tiling(region, tuple(set(assign.values())))))
+    tiling = Tiling(region, tuple({r0_rhombus(t) for t in region.triangles}))
     rng = np.random.default_rng(seed)
     for _ in range(flips):
-        cands = sorted(flippable)
-        _flip_tracked(assign, flippable, cands[int(rng.integers(0, len(cands)))])
-        assert flippable == {p for p in region.vertices if ref.is_flip_position(assign, p)}
-    assert set(assign.values()) == set(random_tiling(region, flips, seed=seed).rhombi)
+        assign = tiling.assignment()
+        cands = [p for p in sorted(region.vertices) if ref.is_flip_position(assign, p)]
+        if not cands:
+            break
+        p = cands[int(rng.integers(0, len(cands)))]
+        tiling = Tiling(region, tuple(ref.flipped_rhombi(tiling, p)))
+    assert set(tiling.rhombi) == set(random_tiling(region, flips, seed=seed).rhombi)
 
 
 def test_lift_consistency_with_spin_configuration():
