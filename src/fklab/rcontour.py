@@ -10,6 +10,12 @@ material is through shared plane vertices (contours are closed complexes).
 A tiling (a minimal interface) is decomposed from its triangle -> rhombus map
 in an R0 collar, through ``RConfiguration.from_assignment``, with no lift to
 3D faces; any other face set goes through ``RConfiguration.from_faces``.
+
+A Dobrushin removal is a height edit: the exterior of the removed contour keeps
+its heights, each interior moves by S^n (plane step n * (1,1), heights down by
+n) with n its base level minus the exterior's, the gap takes the flat
+staircase at the exterior's level, and ``tiling_from_heights`` assembles the
+result.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass, field
 from .classical import ModelCoefficients
 from .lattice import CapExceeded, components
 from .tiling import (
+    PlaneVertex,
     RConfiguration,
     Region,
     Rhombus,
@@ -29,27 +36,11 @@ from .tiling import (
     rhombus_sides,
     rhombus_type,
     stair_height,
+    tiling_from_heights,
     tiling_heights,
     triangle_edges,
     triangles_across,
-    type_rhombus,
 )
-
-def _translate_vertex(p, d):
-    return (p[0] + d[0], p[1] + d[1])
-
-
-def _translate_triangle(t, d):
-    return frozenset(_translate_vertex(p, d) for p in t)
-
-
-def _translate_rhombus(r, d):
-    return frozenset(_translate_triangle(t, d) for t in r)
-
-
-#: Plane step realizing the vertical translation S: type map tau -> tau - 1.
-S_STEP = (1, 1)
-
 
 @dataclass(frozen=True)
 class Base:
@@ -420,28 +411,30 @@ def _collared_assignment(tiling: Tiling, collar: int) -> dict:
     return assign
 
 
-def decompose_tiling(tiling: Tiling, collar: int = _COLLAR) -> Decomposition:
-    """Decompose a minimal configuration, embedded in an R0 collar of the
-    given width so that boundary edges classify correctly."""
-    return decompose(RConfiguration.from_assignment(_collared_assignment(tiling, collar)))
+def decompose_tiling(tiling: Tiling) -> Decomposition:
+    """Decompose a minimal configuration, embedded in an R0 collar of width
+    ``_COLLAR`` so that boundary edges classify correctly."""
+    return decompose(RConfiguration.from_assignment(_collared_assignment(tiling, _COLLAR)))
 
 
 def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoefficients):
-    """Remove one R-contour from a minimal configuration.
+    """Remove one R-contour from a minimal configuration by editing its heights.
 
-    The contour's complement splits into the exterior and interior components;
-    each interior is translated by S^n (plane step n * (1,1)), n the level of
-    its adjacent base minus the level of the exterior's (the level of a base is
-    the middle corner height of its rhombi), the contour is erased, and all
-    gaps are filled with the tiling of the exterior's base type (which is
-    triangle-unique, so the fill is deterministic and order independent).
-    Returns (new_tiling, report).
+    The contour's complement splits into the exterior and interior components.
+    The new tiling of the collared window is the one of a height function:
+    the exterior keeps its heights; each interior moves by S^n, its vertices
+    by the plane step n * (1,1) and its heights down by n, where n is the
+    level of its adjacent base minus the level of the exterior's (the level
+    of a base is the middle corner height of its rhombi); every other vertex
+    gets the flat staircase at the exterior's level.  Returns
+    (new_tiling, report).
 
-    Raises DobrushinViolation if translated material collides inconsistently,
-    which would falsify the non-intersection property.
+    Raises DobrushinViolation if two pieces put different heights on one
+    vertex or the heights do not make a tiling of the window, which would
+    falsify the non-intersection property.
     """
     assign = _collared_assignment(tiling, _COLLAR)
-    window = frozenset(assign)
+    window = Region(frozenset(assign))
     deco = decompose(RConfiguration.from_assignment(assign))
     if not deco.contours:
         raise ValueError("configuration has no contours to remove")
@@ -455,106 +448,75 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
 
     # complement components: triangles joined across edges that are not the
     # target's delta/omega lines and through vertices outside its support
-    # (edge keys are frozensets, vertex keys tuples: they never collide)
+    # (edge keys are frozensets, vertex keys tuples: they never collide);
+    # each is keyed by its least triangle
     blocked = target.delta_edges | target.omega_edges
-    outside = [t for t in window if t not in supp_tris]
+    outside = [t for t in window.triangles if t not in supp_tris]
     groups = {}
     for members in components(
         [e for e in triangle_edges(t) if e not in blocked] + [p for p in t if p not in supp_verts]
         for t in outside
     ):
         tris = [outside[i] for i in members]
-        groups[min(tris, key=lambda x: sorted(x))] = set(tris)
+        groups[min(tris, key=lambda x: sorted(x))] = tris
 
-    # exterior = component containing a window-boundary triangle
-    boundary_tris = {t for t in window if any(u not in window for u in triangles_across(t))}
-    exterior_key = None
-    for key, tris in groups.items():
-        if tris & boundary_tris:
-            exterior_key = key
-            break
-    if exterior_key is None:
+    # the exterior holds the window's least triangle, which has a side on the
+    # window boundary
+    exterior_key = min(window.triangles, key=lambda x: sorted(x))
+    if exterior_key not in groups:
         raise ValueError("could not identify the exterior component")
-
-    new_assign: dict = {}
-    for t in groups[exterior_key]:
-        new_assign[t] = assign[t]
-
-    other_supports = [
-        (j, set(c.support_vertices))
-        for j, c in enumerate(deco.contours)
-        if j != contour_index
-    ]
 
     # heights of the window: the tiling's, and the staircase in the collar
     heights = tiling_heights(tiling)
 
+    def height(p: PlaneVertex) -> int:
+        return heights.get(p, stair_height(p))
+
     def adjacent_base_level(tris) -> int:
         """The level (middle corner height) of the rhombi next to the contour."""
-        levels = set()
-        for t in tris:
-            if set(t) & supp_verts:
-                hs = sorted(heights.get(p, stair_height(p)) for p in rhombus_corners(assign[t]))
-                levels.add(hs[1])
+        levels = {sorted(map(height, rhombus_corners(assign[t])))[1]
+                  for t in tris if not supp_verts.isdisjoint(t)}
         if len(levels) != 1:
             raise DobrushinViolation(
                 "component has an ambiguous adjacent base level", dump={"levels": levels}
             )
         return levels.pop()
 
-    # the gap is refilled with the base of the exterior; each interior is
-    # translated by S^n, n its base level minus the exterior's, so its base
-    # lands on the exterior's level (S lowers levels by one)
     level0 = adjacent_base_level(groups[exterior_key])
+    new_h = {p: height(p) for t in groups[exterior_key] for p in t}
+    other_supports = [set(c.support_vertices) for j, c in enumerate(deco.contours)
+                      if j != contour_index]
     shifts = {}
     interiors = []
-    conflicts = []
+    clashes = []
     for key, tris in groups.items():
         if key == exterior_key:
             continue
         n = adjacent_base_level(tris) - level0
-        d = (n * S_STEP[0], n * S_STEP[1])
         shifts[key] = n
         tri_verts = {p for t in tris for p in t}
-        inside = sum(1 for _, supp in other_supports if supp and supp <= tri_verts)
+        inside = sum(1 for supp in other_supports if supp and supp <= tri_verts)
         interiors.append({"size": len(tris), "shift": n, "contours_inside": inside})
-        for t in tris:
-            r = _translate_rhombus(assign[t], d)
-            for u in r:
-                prev = new_assign.get(u)
-                if prev is None:
-                    new_assign[u] = r
-                elif prev != r:
-                    if rhombus_type(prev) == rhombus_type(r):
-                        raise AssertionError("two distinct same-type rhombi share a triangle")
-                    conflicts.append((u, prev, r))
-    if conflicts:
+        for p in tri_verts:
+            q, hq = (p[0] + n, p[1] + n), height(p) - n
+            if new_h.setdefault(q, hq) != hq:
+                clashes.append(q)
+    if clashes:
         raise DobrushinViolation(
-            f"{len(conflicts)} triangle collisions between translated interiors",
-            dump={"conflicts": conflicts[:8]},
+            f"{len(clashes)} vertices get two heights from translated pieces",
+            dump={"vertices": sorted(clashes)[:8]},
         )
 
-    # fill the gaps with the exterior's base type (unique per triangle)
-    for t in window:
-        if t in new_assign:
-            continue
-        r = type_rhombus(t, level0 % 3)
-        for u in r:
-            prev = new_assign.get(u)
-            if prev is not None and prev != r:
-                raise DobrushinViolation(
-                    "gap fill collides with translated material",
-                    dump={"triangle": u, "kept": prev},
-                )
-        for u in r:
-            new_assign[u] = r
+    # the gap: the flat staircase at the exterior's level
+    def new_height(p: PlaneVertex) -> int:
+        return new_h.get(p, level0 - 1 + (p[0] + p[1] - level0 + 1) % 3)
 
-    # restrict to the window (fill rhombi may stick out by one triangle)
-    out_rhombi = set(new_assign.values())
-    out_tris = frozenset(t for r in out_rhombi for t in r)
-    new_tiling = Tiling(Region(out_tris), tuple(out_rhombi))
+    try:
+        new_tiling = tiling_from_heights(window, new_height)
+    except ValueError as exc:  # HeightError, or rhombi that do not cover the window
+        raise DobrushinViolation(f"removal does not give a tiling: {exc}") from exc
 
-    new_deco = decompose(RConfiguration.from_assignment(new_assign))
+    new_deco = decompose(RConfiguration.from_assignment(new_tiling.assignment()))
     f_after = sorted(f_energy(c, coeffs) for c in new_deco.contours)
     report = RemovalReport(
         removed_f=f_energy(target, coeffs),

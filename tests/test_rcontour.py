@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import removal_reference
 import tiling_reference as ref
 from fklab.classical import (
     ModelCoefficients,
@@ -35,6 +36,7 @@ from fklab.tiling import (
     rhombus_of,
     stair_height,
     tiling_from_heights,
+    tiling_heights,
     tiling_to_interface,
     tri_up,
     vertex_class,
@@ -167,7 +169,7 @@ def test_removal_single_contour_gives_ground_state():
     t = _single_flip_tilings(hexagon_region(2))[0]
     new_t, rep = dobrushin_remove(t, 0, coeffs=CO)
     assert rep.contours_before == 1 and rep.contours_after == 0
-    deco = decompose_tiling(new_t, collar=0)
+    deco = decompose_tiling(new_t)
     assert len(deco.contours) == 0
 
 
@@ -213,7 +215,7 @@ def test_removal_of_nested_pair_preserves_inner_energy():
     assert rep.nested
     assert rep.contours_after == 1
     assert any(info["shift"] != 0 for info in rep.interiors)
-    remaining = decompose_tiling(new_t, collar=0).contours
+    remaining = decompose_tiling(new_t).contours
     assert len(remaining) == 1
     assert f_energy(remaining[0], CO) == pytest.approx(min(fvals), abs=1e-12)
 
@@ -296,3 +298,49 @@ def test_dobrushin_invariants_on_large_hexagons(side, flips, seed, pick):
     assert len(after.contours) == rep.contours_after == len(deco.contours) - 1
     expect = sorted(f_energy(c, CO) for j, c in enumerate(deco.contours) if j != idx)
     assert sorted(f_energy(c, CO) for c in after.contours) == pytest.approx(expect, abs=1e-12)
+
+
+def _removal_outcome(remove, tiling, idx):
+    """What a removal gives, or the type of the exception it raised."""
+    try:
+        new_t, rep = remove(tiling, idx, coeffs=CO)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    return new_t.to_json(), rep.shifts, rep.interiors
+
+
+@settings(max_examples=30, deadline=None)
+@given(side=st.integers(4, 6), flips=st.integers(5, 120),
+       seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 10**6))
+def test_height_removal_matches_rhombus_oracle(side, flips, seed, pick):
+    """The height-edit removal gives the tiling, shifts and interiors of the
+    rhombus translate-and-fill removal, and fails where it fails."""
+    tiling = random_tiling(_REGIONS[side], flips, seed=seed)
+    count = len(decompose_tiling(tiling).contours)
+    assume(count)
+    idx = pick % count
+    want = _removal_outcome(removal_reference.rhombus_remove, tiling, idx)
+    assert _removal_outcome(dobrushin_remove, tiling, idx) == want
+
+
+def test_height_removal_matches_rhombus_oracle_inside_a_terrace():
+    """A random side-3 tiling moved by S^-1 into a level-1 terrace: removing
+    one of its contours fills a gap at the exterior's level 1, which random
+    tilings of the staircase almost never reach."""
+    C = (0, 1)
+
+    def hexdist(p):
+        da, db = p[0] - C[0], p[1] - C[1]
+        return max(abs(da), abs(db), abs(da - db))
+
+    base = r0_closure(hexagon_region(9, center=C).triangles)
+    h = {v: (v[0] + v[1]) % 3 for v in base.vertices if hexdist(v) <= 7}  # level-1 staircase
+    for p, x in tiling_heights(random_tiling(_REGIONS[3], 45, seed=35)).items():
+        h[(p[0] - 1, p[1] - 1)] = x + 1
+    tiling = tiling_from_heights(base, h)
+    count = len(decompose_tiling(tiling).contours)
+    assert count == 2
+    for idx in range(count):
+        got = _removal_outcome(dobrushin_remove, tiling, idx)
+        assert isinstance(got, tuple)
+        assert got == _removal_outcome(removal_reference.rhombus_remove, tiling, idx)
