@@ -10,7 +10,6 @@ from .lattice import (
     SpinConfiguration,
     Volume,
     boundary_spin,
-    stagger,
 )
 from .classical import (
     ModelCoefficients,
@@ -61,7 +60,6 @@ from .quantum import (
 from .mc import (
     ObservableSeries,
     RunSpec,
-    good_pair_fraction,
     interface_width,
     layer_magnetization,
     mc_run,

