@@ -536,8 +536,8 @@ def tiling_heights(tiling: Tiling) -> dict:
     inconsistency (impossible for a valid tiling) aborts with the offending
     cycle attached.
     """
-    region = tiling.region
-    h: dict = {p: stair_height(p) for p in region.vertices - _inner_vertices(region)}
+    vertices = tiling.region.vertices
+    h: dict = {p: stair_height(p) for p in vertices - _inner_vertices(tiling.region)}
     adj: dict = {}
     for r in tiling.rhombi:
         p, w1, q, w2 = rhombus_corners(r)
@@ -555,7 +555,7 @@ def tiling_heights(tiling: Tiling) -> dict:
             else:
                 h[w] = val
                 frontier.append(w)
-    missing = [p for p in region.vertices if p not in h]
+    missing = [p for p in vertices if p not in h]
     if missing:
         raise HeightError(f"unreached vertices {missing[:4]}")
     return h
@@ -602,8 +602,8 @@ def tiling_from_heights(region: Region, heights) -> Tiling:
         lo, mid, hi = sorted(t, key=hv.__getitem__)
         if hv[mid] - hv[lo] != 1 or hv[hi] - hv[mid] != 1:
             raise HeightError(f"triangle heights {sorted(map(hv.get, t))} are not consecutive")
-        u, w = triangles_of_edge((lo, hi))
-        partner = w if u == t else u
+        # the partner across the lo-hi diagonal completes the parallelogram
+        partner = frozenset((lo, hi, (lo[0] + hi[0] - mid[0], lo[1] + hi[1] - mid[1])))
         if partner not in region.triangles:
             raise HeightError("rhombus diagonal leaves the region")
         rhombi.add(frozenset((t, partner)))
