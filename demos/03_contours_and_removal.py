@@ -5,10 +5,12 @@ A rhombus configuration splits into bases (same-type seas glued by good pairs)
 and R-contours (everything else: delta and omega edges, lambda links,
 overlapping rhombi).  Contours carry the fourth-order excitation energy
 F = J2 a_ov + K2 |delta| + U^-3 |omega| + (1/4) U^-3 |lambda|; the Dobrushin
-transformation deletes a contour by translating its interiors one lattice
-unit so the base types re-match, and the remaining contour energies do not
-move at all.
+transformation deletes a contour by editing the height function: each interior
+moves by S^n, n the level difference between its base and the exterior's, and
+the remaining contour energies do not move at all.
 """
+
+from collections import Counter
 
 from pathlib import Path
 
@@ -83,3 +85,13 @@ for seed in range(10):
         assert r.contours_after == r.contours_before - 1
         removals += 1
 print(f"\nmini campaign: {removals} randomized removals, all clean")
+
+# --- shifts are level differences: a pocket two levels off moves by S^+-2
+base6 = r0_closure(hexagon_region(6).triangles)
+shifts = Counter()
+for seed in range(10):
+    t = random_tiling(base6, 100, seed=seed)
+    for idx in range(len(decompose_tiling(t).contours)):
+        _, r = dobrushin_remove(t, idx, coeffs=co)
+        shifts.update(r.shifts.values())
+print(f"side-6 campaign, interior shift n -> count: {dict(sorted(shifts.items()))}")

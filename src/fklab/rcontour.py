@@ -360,11 +360,12 @@ def geometric_class(contour: RContour) -> GeometricContour:
 
 
 class DobrushinViolation(RuntimeError):
-    """Raised when translated interiors collide on non-type-0 material.
+    """Raised when a removal does not give a tiling: translated pieces put
+    different heights on one vertex, or the edited heights are not a tiling.
 
     This would falsify the non-intersection property of translated interiors;
-    it is surfaced loudly and
-    treated as a test failure, never as a recoverable state.
+    it is surfaced loudly and treated as a test failure, never as a
+    recoverable state.
     """
 
     def __init__(self, message, dump=None):
