@@ -150,7 +150,8 @@ def rhombus_remove(tiling, contour_index=0, *, coeffs):
         for u in r:
             new_assign[u] = r
 
-    # restrict to the window (fill rhombi may stick out by one triangle)
+    # the output region is every triangle of the kept rhombi (a fill rhombus
+    # may stick out of the window by one triangle)
     out_rhombi = set(new_assign.values())
     out_tris = frozenset(t for r in out_rhombi for t in r)
     new_tiling = Tiling(Region(out_tris), tuple(out_rhombi))
