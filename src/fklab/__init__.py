@@ -25,7 +25,6 @@ from .tiling import (
     RConfiguration,
     Region,
     Tiling,
-    classify_local,
     config_from_heights,
     degeneracy_bounds_check,
     enumerate_tilings,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .quantum import CouplingTable, verify_decay
+from .quantum import TINY, CouplingTable, verify_decay
 
 #: Connectivity constant of the walk-counting bound in d = 3: (2d)^2.
 C_D = 36.0
@@ -40,6 +40,8 @@ def cj_sequence(d: int, t: float, U: float, beta: float, c: float = 0.5, jmax: i
     Reports the geometric tail sum and whether the total stays below one,
     which is the convergence condition of the circuit expansion.
     """
+    if not all(map(math.isfinite, (t, U, beta, c))):
+        raise ValueError(f"t, U, beta and c must be finite, got {(t, U, beta, c)}")
     if not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
     if U <= 1.0:
@@ -65,8 +67,8 @@ class PolymerInputs:
     """Inputs of the polymer convergence chain.
 
     ``lam`` plays the role of the small parameter 1/U, ``b = beta * lam``;
-    ``a`` is the free exponent (2 at the end of the proof) and ``c_d`` the
-    walk-connectivity constant 36.
+    ``a`` is the free exponent (2 at the end of the proof).  The
+    walk-connectivity constant is ``C_D``.
     """
 
     C1: float
@@ -74,9 +76,10 @@ class PolymerInputs:
     lam: float
     b: float
     a: float = 2.0
-    c_d: float = C_D
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.C1, self.C2, self.lam, self.b, self.a))):
+            raise ValueError(f"polymer inputs must be finite, got {self}")
         if min(self.C1, self.C2, self.lam, self.b) <= 0:
             raise ValueError("C1, C2, lambda, b must be positive")
 
@@ -118,7 +121,7 @@ def polymer_report(inp: PolymerInputs) -> ConvergenceReport:
     and Z_pol <= 2 C4 e^(-q) / (1 - e^(-q))^2 whenever q > 0.  Infeasible
     conditions are reported as flags rather than producing garbage numbers.
     """
-    cd, lam, a = inp.c_d, inp.lam, inp.a
+    cd, lam, a = C_D, inp.lam, inp.a
     cond1 = cd * lam < 1.0
     z = lam * math.exp(a)
     cond2 = cd * z < 1.0
@@ -158,14 +161,14 @@ def q_of_b(C1: float, C2: float, lam: float, b: float, a: float = 2.0) -> float 
     return rep.q
 
 
-def big_b(C1: float, C2: float, c_d: float = C_D) -> float:
+def big_b(C1: float, C2: float) -> float:
     """B = (1 + sqrt(1 + 4 c_d C2 / C1)) / 2; always exceeds one."""
-    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * c_d * C2 / C1))
+    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * C_D * C2 / C1))
 
 
-def lambda0(C1: float, C2: float, a: float = 2.0, c_d: float = C_D) -> float:
+def lambda0(C1: float, C2: float, a: float = 2.0) -> float:
     """Feasibility threshold lambda_0 = (B c_d^2 e^a)^(-1)."""
-    return 1.0 / (big_b(C1, C2, c_d) * c_d**2 * math.exp(a))
+    return 1.0 / (big_b(C1, C2) * C_D**2 * math.exp(a))
 
 
 @dataclass
@@ -184,6 +187,8 @@ def find_b0(C1: float, C2: float, lam: float, a: float = 2.0,
     geometric grid brackets b0.  The thresholds are astronomically large:
     the chain pays c_d^(k0+1) with c_d = 36, so b0 is typically 1e10..1e15.
     """
+    if not all(map(math.isfinite, (C1, C2, lam, a))):
+        raise ValueError(f"C1, C2, lambda and a must be finite, got {(C1, C2, lam, a)}")
     lam0 = lambda0(C1, C2, a)
     if lam >= lam0:
         raise ValueError(f"lambda must be below lambda0 = {lam0:.6g}")
@@ -217,8 +222,7 @@ def find_b0(C1: float, C2: float, lam: float, a: float = 2.0,
     return B0Result(b0=hi, lambda0=lam0, B=B)
 
 
-def cprime_curve(C1: float, C2: float, b_values, a: float = 2.0, c_d: float = C_D,
-                 log: bool = False):
+def cprime_curve(C1: float, C2: float, b_values, a: float = 2.0, log: bool = False):
     """The closing decay curve C'(b) of the polymer bound, on a grid.
 
     Evaluated at lambda = lambda_0 with the continuous choice of k0; the
@@ -228,26 +232,26 @@ def cprime_curve(C1: float, C2: float, b_values, a: float = 2.0, c_d: float = C_
     relative window of ~1e-15; ``log=True`` returns log C'(b) instead, which
     stays representable (infeasible points give +inf either way).
     """
-    lam0 = lambda0(C1, C2, a, c_d)
-    B = big_b(C1, C2, c_d)
-    r = math.log(c_d) / math.log(B * c_d)
-    d0 = C2 * c_d * math.exp(a)
-    X = C1 - C2 * c_d**3 * lam0**2 / (1.0 - c_d * lam0)
+    lam0 = lambda0(C1, C2, a)
+    B = big_b(C1, C2)
+    r = math.log(C_D) / math.log(B * C_D)
+    d0 = C2 * C_D * math.exp(a)
+    X = C1 - C2 * C_D**3 * lam0**2 / (1.0 - C_D * lam0)
     out = []
     for b in b_values:
-        k0bar = 1.0 + math.log(d0 * b) / math.log(B * c_d)
+        k0bar = 1.0 + math.log(d0 * b) / math.log(B * C_D)
         A = (
-            a + math.log(c_d)
-            + k0bar * lam0 * math.exp(a) / (1.0 - c_d * lam0 * math.exp(a)) ** 2
-            + c_d * (a + 0.25) * (k0bar + 1.0) * c_d**k0bar
+            a + math.log(C_D)
+            + k0bar * lam0 * math.exp(a) / (1.0 - C_D * lam0 * math.exp(a)) ** 2
+            + C_D * (a + 0.25) * (k0bar + 1.0) * C_D**k0bar
         )
         qb = b * X - A
         if qb <= 0:
             out.append((b, math.inf))
             continue
         log_pref = (
-            math.log(2.0) + 2.0 * math.log(c_d)
-            + math.log(2.0 + math.log(C1 * b) / math.log(B * c_d))
+            math.log(2.0) + 2.0 * math.log(C_D)
+            + math.log(2.0 + math.log(C1 * b) / math.log(B * C_D))
             + r * math.log(C1 * b)
         )
         log_val = log_pref - qb - 2.0 * math.log1p(-math.exp(-min(qb, 700.0)))
@@ -269,8 +273,7 @@ class DecayAudit:
     trivial: bool
 
 
-def decay_audit(table: CouplingTable, table_2u: CouplingTable | None = None,
-                tiny: float = 1e-13) -> DecayAudit:
+def decay_audit(table: CouplingTable, table_2u: CouplingTable | None = None) -> DecayAudit:
     """Fit |coupling| <= c2t (c1/U)^g to a coupling table and audit it.
 
     The fit is the one of ``quantum.verify_decay``: c1 is its decay base c,
@@ -281,7 +284,7 @@ def decay_audit(table: CouplingTable, table_2u: CouplingTable | None = None,
     couplings must decay with exponent 3, i.e. drop by at least 4x (expected
     8x) when U doubles.
     """
-    fit = verify_decay(table, tiny)
+    fit = verify_decay(table)
     if fit.trivial:
         return DecayAudit(c1=None, c2t=None, violations=[], pair_exponent_ok=None, trivial=True)
     c1, c2t = fit.c, fit.c1
@@ -302,6 +305,6 @@ def decay_audit(table: CouplingTable, table_2u: CouplingTable | None = None,
                     best = max(best, abs(abs(e.value) - 1.0 / (4.0 * t.U)))
             return best
         t1, t2 = pair_tail(table), pair_tail(table_2u)
-        pair_ok = (t2 < tiny) or (t1 / t2 >= 4.0)
+        pair_ok = (t2 < TINY) or (t1 / t2 >= 4.0)
     return DecayAudit(c1=c1, c2t=c2t, violations=violations,
                       pair_exponent_ok=pair_ok, trivial=False)

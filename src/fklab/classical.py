@@ -8,6 +8,7 @@ energy zero by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -31,8 +32,8 @@ class ModelCoefficients:
     U: float
 
     def __post_init__(self):
-        if self.U < 2:
-            raise ValueError("coefficients are only sensible for U >= 2")
+        if not (math.isfinite(self.U) and self.U >= 2):
+            raise ValueError(f"coefficients are only sensible for finite U >= 2, got {self.U}")
 
     @property
     def j(self) -> float:

@@ -35,6 +35,7 @@ from .lattice import (
 
 MAX_ELECTRON_SITES = 14
 MAX_ION_CONFIGS = 1 << 12
+TINY = 1e-13  # couplings at or below this count as zero in decay fits and audits
 
 
 @dataclass(frozen=True)
@@ -308,7 +309,7 @@ class DecayReport:
         return all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def verify_decay(table: CouplingTable, tiny: float = 1e-13) -> DecayReport:
+def verify_decay(table: CouplingTable) -> DecayReport:
     """Per-g maxima of |coupling| and an affine fit of their logarithms.
 
     The fitted pair (c1, c) realizes |coupling| <= c1 (c/U)^g on the table;
@@ -319,7 +320,7 @@ def verify_decay(table: CouplingTable, tiny: float = 1e-13) -> DecayReport:
         if e.size < 2:
             continue
         levels[e.g] = max(levels.get(e.g, 0.0), abs(e.value))
-    live = {g: v for g, v in levels.items() if v > tiny}
+    live = {g: v for g, v in levels.items() if v > TINY}
     if len(live) == 0:
         return DecayReport(levels=levels, trivial=True)
     if len(live) == 1:

@@ -13,9 +13,9 @@ in an R0 collar, through ``RConfiguration.from_assignment``, with no lift to
 
 A Dobrushin removal is a height edit: the exterior of the removed contour keeps
 its heights, each interior moves by S^n (plane step n * (1,1), heights down by
-n) with n its base level minus the exterior's, the gap takes the flat
-staircase at the exterior's level, and ``tiling_from_heights`` assembles the
-result.
+n) with n its base level minus the exterior's, the gap takes the staircase
+moved by S^-L0 (L0 the exterior's level, so the moved staircase sits at that
+level), and ``tiling_from_heights`` assembles the result.
 """
 
 from __future__ import annotations
@@ -427,16 +427,16 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
     by the plane step n * (1,1) and its heights down by n, where n is the
     level of its adjacent base minus the level of the exterior's (the level
     of a base is the middle corner height of its rhombi); every other vertex
-    gets the flat staircase at the exterior's level.  Returns
+    gets the staircase moved by S^-L0, L0 the exterior's level.  Returns
     (new_tiling, report).
 
     Raises DobrushinViolation if two pieces put different heights on one
     vertex or the heights do not make a tiling of the window, which would
     falsify the non-intersection property.
     """
-    assign = _collared_assignment(tiling, _COLLAR)
-    window = Region(frozenset(assign))
-    deco = decompose(RConfiguration.from_assignment(assign))
+    deco = decompose_tiling(tiling)
+    window = Region(frozenset(deco.rconfig.coverage))
+    assign = {t: r for r in deco.rconfig.rhombus_multiplicity for t in r}
     if not deco.contours:
         raise ValueError("configuration has no contours to remove")
     if not (0 <= contour_index < len(deco.contours)):
@@ -508,9 +508,9 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
             dump={"vertices": sorted(clashes)[:8]},
         )
 
-    # the gap: the flat staircase at the exterior's level
+    # the gap: the staircase moved by S^-level0
     def new_height(p: PlaneVertex) -> int:
-        return new_h.get(p, level0 - 1 + (p[0] + p[1] - level0 + 1) % 3)
+        return new_h.get(p, stair_height((p[0] + level0, p[1] + level0)) + level0)
 
     try:
         new_tiling = tiling_from_heights(window, new_height)

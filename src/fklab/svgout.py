@@ -22,11 +22,12 @@ OMEGA_COLOR = "#7818c0"
 GOOD_COLOR = "#9aa5b1"
 
 _SQ3_2 = math.sqrt(3.0) / 2.0
+SCALE = 36.0  # SVG units per lattice step
 
 
-def _xy(p, scale=36.0):
+def _xy(p):
     a, b = p
-    return (scale * (a - 0.5 * b), -scale * (_SQ3_2 * b))
+    return (SCALE * (a - 0.5 * b), -SCALE * (_SQ3_2 * b))
 
 
 def _polygon(points, fill, stroke="#444", width=1.0, opacity=1.0):
@@ -61,18 +62,18 @@ def _bbox(points):
     return (min(xs), min(ys), max(xs), max(ys))
 
 
-def tiling_svg(tiling: Tiling, scale: float = 36.0) -> str:
+def tiling_svg(tiling: Tiling) -> str:
     """Rhombi colored by type; edges between different types (delta edges)
     drawn as heavy strokes."""
-    return rconfig_svg(RConfiguration.from_assignment(tiling.assignment()), scale)
+    return rconfig_svg(RConfiguration.from_assignment(tiling.assignment()))
 
 
-def rconfig_svg(rc: RConfiguration, scale: float = 36.0) -> str:
+def rconfig_svg(rc: RConfiguration) -> str:
     """A rhombus configuration with overlap shading and delta/omega highlights."""
     elements = []
     pts_all = []
     for r, mult in sorted(rc.rhombus_multiplicity.items(), key=lambda kv: sorted(map(sorted, kv[0]))):
-        corners = [_xy(p, scale) for p in rhombus_corners(r)]
+        corners = [_xy(p) for p in rhombus_corners(r)]
         pts_all.extend(corners)
         overlapped = r in rc.overlapping_rhombi
         opacity = 0.45 if overlapped else 1.0
@@ -81,15 +82,15 @@ def rconfig_svg(rc: RConfiguration, scale: float = 36.0) -> str:
         )
     for e in sorted(rc.delta_edges, key=lambda e: sorted(e)):
         p1, p2 = sorted(e)
-        elements.append(_line(_xy(p1, scale), _xy(p2, scale), DELTA_COLOR, 3.0))
+        elements.append(_line(_xy(p1), _xy(p2), DELTA_COLOR, 3.0))
     for e in sorted(rc.omega_edges, key=lambda e: sorted(e)):
         p1, p2 = sorted(e)
-        elements.append(_line(_xy(p1, scale), _xy(p2, scale), OMEGA_COLOR, 3.5))
+        elements.append(_line(_xy(p1), _xy(p2), OMEGA_COLOR, 3.5))
     if not pts_all:
         pts_all = [(0.0, 0.0)]
     return _wrap(elements, _bbox(pts_all))
 
 
-def faces_svg(faces: Iterable, scale: float = 36.0) -> str:
+def faces_svg(faces: Iterable) -> str:
     """Convenience: project a face set and render the configuration."""
-    return rconfig_svg(RConfiguration.from_faces(faces), scale)
+    return rconfig_svg(RConfiguration.from_faces(faces))

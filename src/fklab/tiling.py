@@ -26,11 +26,13 @@ corner diagonal.  The rhombus type is n(f) mod 3.
 Triangle adjacency
 ------------------
 Every triangle is ``tri_up(a, b)`` = {(a,b), (a+1,b), (a+1,b+1)} or
-``tri_dn(a, b)`` = {(a,b), (a,b+1), (a+1,b+1)} of its lowest vertex (a, b), so
-all adjacency is closed form.  An edge p < q flanks up(p) and dn(p - (0,1))
-when q - p = (1,0), up(p - (1,0)) and dn(p) when q - p = (0,1), and up(p) and
-dn(p) when q - p = (1,1).  The star of (a, b) in cyclic order is up(a,b),
-dn(a,b), up(a-1,b), dn(a-1,b-1), up(a-1,b-1), dn(a,b-1).
+``tri_dn(a, b)`` = {(a,b), (a,b+1), (a+1,b+1)} of its lowest vertex (a, b).
+``triangles_across`` lists the triangles across the sides v0v1, v0v2, v1v2 of
+corners v0 < v1 < v2 (``triangle_edges`` order): dn(a,b-1), dn(a,b), dn(a+1,b)
+for up(a, b), and up(a-1,b), up(a,b), up(a,b+1) for dn(a, b).  The partner of
+t in the all-type-tau tiling lies across the side opposite t's class-tau
+corner.  A face's rhombus is the parallelogram of its projected corners lo,
+s1, hi, s2, split along lo-hi as in ``tiling_from_heights``.
 """
 
 from __future__ import annotations
@@ -86,31 +88,6 @@ def tri_up(a: int, b: int) -> Triangle:
 
 def tri_dn(a: int, b: int) -> Triangle:
     return frozenset(((a, b), (a, b + 1), (a + 1, b + 1)))
-
-
-def triangles_at_vertex(p: PlaneVertex) -> list[Triangle]:
-    """The six triangles around ``p`` in cyclic order, each sharing a side
-    with the next."""
-    a, b = p
-    return [
-        tri_up(a, b), tri_dn(a, b), tri_up(a - 1, b),
-        tri_dn(a - 1, b - 1), tri_up(a - 1, b - 1), tri_dn(a, b - 1),
-    ]
-
-
-def triangles_of_edge(e: Iterable[PlaneVertex]) -> list[Triangle]:
-    """The two elementary triangles having segment ``e`` as a side, up first;
-    ``[]`` when ``e`` is not a lattice edge."""
-    p, q = sorted(e)
-    a, b = p
-    d = (q[0] - a, q[1] - b)
-    if d == (1, 0):
-        return [tri_up(a, b), tri_dn(a, b - 1)]
-    if d == (0, 1):
-        return [tri_up(a - 1, b), tri_dn(a, b)]
-    if d == (1, 1):
-        return [tri_up(a, b), tri_dn(a, b)]
-    return []
 
 
 def triangle_edges(t: Triangle) -> list[frozenset]:
@@ -172,19 +149,15 @@ def rhombus_sides(r: Rhombus) -> list[frozenset]:
 def type_partner(t: Triangle, tau: int) -> Triangle:
     """The triangle paired with ``t`` in the unique all-type-``tau`` tiling.
 
-    A type-tau rhombus containing a given triangle is unique: it pairs the
-    triangle across its single edge joining the two vertex classes != tau.
+    A type-tau rhombus has no class-tau corner on its shared side, so it pairs
+    ``t`` with the triangle across the side opposite ``t``'s class-tau corner.
     """
-    u, w = triangles_of_edge(p for p in t if vertex_class(p) != tau)
-    return w if u == t else u
-
-
-def type_rhombus(t: Triangle, tau: int) -> Rhombus:
-    return rhombus_of(t, type_partner(t, tau))
+    k = [vertex_class(p) for p in sorted(t)].index(tau)
+    return triangles_across(t)[2 - k]
 
 
 def r0_rhombus(t: Triangle) -> Rhombus:
-    return type_rhombus(t, 0)
+    return rhombus_of(t, type_partner(t, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +168,15 @@ def r0_rhombus(t: Triangle) -> Rhombus:
 def project_face(face: Face) -> tuple[Rhombus, int]:
     """Project a dual face to its rhombus and integer level n(f).
 
+    The rhombus is the parallelogram of the projected corners lo, s1, hi,
+    s2: the triangles {lo, s1, hi} and {lo, s2, hi} on the low-high diagonal.
     (rhombus, n) determines the face uniquely; ``face_of_rhombus`` inverts.
     """
-    verts = face_vertices(face)
-    sums = [sum(v) for v in verts]
-    n = coordinate_sum(face[0]) + 2
-    lo = verts[sums.index(n - 1)]
-    hi = verts[sums.index(n + 1)]
-    tris = triangles_of_edge((phi(lo), phi(hi)))
-    if len(tris) != 2:
-        raise AssertionError("face diagonal must bound two triangles")
-    return frozenset(tris), n
+    lo, s1, hi, s2 = map(phi, face_vertices(face))
+    # up triangle first (the mu = 1 corner cycle turns the other way), corners
+    # sorted: tri_up/tri_dn's insertion order, which rhombus_corners iterates
+    tris = [frozenset(sorted((lo, s, hi))) for s in ((s2, s1) if face[1] == 1 else (s1, s2))]
+    return frozenset(tris), coordinate_sum(face[0]) + 2
 
 
 def face_of_rhombus(r: Rhombus, n: int) -> Face:
@@ -761,8 +732,9 @@ class RConfiguration:
         is one face, and there are no omega edges and no lambda links (a
         monotone height never alternates along e_mu).  A side between two
         different rhombi is good when they have the same type and delta
-        otherwise, as ``classify_local`` states; a side with a triangle
-        outside the map stays unclassified, as it has no second face.
+        otherwise (their lifted faces meet along adjacent plaquette bonds or
+        lie side by side); a side with a triangle outside the map stays
+        unclassified, as it has no second face.
         """
         rmult = dict.fromkeys(assign.values(), 1)
         types = {r: rhombus_type(r) for r in rmult}
@@ -796,40 +768,6 @@ class RConfiguration:
     def is_tiling(self) -> bool:
         return not self.overlapping_triangles
 
-    def total_overlap(self) -> int:
-        return sum(self.overlapping_triangles.values())
-
-    def extra_faces(self) -> int:
-        """a^ov summed over the configuration: total overlap / 2."""
-        tot = self.total_overlap()
-        assert tot % 2 == 0, "overlap numbers must be even"
-        return tot // 2
-
-
-@dataclass(frozen=True)
-class EdgeClass:
-    kind: str              # "good" | "delta" | "omega" | "none" | "mixed"
-    good: int
-    delta: int
-    omega: int
-
-
-def classify_local(rconfig: RConfiguration, edge: Iterable[PlaneVertex]) -> EdgeClass:
-    """Classification of a plane edge in the projected configuration.
-
-    For minimal interfaces every interior tiling edge is either good (the two
-    incident rhombi have the same type) or delta (different types); around
-    overlapping structures an edge may carry several classifications at
-    different levels, reported as "mixed".
-    """
-    pe = frozenset(tuple(p) for p in edge)
-    g = rconfig.good_edges.get(pe, 0)
-    d = rconfig.delta_edges.get(pe, 0)
-    o = rconfig.omega_edges.get(pe, 0)
-    kinds = [k for k, c in (("good", g), ("delta", d), ("omega", o)) if c]
-    kind = kinds[0] if len(kinds) == 1 else ("none" if not kinds else "mixed")
-    return EdgeClass(kind=kind, good=g, delta=d, omega=o)
-
 
 def good_pair_fraction_of_faces(faces: Iterable[Face]) -> tuple[float, bool]:
     """(good edges / classified interior edges, overlap flag) of a projection.
@@ -839,9 +777,5 @@ def good_pair_fraction_of_faces(faces: Iterable[Face]) -> tuple[float, bool]:
     """
     rc = RConfiguration.from_faces(faces)
     good = sum(rc.good_edges.values())
-    delta = sum(rc.delta_edges.values())
-    omega = sum(rc.omega_edges.values())
-    total = good + delta + omega
-    if total == 0:
-        return 1.0, not rc.is_tiling()
-    return good / total, not rc.is_tiling()
+    total = good + sum(rc.delta_edges.values()) + sum(rc.omega_edges.values())
+    return (good / total if total else 1.0), not rc.is_tiling()

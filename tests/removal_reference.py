@@ -28,7 +28,7 @@ from fklab.tiling import (
     tiling_heights,
     triangle_edges,
     triangles_across,
-    type_rhombus,
+    type_partner,
 )
 
 
@@ -139,7 +139,7 @@ def rhombus_remove(tiling, contour_index=0, *, coeffs):
     for t in window:
         if t in new_assign:
             continue
-        r = type_rhombus(t, level0 % 3)
+        r = frozenset((t, type_partner(t, level0 % 3)))
         for u in r:
             prev = new_assign.get(u)
             if prev is not None and prev != r:

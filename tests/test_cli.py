@@ -270,6 +270,25 @@ def test_bounds_audit_consumes_coupling_files(tmp_path):
     assert doc["pair_exponent_ok"] is True
 
 
+_ENERGY = {"volume": {"dims": [3, 3, 3], "shell": 2, "bc": "bc111"}, "U": 8.0}
+_POLYMER = {"op": "polymer", "C1": 1.0, "C2": 1.0, "lambda": 1e-6, "b": 1e14, "a": 2.0}
+_CJ = {"op": "cj", "t": 1.0, "U": 24.0, "beta": 50.0, "c": 0.5}
+_B0 = {"op": "b0", "C1": 1.0, "C2": 1.0, "lambda": 1e-6, "a": 2.0}
+
+
+@pytest.mark.parametrize("command, base, key", [("energy", _ENERGY, "U")]
+                         + [("bounds", _POLYMER, k) for k in ("C1", "C2", "lambda", "b", "a")]
+                         + [("bounds", _CJ, k) for k in ("t", "U", "beta", "c")]
+                         + [("bounds", _B0, k) for k in ("C1", "C2", "lambda", "a")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameter_exits_2(tmp_path, command, base, key, value):
+    """Python's json reads NaN and Infinity; the models reject them when built."""
+    cfg = _write(tmp_path, "c.json", {**base, key: value})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_energy_subcommand(tmp_path):
     cfg = _write(tmp_path, "e.json", {
         "volume": {"dims": [6, 6, 6], "shell": 2, "bc": "bc111"},
@@ -415,7 +434,8 @@ def test_config_fuzz_exits_with_contract_code(fuzz_bases, data):
     node = doc
     for key in position[:-1]:
         node = node[key]
-    node[position[-1]] = data.draw(st.sampled_from([None, [], {}, "x", True, 1.7]))
+    node[position[-1]] = data.draw(st.sampled_from([None, [], {}, "x", True, 1.7,
+                                                         math.nan, math.inf, -math.inf]))
     out = d / "out"
     shutil.rmtree(out, ignore_errors=True)
     assert main([command, "--config", _write(d, "fuzz.json", doc), "--out", str(out)]) in {0, 2, 3, 4}

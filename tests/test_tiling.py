@@ -19,7 +19,6 @@ from fklab.tiling import (
     RConfiguration,
     Region,
     Tiling,
-    classify_local,
     config_from_heights,
     degeneracy_bounds_check,
     enumerate_tilings,
@@ -44,8 +43,6 @@ from fklab.tiling import (
     tri_up,
     triangle_edges,
     triangles_across,
-    triangles_at_vertex,
-    triangles_of_edge,
     type_partner,
     vertex_class,
 )
@@ -203,38 +200,38 @@ def test_overlap_numbers_even_and_extra_faces():
     (c,) = extract_contours(pyramid)
     rc = RConfiguration.from_faces(c.faces)
     assert all(o % 2 == 0 for o in rc.overlapping_triangles.values())
-    assert rc.extra_faces() == 6
-    assert rc.total_overlap() == 12
+    # the total overlap is twice the number of extra faces, a^ov = 6
+    assert sum(rc.overlapping_triangles.values()) == 12
 
 
-def test_classify_local_cases():
+def test_edge_classification_cases():
     vol = Volume(dims=(8, 8, 8), shell=2)
     stair = config_from_heights(vol)
     # pure staircase: good edges only
+    # (the two rhombi flanking a good edge have the same type: their lifted
+    # faces share a 3D edge through adjacent plaquette bonds)
     (c0,) = extract_contours(stair)
     rc = RConfiguration.from_faces(c0.faces)
-    assert rc.delta_edges == {} and rc.omega_edges == {}
-    some_edge = next(iter(rc.good_edges))
-    assert classify_local(rc, some_edge).kind == "good"
-    # the two rhombi flanking a good edge have the same type
-    # (their lifted faces share a 3D edge through adjacent plaquette bonds)
+    assert rc.good_edges and rc.delta_edges == {} and rc.omega_edges == {}
 
-    # hexagon flip: 6 delta edges between type-0 and type-1 rhombi
+    # hexagon flip: 6 delta edges between type-0 and type-1 rhombi, each
+    # classified once and as nothing else
     flip = stair.with_flip((0, 0, -1))  # coordinate sum -1
     (c1,) = extract_contours(flip)
     rc1 = RConfiguration.from_faces(c1.faces)
-    assert sum(rc1.delta_edges.values()) == 6
-    for e in rc1.delta_edges:
-        assert classify_local(rc1, e).kind == "delta"
+    assert len(rc1.delta_edges) == 6 and set(rc1.delta_edges.values()) == {1}
+    assert not rc1.delta_edges.keys() & (rc1.good_edges.keys() | rc1.omega_edges.keys())
 
-    # pyramid: omega edges appear (diagonal plaquettes)
+    # pyramid: the three edges at its apex carry the diagonal pattern (omega)
+    # and nothing else
     pyr = stair.with_flip((0, 0, 0))
     (c2,) = extract_contours(pyr)
     rc2 = RConfiguration.from_faces(c2.faces)
-    assert sum(rc2.omega_edges.values()) == 3
+    apex = (0, 0)
+    assert rc2.omega_edges == {frozenset((apex, (apex[0] + da, apex[1] + db))): 1
+                               for da, db in ((1, 0), (0, 1), (-1, -1))}
+    assert not rc2.omega_edges.keys() & (rc2.good_edges.keys() | rc2.delta_edges.keys())
     assert sum(rc2.lambda_links.values()) == 6
-    for e in rc2.omega_edges:
-        assert classify_local(rc2, e).kind in ("omega", "mixed")
 
 
 def test_good_edges_join_same_type_rhombi():
@@ -327,24 +324,27 @@ def test_r0_closure_and_random_tiling():
 
 def test_closed_form_adjacency_matches_search_oracle():
     region = r0_closure(hexagon_region(5).triangles)
-    verts = sorted(region.vertices)
-    edges = {e for t in region.triangles for e in triangle_edges(t)}
-    for i, p in enumerate(verts):
-        for q in verts[i + 1:]:
-            expect = ref.search_triangles_of_edge((p, q))
-            assert len(expect) == (2 if frozenset((p, q)) in edges else 0)
-            assert triangles_of_edge((p, q)) == triangles_of_edge((q, p)) == expect
     for t in region.triangles:
         assert triangles_across(t) == ref.search_triangles_across(t)
         for tau in range(3):
             (e,) = [e for e in triangle_edges(t) if all(vertex_class(p) != tau for p in e)]
             (u,) = [u for u in ref.search_triangles_of_edge(e) if u != t]
             assert type_partner(t, tau) == u
-    # boundary vertices included: their stars leave the region
-    assert any(not set(triangles_at_vertex(p)) <= region.triangles for p in verts)
-    for p in verts:
-        star = ref.search_triangles_at_vertex(p)
-        assert triangles_at_vertex(p) == ref.hexagon_order(star)
+    # every face of a 3^3 box, all three orientations: the rhombus is the
+    # pair of triangles on the projected low-high corner diagonal, and it
+    # iterates as that pair built up triangle first (the order SVG output
+    # follows when the two hashes collide)
+    for k in np.ndindex(3, 3, 3):
+        for mu in range(3):
+            verts = face_vertices((k, mu))
+            lo = min(verts, key=sum)
+            hi = max(verts, key=sum)
+            expect = ref.search_triangles_of_edge((phi(lo), phi(hi)))
+            assert len(expect) == 2
+            up_first = frozenset(sorted(expect, key=lambda t: (min(t)[0] + 1, min(t)[1]) not in t))
+            r, _ = project_face((k, mu))
+            assert r == up_first
+            assert [list(t) for t in r] == [list(t) for t in up_first]
 
 
 def test_flip_positions_and_flips_match_search_oracle():
@@ -359,7 +359,7 @@ def test_flip_positions_and_flips_match_search_oracle():
         h = tiling_heights(t)
         steps = {}
         for p in verts:
-            if set(triangles_at_vertex(p)) <= region.triangles:
+            if set(ref.search_triangles_at_vertex(p)) <= region.triangles:
                 d = {h[(p[0] + da, p[1] + db)] - h[p] for da, db in ALL_DIRS}
                 if d in ({1, 2}, {-1, -2}):
                     steps[p] = 3 if d == {1, 2} else -3
