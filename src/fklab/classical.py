@@ -214,9 +214,54 @@ def face_vertices(face: Face) -> tuple[tuple[int, int, int], ...]:
     return tuple(verts)
 
 
-def face_edges(face: Face) -> list[frozenset]:
-    v = face_vertices(face)
-    return [frozenset((v[i], v[(i + 1) % 4])) for i in range(4)]
+#: ``face_vertices`` of the faces ((0, 0, 0), mu), shape (3, 4, 3); side i
+#: of a face joins corners i and i + 1 (mod 4), and a side of the 3D lattice
+#: is its lower corner and its axis.
+_FACE_CORNERS = np.array([face_vertices(((0, 0, 0), mu)) for mu in range(3)])
+_SIDE_LOW = np.minimum(_FACE_CORNERS, np.roll(_FACE_CORNERS, -1, axis=1))
+_SIDE_AXIS = np.abs(np.roll(_FACE_CORNERS, -1, axis=1) - _FACE_CORNERS).argmax(axis=-1)
+
+
+def grid_ids(points: np.ndarray) -> np.ndarray:
+    """Number integer points (coordinates on the last axis) over their own
+    bounding box: equal points get equal ids.  Ids compare only within one
+    call, and no origin is assumed."""
+    if points.size == 0:
+        return np.zeros(points.shape[:-1], dtype=np.int64)
+    flat = points.reshape(-1, points.shape[-1])
+    lo = flat.min(axis=0)
+    ext = flat.max(axis=0) - lo + 1
+    ids = np.zeros(points.shape[:-1], dtype=np.int64)
+    for i in range(points.shape[-1]):
+        ids = ids * ext[i] + (points[..., i] - lo[i])
+    return ids
+
+
+def face_corners(k: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``face_vertices`` of each face (k[i], mu[i]), shape (n, 4, 3)."""
+    return k[:, None, :] + _FACE_CORNERS[mu]
+
+
+def face_sides(k: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower corner (n, 4, 3) and axis (n, 4) of the four sides of each face."""
+    return k[:, None, :] + _SIDE_LOW[mu], _SIDE_AXIS[mu]
+
+
+def face_keys(k: np.ndarray, mu: np.ndarray, corner_connect: bool = False) -> np.ndarray:
+    """Integer ids of the four sides of each face (k[i], mu[i]), in
+    ``face_sides`` order, shape (n, 4); with ``corner_connect`` the ids of its
+    four corners instead.  A side's id encodes its lower corner and its axis;
+    ids compare only within one call (see ``grid_ids``)."""
+    if corner_connect:
+        return grid_ids(face_corners(k, mu))
+    low, axis = face_sides(k, mu)
+    return grid_ids(low) * 3 + axis
+
+
+def face_arrays(faces: Iterable[Face]) -> tuple[np.ndarray, np.ndarray]:
+    """Faces as arrays: lower sites (n, 3) and directions (n,), in iteration order."""
+    rows = np.array([(*k, mu) for k, mu in faces], dtype=np.int64).reshape(-1, 4)
+    return rows[:, :3], rows[:, 3]
 
 
 @dataclass(frozen=True)
@@ -231,30 +276,6 @@ class IsingContour:
         return self.area
 
 
-def broken_faces(config: SpinConfiguration):
-    """Faces dual to anti-aligned bonds.
-
-    Returns (faces, in_volume_flags): bonds lying entirely in the shell are
-    included so that the pinned interface stays connected through the
-    boundary ring, but they are marked as out-of-volume and do not count
-    toward contour areas.
-    """
-    vol = config.volume
-    spins = config.spins
-    volmask = _volume_mask(vol)
-    faces: list[Face] = []
-    involume: list[bool] = []
-    for mu, d in enumerate(UNIT_STEPS):
-        s1, s2 = _shifted_view(spins, d)
-        m1, m2 = _shifted_view(volmask, d)
-        iv = m1 | m2
-        for idx in np.argwhere(s1 != s2):
-            site = vol.site_of_index(idx)
-            faces.append((site, mu))
-            involume.append(bool(iv[tuple(idx)]))
-    return faces, involume
-
-
 def extract_contours(
     config: SpinConfiguration,
     corner_connect: bool = False,
@@ -262,24 +283,43 @@ def extract_contours(
     """Decompose the broken-bond face set into maximal connected components.
 
     Faces are connected when they share an edge (``corner_connect=True`` uses
-    shared corners instead, for sensitivity checks).  Under the mixed boundary
-    conditions exactly one component is flagged as the pinned interface: the
-    one containing faces dual to shell-shell bonds, i.e. the component forced
-    through the boundary by the prescription itself.  The boundary condition
-    is ``config.bc``.
+    shared corners instead, for sensitivity checks).  Faces dual to bonds with
+    both ends in the shell are included, so that the pinned interface stays
+    connected through the boundary ring, but they do not count toward contour
+    areas.  Under the mixed boundary conditions exactly one component is
+    flagged as the pinned interface: the one containing faces dual to
+    shell-shell bonds, i.e. the component forced through the boundary by the
+    prescription itself.  The boundary condition is ``config.bc``.
+
+    The broken bonds are read per axis as whole arrays, each face is keyed by
+    the integer ids of its four edges (or corners) from ``face_keys``, and
+    ``lattice.components`` joins faces sharing an id; face tuples are built
+    only for the returned contours.
     """
-    faces, involume = broken_faces(config)
-    key_of = face_vertices if corner_connect else face_edges
+    vol = config.volume
+    spins = config.spins
+    volmask = _volume_mask(vol)
+    idx, mus, inside = [], [], []
+    for mu, d in enumerate(UNIT_STEPS):
+        s1, s2 = _shifted_view(spins, d)
+        m1, m2 = _shifted_view(volmask, d)
+        broken = s1 != s2
+        idx.append(np.argwhere(broken))
+        mus.append(np.full(len(idx[-1]), mu))
+        inside.append((m1 | m2)[broken])
+    k = np.concatenate(idx) + np.array(vol.padded_lo)
+    mu = np.concatenate(mus)
+    involume = np.concatenate(inside).tolist()
+    sites, dirs = k.tolist(), mu.tolist()
 
     mixed = config.bc in ("bc100", "bc111")
     contours = []
-    for members in components(key_of(f) for f in faces):
-        fs = frozenset(faces[i] for i in members)
-        area = sum(1 for i in members if involume[i])
-        has_shell_only = any(not involume[i] for i in members)
-        pinned = mixed and has_shell_only
+    for members in components(face_keys(k, mu, corner_connect).tolist()):
+        area = sum(involume[i] for i in members)
+        pinned = mixed and area < len(members)
         if area == 0 and not pinned:
             continue  # artifact of the bc living purely in the shell
+        fs = frozenset((tuple(sites[i]), dirs[i]) for i in members)
         contours.append(IsingContour(faces=fs, area=area, pinned=pinned))
     contours.sort(key=lambda c: (-c.pinned, -c.area))
     if mixed:

@@ -33,6 +33,13 @@ for up(a, b), and up(a-1,b), up(a,b), up(a,b+1) for dn(a, b).  The partner of
 t in the all-type-tau tiling lies across the side opposite t's class-tau
 corner.  A face's rhombus is the parallelogram of its projected corners lo,
 s1, hi, s2, split along lo-hi as in ``tiling_from_heights``.
+
+Edge classes
+------------
+``shared_edges`` is the one rule that classifies the 3D edges of a face set,
+by counting faces per integer edge id: two faces of one direction make a
+delta edge, two of different directions a good edge, four an omega edge.
+``RConfiguration.from_faces`` and ``good_pair_fraction_of_faces`` read it.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .classical import Face, face_vertices
+from .classical import Face, face_arrays, face_corners, face_keys, face_sides, face_vertices, grid_ids
 from .lattice import CapExceeded, SpinConfiguration, Volume, boundary_spin, coordinate_sum
 
 PlaneVertex = tuple[int, int]
@@ -668,43 +675,28 @@ class RConfiguration:
 
     @classmethod
     def from_faces(cls, faces: Iterable[Face]) -> "RConfiguration":
+        """The configuration of a 3D face set.  Its good, delta and omega
+        edges are the ``shared_edges`` of the faces, counted per projected
+        plane edge in order of first appearance."""
         faces = frozenset(faces)
         rmult: dict = {}
         coverage: dict = {}
-        proj: dict = {}
         for f in faces:
-            r, n = project_face(f)
-            proj[f] = (r, n)
+            r, _ = project_face(f)
             rmult[r] = rmult.get(r, 0) + 1
             for t in r:
                 coverage[t] = coverage.get(t, 0) + 1
 
-        # classify 3D edges shared by several faces
-        edge_faces: dict = {}
-        for f in faces:
-            verts = face_vertices(f)
-            for i in range(4):
-                e = frozenset((verts[i], verts[(i + 1) % 4]))
-                edge_faces.setdefault(e, []).append(f)
         good: dict = {}
         delta: dict = {}
         omega: dict = {}
-        for e, flist in edge_faces.items():
-            if len(flist) < 2:
-                continue
-            u, w = tuple(e)
-            pe = frozenset((phi(u), phi(w)))
-            if len(flist) == 4:
-                omega[pe] = omega.get(pe, 0) + 1
-            elif len(flist) == 2:
-                f1, f2 = flist
-                if f1[1] == f2[1]:
-                    # parallel coplanar faces: striped pattern, delta edge
-                    delta[pe] = delta.get(pe, 0) + 1
-                else:
-                    good[pe] = good.get(pe, 0) + 1
-            else:
-                raise AssertionError("a 3D edge is shared by 3 faces")
+        kind, low, axis = shared_edges(*face_arrays(faces))
+        for c, v, a in zip(kind.tolist(), low.tolist(), axis.tolist()):
+            p = phi(v)
+            d = UP_DIRS[a]   # phi(e_a)
+            pe = frozenset((p, (p[0] + d[0], p[1] + d[1])))
+            target = (good, delta, omega)[c]
+            target[pe] = target.get(pe, 0) + 1
 
         # lambda links: faces (k, mu) and (k + e_mu, mu)
         lam: dict = {}
@@ -769,13 +761,50 @@ class RConfiguration:
         return not self.overlapping_triangles
 
 
+GOOD, DELTA, OMEGA = 0, 1, 2
+
+
+def shared_edges(k: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify the 3D edges shared by several of the faces (k[i], mu[i]).
+
+    This is the one edge-classification rule.  An edge of two faces is
+    ``DELTA`` when both have the same direction (coplanar, the striped
+    pattern) and ``GOOD`` otherwise (the three-against-one pattern); an edge
+    of four faces is ``OMEGA`` (the diagonal pattern); three faces on one edge
+    is an AssertionError.  Returns the kind, lower corner (m, 3) and axis of
+    each shared edge, in order of first appearance (faces in order, sides in
+    ``face_vertices`` order).  The faces must be distinct.
+    """
+    ids = face_keys(k, mu).ravel()
+    _, first, inverse, count = np.unique(
+        ids, return_index=True, return_inverse=True, return_counts=True)
+    if np.any(count == 3):
+        raise AssertionError("a 3D edge is shared by 3 faces")
+    # two faces on an edge have the same direction when their mu sum is twice the first's
+    mu_of = np.repeat(mu, 4)
+    coplanar = np.bincount(inverse, weights=mu_of, minlength=len(count)) == 2 * mu_of[first]
+    kind = np.where(count == 4, OMEGA, np.where(coplanar, DELTA, GOOD))
+    order = np.sort(first[count > 1])
+    low, axis = face_sides(k, mu)
+    return kind[inverse[order]], low.reshape(-1, 3)[order], axis.ravel()[order]
+
+
 def good_pair_fraction_of_faces(faces: Iterable[Face]) -> tuple[float, bool]:
     """(good edges / classified interior edges, overlap flag) of a projection.
 
-    On a non-minimal interface the fraction is computed on the classified
-    edges only and the flag is set.
+    The counts are those of ``RConfiguration.from_faces`` (both come from
+    ``shared_edges``).  On a non-minimal interface the fraction is computed
+    on the classified edges only and the flag is set: some triangle is
+    covered twice.
     """
-    rc = RConfiguration.from_faces(faces)
-    good = sum(rc.good_edges.values())
-    total = good + sum(rc.delta_edges.values()) + sum(rc.omega_edges.values())
-    return (good / total if total else 1.0), not rc.is_tiling()
+    k, mu = face_arrays(frozenset(faces))
+    kind, _, _ = shared_edges(k, mu)
+    good, delta, omega = np.bincount(kind, minlength=3).tolist()
+    total = good + delta + omega
+    # project_face's triangles {lo, s1, hi} and {lo, s2, hi}, each keyed by
+    # the projection of its corner sum
+    c = face_corners(k, mu)
+    sums = np.stack([c[:, 0] + c[:, 1] + c[:, 2], c[:, 0] + c[:, 3] + c[:, 2]])
+    tri = grid_ids(sums[..., :2] - sums[..., 2:])
+    overlap = len(np.unique(tri)) < tri.size
+    return (good / total if total else 1.0), overlap

@@ -1,0 +1,125 @@
+"""Integer edge ids against the face-set oracle in ``contour_reference``.
+
+``extract_contours`` (both connectivities), ``RConfiguration.from_faces`` and
+``good_pair_fraction_of_faces`` must return exactly what the frozenset-edge
+path returns, in the same order, on random boxes of up to 5^3 sites under
+every kind of boundary condition, at any ``Volume.lo``, and on face sets that
+are not minimal interfaces (omega edges, overlapping triangles).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import contour_reference as ref
+from fklab.classical import extract_contours
+from fklab.lattice import SpinConfiguration, Volume
+from fklab.tiling import RConfiguration, good_pair_fraction_of_faces
+
+FIELDS = ("rhombus_multiplicity", "coverage", "good_edges", "delta_edges", "omega_edges",
+          "lambda_links")
+
+
+def _items(rc):
+    """Every dict of a configuration as an item list: values and insertion order."""
+    return [list(getattr(rc, name).items()) for name in FIELDS]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AssertionError as exc:
+        return ("AssertionError", str(exc))
+
+
+def _config(dims, bc, shell, lo, seed, density):
+    vol = Volume(dims=dims, shell=shell, lo=lo)
+    spins = SpinConfiguration.from_boundary(vol, bc).spins.copy()
+    rng = np.random.default_rng(seed)
+    box = spins[vol.box]
+    box[rng.random(box.shape) < density] *= -1
+    return SpinConfiguration(vol, spins, bc=bc)
+
+
+configs = st.builds(
+    _config,
+    dims=st.tuples(*[st.integers(1, 5)] * 3),
+    bc=st.sampled_from(["hom_plus", "bc100", "bc111"]),
+    shell=st.integers(1, 2),
+    # far from the origin; the second form keeps the 111 plane inside the box
+    lo=st.one_of(st.none(), st.tuples(*[st.integers(-2000, 2000)] * 3),
+                 st.builds(lambda a, b, s: (a, b, s - a - b), st.integers(-2000, 2000),
+                           st.integers(-2000, 2000), st.integers(-8, 2))),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.0, 0.6),
+)
+FAR = _config((5, 5, 5), "hom_plus", 2, (1000, -1000, 7), 3, 0.3)
+FAR_111 = _config((5, 5, 5), "bc111", 2, (1000, -1000, -4), 3, 0.2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=configs)
+@example(config=FAR)
+@example(config=FAR_111)
+def test_extract_contours_matches_face_set_oracle(config):
+    for corner in (False, True):
+        want = _outcome(ref.extract_contours, config, corner)
+        got = _outcome(extract_contours, config, corner)
+        assert got == want
+        if isinstance(want, list):
+            # the same frozensets, built in the same insertion order
+            assert [list(c.faces) for c in got] == [list(c.faces) for c in want]
+
+
+def _face_sets(config, seed):
+    """Every contour, their union and a random half of the broken faces (a
+    mixed box whose shell carries no interface has no contours)."""
+    contours = _outcome(ref.extract_contours, config)
+    if not isinstance(contours, list):
+        contours = []
+    faces, _ = ref.broken_faces(config)
+    rng = np.random.default_rng(seed)
+    half = [f for f in faces if rng.random() < 0.5]
+    return [c.faces for c in contours] + [[f for c in contours for f in c.faces], half, []]
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=configs, seed=st.integers(0, 2**32 - 1))
+@example(config=FAR, seed=1)
+@example(config=FAR_111, seed=1)
+def test_edge_classes_match_face_set_oracle(config, seed):
+    for faces in _face_sets(config, seed):
+        want = _outcome(ref.rconfiguration_from_faces, faces)
+        got = _outcome(RConfiguration.from_faces, faces)
+        assert (_items(got) if isinstance(got, RConfiguration) else got) == \
+            (_items(want) if isinstance(want, RConfiguration) else want)
+        assert _outcome(good_pair_fraction_of_faces, faces) == \
+            _outcome(ref.good_pair_fraction_of_faces, faces)
+
+
+def test_oracle_cases_reach_every_edge_class():
+    """The face sets above include omega edges, overlaps, delta edges and
+    3-face edges, so the comparisons are not vacuous."""
+    seen = {"omega": 0, "delta": 0, "overlap": 0, "three": 0, "empty": 0}
+    for seed in range(12):
+        bc = ("hom_plus", "bc100", "bc111")[seed % 3]
+        config = _config((5, 5, 5), bc, 2, (1000, -1000, -4), seed, 0.05 + 0.04 * seed)
+        for faces in _face_sets(config, seed):
+            rc = _outcome(ref.rconfiguration_from_faces, faces)
+            if not isinstance(rc, RConfiguration):
+                seen["three"] += 1
+                continue
+            seen["omega"] += bool(rc.omega_edges)
+            seen["delta"] += bool(rc.delta_edges)
+            seen["overlap"] += not rc.is_tiling()
+            seen["empty"] += not rc.coverage
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("lo", [None, (1000, -1000, 7)])
+def test_empty_face_set(lo):
+    config = SpinConfiguration.from_boundary(Volume(dims=(3, 3, 3), lo=lo), "hom_plus")
+    assert extract_contours(config) == [] == ref.extract_contours(config)
+    assert good_pair_fraction_of_faces([]) == (1.0, False) == ref.good_pair_fraction_of_faces([])
+    assert _items(RConfiguration.from_faces([])) == [[]] * len(FIELDS)
