@@ -75,6 +75,13 @@ def _real(value, key: str) -> float:
     raise ConfigError(f"{key} must be a number, got {value!r}")
 
 
+def _bool(value, key: str) -> bool:
+    """A boolean config value: JSON true or false, nothing else."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key} must be true or false, got {value!r}")
+
+
 def _site(value, key: str) -> tuple[int, int, int]:
     """An integer triple: a site, or box dimensions."""
     if not isinstance(value, list) or len(value) != 3:
@@ -165,6 +172,7 @@ def cmd_tilings(config_path: str, out: Path, seed) -> int:
     cap = _int(doc.get("max_render", 32), "max_render")
     if cap < 0:
         raise ConfigError(f"max_render must be >= 0, got {cap}")
+    render = _bool(doc.get("render", False), "render")
     tilings = enumerate_tilings(region)
     report = degeneracy_bounds_check(region, tilings)
     prov = _provenance(doc, seed)
@@ -178,7 +186,7 @@ def cmd_tilings(config_path: str, out: Path, seed) -> int:
         "r0_closed": region.r0_closed(),
         "tilings": [t.to_json() for t in tilings],
     })
-    if doc.get("render"):
+    if render:
         for i, t in enumerate(tilings[:cap]):
             (out / f"tiling_{i:04d}.svg").write_text(tiling_svg(t))
     return EXIT_OK
@@ -210,6 +218,7 @@ def cmd_mc(config_path: str, out: Path, seed) -> int:
     replicas = _int(doc.get("replicas", 1), "replicas")
     if replicas < 1:
         raise ConfigError(f"replicas must be >= 1, got {replicas}")
+    snapshot = _bool(doc.get("snapshot", False), "snapshot")
     prov = _provenance(doc, run_seed)
     out.mkdir(parents=True, exist_ok=True)
     summary = {"provenance": prov, "spec": doc, "replicas": []}
@@ -244,7 +253,7 @@ def cmd_mc(config_path: str, out: Path, seed) -> int:
         summary["replicas"].append(entry)
         for sweep, faces in series.snapshots:
             (out / f"snapshot_r{rep}_s{sweep:06d}.svg").write_text(faces_svg(faces))
-        if doc.get("snapshot") and spec.bc == "bc111":
+        if snapshot and spec.bc == "bc111":
             faces = _pinned_faces(series.final_config)
             (out / f"snapshot_r{rep}.svg").write_text(faces_svg(faces))
     _write_json(out / "summary.json", summary)

@@ -193,6 +193,32 @@ def test_mc_snapshot_stride(tmp_path):
         assert len(snaps) == 2  # every 2nd of 4 measurements
 
 
+_BOOLEAN_KEYS = {"render", "snapshot"}
+_BOOLEAN_CASES = [
+    ("tilings", {"side": 1}, "render"),
+    ("mc", {"dims": [3, 3, 3], "bc": "bc111", "hamiltonian": "h2", "U": 4.0, "beta": 100.0,
+            "sweeps": 2, "thermalization": 1, "measure_stride": 1}, "snapshot"),
+]
+
+
+@pytest.mark.parametrize("command, base, key", _BOOLEAN_CASES)
+@pytest.mark.parametrize("value", [None, 0, 1, 1.7, "x", "true", [], {}, math.nan, math.inf])
+def test_boolean_key_rejects_non_boolean(tmp_path, command, base, key, value):
+    cfg = _write(tmp_path, "c.json", {**base, key: value})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_mc_snapshot_flag_writes_final_snapshot(tmp_path):
+    command, base, key = _BOOLEAN_CASES[1]
+    for value in (False, True):
+        out = tmp_path / str(value)
+        cfg = _write(tmp_path, "c.json", {**base, key: value})
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "snapshot_r0.svg").exists() == value
+
+
 @pytest.mark.parametrize("bad", [{"measure_stride": 0}, {"cross_check_stride": 0},
                                  {"snapshot_stride": -1}, {"replicas": 0},
                                  {"bc": "bogus"}])
@@ -434,8 +460,13 @@ def test_config_fuzz_exits_with_contract_code(fuzz_bases, data):
     node = doc
     for key in position[:-1]:
         node = node[key]
-    node[position[-1]] = data.draw(st.sampled_from([None, [], {}, "x", True, 1.7,
-                                                         math.nan, math.inf, -math.inf]))
+    value = data.draw(st.sampled_from([None, [], {}, "x", True, 1.7,
+                                       math.nan, math.inf, -math.inf]))
+    node[position[-1]] = value
     out = d / "out"
     shutil.rmtree(out, ignore_errors=True)
-    assert main([command, "--config", _write(d, "fuzz.json", doc), "--out", str(out)]) in {0, 2, 3, 4}
+    code = main([command, "--config", _write(d, "fuzz.json", doc), "--out", str(out)])
+    if position[-1] in _BOOLEAN_KEYS and not isinstance(value, bool):
+        assert code == 2 and not out.exists()
+    else:
+        assert code in {0, 2, 3, 4}
