@@ -112,7 +112,7 @@ class Volume:
 
     def coords(self) -> np.ndarray:
         """Site of every padded cell, shape ``(3, *padded_dims)``:
-        ``coords()[:, i, j, k] == site_of_index((i, j, k))``."""
+        ``coords()[:, i, j, k] == padded_lo + (i, j, k)``."""
         return np.indices(self.padded_dims) + np.reshape(self.padded_lo, (3, 1, 1, 1))
 
     def sites(self) -> Iterator[Site]:
@@ -122,9 +122,6 @@ class Volume:
     def index(self, site: Site) -> tuple[int, int, int]:
         """Array index of ``site`` in the padded box."""
         return tuple(s - l for s, l in zip(site, self.padded_lo))
-
-    def site_of_index(self, idx: Sequence[int]) -> Site:
-        return tuple(int(i) + l for i, l in zip(idx, self.padded_lo))
 
     def to_json(self, bc: str | None = None) -> dict:
         out = {"dims": list(self.dims), "shell": self.shell, "lo": list(self.lo)}

@@ -50,7 +50,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .classical import Face, face_arrays, face_corners, face_keys, face_sides, face_vertices, grid_ids
+from .classical import (
+    Face, face_arrays, face_corners, face_keys, face_sides, face_vertices, grid_ids,
+)
 from .lattice import CapExceeded, SpinConfiguration, Volume, boundary_spin, coordinate_sum
 
 PlaneVertex = tuple[int, int]

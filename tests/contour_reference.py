@@ -32,7 +32,7 @@ def broken_faces(config):
         m1, m2 = _shifted_view(volmask, d)
         iv = m1 | m2
         for idx in np.argwhere(s1 != s2):
-            faces.append((vol.site_of_index(idx), mu))
+            faces.append((tuple(int(i) + l for i, l in zip(idx, vol.padded_lo)), mu))
             involume.append(bool(iv[tuple(idx)]))
     return faces, involume
 
