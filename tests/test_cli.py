@@ -193,12 +193,12 @@ def test_mc_snapshot_stride(tmp_path):
         assert len(snaps) == 2  # every 2nd of 4 measurements
 
 
-_BOOLEAN_KEYS = {"render", "snapshot"}
 _BOOLEAN_CASES = [
     ("tilings", {"side": 1}, "render"),
     ("mc", {"dims": [3, 3, 3], "bc": "bc111", "hamiltonian": "h2", "U": 4.0, "beta": 100.0,
             "sweeps": 2, "thermalization": 1, "measure_stride": 1}, "snapshot"),
 ]
+_BOOLEAN_KEYS = {key for _, _, key in _BOOLEAN_CASES}
 
 
 @pytest.mark.parametrize("command, base, key", _BOOLEAN_CASES)
