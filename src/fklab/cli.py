@@ -339,6 +339,8 @@ def cmd_energy(config_path: str, out: Path, seed) -> int:
     if vol.shell < 2:
         raise ConfigError("energy evaluation needs shell depth >= 2")
     config = SpinConfiguration.from_boundary(vol, bc)
+    if bc in ("bc100", "bc111") and config.spins.min() == config.spins.max():
+        raise ConfigError(f"the box and shell of this volume do not reach the {bc} interface")
     for site in _sites(doc.get("flips", []), "flips"):
         config = config.with_flip(site)
     co = ModelCoefficients(U=_real(doc["U"], "U"))

@@ -7,15 +7,15 @@ R-contours are the connected components of everything else: delta/omega edges,
 lambda links and rhombi that belong to no good pair.  Connectivity of contour
 material is through shared plane vertices (contours are closed complexes).
 
-A tiling (a minimal interface) is decomposed from its triangle -> rhombus map
-in an R0 collar, through ``RConfiguration.from_assignment``, with no lift to
-3D faces; any other face set goes through ``RConfiguration.from_faces``.
+The grouping runs on the integer ids of a ``TriangleIndex``; bases and
+contours hold frozensets.  A tiling (a minimal interface) enters as its partner
+table in the R0 collar of ``Region.index``, its edges from ``tiling_edges``;
+any other face set goes through ``RConfiguration.from_faces``.
 
 A Dobrushin removal is a height edit: the exterior of the removed contour keeps
 its heights, each interior moves by S^n (plane step n * (1,1), heights down by
 n) with n its base level minus the exterior's, the gap takes the staircase
-moved by S^-L0 (L0 the exterior's level, so the moved staircase sits at that
-level), and ``tiling_from_heights`` assembles the result.
+moved by S^-L0 (L0 the exterior's level), and the triangles are paired again.
 """
 
 from __future__ import annotations
@@ -25,22 +25,17 @@ from dataclasses import dataclass, field
 from .classical import ModelCoefficients
 from .lattice import CapExceeded, components
 from .tiling import (
-    PlaneVertex,
     RConfiguration,
     Region,
-    Rhombus,
     Tiling,
-    r0_rhombus,
-    rhombus_corners,
+    TriangleIndex,
+    heights_by_id,
+    pair_by_heights,
     rhombus_of,
-    rhombus_sides,
-    rhombus_type,
-    stair_height,
-    tiling_from_heights,
-    tiling_heights,
-    triangle_edges,
+    tiling_edges,
     triangles_across,
 )
+
 
 @dataclass(frozen=True)
 class Base:
@@ -86,54 +81,18 @@ class RContour:
 
     @property
     def support_vertices(self) -> frozenset:
-        vs = set()
-        for r in self.rhombi:
-            for t in r:
-                vs |= set(t)
-        for e in self.delta_edges | self.omega_edges:
-            vs |= set(e)
-        return frozenset(vs)
-
-    @property
-    def support_triangles(self) -> frozenset:
-        return frozenset(t for r in self.rhombi for t in r)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.support_vertices)
-
-    @property
-    def is_standard(self) -> bool:
-        return not self.overlapping
-
-    def site_bound(self) -> int:
-        """Right-hand side of the site-count bound for this contour."""
-        s = 0
-        for ov in self.overlapping:
-            s += 3 * ov.a_ov + (ov.delta + 1) + (ov.lam + 1) + (ov.omega + 1)
-        for d in self.standard_delta:
-            s += d + 1
-        return s
+        rhombus_vertices = {p for r in self.rhombi for t in r for p in t}
+        return frozenset(rhombus_vertices.union(*self.delta_edges, *self.omega_edges))
 
 
 @dataclass
 class Decomposition:
     bases: list
     contours: list
-    rconfig: RConfiguration
-
-    def boundary_base(self) -> Base:
-        for b in self.bases:
-            if b.boundary:
-                return b
-        raise ValueError("no boundary base identified")
 
     def to_json(self, coeffs: ModelCoefficients) -> dict:
         return {
-            "bases": [
-                {"type": b.type, "size": len(b.rhombi), "boundary": b.boundary}
-                for b in self.bases
-            ],
+            "bases": [{"type": b.type, "size": len(b.rhombi), "boundary": b.boundary} for b in self.bases],
             "contours": [
                 {
                     "std_delta": list(c.standard_delta),
@@ -165,132 +124,134 @@ def f_energy(contour: RContour, coeffs: ModelCoefficients) -> float:
     return e
 
 
-def _rhombus_vertices(r: Rhombus) -> set:
-    return {p for t in r for p in t}
-
-
-def _rhombus_key(r: Rhombus) -> tuple:
-    return tuple(sorted(tuple(sorted(t)) for t in r))
-
-
 def _link_vertices(pt) -> tuple:
-    """The lattice vertices a lambda link is tied to.
-
-    The link joins the projected centres of two stacked faces, which are
-    interior points of their rhombi; it is tied to the nearest lattice
-    vertices of its doubled-coordinate key, since the structures it joins
-    already share vertices in every configuration arising from an interface.
-    """
+    """The lattice vertices nearest to a lambda link's doubled-coordinate key
+    (the structures the link joins already share them in every interface)."""
     a, b = pt
     return ((a // 2, b // 2), ((a + 1) // 2, (b + 1) // 2))
+
+
+def _group(ix: TriangleIndex, rhombi, objs, pairs, lines, over=frozenset(), cover=None):
+    """The one base and contour grouping, on the ids of ``ix``.
+
+    ``rhombi`` are triangle-id pairs in configuration order, ``objs`` what the
+    boundary fields hold for them, ``pairs`` the good pairs (rhombus indices)
+    and ``lines`` the delta edges, omega edges and lambda links in that order,
+    as (tag, object, count, vertex ids, side id).  ``over`` holds the
+    overlapping rhombi, ``cover`` the coverage of overlapping triangles.
+    Returns the decomposition and each contour's vertex, triangle and side ids.
+    """
+    corners = ix.corners
+    paired: dict = {}   # rhombus -> its good pairs
+    for i, pair in enumerate(pairs):
+        for k in pair:
+            paired.setdefault(k, []).append(i)
+    keys, bases = list(paired), []
+    for members in components(paired.values()):
+        comp = [keys[i] for i in members]
+        types = {ix.rtype(*rhombi[k]) for k in comp}
+        assert len(types) == 1, "a base must have a single type"
+        base = Base(rhombi=frozenset(objs[k] for k in comp), type=types.pop())
+        bases.append((min(min(rhombi[k]) for k in comp), base))
+    bases = [b for _, b in sorted(bases, key=lambda kb: kb[0])]
+    if bases:
+        big = max(range(len(bases)), key=lambda i: len(bases[i].rhombi))
+        bases[big] = Base(rhombi=bases[big].rhombi, type=bases[big].type, boundary=True)
+
+    # contour material: unbased rhombi, then the lines, joined through shared vertices
+    mat = [("r", k, 1, corners[t] + corners[u], None)
+           for k, (t, u) in enumerate(rhombi) if k not in paired] + lines
+    contours, ids = [], []
+    for members in components(m[3] for m in mat):
+        own = [mat[i] for i in members]
+        rks = [m[1] for m in own if m[0] == "r"]
+        contour = RContour(frozenset(objs[k] for k in rks),   # then delta, omega, lambda
+                           *(frozenset(m[1] for m in own if m[0] == tag) for tag in "dol"))
+        claimed = set()
+        if over:   # overlapping subcontours, in the iteration order of contour.rhombi
+            kof = {objs[k]: k for k in rks}
+            ov = [kof[r] for r in contour.rhombi if kof[r] in over]
+            for sub in components(corners[rhombi[k][0]] + corners[rhombi[k][1]] for k in ov):
+                vs = {v for i in sub for t in rhombi[ov[i]] for v in corners[t]}
+                near = [m for m in own if m[0] != "r" and vs.intersection(m[3])]
+                claimed.update(m[1] for m in near if m[0] == "d")
+                rh = frozenset(objs[ov[i]] for i in sub)
+                contour.overlapping.append(OverlappingSubcontour(
+                    rh, {t: cover[ix.tid(t)] - 1 for r in rh for t in r if ix.tid(t) in cover},
+                    *(sum(m[2] for m in near if m[0] == tag) for tag in "dol")))
+        free = [m for m in own if m[0] == "d" and m[1] not in claimed]
+        contour.standard_delta = sorted(
+            (sum(free[i][2] for i in sub) for sub in components(m[3] for m in free)), reverse=True)
+        contours.append(contour)
+        ids.append(({v for m in own if m[0] != "l" for v in m[3]},
+                    {t for k in rks for t in rhombi[k]}, {m[4] for m in own if m[0] in "do"}))
+    # contours sort by their support vertices, each with its two coordinates
+    # sorted, so (1, 2) and (2, 1) tie; ties keep material order
+    keys = [sorted(tuple(sorted(ix.xy[v])) for v in supp) for supp, _, _ in ids]
+    order = sorted(range(len(contours)), key=keys.__getitem__)
+    return Decomposition(bases=bases, contours=[contours[i] for i in order]), [ids[i] for i in order]
 
 
 def decompose(faces_or_rc) -> Decomposition:
     """Split a rhombus configuration into bases and R-contours.
 
     Accepts a face set (projected via RConfiguration.from_faces) or a
-    prebuilt RConfiguration.  Good pairs require both rhombi simple and
-    non-overlapping.  Bases are listed in order of their least rhombus
-    (sorted vertex lists), so the order does not depend on how the
-    configuration was built.  The first base of largest extent is flagged as
+    prebuilt RConfiguration, converted to ids at entry.  Good pairs require
+    both rhombi simple and non-overlapping.  Bases are listed by their least
+    rhombus (sorted vertex lists); the first of largest extent is flagged as
     the boundary-connected one (type 0 under standard boundary conditions).
+
+    Contours are listed by the key ``sorted(map(sorted, support_vertices))``,
+    which sorts the two coordinates inside each vertex, so (1, 2) and (2, 1)
+    tie; tied contours keep their material order (unbased rhombi by first
+    appearance, then delta edges by first encounter).
     """
-    if isinstance(faces_or_rc, RConfiguration):
-        rc = faces_or_rc
-    else:
-        rc = RConfiguration.from_faces(faces_or_rc)
-
-    overlapping_rhombi = rc.overlapping_rhombi
-    simple = {r for r, m in rc.rhombus_multiplicity.items() if m == 1 and r not in overlapping_rhombi}
-
-    # good pairs: good-classified plane edges whose two flanking simple rhombi exist
-    side_index: dict = {}
-    for r in simple:
-        for e in rhombus_sides(r):
-            side_index.setdefault(e, []).append(r)
-    paired: dict = {}  # rhombus -> its good-pair sides, in order of first appearance
-    for e, count in rc.good_edges.items():
-        rs = side_index.get(e, [])
-        if len(rs) == 2:
-            for r in rs:
-                paired.setdefault(r, []).append(e)
-    paired_rhombi = list(paired)
-    bases = []
-    for members in components(paired.values()):
-        rhombi = frozenset(paired_rhombi[i] for i in members)
-        types = {rhombus_type(r) for r in rhombi}
-        assert len(types) == 1, "a base must have a single type"
-        bases.append(Base(rhombi=rhombi, type=types.pop()))
-    bases.sort(key=lambda b: min(_rhombus_key(r) for r in b.rhombi))
-    if bases:
-        big = max(range(len(bases)), key=lambda i: len(bases[i].rhombi))
-        bases[big] = Base(rhombi=bases[big].rhombi, type=bases[big].type, boundary=True)
-
-    # contour material: unbased rhombi, delta/omega edges, lambda links, each
-    # tagged and keyed by the plane vertices it touches
-    material = (
-        [("r", r, _rhombus_vertices(r)) for r in rc.rhombus_multiplicity if r not in paired]
-        + [("d", e, e) for e in rc.delta_edges]
-        + [("o", e, e) for e in rc.omega_edges]
-        + [("l", link, _link_vertices(link[0])) for link in rc.lambda_links]
-    )
-    contours = []
-    for members in components(m[2] for m in material):
-        parts = {tag: [] for tag in "rdol"}
-        for i in members:
-            parts[material[i][0]].append(material[i][1])
-        contour = RContour(
-            rhombi=frozenset(parts["r"]),
-            delta_edges=frozenset(parts["d"]),
-            omega_edges=frozenset(parts["o"]),
-            lambda_links=frozenset(parts["l"]),
-        )
-        _split_subcontours(contour, rc)
-        contours.append(contour)
-    contours.sort(key=lambda c: sorted(map(sorted, c.support_vertices)) if c.support_vertices else [])
-    return Decomposition(bases=bases, contours=contours, rconfig=rc)
+    rc = faces_or_rc
+    if not isinstance(rc, RConfiguration):
+        rc = RConfiguration.from_faces(rc)
+    objs = list(rc.rhombus_multiplicity)
+    tied = {link: _link_vertices(link[0]) for link in rc.lambda_links}
+    ix = TriangleIndex({p for r in objs for t in r for p in t} | {p for vs in tied.values() for p in vs})
+    rhombi = [tuple(map(ix.tid, r)) for r in objs]
+    ov_rhombi = rc.overlapping_rhombi
+    over = {k for k, r in enumerate(objs) if r in ov_rhombi}
+    simple = {t: k for k, pair in enumerate(rhombi) if k not in over for t in pair}
+    flanks = [tuple(simple.get(t) for t in ix.flank(ix.eid(e))) for e in rc.good_edges]
+    pairs = [(a, b) for a, b in flanks if a is not None and b is not None and a != b]
+    lines = [(tag, e, n, tuple(map(ix.vid, e)), ix.eid(e))
+             for tag, edges in (("d", rc.delta_edges), ("o", rc.omega_edges)) for e, n in edges.items()]
+    lines += [("l", link, n, tuple(map(ix.vid, tied[link])), None) for link, n in rc.lambda_links.items()]
+    cover = {ix.tid(t): c for t, c in rc.coverage.items() if c > 1}
+    return _group(ix, rhombi, objs, pairs, lines, over, cover)[0]
 
 
-def _split_subcontours(contour: RContour, rc: RConfiguration) -> None:
-    """Group a contour's material into overlapping and standard subcontours."""
-    ov_rhombi = [r for r in contour.rhombi if r in rc.overlapping_rhombi]
-    comps = [
-        frozenset(ov_rhombi[i] for i in members)
-        for members in components(_rhombus_vertices(r) for r in ov_rhombi)
-    ]
-    subcontours = []
-    claimed_delta = set()
-    for rhombi in comps:
-        verts = {p for r in rhombi for t in r for p in t}
-        overlap = {}
-        for r in rhombi:
-            for t in r:
-                o = rc.overlap_number(t)
-                if o:
-                    overlap[t] = o
-        delta = sum(
-            rc.delta_edges[e] for e in contour.delta_edges if set(e) & verts
-        )
-        for e in contour.delta_edges:
-            if set(e) & verts:
-                claimed_delta.add(e)
-        omega = sum(rc.omega_edges[e] for e in contour.omega_edges if set(e) & verts)
-        lam = sum(
-            rc.lambda_links[link] for link in contour.lambda_links
-            if verts.intersection(_link_vertices(link[0]))
-        )
-        subcontours.append(
-            OverlappingSubcontour(rhombi=rhombi, overlap=overlap, delta=delta, omega=omega, lam=lam)
-        )
-    contour.overlapping = subcontours
+def _tiling_group(ix: TriangleIndex, rhombi, objs):
+    """``_group`` of a tiling given as its rhombi (id pairs, in assignment
+    order): its good pairs and delta edges come from ``tiling_edges``."""
+    partner = [-1] * len(ix.across)
+    for t, u in rhombi:
+        partner[t], partner[u] = u, t
+    good, delta = tiling_edges(ix, partner, [t for pair in rhombi for t in pair])
+    rk = {t: k for k, pair in enumerate(rhombi) for t in pair}
+    lines = [("d", frozenset(ix.xy[v] for v in ends), 1, ends, e) for e in delta for ends in [ix.ends(e)]]
+    return _group(ix, rhombi, objs, [(rk[t], rk[u]) for t, u in good], lines)
 
-    # standard subcontours: connected components of the unclaimed delta edges
-    unclaimed = [e for e in contour.delta_edges if e not in claimed_delta]
-    standard = [
-        sum(rc.delta_edges[unclaimed[i]] for i in members)
-        for members in components(unclaimed)
-    ]
-    contour.standard_delta = sorted(standard, reverse=True)
+
+def _collared(tiling: Tiling):
+    """``_group`` of a tiling in the R0 collar of its region's index, and the
+    collared rhombi as id pairs and as objects, in assignment order."""
+    ix = tiling.region.index
+    if ix.collar is None:
+        raise ValueError("decomposing a tiling needs an R0-closed region")
+    rhombi = tiling.pairs + [pair for pair, _ in ix.collar]
+    objs = [*tiling.rhombi, *(r for _, r in ix.collar)]
+    return (*_tiling_group(ix, rhombi, objs), rhombi, objs)
+
+
+def decompose_tiling(tiling: Tiling) -> Decomposition:
+    """Decompose a minimal configuration, embedded in the R0 collar of
+    ``region.index`` so that boundary edges classify correctly."""
+    return _collared(tiling)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +323,8 @@ def geometric_class(contour: RContour) -> GeometricContour:
 class DobrushinViolation(RuntimeError):
     """Raised when a removal does not give a tiling: translated pieces put
     different heights on one vertex, or the edited heights are not a tiling.
-
     This would falsify the non-intersection property of translated interiors;
-    it is surfaced loudly and treated as a test failure, never as a
-    recoverable state.
+    it is a test failure, never a recoverable state.
     """
 
     def __init__(self, message, dump=None):
@@ -378,10 +337,9 @@ class RemovalReport:
     """What one Dobrushin removal did.
 
     ``shifts`` maps each interior (keyed by its least triangle) to its shift
-    n: the level of its adjacent base minus the level of the exterior's base.
-    A shift is a level difference, so it can be any integer (a pocket two
-    levels below the exterior moves by S^-2); ``interiors`` lists the same
-    shifts with each interior's size and the number of contours inside it.
+    n, the level of its adjacent base minus the exterior's: any integer (a
+    pocket two levels below the exterior moves by S^-2).  ``interiors`` lists
+    the shifts with each interior's size and the contours inside it.
     """
 
     removed_f: float
@@ -395,29 +353,6 @@ class RemovalReport:
         return any(info["contours_inside"] > 0 for info in self.interiors)
 
 
-#: Width of the R0 collar a tiling is embedded in before it is decomposed.
-_COLLAR = 2
-
-
-def _collared_assignment(tiling: Tiling, collar: int) -> dict:
-    """triangle -> rhombus map of the tiling extended by an R0 collar."""
-    assign = tiling.assignment()
-    frontier = set(tiling.region.triangles)
-    for _ in range(2 * collar + 2):
-        frontier = {u for t in frontier for u in triangles_across(t) if u not in assign}
-        for t in frontier:
-            r = r0_rhombus(t)
-            for u in r:
-                assign.setdefault(u, r)
-    return assign
-
-
-def decompose_tiling(tiling: Tiling) -> Decomposition:
-    """Decompose a minimal configuration, embedded in an R0 collar of width
-    ``_COLLAR`` so that boundary edges classify correctly."""
-    return decompose(RConfiguration.from_assignment(_collared_assignment(tiling, _COLLAR)))
-
-
 def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoefficients):
     """Remove one R-contour from a minimal configuration by editing its heights.
 
@@ -428,80 +363,72 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
     level of its adjacent base minus the level of the exterior's (the level
     of a base is the middle corner height of its rhombi); every other vertex
     gets the staircase moved by S^-L0, L0 the exterior's level.  Returns
-    (new_tiling, report).
+    (new_tiling, report); the work runs on the ids of ``region.index``.
 
     Raises DobrushinViolation if two pieces put different heights on one
-    vertex or the heights do not make a tiling of the window, which would
-    falsify the non-intersection property.
+    vertex or the heights do not make a tiling of the window.
     """
-    deco = decompose_tiling(tiling)
-    window = Region(frozenset(deco.rconfig.coverage))
-    assign = {t: r for r in deco.rconfig.rhombus_multiplicity for t in r}
+    ix = tiling.region.index
+    deco, ids, pairs, rhombi = _collared(tiling)
+    # the window is a frozenset of the collared triangles built from a dict in
+    # assignment order (which presizes it); its iteration order orders the interiors
+    tri_of = dict(zip((t for pair in pairs for t in pair), (t for r in rhombi for t in r)))
+    window = frozenset(dict.fromkeys(tri_of.values()))
+    win = list(map({t: i for i, t in tri_of.items()}.__getitem__, window))
     if not deco.contours:
         raise ValueError("configuration has no contours to remove")
     if not (0 <= contour_index < len(deco.contours)):
         raise ValueError("contour index out of range")
     target = deco.contours[contour_index]
     f_before = sorted(f_energy(c, coeffs) for c in deco.contours)
+    supp_verts, supp_tris, blocked = ids[contour_index]
 
-    supp_tris = set(target.support_triangles)
-    supp_verts = set(target.support_vertices)
-
-    # complement components: triangles joined across edges that are not the
+    # complement components: triangles joined across sides that are not the
     # target's delta/omega lines and through vertices outside its support
-    # (edge keys are frozensets, vertex keys tuples: they never collide);
-    # each is keyed by its least triangle
-    blocked = target.delta_edges | target.omega_edges
-    outside = [t for t in window.triangles if t not in supp_tris]
+    # (side ids are >= 0, vertex keys < 0); each is keyed by its least triangle
+    corners, sides = ix.corners, ix.sides
+    outside = [t for t in win if t not in supp_tris]
     groups = {}
     for members in components(
-        [e for e in triangle_edges(t) if e not in blocked] + [p for p in t if p not in supp_verts]
+        [e for e in sides[t] if e not in blocked] + [-1 - v for v in corners[t] if v not in supp_verts]
         for t in outside
     ):
         tris = [outside[i] for i in members]
-        groups[min(tris, key=lambda x: sorted(x))] = tris
-
+        groups[min(tris)] = tris
     # the exterior holds the window's least triangle, which has a side on the
     # window boundary
-    exterior_key = min(window.triangles, key=lambda x: sorted(x))
-    if exterior_key not in groups:
+    exterior = min(win)
+    if exterior not in groups:
         raise ValueError("could not identify the exterior component")
 
     # heights of the window: the tiling's, and the staircase in the collar
-    heights = tiling_heights(tiling)
-
-    def height(p: PlaneVertex) -> int:
-        return heights.get(p, stair_height(p))
+    h = heights_by_id(ix, tiling.partner)
 
     def adjacent_base_level(tris) -> int:
-        """The level (middle corner height) of the rhombi next to the contour."""
-        levels = {sorted(map(height, rhombus_corners(assign[t])))[1]
-                  for t in tris if not supp_verts.isdisjoint(t)}
+        """The level of the rhombi next to the contour: their triangles' middle height."""
+        levels = {sorted(h[v] for v in corners[t])[1]
+                  for t in tris if not supp_verts.isdisjoint(corners[t])}
         if len(levels) != 1:
-            raise DobrushinViolation(
-                "component has an ambiguous adjacent base level", dump={"levels": levels}
-            )
+            raise DobrushinViolation("component has an ambiguous adjacent base level",
+                                     dump={"levels": levels})
         return levels.pop()
 
-    level0 = adjacent_base_level(groups[exterior_key])
-    new_h = {p: height(p) for t in groups[exterior_key] for p in t}
-    other_supports = [set(c.support_vertices) for j, c in enumerate(deco.contours)
-                      if j != contour_index]
-    shifts = {}
-    interiors = []
-    clashes = []
+    level0 = adjacent_base_level(groups[exterior])
+    new_h = {ix.xy[v]: h[v] for t in groups[exterior] for v in corners[t]}
+    other_supports = [supp for j, (supp, _, _) in enumerate(ids) if j != contour_index]
+    shifts, interiors, clashes = {}, [], []
     for key, tris in groups.items():
-        if key == exterior_key:
+        if key == exterior:
             continue
         n = adjacent_base_level(tris) - level0
-        shifts[key] = n
-        tri_verts = {p for t in tris for p in t}
+        shifts[tri_of[key]] = n
+        tri_verts = {v for t in tris for v in corners[t]}
         inside = sum(1 for supp in other_supports if supp and supp <= tri_verts)
         interiors.append({"size": len(tris), "shift": n, "contours_inside": inside})
-        for p in tri_verts:
-            q, hq = (p[0] + n, p[1] + n), height(p) - n
-            if new_h.setdefault(q, hq) != hq:
-                clashes.append(q)
+        for v in tri_verts:
+            (a, b), hq = ix.xy[v], h[v] - n
+            if new_h.setdefault((a + n, b + n), hq) != hq:
+                clashes.append((a + n, b + n))
     if clashes:
         raise DobrushinViolation(
             f"{len(clashes)} vertices get two heights from translated pieces",
@@ -509,15 +436,15 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
         )
 
     # the gap: the staircase moved by S^-level0
-    def new_height(p: PlaneVertex) -> int:
-        return new_h.get(p, stair_height((p[0] + level0, p[1] + level0)) + level0)
-
+    hn = [new_h.get(p, (0, 1, -1)[(c + 2 * level0) % 3] + level0) for p, c in zip(ix.xy, ix.vclass)]
     try:
-        new_tiling = tiling_from_heights(window, new_height)
+        new_rhombi, partner = pair_by_heights(ix, window, win, set(win), hn)
+        new_tiling = Tiling(Region(window), tuple(new_rhombi))
     except ValueError as exc:  # HeightError, or rhombi that do not cover the window
         raise DobrushinViolation(f"removal does not give a tiling: {exc}") from exc
 
-    new_deco = decompose(RConfiguration.from_assignment(new_tiling.assignment()))
+    new_pairs = [(t, partner[t]) for t in win if t < partner[t]]
+    new_deco, _ = _tiling_group(ix, new_pairs, new_pairs)
     f_after = sorted(f_energy(c, coeffs) for c in new_deco.contours)
     report = RemovalReport(
         removed_f=f_energy(target, coeffs),

@@ -14,6 +14,7 @@ from .tiling import (
     Tiling,
     rhombus_corners,
     rhombus_type,
+    tiling_edges,
 )
 
 TYPE_COLORS = ("#c8d9f0", "#f0d3c8", "#d2ecc9")
@@ -63,9 +64,12 @@ def _bbox(points):
 
 
 def tiling_svg(tiling: Tiling) -> str:
-    """Rhombi colored by type; edges between different types (delta edges)
-    drawn as heavy strokes."""
-    return rconfig_svg(RConfiguration.from_assignment(tiling.assignment()))
+    """Rhombi colored by type; the delta edges of ``tiling_edges`` (edges
+    between rhombi of different types) drawn as heavy strokes."""
+    ix = tiling.region.index
+    _, delta = tiling_edges(ix, tiling.partner, [t for pair in tiling.pairs for t in pair])
+    edges = {frozenset(ix.xy[v] for v in ix.ends(e)): 1 for e in delta}
+    return rconfig_svg(RConfiguration(dict.fromkeys(tiling.rhombi, 1), delta_edges=edges))
 
 
 def rconfig_svg(rc: RConfiguration) -> str:

@@ -1,38 +1,29 @@
 """111-interface geometry: projection onto the triangular lattice, rhombus
-typing, the tiling <-> interface bijection through height functions, exhaustive
-tiling enumeration, random tilings, and rhombus-configuration bookkeeping for
-interfaces that are not minimal (overlap numbers, delta/omega edges, lambda
-links).
-
-Tilings change only through their height function: ``tiling_heights`` reads
-it off a tiling and ``tiling_from_heights`` assembles the tiling of a field.
-An elementary flip is the terrace move h(p) +- 3 at a strict local extremum
-(it rotates the three rhombi around p); ``random_tiling`` walks by such moves.
+typing, the tiling <-> interface bijection through height functions, tiling
+enumeration, random tilings, and the rhombus configurations of interfaces that
+are not minimal (overlap numbers, delta/omega edges, lambda links).
 
 Plane conventions
 -----------------
-Integer points of the 3D lattice (the corners of dual faces) are mapped to the
-plane by the exact integer-linear projection ``phi(v) = (v1 - v3, v2 - v3)``,
-which identifies points differing by (1,1,1).  Under phi the projected lattice
-is the triangular lattice in axial coordinates; the six unit directions are
-(1,0), (0,1), (-1,-1) and their negatives.  The class of a plane vertex is
-``(a + b) mod 3`` and equals the coordinate sum mod 3 of any preimage.
+``phi(v) = (v1 - v3, v2 - v3)`` projects integer 3D points along (1,1,1) onto
+the triangular lattice in axial coordinates; its unit directions are (1,0),
+(0,1), (-1,-1) (height +1) and their negatives.  The class of a plane vertex
+is ``(a + b) mod 3``, the coordinate sum mod 3 of any preimage.  A face dual
+to the bond (k, k + e_mu) has level n(f) = k1 + k2 + k3 + 2, its rhombus is
+the parallelogram of its projected corners lo, s1, hi, s2 split along lo-hi,
+and its type is n(f) mod 3.  A triangle is ``tri_up(a, b)`` or ``tri_dn(a,
+b)`` of its lowest vertex (a, b); ``triangles_across`` lists the triangles
+across its sides v0v1, v0v2, v1v2 (corners v0 < v1 < v2).  The partner of t
+in the all-type-tau tiling lies across the side opposite t's class-tau corner.
 
-A face dual to the bond (k, k + e_mu) has corners with coordinate sums
-K+1, K+2, K+2, K+3 (K = k1+k2+k3); its level is n(f) = K + 2 and its projected
-rhombus consists of the two triangles flanking the projection of the low-high
-corner diagonal.  The rhombus type is n(f) mod 3.
-
-Triangle adjacency
-------------------
-Every triangle is ``tri_up(a, b)`` = {(a,b), (a+1,b), (a+1,b+1)} or
-``tri_dn(a, b)`` = {(a,b), (a,b+1), (a+1,b+1)} of its lowest vertex (a, b).
-``triangles_across`` lists the triangles across the sides v0v1, v0v2, v1v2 of
-corners v0 < v1 < v2 (``triangle_edges`` order): dn(a,b-1), dn(a,b), dn(a+1,b)
-for up(a, b), and up(a-1,b), up(a,b), up(a,b+1) for dn(a, b).  The partner of
-t in the all-type-tau tiling lies across the side opposite t's class-tau
-corner.  A face's rhombus is the parallelogram of its projected corners lo,
-s1, hi, s2, split along lo-hi as in ``tiling_from_heights``.
+Integer index
+-------------
+Triangles and rhombi are frozensets only at the boundary (``Region.triangles``,
+``Tiling.rhombi``, JSON, SVG).  The tiling layer runs on the integer ids of
+``Region.index``, built once per region with its R0 collar: a tiling is its
+``partner`` table, ``random_tiling`` walks heights by vertex id, and
+``tiling_edges`` is the one edge rule of a tiling.  Tilings change only through
+their height function (``tiling_heights``, ``tiling_from_heights``).
 
 Edge classes
 ------------
@@ -46,6 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -63,6 +55,7 @@ Rhombus = frozenset   # of 2 Triangle
 UP_DIRS = ((1, 0), (0, 1), (-1, -1))
 DOWN_DIRS = ((-1, 0), (0, -1), (1, 1))
 ALL_DIRS = UP_DIRS + DOWN_DIRS
+MAX_BOX_VERTICES = 1 << 18
 
 
 def phi(v: Sequence[int]) -> PlaneVertex:
@@ -75,15 +68,9 @@ def vertex_class(p: PlaneVertex) -> int:
 
 
 def lift_vertex(p: PlaneVertex, level: int) -> tuple[int, int, int]:
-    """The unique preimage of ``p`` with coordinate sum ``level``.
-
-    Requires level % 3 == vertex_class(p).
-    """
-    a, b = p
-    if (level - a - b) % 3:
-        raise ValueError("level incompatible with vertex class")
-    v3 = (level - a - b) // 3
-    return (a + v3, b + v3, v3)
+    """The preimage of ``p`` with coordinate sum ``level`` (of its class mod 3)."""
+    v3 = (level - p[0] - p[1]) // 3
+    return (p[0] + v3, p[1] + v3, v3)
 
 
 def stair_height(p: PlaneVertex) -> int:
@@ -99,13 +86,8 @@ def tri_dn(a: int, b: int) -> Triangle:
     return frozenset(((a, b), (a, b + 1), (a + 1, b + 1)))
 
 
-def triangle_edges(t: Triangle) -> list[frozenset]:
-    vs = sorted(t)
-    return [frozenset((vs[0], vs[1])), frozenset((vs[0], vs[2])), frozenset((vs[1], vs[2]))]
-
-
 def triangles_across(t: Triangle) -> list[Triangle]:
-    """The three triangles sharing a side with ``t``, in ``triangle_edges`` order."""
+    """The three triangles across the sides v0v1, v0v2, v1v2 of ``t`` (corners v0 < v1 < v2)."""
     a, b = min(t)
     if (a + 1, b) in t:
         return [tri_dn(a, b - 1), tri_dn(a, b), tri_dn(a + 1, b)]
@@ -119,26 +101,11 @@ def rhombus_of(t1: Triangle, t2: Triangle) -> Rhombus:
     return frozenset((t1, t2))
 
 
-def rhombus_shared_edge(r: Rhombus) -> frozenset:
-    t1, t2 = tuple(r)
-    return t1 & t2
-
-
 def rhombus_type(r: Rhombus) -> int:
     """Type tau in {0,1,2}: the vertex class absent from the shared edge."""
-    p, q = tuple(rhombus_shared_edge(r))
+    t1, t2 = r
+    p, q = t1 & t2
     return (3 - vertex_class(p) - vertex_class(q)) % 3
-
-
-def rhombus_orientation(r: Rhombus) -> int:
-    """Orientation index in {0,1,2}: the axis family of the shared edge."""
-    p, q = tuple(rhombus_shared_edge(r))
-    d = (q[0] - p[0], q[1] - p[1])
-    if d[0] and not d[1]:
-        return 0
-    if d[1] and not d[0]:
-        return 1
-    return 2
 
 
 def rhombus_corners(r: Rhombus) -> tuple[PlaneVertex, ...]:
@@ -148,11 +115,6 @@ def rhombus_corners(r: Rhombus) -> tuple[PlaneVertex, ...]:
     (w1,) = tuple(t1 - {p, q})
     (w2,) = tuple(t2 - {p, q})
     return (p, w1, q, w2)
-
-
-def rhombus_sides(r: Rhombus) -> list[frozenset]:
-    p, w1, q, w2 = rhombus_corners(r)
-    return [frozenset((p, w1)), frozenset((w1, q)), frozenset((q, w2)), frozenset((w2, p))]
 
 
 def type_partner(t: Triangle, tau: int) -> Triangle:
@@ -167,6 +129,65 @@ def type_partner(t: Triangle, tau: int) -> Triangle:
 
 def r0_rhombus(t: Triangle) -> Rhombus:
     return rhombus_of(t, type_partner(t, 0))
+
+
+class TriangleIndex:
+    """Integer ids for the vertices, sides and triangles of a box of the plane.
+
+    The box holds ``points`` with a margin of one; boxes of more than
+    ``MAX_BOX_VERTICES`` vertices raise CapExceeded.  Vertex (a, b) has id
+    v = (a - a0) * H + (b - b0), so sorted vertex ids are sorted vertices.  The
+    triangles with lowest vertex v are 2v (``tri_dn``) and 2v + 1 (``tri_up``):
+    down sorts before up, so sorted triangle ids are sorted vertex lists.  The
+    side from v along (1,0), (0,1), (1,1) has id 3v, 3v + 1, 3v + 2.  Per
+    triangle, ``corners`` holds the sorted corners v0 < v1 < v2, and ``sides``
+    and ``across`` (-1 off the box) the sides v0v1, v0v2, v1v2 and the
+    triangles across them.
+    """
+
+    def __init__(self, points):
+        points = points or {(0, 0)}   # an empty region gets a box of its own
+        a0 = min(p[0] for p in points) - 1
+        b0 = min(p[1] for p in points) - 1
+        H = max(p[1] for p in points) - b0 + 2
+        W = max(p[0] for p in points) - a0 + 2
+        if W * H > MAX_BOX_VERTICES:
+            raise CapExceeded(f"triangle index capped at {MAX_BOX_VERTICES} box vertices, got {W * H}")
+        self.a0, self.b0, self.H = a0, b0, H
+        self.xy = [(a0 + v // H, b0 + v % H) for v in range(W * H)]
+        self.vclass = [(a + b) % 3 for a, b in self.xy]
+        self.stair = [(0, 1, -1)[c] for c in self.vclass]
+        self.corners, self.sides, self.across = [], [], []
+        for v in range(W * H):
+            i, j = divmod(v, H)
+            self.corners += [(v, v + 1, v + H + 1), (v, v + H, v + H + 1)]
+            self.sides += [(3 * v + 1, 3 * v + 2, 3 * v + 3), (3 * v, 3 * v + 2, 3 * (v + H) + 1)]
+            self.across += [(2 * (v - H) + 1 if i else -1, 2 * v + 1, 2 * v + 3 if j + 1 < H else -1),
+                            (2 * v - 2 if j else -1, 2 * v, 2 * (v + H) if i + 1 < W else -1)]
+
+    def vid(self, p: PlaneVertex) -> int:
+        return (p[0] - self.a0) * self.H + p[1] - self.b0
+
+    def tid(self, t: Triangle) -> int:
+        a, b = min(t)
+        return 2 * self.vid((a, b)) + ((a + 1, b) in t)
+
+    def eid(self, e) -> int:
+        p, q = sorted(e)
+        return 3 * self.vid(p) + ((1, 0), (0, 1), (1, 1)).index((q[0] - p[0], q[1] - p[1]))
+
+    def ends(self, e: int) -> tuple[int, int]:
+        v, d = divmod(e, 3)
+        return v, v + (self.H, 1, self.H + 1)[d]
+
+    def flank(self, e: int) -> tuple[int, int]:
+        """The two triangles having side ``e``."""
+        v, d = divmod(e, 3)
+        return ((2 * v + 1, 2 * v - 2), (2 * v, 2 * (v - self.H) + 1), (2 * v + 1, 2 * v))[d]
+
+    def rtype(self, t: int, u: int) -> int:
+        """Type of the rhombus of ``t`` and ``u``: the class of t's corner off u."""
+        return self.vclass[self.corners[t][2 - self.across[t].index(u)]]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +213,8 @@ def face_of_rhombus(r: Rhombus, n: int) -> Face:
     """Inverse of project_face: the unique face at level ``n`` over rhombus ``r``."""
     if rhombus_type(r) != n % 3:
         raise ValueError("level does not match rhombus type")
-    p, q = tuple(rhombus_shared_edge(r))
+    t1, t2 = r
+    p, q = t1 & t2
     if vertex_class(p) != (n - 1) % 3:
         p, q = q, p
     lo = lift_vertex(p, n - 1)
@@ -211,6 +233,9 @@ def face_of_rhombus(r: Rhombus, n: int) -> Face:
 # ---------------------------------------------------------------------------
 
 
+COLLAR = 2   # width of the R0 collar a tiling is decomposed in
+
+
 @dataclass(frozen=True)
 class Region:
     """A finite triangle set with the standard (all type-0 exterior) boundary."""
@@ -222,7 +247,7 @@ class Region:
             raise ValueError("region must contain an even number of triangles")
         for t in self.triangles:
             a, b = min(t)
-            if t != tri_up(a, b) and t != tri_dn(a, b):
+            if not (len(t) == 3 and (a + 1, b + 1) in t and ((a + 1, b) in t or (a, b + 1) in t)):
                 raise ValueError(f"{sorted(t)} is not an elementary triangle")
 
     def __len__(self) -> int:
@@ -237,14 +262,48 @@ class Region:
         itself is a union of rhombi of the all-type-0 tiling."""
         return all(type_partner(t, 0) in self.triangles for t in self.triangles)
 
-    def sorted_triangles(self) -> list[Triangle]:
-        return sorted(self.triangles, key=lambda t: sorted(t))
+    @cached_property
+    def index(self) -> "RegionIndex":
+        return RegionIndex(self)
 
 
-def _inner_vertices(region: Region) -> set:
-    """The vertices whose whole star (six triangles) lies in the region."""
-    stars = Counter(p for t in region.triangles for p in t)
-    return {p for p, n in stars.items() if n == 6}
+class RegionIndex(TriangleIndex):
+    """The integer index of a region and its R0 collar, built once per region.
+
+    Besides the box tables: ``ids`` (triangle -> id, in ``triangles`` order),
+    ``inside`` (their set), ``vertices`` (sorted region vertex ids), ``inner``
+    (those whose star lies in the region) and ``links`` (per region vertex:
+    neighbour, the two triangles flanking the side, height increment).
+    ``collar`` lists the rhombi of ``COLLAR`` frontier steps across the
+    boundary, each triangle with its type-0 partner, as (id pair, rhombus) in
+    the order the frontier loop inserts them; it depends only on the region
+    (None unless it is R0-closed).
+    """
+
+    def __init__(self, region: Region):
+        collar = []
+        closed = region.r0_closed()
+        if closed:
+            seen, frontier = set(region.triangles), set(region.triangles)
+            for _ in range(2 * COLLAR + 2):
+                frontier = {u for t in frontier for u in triangles_across(t) if u not in seen}
+                for t in frontier:
+                    if t not in seen:   # then neither is its type-0 partner
+                        collar.append(r0_rhombus(t))
+                        seen.update(collar[-1])
+        super().__init__({p for t in (*region.triangles, *(u for r in collar for u in r)) for p in t})
+        self.ids = {t: self.tid(t) for t in region.triangles}
+        self.inside = set(self.ids.values())
+        stars = Counter(v for t in self.inside for v in self.corners[t])
+        self.vertices = sorted(stars)
+        self.inner = {v for v in self.vertices if stars[v] == 6}
+        self.links = {v: [] for v in self.vertices}
+        for e in sorted({e for t in self.inside for e in self.sides[t]}):
+            v, w = self.ends(e)
+            inc = -1 if e % 3 == 2 else 1   # (1,1) is a down step
+            self.links[v].append((w, *self.flank(e), inc))
+            self.links[w].append((v, *self.flank(e), -inc))
+        self.collar = [(tuple(map(self.tid, r)), r) for r in collar] if closed else None
 
 
 def hexagon_region(side: int, center: PlaneVertex | None = None) -> Region:
@@ -315,6 +374,20 @@ class Tiling:
         """A fresh triangle -> rhombus map of the tiling."""
         return {t: r for r in self.rhombi for t in r}
 
+    @cached_property
+    def pairs(self) -> list[tuple[int, int]]:
+        """The rhombi as id pairs of ``region.index``, in iteration order."""
+        ids = self.region.index.ids
+        return [tuple(ids[t] for t in r) for r in self.rhombi]
+
+    @cached_property
+    def partner(self) -> list[int]:
+        """Triangle id -> id of the triangle paired with it, -1 off the tiling."""
+        part = [-1] * len(self.region.index.across)
+        for t, u in self.pairs:
+            part[t], part[u] = u, t
+        return part
+
     def type_counts(self) -> tuple[int, int, int]:
         c = [0, 0, 0]
         for r in self.rhombi:
@@ -322,17 +395,15 @@ class Tiling:
         return tuple(c)
 
     def to_json(self) -> dict:
-        tris = self.region.sorted_triangles()
-        tri_id = {t: i for i, t in enumerate(tris)}
+        ix = self.region.index
+        tris = sorted(ix.ids.values())   # sorted ids are sorted vertex lists
+        pos = {t: i for i, t in enumerate(tris)}
         return {
-            "triangles": [sorted(t) for t in tris],
+            "triangles": [[ix.xy[v] for v in ix.corners[t]] for t in tris],
             "rhombi": [
-                {
-                    "pair": sorted(tri_id[t] for t in r),
-                    "type": rhombus_type(r),
-                    "orientation": rhombus_orientation(r),
-                }
-                for r in sorted(self.rhombi, key=lambda r: sorted(sorted(t) for t in r))
+                {"pair": [pos[t], pos[u]], "type": ix.rtype(t, u),   # orientation: the shared side's axis
+                 "orientation": ix.sides[t][ix.across[t].index(u)] % 3}
+                for t, u in sorted(map(sorted, self.pairs))
             ],
         }
 
@@ -373,18 +444,15 @@ def enumerate_tilings(region: Region) -> list[Tiling]:
     """All exact covers of the region by rhombi, in deterministic order.
 
     Equivalent to enumerating dimer coverings of the dual hexagonal patch;
-    backtracking always branches on the lexicographically first uncovered
-    triangle, so the output order is reproducible.
+    backtracking always branches on the least uncovered triangle (by sorted
+    vertex list, so by id), so the output order is reproducible.
     """
-    tris = region.sorted_triangles()
-    if len(tris) > 60:
+    if len(region) > 60:
         raise CapExceeded("enumeration capped at 60 triangles")
-    order = {t: i for i, t in enumerate(tris)}
-    neighbors = {
-        t: sorted((u for u in triangles_across(t) if u in order), key=lambda u: order[u])
-        for t in tris
-    }
-
+    ix = region.index
+    tri = {i: t for t, i in ix.ids.items()}
+    canon = {i: frozenset(ix.xy[v] for v in ix.corners[i]) for i in tri}   # as tri_up/tri_dn build it
+    tris = sorted(tri)
     out: list[Tiling] = []
     covered: set = set()
     stack: list[Rhombus] = []
@@ -395,16 +463,13 @@ def enumerate_tilings(region: Region) -> list[Tiling]:
             out.append(Tiling(region, tuple(stack)))
             return
         t = free[0]
-        for u in neighbors[t]:
-            if u in covered:
-                continue
-            covered.add(t)
-            covered.add(u)
-            stack.append(rhombus_of(t, u))
-            backtrack()
-            stack.pop()
-            covered.discard(t)
-            covered.discard(u)
+        for u in ix.across[t]:   # ascending ids
+            if u in ix.inside and u not in covered:
+                covered.update((t, u))
+                stack.append(frozenset((tri[t], canon[u])))
+                backtrack()
+                stack.pop()
+                covered.difference_update((t, u))
 
     backtrack()
     return out
@@ -413,30 +478,28 @@ def enumerate_tilings(region: Region) -> list[Tiling]:
 def random_tiling(region: Region, flips: int, seed: int) -> Tiling:
     """Seeded random walk over tilings by elementary flips of the height function.
 
-    Starts from the staircase heights, the all-type-0 tiling (the region must
-    be a union of type-0 rhombi), and applies ``flips`` uniformly chosen
-    flips; deterministic in the seed.  A vertex can flip when its whole star
-    lies in the region and it is a strict local extremum: its six neighbours
-    lie 1 and 2 above it, or 1 and 2 below.  The flip is the terrace move
-    h(p) +- 3 towards the other side, which rotates the three rhombi around p.
-
-    After a flip only p and its six neighbours are tested again.  Each step
-    indexes the *sorted* flip positions, so a seed gives the same walk as a
-    full scan of the region's vertices in sorted order.
+    Starts from the staircase heights, the all-type-0 tiling of an R0-closed
+    region, and applies ``flips`` uniformly chosen flips; deterministic in the
+    seed.  A vertex whose star lies in the region flips when its six
+    neighbours lie 1 and 2 above it, or 1 and 2 below: the terrace move
+    h(p) +- 3 rotates the three rhombi around p.  The walk runs on vertex ids
+    and re-tests only p and its neighbours; each step indexes the *sorted*
+    flip positions (sorted ids are sorted vertices).
     """
-    if not region.r0_closed():
+    ix = region.index
+    if ix.collar is None:
         raise ValueError("random_tiling needs an R0-closed region")
-    h = {p: stair_height(p) for p in region.vertices}
-    inner = _inner_vertices(region)
+    h = ix.stair[:]
+    steps = tuple(ix.vid(d) - ix.vid((0, 0)) for d in ALL_DIRS)
 
-    def terrace_step(p: PlaneVertex) -> int:
+    def terrace_step(p: int) -> int:
         """+3 at a flippable local minimum, -3 at a local maximum, else 0."""
-        if p not in inner:
+        if p not in ix.inner:
             return 0
-        d = {h[(p[0] + da, p[1] + db)] - h[p] for da, db in ALL_DIRS}
+        d = {h[p + s] - h[p] for s in steps}
         return 3 if d == {1, 2} else -3 if d == {-1, -2} else 0
 
-    flippable = {p for p in inner if terrace_step(p)}
+    flippable = {p for p in ix.inner if terrace_step(p)}
     rng = np.random.default_rng(seed)
     for _ in range(flips):
         if not flippable:
@@ -444,12 +507,13 @@ def random_tiling(region: Region, flips: int, seed: int) -> Tiling:
         cands = sorted(flippable)
         p = cands[int(rng.integers(0, len(cands)))]
         h[p] += terrace_step(p)
-        for q in [p] + [(p[0] + da, p[1] + db) for da, db in ALL_DIRS]:
+        for q in (p, *(p + s for s in steps)):
             if terrace_step(q):
                 flippable.add(q)
             else:
                 flippable.discard(q)
-    return tiling_from_heights(region, h)
+    rhombi, _ = pair_by_heights(ix, region.triangles, ix.ids.values(), ix.inside, h)
+    return Tiling(region, tuple(rhombi))
 
 
 @dataclass
@@ -490,16 +554,6 @@ def degeneracy_bounds_check(region: Region, tilings: Sequence[Tiling]) -> Degene
 # ---------------------------------------------------------------------------
 
 
-def height_increment(u: PlaneVertex, w: PlaneVertex) -> int:
-    """+1 when w - u projects an up-step (+e_mu), -1 for a down-step."""
-    d = (w[0] - u[0], w[1] - u[1])
-    if d in UP_DIRS:
-        return 1
-    if d in DOWN_DIRS:
-        return -1
-    raise ValueError("not a lattice edge")
-
-
 class HeightError(ValueError):
     """Raised when edge increments are inconsistent; carries a diagnostic cycle."""
 
@@ -511,31 +565,33 @@ class HeightError(ValueError):
 def tiling_heights(tiling: Tiling) -> dict:
     """The unique height function of the tiling matching the staircase outside.
 
-    Vertices on the region boundary obtain their staircase values; interior
-    values follow by summing +-1 increments along tiling edges.  Any
-    inconsistency (impossible for a valid tiling) aborts with the offending
-    cycle attached.
+    Boundary vertices take their staircase values; interior values follow by
+    summing +-1 increments along tiling edges.  An inconsistency (impossible
+    for a valid tiling) aborts with the offending cycle attached.
     """
-    vertices = tiling.region.vertices
-    h: dict = {p: stair_height(p) for p in vertices - _inner_vertices(tiling.region)}
-    adj: dict = {}
-    for r in tiling.rhombi:
-        p, w1, q, w2 = rhombus_corners(r)
-        for u, w in ((p, w1), (w1, q), (q, w2), (w2, p)):
-            adj.setdefault(u, []).append(w)
-            adj.setdefault(w, []).append(u)
-    frontier = [p for p in h if p in adj]
+    ix = tiling.region.index
+    h = heights_by_id(ix, tiling.partner)
+    return {ix.xy[v]: h[v] for v in ix.vertices}
+
+
+def heights_by_id(ix: RegionIndex, partner: list) -> list:
+    """``tiling_heights`` as a list by vertex id, the staircase off the region."""
+    h = ix.stair[:]
+    frontier = [v for v in ix.vertices if v not in ix.inner]
+    known = set(frontier)
     while frontier:
         u = frontier.pop()
-        for w in adj.get(u, ()):
-            val = h[u] + height_increment(u, w)
-            if w in h:
-                if h[w] != val:
-                    raise HeightError("inconsistent height increments", cycle=[u, w])
-            else:
+        for w, t, t2, inc in ix.links[u]:
+            if partner[t] == t2:
+                continue   # a rhombus diagonal
+            val = h[u] + inc
+            if w not in known:
                 h[w] = val
+                known.add(w)
                 frontier.append(w)
-    missing = [p for p in vertices if p not in h]
+            elif h[w] != val:
+                raise HeightError("inconsistent height increments", cycle=[ix.xy[u], ix.xy[w]])
+    missing = [ix.xy[v] for v in ix.vertices if v not in known]
     if missing:
         raise HeightError(f"unreached vertices {missing[:4]}")
     return h
@@ -576,18 +632,62 @@ def tiling_from_heights(region: Region, heights) -> Tiling:
         hfun = lambda p: heights.get(p, stair_height(p))  # noqa: E731
     else:
         hfun = heights
-    hv = {p: hfun(p) for p in region.vertices}
-    rhombi: set = set()
-    for t in region.triangles:
-        lo, mid, hi = sorted(t, key=hv.__getitem__)
-        if hv[mid] - hv[lo] != 1 or hv[hi] - hv[mid] != 1:
-            raise HeightError(f"triangle heights {sorted(map(hv.get, t))} are not consecutive")
-        # the partner across the lo-hi diagonal completes the parallelogram
-        partner = frozenset((lo, hi, (lo[0] + hi[0] - mid[0], lo[1] + hi[1] - mid[1])))
-        if partner not in region.triangles:
-            raise HeightError("rhombus diagonal leaves the region")
-        rhombi.add(frozenset((t, partner)))
+    ix = region.index
+    h = ix.stair[:]
+    for v in ix.vertices:
+        h[v] = hfun(ix.xy[v])
+    rhombi, _ = pair_by_heights(ix, region.triangles, ix.ids.values(), ix.inside, h)
     return Tiling(region, tuple(rhombi))
+
+
+def pair_by_heights(ix: TriangleIndex, tris, ids, inside, h: list) -> tuple[set, list]:
+    """Pair the triangles ``tris`` (ids ``ids``) across their lo-hi diagonals
+    under the heights ``h`` by vertex id; partners must be in ``inside``.
+
+    Returns the rhombus set, filled in ``tris`` order, and the partner list,
+    or raises HeightError.  A rhombus is (triangle, partner) with the
+    partner's corners inserted lo, hi, far corner, as ``rhombus_corners``
+    order has always depended on.
+    """
+    corners, across, xy = ix.corners, ix.across, ix.xy
+    part = [-1] * len(across)
+    rhombi: set = set()
+    for t, i in zip(tris, ids):
+        lo, mid, hi = sorted(corners[i], key=h.__getitem__)
+        if h[mid] - h[lo] != 1 or h[hi] - h[mid] != 1:
+            raise HeightError(f"triangle heights {sorted(h[v] for v in corners[i])} are not consecutive")
+        u = across[i][2 - corners[i].index(mid)]
+        if u not in inside:
+            raise HeightError("rhombus diagonal leaves the region")
+        if part[u] < 0:   # u's third corner: ids are linear in the coordinates
+            rhombi.add(frozenset((t, frozenset((xy[lo], xy[hi], xy[sum(corners[u]) - lo - hi])))))
+        part[i] = u
+    return rhombi, part
+
+
+def tiling_edges(ix: TriangleIndex, partner: list, order) -> tuple[list, list]:
+    """The one edge rule of a tiling given as its ``partner`` table (-1 off it).
+
+    A side between t and u != partner[t], both on the tiling, is good when
+    their rhombi have the same type and delta otherwise; the type of t's
+    rhombus is ``(class(t) + (2, 1, 0)[j]) % 3``, j the shared side and
+    class(t) that of t's lowest vertex.  Returns the good sides as (t, u) and
+    the delta side ids, each once, in order of first encounter (triangles in
+    ``order``, then sides).
+    """
+    across, sides = ix.across, ix.sides
+    kind = {t: ix.rtype(t, partner[t]) for t in order}
+    good, delta, seen = [], [], set()
+    for t in order:
+        p = partner[t]
+        for u, e in zip(across[t], sides[t]):
+            if u != p and u in kind and e not in seen:
+                seen.add(e)
+                if kind[u] == kind[t]:
+                    good.append((t, u))
+                else:
+                    delta.append(e)
+    return good, delta
 
 
 class OverlapError(ValueError):
@@ -663,9 +763,8 @@ class RConfiguration:
     * lambda links: stacked parallel faces one lattice unit apart, counted
       with multiplicity.
 
-    A 3D face set is projected by ``from_faces``.  A tiling (a minimal
-    interface) needs no lift: ``from_assignment`` reads the same edge sets
-    off its triangle -> rhombus map.
+    A 3D face set is projected by ``from_faces``; a tiling's edges come from
+    ``tiling_edges`` instead.
     """
 
     rhombus_multiplicity: dict = field(default_factory=dict)
@@ -718,37 +817,6 @@ class RConfiguration:
             lambda_links=lam,
         )
 
-    @classmethod
-    def from_assignment(cls, assign: dict) -> "RConfiguration":
-        """The configuration of a tiling, given as its triangle -> rhombus map.
-
-        On a minimal interface every triangle is covered once, each rhombus
-        is one face, and there are no omega edges and no lambda links (a
-        monotone height never alternates along e_mu).  A side between two
-        different rhombi is good when they have the same type and delta
-        otherwise (their lifted faces meet along adjacent plaquette bonds or
-        lie side by side); a side with a triangle outside the map stays
-        unclassified, as it has no second face.
-        """
-        rmult = dict.fromkeys(assign.values(), 1)
-        types = {r: rhombus_type(r) for r in rmult}
-        good: dict = {}
-        delta: dict = {}
-        for t, r in assign.items():
-            for e, u in zip(triangle_edges(t), triangles_across(t)):
-                s = assign.get(u)
-                if s is not None and s != r:
-                    (good if types[s] == types[r] else delta)[e] = 1
-        return cls(
-            rhombus_multiplicity=rmult,
-            coverage=dict.fromkeys(assign, 1),
-            good_edges=good,
-            delta_edges=delta,
-        )
-
-    def overlap_number(self, t: Triangle) -> int:
-        return max(self.coverage.get(t, 1) - 1, 0)
-
     @property
     def overlapping_triangles(self) -> dict:
         return {t: c - 1 for t, c in self.coverage.items() if c > 1}
@@ -758,9 +826,6 @@ class RConfiguration:
         """Rhombi containing at least one overlapping triangle."""
         ot = set(self.overlapping_triangles)
         return {r for r in self.rhombus_multiplicity if (set(r) & ot) or self.rhombus_multiplicity[r] > 1}
-
-    def is_tiling(self) -> bool:
-        return not self.overlapping_triangles
 
 
 GOOD, DELTA, OMEGA = 0, 1, 2

@@ -97,4 +97,4 @@ def good_pair_fraction_of_faces(faces) -> tuple[float, bool]:
     rc = rconfiguration_from_faces(faces)
     good = sum(rc.good_edges.values())
     total = good + sum(rc.delta_edges.values()) + sum(rc.omega_edges.values())
-    return (good / total if total else 1.0), not rc.is_tiling()
+    return (good / total if total else 1.0), bool(rc.overlapping_triangles)

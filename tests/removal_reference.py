@@ -10,26 +10,18 @@ exceptions for the same reasons.
 """
 
 from fklab.lattice import components
-from fklab.rcontour import (
-    _COLLAR,
-    DobrushinViolation,
-    RemovalReport,
-    _collared_assignment,
-    decompose,
-    f_energy,
-)
+from fklab.rcontour import DobrushinViolation, RemovalReport, f_energy
 from fklab.tiling import (
-    RConfiguration,
     Region,
     Tiling,
     rhombus_corners,
     rhombus_type,
     stair_height,
     tiling_heights,
-    triangle_edges,
     triangles_across,
     type_partner,
 )
+from tiling_reference import collared_assignment, decompose, rconfig_of_assignment, triangle_edges
 
 
 def _translate_rhombus(r, d):
@@ -41,9 +33,9 @@ def rhombus_remove(tiling, contour_index=0, *, coeffs):
     rhombi by n * (1,1), collect collisions, fill the gaps with type-level0
     rhombi and keep every rhombus the fill made (it may stick out of the
     window)."""
-    assign = _collared_assignment(tiling, _COLLAR)
+    assign = collared_assignment(tiling)
     window = frozenset(assign)
-    deco = decompose(RConfiguration.from_assignment(assign))
+    deco = decompose(rconfig_of_assignment(assign))
     if not deco.contours:
         raise ValueError("configuration has no contours to remove")
     if not (0 <= contour_index < len(deco.contours)):
@@ -51,7 +43,7 @@ def rhombus_remove(tiling, contour_index=0, *, coeffs):
     target = deco.contours[contour_index]
     f_before = sorted(f_energy(c, coeffs) for c in deco.contours)
 
-    supp_tris = set(target.support_triangles)
+    supp_tris = {t for r in target.rhombi for t in r}
     supp_verts = set(target.support_vertices)
 
     # complement components: triangles joined across edges that are not the
@@ -156,7 +148,7 @@ def rhombus_remove(tiling, contour_index=0, *, coeffs):
     out_tris = frozenset(t for r in out_rhombi for t in r)
     new_tiling = Tiling(Region(out_tris), tuple(out_rhombi))
 
-    new_deco = decompose(RConfiguration.from_assignment(new_assign))
+    new_deco = decompose(rconfig_of_assignment(new_assign))
     f_after = sorted(f_energy(c, coeffs) for c in new_deco.contours)
     report = RemovalReport(
         removed_f=f_energy(target, coeffs),

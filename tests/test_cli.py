@@ -115,6 +115,16 @@ def test_tilings_cap_exits_3(tmp_path):
     assert main(["tilings", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_tilings_sparse_region_exits_3(tmp_path):
+    """Two triangles 10^6 steps apart: the triangle index would span their
+    bounding box, so it stops at its cap before writing anything."""
+    far = [[[0, 0], [1, 0], [1, 1]], [[10**6, 0], [10**6 + 1, 0], [10**6 + 1, 1]]]
+    cfg = _write(tmp_path, "t.json", {"triangles": far})
+    out = tmp_path / "o"
+    assert main(["tilings", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [
     {"triangles": [[[0, 0], [2, 0], [0, 5]], [[0, 0], [1, 0], [1, 1]]]},
     {"triangles": [[[0, 0], [1, 0]], [[0, 0], [0, 1], [1, 1]]]},
@@ -327,6 +337,21 @@ def test_energy_subcommand(tmp_path):
     total_area = sum(c["area"] for c in doc["contours"])
     assert doc["h2"] == pytest.approx(total_area / (2 * 8.0), abs=1e-12)
     assert any(c["pinned"] for c in doc["contours"])
+
+
+@pytest.mark.parametrize("lo", [[10, 10, 10], [-20, -20, -20]])
+@pytest.mark.parametrize("bc", ["bc100", "bc111"])
+def test_energy_volume_off_the_interface_exits_2(tmp_path, bc, lo):
+    """A mixed-bc volume whose box and shell hold one spin sign has no
+    interface to pin: a config error, before any artifact is written."""
+    cfg = _write(tmp_path, "e.json", {
+        "volume": {"dims": [3, 3, 3], "shell": 2, "bc": bc, "lo": lo},
+        "U": 8.0,
+        "flips": [],
+    })
+    out = tmp_path / "o"
+    assert main(["energy", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_render_from_tilings_json(tmp_path):

@@ -112,7 +112,7 @@ def test_oracle_cases_reach_every_edge_class():
                 continue
             seen["omega"] += bool(rc.omega_edges)
             seen["delta"] += bool(rc.delta_edges)
-            seen["overlap"] += not rc.is_tiling()
+            seen["overlap"] += bool(rc.overlapping_triangles)
             seen["empty"] += not rc.coverage
     assert all(seen.values()), seen
 

@@ -1,5 +1,6 @@
 """Bases, R-contours, contour energies, geometric classes, Dobrushin removal."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from fklab.classical import (
 from fklab.lattice import Volume
 from fklab.rcontour import (
     DobrushinViolation,
-    _collared_assignment,
     decompose,
     decompose_tiling,
     dobrushin_remove,
@@ -36,6 +36,7 @@ from fklab.tiling import (
     rhombus_of,
     stair_height,
     tiling_from_heights,
+    tiling_edges,
     tiling_heights,
     tiling_to_interface,
     tri_up,
@@ -49,6 +50,12 @@ def _r0_tiling(region):
     return Tiling(region, tuple({r0_rhombus(t) for t in region.triangles}))
 
 
+def _site_bound(contour):
+    """Right-hand side of the paper's site-count bound for a contour."""
+    s = sum(3 * ov.a_ov + (ov.delta + 1) + (ov.lam + 1) + (ov.omega + 1) for ov in contour.overlapping)
+    return s + sum(d + 1 for d in contour.standard_delta)
+
+
 def _single_flip_tilings(region):
     counts = {}
     for t in enumerate_tilings(region):
@@ -59,7 +66,7 @@ def _single_flip_tilings(region):
 def test_pure_r0_has_one_base_no_contours():
     deco = decompose_tiling(_r0_tiling(hexagon_region(2)))
     assert len(deco.contours) == 0
-    assert deco.boundary_base().type == 0
+    assert [b.type for b in deco.bases if b.boundary] == [0]
 
 
 def test_hexflip_contour_structure():
@@ -69,10 +76,10 @@ def test_hexflip_contour_structure():
         deco = decompose_tiling(t)
         assert len(deco.contours) == 1
         c = deco.contours[0]
-        assert c.is_standard
+        assert not c.overlapping
         assert c.standard_delta == [6]  # the smallest standard contour
         assert f_energy(c, CO) == pytest.approx(6 * CO.k2, abs=1e-18)
-        assert c.n_sites <= c.site_bound()
+        assert len(c.support_vertices) <= _site_bound(c)
         # interior base of the flipped hexagon has a single non-zero type
         island = [b for b in deco.bases if not b.boundary]
         assert len(island) == 1 and island[0].type in (1, 2) and len(island[0]) == 3
@@ -94,10 +101,9 @@ def test_decompose_partitions_triangles():
                 based |= set(r)
         contoured = set()
         for c in deco.contours:
-            contoured |= set(c.support_triangles)
+            contoured |= {t2 for r in c.rhombi for t2 in r}
         assert not (based & contoured)
-        covered = {t2 for r in deco.rconfig.rhombus_multiplicity for t2 in r}
-        assert based | contoured == covered
+        assert based | contoured == set(ref.collared_assignment(t))
 
 
 def test_pyramid_contour_counts_and_f_energy_relation():
@@ -113,10 +119,10 @@ def test_pyramid_contour_counts_and_f_energy_relation():
     deco = decompose(c.faces)
     assert len(deco.contours) == 1
     ups = deco.contours[0]
-    assert not ups.is_standard
+    assert ups.overlapping
     (ov,) = ups.overlapping
     assert ov.a_ov == 6 and ov.omega == 3 and ov.lam == 6 and ov.delta == 0
-    assert ups.n_sites <= ups.site_bound()
+    assert len(ups.support_vertices) <= _site_bound(ups)
 
     exact = h4_relative_energy(pyr, CO) - h4_relative_energy(stair, CO)
     formula = f_energy(ups, CO)
@@ -265,6 +271,11 @@ def test_removal_errors():
     t = _single_flip_tilings(hexagon_region(2))[0]
     with pytest.raises(ValueError):
         dobrushin_remove(t, 5, coeffs=CO)
+    # the R0 collar exists only around an R0-closed region
+    unclosed = enumerate_tilings(hexagon_region(1, center=(0, 0)))[0]
+    for call in (decompose_tiling, lambda t: dobrushin_remove(t, 0, coeffs=CO)):
+        with pytest.raises(ValueError, match="R0-closed"):
+            call(unclosed)
 
 
 _REGIONS = {side: r0_closure(hexagon_region(side).triangles) for side in range(2, 7)}
@@ -274,13 +285,32 @@ _REGIONS = {side: r0_closure(hexagon_region(side).triangles) for side in range(2
 @given(side=st.integers(2, 5), flips=st.integers(0, 80), seed=st.integers(0, 2**32 - 1),
        collar=st.integers(0, 2))
 def test_tiling_native_rconfig_matches_lift_oracle(side, flips, seed, collar):
-    assign = _collared_assignment(random_tiling(_REGIONS[side], flips, seed=seed), collar)
-    got = RConfiguration.from_assignment(assign)
+    """``tiling_edges`` on the partner table of a collared window, and the
+    frozenset rule of the reference, give the edge classes of the window's
+    3D lift."""
+    tiling = random_tiling(_REGIONS[side], flips, seed=seed)
+    assign = ref.collared_assignment(tiling, collar)
     want = ref.lifted_rconfig(assign)
+    got = ref.rconfig_of_assignment(assign)
     for name in ("good_edges", "delta_edges", "omega_edges", "lambda_links",
                  "coverage", "rhombus_multiplicity"):
         assert getattr(got, name) == getattr(want, name), name
     assert want.good_edges and want.coverage
+
+    ix = tiling.region.index
+    partner = [-1] * len(ix.across)
+    for t, r in assign.items():
+        (u,) = r - {t}
+        partner[ix.tid(t)] = ix.tid(u)
+    good, delta = tiling_edges(ix, partner, [ix.tid(t) for t in assign])
+
+    def side_of(t, u):
+        v, w = ix.ends(ix.sides[t][ix.across[t].index(u)])
+        return frozenset((ix.xy[v], ix.xy[w]))
+
+    assert {side_of(t, u): 1 for t, u in good} == want.good_edges
+    assert {side_of(*ix.flank(e)): 1 for e in delta} == want.delta_edges
+    assert len(good) == len(want.good_edges) and len(delta) == len(want.delta_edges)
 
 
 @settings(max_examples=25, deadline=None)
@@ -344,3 +374,72 @@ def test_height_removal_matches_rhombus_oracle_inside_a_terrace():
         got = _removal_outcome(dobrushin_remove, tiling, idx)
         assert isinstance(got, tuple)
         assert got == _removal_outcome(removal_reference.rhombus_remove, tiling, idx)
+
+
+def _rhombus_lists(tiling):
+    """The rhombi in tuple order, each triangle in its frozenset's iteration order."""
+    return [[list(t) for t in r] for r in tiling.rhombi]
+
+
+@settings(max_examples=40, deadline=None)
+@given(side=st.integers(2, 6), flips=st.integers(0, 120),
+       seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 10**6))
+def test_integer_index_matches_frozenset_reference(side, flips, seed, pick):
+    """The tiling path on ``Region.index`` ids gives what the frozenset path
+    gave: the same ``Tiling.rhombi`` tuple (down to frozenset iteration
+    order), the same bases and contours in order, and the same removal, with
+    shifts and interiors in order, or the same exception type."""
+    region = _REGIONS[side]
+    tiling = random_tiling(region, flips, seed=seed)
+    assert _rhombus_lists(tiling) == _rhombus_lists(ref.random_tiling(region, flips, seed=seed))
+    got, want = decompose_tiling(tiling), ref.decompose_tiling(tiling)
+    assert got.bases == want.bases
+    assert got.contours == want.contours
+    assert got.to_json(CO) == want.to_json(CO)
+    assume(got.contours)
+    idx = pick % len(got.contours)
+
+    def outcome(remove):
+        try:
+            new_t, rep = remove(tiling, idx, coeffs=CO)
+        except Exception as exc:  # noqa: BLE001 - the type is what is compared
+            return type(exc)
+        return new_t.to_json(), list(rep.shifts.items()), rep.interiors
+
+    assert outcome(dobrushin_remove) == outcome(removal_reference.rhombus_remove)
+
+
+def test_tied_contours_keep_material_order():
+    """Two contours of this tiling have the same key (their support vertices
+    with the coordinates inside each vertex sorted); they keep the order of
+    their material, as in the frozenset reference.  A lexicographic key on
+    the vertices would swap them."""
+    tiling = random_tiling(r0_closure(hexagon_region(4).triangles), 28, seed=637)
+    contours = decompose_tiling(tiling).contours
+    keys = [sorted(map(sorted, c.support_vertices)) for c in contours]
+    assert len(contours) == 3 and keys[1] == keys[2]
+    assert contours == ref.decompose_tiling(tiling).contours
+    assert sorted(contours[1].support_vertices) > sorted(contours[2].support_vertices)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_face_path_matches_frozenset_reference(seed):
+    """``decompose`` of Ising contours next to a bc111 interface (overlaps,
+    omega edges, lambda links) matches the frozenset grouping, subcontour
+    lists in order."""
+    vol = Volume(dims=(7, 7, 7), shell=2)
+    stair = config_from_heights(vol)
+    sites = [s for s in vol.sites() if abs(sum(s) + 1) <= 2]
+    rng = np.random.default_rng(seed)
+    config = stair
+    for k in rng.choice(len(sites), size=6 + 3 * seed, replace=False):
+        config = config.with_flip(sites[k])
+    seen_overlap = False
+    for c in extract_contours(config):
+        rc = RConfiguration.from_faces(c.faces)
+        got, want = decompose(rc), ref.decompose(rc)
+        assert got.bases == want.bases
+        assert got.contours == want.contours
+        assert got.to_json(CO) == want.to_json(CO)
+        seen_overlap |= any(k.overlapping for k in got.contours)
+    assert seen_overlap

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 import layout_reference as layout
 import tiling_reference as ref
 from fklab.classical import extract_contours, face_vertices
-from fklab.lattice import SpinConfiguration, Volume, coordinate_sum
+from fklab.lattice import CapExceeded, SpinConfiguration, Volume, coordinate_sum
 from fklab.tiling import (
     ALL_DIRS,
+    MAX_BOX_VERTICES,
     HeightError,
     OverlapError,
     RConfiguration,
@@ -24,7 +25,6 @@ from fklab.tiling import (
     enumerate_tilings,
     face_of_rhombus,
     good_pair_fraction_of_faces,
-    height_increment,
     hexagon_region,
     interface_to_tiling,
     phi,
@@ -33,7 +33,6 @@ from fklab.tiling import (
     r0_rhombus,
     random_tiling,
     rhombus_corners,
-    rhombus_orientation,
     rhombus_type,
     stair_height,
     tiling_from_heights,
@@ -41,7 +40,6 @@ from fklab.tiling import (
     tiling_to_interface,
     tri_dn,
     tri_up,
-    triangle_edges,
     triangles_across,
     type_partner,
     vertex_class,
@@ -55,7 +53,7 @@ def test_project_face_roundtrip_orientations():
         r, n = project_face((k, mu))
         assert n == coordinate_sum(k) + 2
         assert rhombus_type(r) == n % 3
-        seen.add(rhombus_orientation(r))
+        seen.add(ref.rhombus_orientation(r))
         assert face_of_rhombus(r, n) == (k, mu)
     assert seen == {0, 1, 2}  # three orientations = three edge families
 
@@ -132,7 +130,7 @@ def test_height_function_properties():
             assert all(abs(i) == 1 for i in incs)      # unit increments
             assert sum(incs) == 0                       # zero cycle sum
             inc_rule = [
-                height_increment(corners[i], corners[(i + 1) % 4])
+                ref.height_increment(corners[i], corners[(i + 1) % 4])
                 for i in range(4)
             ]
             assert incs == inc_rule                     # direction rule
@@ -191,6 +189,9 @@ def test_interface_to_tiling_overlap_error():
 def test_interface_to_tiling_empty():
     t = interface_to_tiling([])
     assert len(t.rhombi) == 0
+    # the empty region still gets an index (a box of its own)
+    assert tiling_to_interface(t) == (set(), {})
+    assert t.to_json() == {"triangles": [], "rhombi": []}
 
 
 def test_overlap_numbers_even_and_extra_faces():
@@ -241,8 +242,7 @@ def test_good_edges_join_same_type_rhombi():
         rc = RConfiguration.from_faces(faces)
         side_of = {}
         for r in tiling.rhombi:
-            from fklab.tiling import rhombus_sides
-            for e in rhombus_sides(r):
+            for e in ref.rhombus_sides(r):
                 side_of.setdefault(e, []).append(r)
         for e in rc.good_edges:
             rs = side_of.get(e, [])
@@ -327,7 +327,7 @@ def test_closed_form_adjacency_matches_search_oracle():
     for t in region.triangles:
         assert triangles_across(t) == ref.search_triangles_across(t)
         for tau in range(3):
-            (e,) = [e for e in triangle_edges(t) if all(vertex_class(p) != tau for p in e)]
+            (e,) = [e for e in ref.triangle_edges(t) if all(vertex_class(p) != tau for p in e)]
             (u,) = [u for u in ref.search_triangles_of_edge(e) if u != t]
             assert type_partner(t, tau) == u
     # every face of a 3^3 box, all three orientations: the rhombus is the
@@ -383,6 +383,15 @@ def test_region_rejects_non_elementary_triangles():
     assert len(Region(frozenset((good, tri_dn(0, 0))))) == 2
 
 
+def test_triangle_index_caps_its_box():
+    """The index tables cover the bounding box of the region and its collar,
+    so a sparse region raises CapExceeded instead of allocating the box."""
+    far = Region(frozenset((tri_up(0, 0), tri_up(600, 600))))
+    with pytest.raises(CapExceeded):
+        far.index
+    assert len(Region(frozenset((tri_up(0, 0), tri_up(300, 300)))).index.xy) <= MAX_BOX_VERTICES
+
+
 @pytest.mark.parametrize("side", [0, -1])
 def test_hexagon_region_rejects_empty_sides(side):
     with pytest.raises(ValueError):
@@ -432,4 +441,4 @@ def test_lift_consistency_with_spin_configuration():
         (pinned,) = [c for c in extract_contours(cfg) if c.pinned]
         assert set(faces) <= set(pinned.faces)
         rc = RConfiguration.from_faces(pinned.faces)
-        assert rc.is_tiling()
+        assert not rc.overlapping_triangles

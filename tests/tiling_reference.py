@@ -1,21 +1,72 @@
 """Search-based triangle adjacency and flip test, kept as the oracle for the
-closed forms in ``fklab.tiling``, and the 3D lift kept as the oracle for
-``RConfiguration.from_assignment``.
+closed forms in ``fklab.tiling``, the 3D lift kept as the oracle for the
+tiling edge rule, and the frozenset tiling path kept as the oracle for the
+integer triangle index.
 
 These find neighbours by testing vertex subsets against every triangle at a
 vertex, order a vertex star by walking shared sides, and test a flip position
 by collecting the rhombi that cover the star.
+
+The frozenset path is the one ``fklab`` ran before ``Region.index``:
+``random_tiling`` walks heights keyed by vertex tuples and assembles the
+tiling triangle by triangle, ``collared_assignment`` extends the triangle ->
+rhombus map by the R0 collar with the frontier loop, ``rconfig_of_assignment``
+classifies its edges, and ``decompose``/``decompose_tiling`` group bases and
+contours on frozensets with ``lattice.components``.
 """
 
+from collections import Counter
+
+import numpy as np
+
+from fklab.lattice import components
+from fklab.rcontour import Base, Decomposition, OverlappingSubcontour, RContour
 from fklab.tiling import (
+    ALL_DIRS,
+    COLLAR,
+    HeightError,
     RConfiguration,
     Region,
     Tiling,
+    r0_rhombus,
+    rhombus_corners,
+    rhombus_type,
+    stair_height,
     tiling_to_interface,
     tri_dn,
+    DOWN_DIRS,
+    UP_DIRS,
     tri_up,
-    triangle_edges,
+    triangles_across,
 )
+
+
+def triangle_edges(t):
+    """The sides v0v1, v0v2, v1v2 of ``t`` (corners v0 < v1 < v2)."""
+    vs = sorted(t)
+    return [frozenset((vs[0], vs[1])), frozenset((vs[0], vs[2])), frozenset((vs[1], vs[2]))]
+
+
+def rhombus_orientation(r):
+    """Orientation index in {0,1,2}: the axis family of the shared edge."""
+    t1, t2 = r
+    p, q = t1 & t2
+    d = (q[0] - p[0], q[1] - p[1])
+    if d[0] and not d[1]:
+        return 0
+    if d[1] and not d[0]:
+        return 1
+    return 2
+
+
+def height_increment(u, w):
+    """+1 when w - u projects an up-step (+e_mu), -1 for a down-step."""
+    d = (w[0] - u[0], w[1] - u[1])
+    if d in UP_DIRS:
+        return 1
+    if d in DOWN_DIRS:
+        return -1
+    raise ValueError("not a lattice edge")
 
 
 def search_triangles_at_vertex(p):
@@ -90,3 +141,175 @@ def lifted_rconfig(assign):
     tiling = Tiling(Region(frozenset(assign)), tuple(set(assign.values())))
     faces, _ = tiling_to_interface(tiling)
     return RConfiguration.from_faces(faces)
+
+
+def random_tiling(region, flips, seed):
+    """``fklab.tiling.random_tiling`` on vertex tuples: the same seeded walk
+    by terrace moves at strict local extrema, then ``tiling_from_heights``."""
+    if not region.r0_closed():
+        raise ValueError("random_tiling needs an R0-closed region")
+    h = {p: stair_height(p) for p in region.vertices}
+    stars = Counter(p for t in region.triangles for p in t)
+    inner = {p for p, n in stars.items() if n == 6}
+
+    def terrace_step(p):
+        if p not in inner:
+            return 0
+        d = {h[(p[0] + da, p[1] + db)] - h[p] for da, db in ALL_DIRS}
+        return 3 if d == {1, 2} else -3 if d == {-1, -2} else 0
+
+    flippable = {p for p in inner if terrace_step(p)}
+    rng = np.random.default_rng(seed)
+    for _ in range(flips):
+        if not flippable:
+            break
+        cands = sorted(flippable)
+        p = cands[int(rng.integers(0, len(cands)))]
+        h[p] += terrace_step(p)
+        for q in [p] + [(p[0] + da, p[1] + db) for da, db in ALL_DIRS]:
+            if terrace_step(q):
+                flippable.add(q)
+            else:
+                flippable.discard(q)
+    return tiling_from_heights(region, h)
+
+
+def tiling_from_heights(region, heights):
+    """``fklab.tiling.tiling_from_heights`` on vertex tuples (``heights`` a dict)."""
+    hv = {p: heights.get(p, stair_height(p)) for p in region.vertices}
+    rhombi = set()
+    for t in region.triangles:
+        lo, mid, hi = sorted(t, key=hv.__getitem__)
+        if hv[mid] - hv[lo] != 1 or hv[hi] - hv[mid] != 1:
+            raise HeightError(f"triangle heights {sorted(map(hv.get, t))} are not consecutive")
+        partner = frozenset((lo, hi, (lo[0] + hi[0] - mid[0], lo[1] + hi[1] - mid[1])))
+        if partner not in region.triangles:
+            raise HeightError("rhombus diagonal leaves the region")
+        rhombi.add(frozenset((t, partner)))
+    return Tiling(region, tuple(rhombi))
+
+
+def collared_assignment(tiling, collar=COLLAR):
+    """triangle -> rhombus map of the tiling extended by an R0 collar."""
+    assign = tiling.assignment()
+    frontier = set(tiling.region.triangles)
+    for _ in range(2 * collar + 2):
+        frontier = {u for t in frontier for u in triangles_across(t) if u not in assign}
+        for t in frontier:
+            r = r0_rhombus(t)
+            for u in r:
+                assign.setdefault(u, r)
+    return assign
+
+
+def rconfig_of_assignment(assign):
+    """The configuration of a tiling given as its triangle -> rhombus map: a
+    side between two different rhombi is good when they have the same type
+    and delta otherwise; a side with a triangle outside the map stays
+    unclassified."""
+    rmult = dict.fromkeys(assign.values(), 1)
+    types = {r: rhombus_type(r) for r in rmult}
+    good, delta = {}, {}
+    for t, r in assign.items():
+        for e, u in zip(triangle_edges(t), triangles_across(t)):
+            s = assign.get(u)
+            if s is not None and s != r:
+                (good if types[s] == types[r] else delta)[e] = 1
+    return RConfiguration(rhombus_multiplicity=rmult, coverage=dict.fromkeys(assign, 1),
+                          good_edges=good, delta_edges=delta)
+
+
+def rhombus_sides(r):
+    p, w1, q, w2 = rhombus_corners(r)
+    return [frozenset((p, w1)), frozenset((w1, q)), frozenset((q, w2)), frozenset((w2, p))]
+
+
+def _rhombus_vertices(r):
+    return {p for t in r for p in t}
+
+
+def _link_vertices(pt):
+    a, b = pt
+    return ((a // 2, b // 2), ((a + 1) // 2, (b + 1) // 2))
+
+
+def decompose(rc):
+    """Bases and contours of ``rc``, grouped on frozensets."""
+    overlapping_rhombi = rc.overlapping_rhombi
+    simple = {r for r, m in rc.rhombus_multiplicity.items() if m == 1 and r not in overlapping_rhombi}
+    side_index = {}
+    for r in simple:
+        for e in rhombus_sides(r):
+            side_index.setdefault(e, []).append(r)
+    paired = {}
+    for e in rc.good_edges:
+        rs = side_index.get(e, [])
+        if len(rs) == 2:
+            for r in rs:
+                paired.setdefault(r, []).append(e)
+    paired_rhombi = list(paired)
+    bases = []
+    for members in components(paired.values()):
+        rhombi = frozenset(paired_rhombi[i] for i in members)
+        types = {rhombus_type(r) for r in rhombi}
+        assert len(types) == 1, "a base must have a single type"
+        bases.append(Base(rhombi=rhombi, type=types.pop()))
+    bases.sort(key=lambda b: min(tuple(sorted(tuple(sorted(t)) for t in r)) for r in b.rhombi))
+    if bases:
+        big = max(range(len(bases)), key=lambda i: len(bases[i].rhombi))
+        bases[big] = Base(rhombi=bases[big].rhombi, type=bases[big].type, boundary=True)
+
+    material = (
+        [("r", r, _rhombus_vertices(r)) for r in rc.rhombus_multiplicity if r not in paired]
+        + [("d", e, e) for e in rc.delta_edges]
+        + [("o", e, e) for e in rc.omega_edges]
+        + [("l", link, _link_vertices(link[0])) for link in rc.lambda_links]
+    )
+    contours = []
+    for members in components(m[2] for m in material):
+        parts = {tag: [] for tag in "rdol"}
+        for i in members:
+            parts[material[i][0]].append(material[i][1])
+        contour = RContour(
+            rhombi=frozenset(parts["r"]),
+            delta_edges=frozenset(parts["d"]),
+            omega_edges=frozenset(parts["o"]),
+            lambda_links=frozenset(parts["l"]),
+        )
+        _split_subcontours(contour, rc)
+        contours.append(contour)
+    contours.sort(key=lambda c: sorted(map(sorted, c.support_vertices)) if c.support_vertices else [])
+    return Decomposition(bases=bases, contours=contours)
+
+
+def _split_subcontours(contour, rc):
+    ov_rhombi = [r for r in contour.rhombi if r in rc.overlapping_rhombi]
+    comps = [
+        frozenset(ov_rhombi[i] for i in members)
+        for members in components(_rhombus_vertices(r) for r in ov_rhombi)
+    ]
+    claimed_delta = set()
+    for rhombi in comps:
+        verts = {p for r in rhombi for t in r for p in t}
+        overlap = {}
+        for r in rhombi:
+            for t in r:
+                o = max(rc.coverage.get(t, 1) - 1, 0)
+                if o:
+                    overlap[t] = o
+        delta = sum(rc.delta_edges[e] for e in contour.delta_edges if set(e) & verts)
+        claimed_delta |= {e for e in contour.delta_edges if set(e) & verts}
+        omega = sum(rc.omega_edges[e] for e in contour.omega_edges if set(e) & verts)
+        lam = sum(rc.lambda_links[link] for link in contour.lambda_links
+                  if verts.intersection(_link_vertices(link[0])))
+        contour.overlapping.append(
+            OverlappingSubcontour(rhombi=rhombi, overlap=overlap, delta=delta, omega=omega, lam=lam))
+    unclaimed = [e for e in contour.delta_edges if e not in claimed_delta]
+    contour.standard_delta = sorted(
+        (sum(rc.delta_edges[unclaimed[i]] for i in members) for members in components(unclaimed)),
+        reverse=True)
+
+
+def decompose_tiling(tiling):
+    """Decompose a tiling embedded in its R0 collar, on frozensets."""
+    return decompose(rconfig_of_assignment(collared_assignment(tiling)))
