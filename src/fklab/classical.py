@@ -4,6 +4,12 @@ plaquette/next-nearest-neighbour potentials, Ising contours, Peierls check.
 Energies are always *relative* to the uniform configurations: every interaction
 term vanishes when all spins are equal, so the two homogeneous states have
 energy zero by construction.
+
+``interaction_terms`` is the one table of the h2 and h4 terms: groups of one
+coupling and the offsets of its terms' corners from their anchor site.  The
+energies evaluate it with one shifted-view helper, ``_corner_views``, on the
+spins with the box's doubled, which ``extract_contours`` reads its broken
+bonds from as well; ``mc`` builds the sampler's local tables from it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import Site, SpinConfiguration, UNIT_STEPS, Volume, components
+from .lattice import Site, SpinConfiguration, UNIT_STEPS, components
 
 # ---------------------------------------------------------------------------
 # Coefficients of the truncated effective Hamiltonians
@@ -101,63 +107,79 @@ def bosonic_plaquette_potential(sx: int, sy: int, sz: int, sw: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Relative energies of configurations
+# The interaction table and relative energies of configurations
 # ---------------------------------------------------------------------------
 
-_SQRT2_STEPS = (
-    (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1),
+HAMILTONIANS = ("h2", "h4")
+
+# terms as the offsets of their other corners from the anchor site x: a pair
+# x, x + d, or a unit square x, x + e_mu, x + e_mu + e_nu, x + e_nu
+_NN = tuple((d,) for d in UNIT_STEPS)
+_SQRT2 = tuple((d,) for d in ((1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)))
+_DIST2 = (((2, 0, 0),), ((0, 2, 0),), ((0, 0, 2),))
+_PLAQUETTES = (
+    ((1, 0, 0), (1, 1, 0), (0, 1, 0)),
+    ((1, 0, 0), (1, 0, 1), (0, 0, 1)),
+    ((0, 1, 0), (0, 1, 1), (0, 0, 1)),
 )
-_DIST2_STEPS = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-_PLAQUETTE_PLANES = ((0, 1), (0, 2), (1, 2))
+
+Terms = tuple[tuple[float, tuple[tuple[Site, ...], ...]], ...]
 
 
-def _volume_mask(volume: Volume) -> np.ndarray:
-    mask = np.zeros(volume.padded_dims, dtype=bool)
-    mask[volume.box] = True
-    return mask
+def interaction_terms(coeffs: ModelCoefficients, hamiltonian: str) -> Terms:
+    """h2 or h4 as groups (w, terms) of one coupling w and the offset tuples
+    of its terms: a pair term has one offset and a plaquette three.
+
+    The relative energy is the sum, over the terms and over the anchor sites
+    x at which some corner (x or x + an offset) is in the box, of
+    w (product of the corner spins - 1); shell spins are part of the
+    configuration.  h2 is the nearest-neighbour bonds at w = -J; h4 adds
+    the face diagonals (sqrt 2), the distance-2 pairs and the plaquettes of
+    order U^-3.  This table is the one list of offsets and couplings: the
+    energies below and the sampler's local tables in ``mc`` read it.
+    """
+    if hamiltonian == "h2":
+        return ((-coeffs.j, _NN),)
+    if hamiltonian == "h4":
+        return ((-coeffs.c_nn, _NN), (coeffs.c_nnn, _SQRT2), (coeffs.c_2, _DIST2),
+                (coeffs.c_plq, _PLAQUETTES))
+    raise ValueError(f"hamiltonian must be one of {HAMILTONIANS}, got {hamiltonian!r}")
 
 
-def _shifted_view(a: np.ndarray, d: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Views (a at p, a at p+d) over all positions where both are in range."""
-    D = a.shape
-    sl1, sl2 = [], []
-    for i in range(3):
-        lo = max(0, -d[i])
-        hi = D[i] - max(0, d[i])
-        sl1.append(slice(lo, hi))
-        sl2.append(slice(lo + d[i], hi + d[i]))
-    return a[tuple(sl1)], a[tuple(sl2)]
+def _corner_views(a: np.ndarray, offsets) -> list[np.ndarray]:
+    """Views of ``a`` at x and at x + c for each offset c, over every x at
+    which all of them are in range."""
+    corners = ((0, 0, 0), *offsets)
+    lo = [-min(x) for x in zip(*corners)]
+    hi = [n - max(x) for x, n in zip(zip(*corners), a.shape)]
+    return [a[lo[0] + c[0]:hi[0] + c[0], lo[1] + c[1]:hi[1] + c[1], lo[2] + c[2]:hi[2] + c[2]]
+            for c in corners]
 
 
-def _pair_sum(spins: np.ndarray, volmask: np.ndarray, d: tuple[int, int, int]) -> float:
-    """Sum of (s_x s_y - 1) over pairs x, x+d with at least one end in the volume."""
-    s1, s2 = _shifted_view(spins, d)
-    m1, m2 = _shifted_view(volmask, d)
-    sel = m1 | m2
-    prod = (s1.astype(np.int64) * s2)[sel]
-    return float(np.sum(prod - 1))
+def _box_weighted(config: SpinConfiguration) -> np.ndarray:
+    """The spins with those of the box doubled: the corner product of a term
+    is -2^n when the term is broken (spin product -1) with n corners in the
+    box, so ``product < -1`` picks the broken terms that count."""
+    weighted = config.spins.copy()
+    weighted[config.volume.box] *= 2
+    return weighted
 
 
-def _plaquette_sum(spins: np.ndarray, volmask: np.ndarray, plane: tuple[int, int]) -> float:
-    """Sum of (s_x s_y s_z s_t - 1) over unit squares in the given plane with
-    at least one corner in the volume."""
-    mu, nu = plane
-    emu = tuple(1 if i == mu else 0 for i in range(3))
-    enu = tuple(1 if i == nu else 0 for i in range(3))
-    both = tuple(emu[i] + enu[i] for i in range(3))
-    D = spins.shape
-    sl = [slice(0, D[i] - both[i]) for i in range(3)]
-
-    def at(d):
-        return tuple(slice(sl[i].start + d[i], sl[i].stop + d[i]) for i in range(3))
-
-    s0 = spins[tuple(sl)].astype(np.int64)
-    s1 = spins[at(emu)]
-    s2 = spins[at(both)]
-    s3 = spins[at(enu)]
-    m = volmask[tuple(sl)] | volmask[at(emu)] | volmask[at(both)] | volmask[at(enu)]
-    prod = (s0 * s1 * s2 * s3)[m]
-    return float(np.sum(prod - 1))
+def relative_energy(config: SpinConfiguration, terms: Terms) -> float:
+    """The relative energy of ``config`` under an ``interaction_terms`` table;
+    each broken term (spin product -1) adds -2 w."""
+    weighted = _box_weighted(config)
+    e = -0.0   # the identity of float addition: a zero sum keeps its sign
+    for w, group in terms:
+        broken = 0
+        for offsets in group:
+            corners = _corner_views(weighted, offsets)
+            product = corners[0] * corners[1]
+            for c in corners[2:]:
+                product *= c
+            broken += int(np.count_nonzero(product < -1))
+        e += w * (-2 * broken)
+    return e
 
 
 def h2_relative_energy(config: SpinConfiguration, coeffs: ModelCoefficients) -> float:
@@ -166,30 +188,14 @@ def h2_relative_energy(config: SpinConfiguration, coeffs: ModelCoefficients) -> 
     Bonds with at least one end in the volume contribute; shell spins are part
     of the configuration.  Zero on the two uniform configurations.
     """
-    spins = config.spins
-    volmask = _volume_mask(config.volume)
-    total = 0.0
-    for d in UNIT_STEPS:
-        total += _pair_sum(spins, volmask, d)
-    return -coeffs.j * total
+    return relative_energy(config, interaction_terms(coeffs, "h2"))
 
 
 def h4_relative_energy(config: SpinConfiguration, coeffs: ModelCoefficients) -> float:
     """Fourth-order relative energy with nn, sqrt(2), distance-2 and plaquette terms."""
     if config.volume.shell < 2:
         raise ValueError("fourth-order evaluation requires shell depth >= 2")
-    spins = config.spins
-    volmask = _volume_mask(config.volume)
-    e = 0.0
-    for d in UNIT_STEPS:
-        e += -coeffs.c_nn * _pair_sum(spins, volmask, d)
-    for d in _SQRT2_STEPS:
-        e += coeffs.c_nnn * _pair_sum(spins, volmask, d)
-    for d in _DIST2_STEPS:
-        e += coeffs.c_2 * _pair_sum(spins, volmask, d)
-    for plane in _PLAQUETTE_PLANES:
-        e += coeffs.c_plq * _plaquette_sum(spins, volmask, plane)
-    return e
+    return relative_energy(config, interaction_terms(coeffs, "h4"))
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +303,15 @@ def extract_contours(
     only for the returned contours.
     """
     vol = config.volume
-    spins = config.spins
-    volmask = _volume_mask(vol)
+    weighted = _box_weighted(config)
     idx, mus, inside = [], [], []
     for mu, d in enumerate(UNIT_STEPS):
-        s1, s2 = _shifted_view(spins, d)
-        m1, m2 = _shifted_view(volmask, d)
-        broken = s1 != s2
+        s1, s2 = _corner_views(weighted, (d,))
+        product = s1 * s2
+        broken = product < 0
         idx.append(np.argwhere(broken))
         mus.append(np.full(len(idx[-1]), mu))
-        inside.append((m1 | m2)[broken])
+        inside.append(product[broken] < -1)
     k = np.concatenate(idx) + np.array(vol.padded_lo)
     mu = np.concatenate(mus)
     involume = np.concatenate(inside).tolist()

@@ -23,6 +23,7 @@ only closed-walk and connectedness code in the package.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -34,6 +35,10 @@ UNIT_STEPS: tuple[Site, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 #: Largest subset ``subset_walks`` solves (Held-Karp is 2^n n^2); raised only there.
 MAX_WALK_SITES = 10
+
+#: Most cells of a padded box (box plus shell) a ``Volume`` may have; raised
+#: when it is built, before any array of the box is allocated.
+MAX_PADDED_SITES = 2**21
 
 
 class CapExceeded(ValueError):
@@ -87,6 +92,8 @@ class Volume:
             raise ValueError("dims must be positive")
         if self.shell < 1:
             raise ValueError("shell depth must be >= 1")
+        if math.prod(self.padded_dims) > MAX_PADDED_SITES:
+            raise CapExceeded(f"padded box {self.padded_dims} exceeds {MAX_PADDED_SITES} sites")
         if self.lo is None:
             object.__setattr__(self, "lo", tuple(-(d // 2) for d in self.dims))
 

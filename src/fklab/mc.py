@@ -5,10 +5,13 @@ scale: layer magnetization profiles, the good-pair fraction of the projected
 
 A sweep is a single-flip round and, with the hexagon move set, a corner round.
 Each round visits the seven colour classes c(k) = (k1 + 2 k2 + 4 k3) mod 7 in
-order.  The colouring separates every pair of sites that h2 or h4 couples
-(axis offsets 1 and 2, face diagonals, plaquette corners), so the sites of one
-class take their Metropolis steps at once, each with the energy change it
-would have alone.  Each site of the class is proposed with probability 1/2 and
+order.  The colouring separates every pair of sites that a term of
+``classical.interaction_terms`` couples (axis offsets 1 and 2, face
+diagonals, plaquette corners), so the sites of one class take their
+Metropolis steps at once, each with the energy change it would have alone.
+The sampler's partner tables and couplings are read off that same table, and
+the running energy is cross-checked against ``classical.relative_energy`` of
+it.  Each site of the class is proposed with probability 1/2 and
 a proposal is accepted with probability min(1, e^(-beta dE)); the corner round
 also requires the site to be an interface corner, a predicate that reads only
 neighbours of other colours and ignores the site's own spin, so the proposal
@@ -32,14 +35,15 @@ import numpy as np
 
 from .classical import (
     ModelCoefficients,
+    Terms,
     extract_contours,
-    h2_relative_energy,
-    h4_relative_energy,
+    grid_ids,
+    interaction_terms,
+    relative_energy,
 )
 from .lattice import SpinConfiguration, Volume, boundary_spin
 from .tiling import good_pair_fraction_of_faces
 
-HAMILTONIANS = ("h2", "h4")
 MOVE_SETS = ("single-flip", "single-flip+hexagon-flip")
 N_COLOURS = 7
 # a corner has spin +1 at its three up neighbours and -1 at its three down ones
@@ -65,20 +69,22 @@ class RunSpec:
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"need finite beta >= 0, got {self.beta}")
-        if not (math.isfinite(self.U) and self.U > 0):
-            raise ValueError(f"need finite U > 0, got {self.U}")
-        if self.sweeps <= self.thermalization:
-            raise ValueError("sweeps must exceed thermalization")
+        # raises ValueError for a U the coefficients reject or an unknown hamiltonian
+        interaction_terms(ModelCoefficients(U=self.U), self.hamiltonian)
         boundary_spin(self.bc, (0, 0, 0))  # raises ValueError for an unknown bc
-        if self.hamiltonian not in HAMILTONIANS:
-            raise ValueError(f"hamiltonian must be one of {HAMILTONIANS}")
         if self.move_set not in MOVE_SETS:
             raise ValueError(f"move_set must be one of {MOVE_SETS}")
         if self.measure_stride < 1 or self.cross_check_stride < 1:
             raise ValueError("measure_stride and cross_check_stride must be >= 1")
+        if self.thermalization < 0:
+            raise ValueError(f"thermalization must be >= 0, got {self.thermalization}")
+        if self.sweeps - self.thermalization < self.measure_stride:
+            raise ValueError("the sweeps after thermalization must hold at least one measurement "
+                             f"(measure_stride {self.measure_stride})")
         if self.snapshot_stride < 0:
             raise ValueError("snapshot_stride must be >= 0")
         object.__setattr__(self, "dims", tuple(self.dims))
+        self.volume()  # raises for a bad shell or dims, or CapExceeded for a huge box
 
     def volume(self) -> Volume:
         return Volume(dims=self.dims, shell=self.shell)
@@ -125,19 +131,27 @@ class ObservableSeries:
 
 
 class _Lattice:
-    """Flattened neighbour tables for O(1) local energy differences.
+    """Flattened partner tables of an ``interaction_terms`` table, for O(1)
+    local energy differences.
 
-    Tables hold flat indices into the padded spin array: a neighbour at offset
-    d is the box site's flat index plus the flat offset of d.  Every offset
-    used is at most 2 sites along an axis, so with a shell of depth >= 2 no
-    lookup leaves the padded array or wraps into another row.
-    Columns 0-2 of ``pair_idx`` are the ``up`` neighbours and 3-5 the ``dn``
-    neighbours.  ``classes`` holds, for each colour c = (i1 + 2 i2 + 4 i3) mod 7
-    of the padded index, the class's rows of ``vol_flat``, ``pair_idx`` and
-    ``plq``; no row of a class refers to a site of the same class.
+    Tables hold flat indices into the padded spin array: a partner at offset
+    d is the box site's flat index plus the flat offset of d.  A site x lies
+    in the term anchored at x - c for every corner c of that term, so its
+    partners there are the term's other corners minus c.  ``pair_idx`` (n, P)
+    holds the partner of every pair term and ``plq`` (3, n, Q) the three of
+    every plaquette; with their couplings ``pair_w`` and ``plq_w`` (minus the
+    table's w), flipping x changes the energy by 2 s_x times the local field
+    ``pair_w . s[pair_idx] + plq_w . prod s[plq]``.  Each group of terms is
+    laid out corner by corner, so columns 0-2 of ``pair_idx`` are the up
+    neighbours and 3-5 the down ones.  Every offset is at most 2 sites along
+    an axis, so with a shell of depth >= 2 no lookup leaves the padded array
+    or wraps into another row.  ``classes`` holds, for each colour
+    c = (i1 + 2 i2 + 4 i3) mod 7 of the padded index, the class's rows of
+    ``vol_flat``, ``pair_idx`` and ``plq``; no row of a class refers to a
+    site of the same class.
     """
 
-    def __init__(self, volume: Volume):
+    def __init__(self, volume: Volume, terms: Terms):
         if volume.shell < 2:
             raise ValueError("sampler requires shell depth >= 2")
         self.volume = volume
@@ -145,66 +159,30 @@ class _Lattice:
         self.shape = dims
         self.vol_flat = np.arange(int(np.prod(dims))).reshape(dims)[volume.box].ravel()
         self.n_vol = self.vol_flat.size
-        strides = (dims[1] * dims[2], dims[2], 1)
-
-        def shift_flat(d):
-            return self.vol_flat + sum(x * st for x, st in zip(d, strides))
-
-        up_dirs = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        dn_dirs = ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
-        self.up = np.stack([shift_flat(d) for d in up_dirs], axis=1)
-        self.dn = np.stack([shift_flat(d) for d in dn_dirs], axis=1)
-        self.nn = np.concatenate([self.up, self.dn], axis=1)
-
-        sq2, d2 = [], []
-        for mu in range(3):
-            for nu in range(mu + 1, 3):
-                for smu in (1, -1):
-                    for snu in (1, -1):
-                        d = [0, 0, 0]
-                        d[mu], d[nu] = smu, snu
-                        sq2.append(tuple(d))
-        for d in up_dirs + dn_dirs:
-            d2.append(tuple(2 * x for x in d))
-        # pair neighbours with their couplings folded into one weight table
-        self.pair_idx = np.concatenate(
-            [self.nn] + [np.stack([shift_flat(d) for d in sq2], axis=1)]
-            + [np.stack([shift_flat(d) for d in d2], axis=1)],
-            axis=1,
-        )
-        plq = []
-        for mu in range(3):
-            for nu in range(mu + 1, 3):
-                for smu in (1, -1):
-                    for snu in (1, -1):
-                        a = [0, 0, 0]; a[mu] = smu
-                        b = [0, 0, 0]; b[nu] = snu
-                        c = [0, 0, 0]; c[mu] = smu; c[nu] = snu
-                        plq.append((tuple(a), tuple(b), tuple(c)))
-        self.plq = np.stack(
-            [np.stack([shift_flat(a), shift_flat(b), shift_flat(c)], axis=1) for (a, b, c) in plq],
-            axis=1,
-        )  # (n_vol, 12, 3)
+        strides = np.array((dims[1] * dims[2], dims[2], 1))
+        pair_d, pair_w, plq_d, plq_w = [], [], [], []
+        for w, group in terms:
+            flats = [np.array(((0, 0, 0), *offsets)) @ strides for offsets in group]
+            for j in range(len(flats[0])):
+                for flat in flats:
+                    partners = np.delete(flat, j) - flat[j]
+                    if len(partners) == 1:
+                        pair_d.append(partners[0])
+                        pair_w.append(-w)
+                    else:
+                        plq_d.append(partners)
+                        plq_w.append(-w)
+        self.pair_idx = self.vol_flat[:, None] + np.array(pair_d, dtype=np.int64)
+        plq_d = np.array(plq_d, dtype=np.int64).reshape(-1, 3).T   # (3, Q)
+        self.plq = self.vol_flat[:, None] + plq_d[:, None]
+        self.pair_w = np.array(pair_w)
+        self.plq_w = np.array(plq_w)
         i1, i2, i3 = np.indices(dims)
         colour = ((i1 + 2 * i2 + 4 * i3) % N_COLOURS).ravel()[self.vol_flat]
         self.classes = [
-            (self.vol_flat[m], self.pair_idx[m], self.plq[m])
+            (self.vol_flat[m], self.pair_idx[m], self.plq[:, m])
             for m in (colour == c for c in range(N_COLOURS))
         ]
-
-    def pair_weights(self, co: ModelCoefficients, hamiltonian: str) -> np.ndarray:
-        """Couplings of the leading columns of ``pair_idx`` (the rest are 0)."""
-        if hamiltonian == "h2":
-            return np.full(6, co.j)
-        return np.concatenate([
-            np.full(6, co.c_nn), np.full(12, -co.c_nnn), np.full(6, -co.c_2),
-        ])
-
-
-def _total_energy(config: SpinConfiguration, co: ModelCoefficients, hamiltonian: str) -> float:
-    if hamiltonian == "h2":
-        return h2_relative_energy(config, co)
-    return h4_relative_energy(config, co)
 
 
 def _box_arrays(config: SpinConfiguration):
@@ -245,11 +223,9 @@ def interface_width(config: SpinConfiguration) -> float:
     side (e.g. 7x7x3) have many full-length columns.
     """
     k, spins = _box_arrays(config)
-    a, b = k[0] - k[2], k[1] - k[2]   # phi, the projection along (1,1,1)
-    ground = boundary_spin("bc111", k)
-    col = (a - a.min()) * (b.max() - b.min() + 1) + (b - b.min())
+    col = grid_ids((k[:2] - k[2]).T)   # phi, the projection along (1,1,1)
     lengths = np.bincount(col)
-    disp = np.bincount(col, weights=spins - ground)
+    disp = np.bincount(col, weights=spins - boundary_spin("bc111", k))
     return float(np.std(disp[lengths == lengths.max()] / 2.0))
 
 
@@ -263,27 +239,23 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
     corner move at a site that is not a corner counts as rejected.
     """
     vol = spec.volume()
-    co = ModelCoefficients(U=spec.U)
+    terms = interaction_terms(ModelCoefficients(U=spec.U), spec.hamiltonian)
     config0 = SpinConfiguration.from_boundary(vol, spec.bc)
     spins = config0.spins.ravel().copy()
-    lat = _Lattice(vol)
+    lat = _Lattice(vol, terms)
     rng = np.random.Generator(np.random.Philox(key=(spec.seed, replica)))
-    pair_w = lat.pair_weights(co, spec.hamiltonian)
-    use_plq = spec.hamiltonian == "h4"
-    c_plq = co.c_plq
+    pair_w, plq_w = lat.pair_w, lat.plq_w
     rounds = 2 if spec.move_set == "single-flip+hexagon-flip" else 1
     beta = spec.beta
     # each class reads its own block of the sweep's uniforms
     ends = np.cumsum([len(sites) for sites, _, _ in lat.classes])
-    classes = [
-        (sites, pair[:, :pair_w.size], plq if use_plq else None, slice(end - len(sites), end))
-        for (sites, pair, plq), end in zip(lat.classes, ends)
-    ]
+    classes = [(sites, pair, plq, slice(end - len(sites), end))
+               for (sites, pair, plq), end in zip(lat.classes, ends)]
 
     def view_config() -> SpinConfiguration:
         return SpinConfiguration(vol, spins.reshape(lat.shape).copy(), bc=spec.bc)
 
-    energy = _total_energy(view_config(), co, spec.hamiltonian)
+    energy = relative_energy(view_config(), terms)
     series = ObservableSeries(spec=spec, replica=replica)
 
     for sweep in range(1, spec.sweeps + 1):
@@ -297,9 +269,9 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
             for sites, pair, plq, block in classes:
                 nb = spins[pair]
                 field = nb @ pair_w
-                if plq is not None:
+                if plq_w.size:   # h2 has no plaquettes
                     trip = spins[plq]
-                    field -= c_plq * (trip[..., 0] * trip[..., 1] * trip[..., 2]).sum(axis=1)
+                    field += (trip[0] * trip[1] * trip[2]) @ plq_w
                 de = 2.0 * spins[sites] * field
                 flip = us[r, block] < 0.5 * np.exp(-beta * np.maximum(de, 0.0))
                 if r == 1:
@@ -308,7 +280,7 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
                 energy += float(de[flip].sum())
                 accepted += int(np.count_nonzero(flip))
         if sweep % spec.cross_check_stride == 0:
-            full = _total_energy(view_config(), co, spec.hamiltonian)
+            full = relative_energy(view_config(), terms)
             if abs(energy - full) > 1e-9 * max(1.0, abs(full)):
                 raise RuntimeError(
                     f"energy bookkeeping drifted: running {energy!r} vs full {full!r}"

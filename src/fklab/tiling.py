@@ -78,6 +78,14 @@ def stair_height(p: PlaneVertex) -> int:
     return (0, 1, -1)[vertex_class(p)]
 
 
+def _height_function(heights) -> Callable[[PlaneVertex], int]:
+    """``heights`` as a function of plane vertices: a dict reads staircase
+    values outside its keys, and a callable is returned as it is."""
+    if isinstance(heights, dict):
+        return lambda p: heights.get(p, stair_height(p))
+    return heights
+
+
 def tri_up(a: int, b: int) -> Triangle:
     return frozenset(((a, b), (a + 1, b), (a + 1, b + 1)))
 
@@ -628,10 +636,7 @@ def tiling_from_heights(region: Region, heights) -> Tiling:
     elementary terrace move, so synthetic interface shapes can be written
     down directly.
     """
-    if isinstance(heights, dict):
-        hfun = lambda p: heights.get(p, stair_height(p))  # noqa: E731
-    else:
-        hfun = heights
+    hfun = _height_function(heights)
     ix = region.index
     h = ix.stair[:]
     for v in ix.vertices:
@@ -731,14 +736,10 @@ def config_from_heights(
     k = volume.coords()
     if heights is None:
         return SpinConfiguration(volume, boundary_spin("bc111", k), bc="bc111")
-    if isinstance(heights, dict):
-        hfun = lambda p: heights.get(p, stair_height(p))  # noqa: E731
-    else:
-        hfun = heights
-    a, b = k[0] - k[2], k[1] - k[2]   # phi(k), one value per column
-    _, first, col_of = np.unique(a * (b.max() - b.min() + 1) + b,
-                                 return_index=True, return_inverse=True)
-    h = np.array([hfun((int(a.flat[i]), int(b.flat[i]))) for i in first])[col_of]
+    hfun = _height_function(heights)
+    ab = np.moveaxis(k[:2] - k[2], 0, -1).reshape(-1, 2)   # phi(k), one value per column
+    _, first, col_of = np.unique(grid_ids(ab), return_index=True, return_inverse=True)
+    h = np.array([hfun(tuple(p)) for p in ab[first].tolist()])[col_of]
     spins = np.where(k.sum(axis=0) >= h.reshape(volume.padded_dims) - 1, 1, -1).astype(np.int8)
     return SpinConfiguration(volume, spins, bc="bc111")
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from fklab.classical import IsingContour, _shifted_view, _volume_mask, face_vertices
-from fklab.lattice import UNIT_STEPS, components
+from fklab.classical import IsingContour, face_vertices
+from fklab.lattice import components
 from fklab.tiling import RConfiguration, phi, project_face
 
 
@@ -22,18 +22,20 @@ def face_edges(face) -> list[frozenset]:
 
 
 def broken_faces(config):
-    """Faces dual to anti-aligned bonds, with their in-volume flags."""
+    """Faces dual to anti-aligned bonds, with their in-volume flags, in the
+    order of the package: by axis, then by lower site in array order."""
     vol = config.volume
     spins = config.spins
-    volmask = _volume_mask(vol)
     faces, involume = [], []
-    for mu, d in enumerate(UNIT_STEPS):
-        s1, s2 = _shifted_view(spins, d)
-        m1, m2 = _shifted_view(volmask, d)
-        iv = m1 | m2
-        for idx in np.argwhere(s1 != s2):
-            faces.append((tuple(int(i) + l for i, l in zip(idx, vol.padded_lo)), mu))
-            involume.append(bool(iv[tuple(idx)]))
+    for mu in range(3):
+        n = spins.shape[mu] - 1
+        lower = np.moveaxis(spins, mu, 0)[:n]
+        upper = np.moveaxis(spins, mu, 0)[1:]
+        for idx in np.argwhere(np.moveaxis(lower != upper, 0, mu)):
+            k = tuple(int(i) + l for i, l in zip(idx, vol.padded_lo))
+            k2 = tuple(k[i] + (i == mu) for i in range(3))
+            faces.append((k, mu))
+            involume.append(vol.contains(k) or vol.contains(k2))
     return faces, involume
 
 

@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 
-from fklab.classical import ModelCoefficients
+from fklab.classical import ModelCoefficients, interaction_terms, relative_energy
 from fklab.lattice import SpinConfiguration, coordinate_sum
-from fklab.mc import ObservableSeries, RunSpec, _Lattice, _pinned_faces, _total_energy
+from fklab.mc import ObservableSeries, RunSpec, _Lattice, _pinned_faces
 from fklab.tiling import good_pair_fraction_of_faces, phi, stair_height
 
 
@@ -59,15 +59,11 @@ def interface_width(config: SpinConfiguration) -> float:
 def reference_mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
     """One random-site Metropolis chain with the same measurements as ``mc_run``."""
     vol = spec.volume()
-    co = ModelCoefficients(U=spec.U)
+    terms = interaction_terms(ModelCoefficients(U=spec.U), spec.hamiltonian)
     config0 = SpinConfiguration.from_boundary(vol, spec.bc)
     spins = config0.spins.astype(np.int64).ravel()
-    lat = _Lattice(vol)
+    lat = _Lattice(vol, terms)
     rng = np.random.Generator(np.random.Philox(key=(spec.seed, replica)))
-    pair_w = np.zeros(lat.pair_idx.shape[1])
-    weights = lat.pair_weights(co, spec.hamiltonian)
-    pair_w[:weights.size] = weights
-    use_plq = spec.hamiltonian == "h4"
     hex_moves = spec.move_set == "single-flip+hexagon-flip"
     beta = spec.beta
     n = lat.n_vol
@@ -75,15 +71,13 @@ def reference_mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
     def view_config() -> SpinConfiguration:
         return SpinConfiguration(vol, spins.reshape(lat.shape).astype(np.int8), bc=spec.bc)
 
-    energy = _total_energy(view_config(), co, spec.hamiltonian)
+    energy = relative_energy(view_config(), terms)
     series = ObservableSeries(spec=spec, replica=replica)
 
     def delta_e(p: int, i: int) -> float:
-        pair = float(pair_w @ spins[lat.pair_idx[p]])
-        if use_plq:
-            trip = spins[lat.plq[p]]
-            pair -= co.c_plq * float((trip[:, 0] * trip[:, 1] * trip[:, 2]).sum())
-        return 2.0 * spins[i] * pair
+        field = float(lat.pair_w @ spins[lat.pair_idx[p]])
+        field += float(lat.plq_w @ spins[lat.plq[:, p]].prod(axis=0))
+        return 2.0 * spins[i] * field
 
     for sweep in range(1, spec.sweeps + 1):
         accepted = 0
@@ -97,9 +91,8 @@ def reference_mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
                 proposals += 1
                 p = int(p)
                 i = int(lat.vol_flat[p])
-                if corner_round and not (
-                    np.all(spins[lat.up[p]] == 1) and np.all(spins[lat.dn[p]] == -1)
-                ):
+                up, dn = lat.pair_idx[p, :3], lat.pair_idx[p, 3:6]
+                if corner_round and not (np.all(spins[up] == 1) and np.all(spins[dn] == -1)):
                     continue
                 de = delta_e(p, i)
                 if de <= 0.0 or u < math.exp(-beta * de):
@@ -107,7 +100,7 @@ def reference_mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
                     energy += de
                     accepted += 1
         if sweep % spec.cross_check_stride == 0:
-            full = _total_energy(view_config(), co, spec.hamiltonian)
+            full = relative_energy(view_config(), terms)
             if abs(energy - full) > 1e-9 * max(1.0, abs(full)):
                 raise RuntimeError(
                     f"energy bookkeeping drifted: running {energy!r} vs full {full!r}"

@@ -142,6 +142,24 @@ def test_h4_matches_bruteforce_oracle():
     )
 
 
+@pytest.mark.parametrize("dims, lo, shell, U", [
+    ((5, 3, 2), (1, -3, 0), 2, 8.0),
+    ((2, 6, 3), (-4, 2, 5), 2, 5.3),
+    ((3, 2, 7), (0, 0, -6), 3, 11.7),
+    ((1, 4, 1), (7, -1, 2), 2, 4.0),
+])
+def test_h4_matches_bruteforce_oracle_on_anisotropic_boxes(dims, lo, shell, U):
+    """Boxes with unequal sides away from the origin, with
+    random spins in the box and the shell: a mixed-up axis or a missing
+    offset in the interaction table shows here, where a cube may hide it."""
+    vol = Volume(dims=dims, shell=shell, lo=lo)
+    co = ModelCoefficients(U=U)
+    rng = np.random.default_rng(sum(dims) + shell)
+    for trial in range(3):
+        cfg = SpinConfiguration(vol, rng.choice(np.array([-1, 1], dtype=np.int8), size=vol.padded_dims))
+        assert h4_relative_energy(cfg, co) == pytest.approx(_h4_bruteforce(cfg, co), abs=1e-12)
+
+
 def test_h4_global_flip_invariance():
     vol = Volume(dims=(4, 4, 4), shell=2)
     rng = np.random.default_rng(5)

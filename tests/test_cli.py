@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import resource
 import shutil
 import subprocess
 import sys
@@ -231,14 +232,42 @@ def test_mc_snapshot_flag_writes_final_snapshot(tmp_path):
 
 @pytest.mark.parametrize("bad", [{"measure_stride": 0}, {"cross_check_stride": 0},
                                  {"snapshot_stride": -1}, {"replicas": 0},
-                                 {"bc": "bogus"}])
+                                 {"bc": "bogus"},
+                                 # no measurement (NaN in summary.json) or a negative thermalization
+                                 {"sweeps": 5, "thermalization": 0, "measure_stride": 10},
+                                 {"sweeps": 12, "thermalization": 3, "measure_stride": 10},
+                                 {"sweeps": 0, "thermalization": -1, "measure_stride": 1},
+                                 {"thermalization": -1}])
 def test_mc_bad_stride_exits_2(tmp_path, bad):
     cfg = _write(tmp_path, "m.json", {
         "dims": [4, 4, 4], "bc": "hom_plus", "hamiltonian": "h2", "U": 4.0,
-        "beta": 1.0, "sweeps": 10, "thermalization": 2, **bad,
+        "beta": 1.0, "sweeps": 10, "thermalization": 2, "measure_stride": 2, **bad,
     })
     out = tmp_path / "o"
     assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("energy", {"volume": {"dims": [1000, 1000, 1000], "shell": 2, "bc": "bc111"}, "U": 8.0}),
+    ("mc", {"dims": [1000, 1000, 1000], "bc": "bc111", "hamiltonian": "h2", "U": 4.0,
+            "beta": 1.0, "sweeps": 5, "thermalization": 0, "measure_stride": 1}),
+])
+def test_huge_box_exits_3_before_allocating(tmp_path, command, doc):
+    """A box past the padded-site cap exits 3 and writes nothing.  The
+    subcommand runs under a 3 GiB address-space limit, so a box that is
+    allocated after all fails with a MemoryError instead of taking the
+    machine's memory."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fklab.cli", command, "--config", _write(tmp_path, "c.json", doc),
+         "--out", str(out)],
+        capture_output=True, preexec_fn=limit,
+    )
+    assert proc.returncode == 3, proc.stderr
     assert not out.exists()
 
 

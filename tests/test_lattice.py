@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fklab.lattice import (
+    MAX_PADDED_SITES,
     CapExceeded,
     SpinConfiguration,
     Volume,
@@ -249,3 +250,7 @@ def test_library_caps_raise_cap_exceeded():
         enumerate_tilings(hexagon_region(4))
     with pytest.raises(CapExceeded):
         minimal_rhombus_cover(hexagon_region(3).triangles)
+    # the padded-site cap holds at its boundary, raised before any array is built
+    assert math.prod(Volume(dims=(126, 126, 126), shell=1).padded_dims) == MAX_PADDED_SITES
+    with pytest.raises(CapExceeded):
+        Volume(dims=(127, 126, 126), shell=1)

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fklab.classical import ModelCoefficients, h2_relative_energy, h4_relative_energy
-from fklab.lattice import SpinConfiguration, Volume, coordinate_sum
+from fklab.classical import (
+    ModelCoefficients,
+    h2_relative_energy,
+    h4_relative_energy,
+    interaction_terms,
+)
+from fklab.lattice import CapExceeded, SpinConfiguration, Volume, coordinate_sum
 from fklab.mc import (
     ObservableSeries,
     RunSpec,
@@ -36,8 +41,11 @@ def _spec(**kw):
 def test_spec_validation():
     with pytest.raises(ValueError):
         _spec(sweeps=5, thermalization=10)
-    with pytest.raises(ValueError):
-        _spec(U=-1.0)
+    for bad in (-1.0, 1.5):   # the coefficients need U >= 2
+        with pytest.raises(ValueError):
+            _spec(U=bad)
+    with pytest.raises(CapExceeded):   # before the chain allocates its box
+        _spec(dims=(1000, 1000, 1000))
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             _spec(beta=bad)
@@ -51,6 +59,21 @@ def test_spec_validation():
                 dict(cross_check_stride=0), dict(snapshot_stride=-1)):
         with pytest.raises(ValueError):
             _spec(**bad)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(thermalization=-1),
+    dict(sweeps=0, thermalization=-1, measure_stride=1),
+    dict(sweeps=5, thermalization=0, measure_stride=10),
+    dict(sweeps=20, thermalization=15, measure_stride=6),
+])
+def test_spec_rejects_runs_without_measurement(bad):
+    with pytest.raises(ValueError):
+        _spec(**bad)
+
+
+def test_spec_takes_a_single_measurement():
+    assert mc_run(_spec(sweeps=6, thermalization=0, measure_stride=6)).sweeps == [6]
 
 
 def test_determinism_byte_for_byte():
@@ -189,9 +212,12 @@ def test_pinned_interface_missing_is_invariant_violation():
 
 @pytest.mark.parametrize("dims", [(9, 9, 9), (4, 5, 6), (1, 2, 3)])
 def test_colour_classes_are_independent_sets(dims):
-    lat = _Lattice(Volume(dims=dims, shell=2))
-    assert np.array_equal(lat.pair_idx[:, :3], lat.up)
-    assert np.array_equal(lat.pair_idx[:, 3:6], lat.dn)
+    vol = Volume(dims=dims, shell=2)
+    lat = _Lattice(vol, interaction_terms(ModelCoefficients(U=4.0), "h4"))
+    # columns 0-5 are the up neighbours e1, e2, e3, then the down ones
+    k = np.array([vol.index(s) for s in vol.sites()])
+    for col, step in enumerate(np.vstack([np.eye(3, dtype=int), -np.eye(3, dtype=int)])):
+        assert np.array_equal(lat.pair_idx[:, col], np.ravel_multi_index((k + step).T, lat.shape))
     sites = np.concatenate([c[0] for c in lat.classes])
     assert np.array_equal(np.sort(sites), np.sort(lat.vol_flat))
     for own, pair, plq in lat.classes:
@@ -208,20 +234,18 @@ def test_local_energy_change_equals_full_difference(dims, lo, U, seed):
     of the flipped configuration minus h2 and h4 before, at every tried site
     of a random shell-2 configuration (shell spins random too)."""
     vol = Volume(dims=dims, shell=2, lo=lo)
-    lat = _Lattice(vol)
     co = ModelCoefficients(U=U)
     rng = np.random.default_rng(seed)
     cfg = SpinConfiguration(vol, rng.choice(np.array([-1, 1], dtype=np.int8), size=vol.padded_dims))
     spins = cfg.spins.ravel()
     sites = list(vol.sites())
-    for m in rng.choice(lat.n_vol, size=min(lat.n_vol, 4), replace=False):
+    lattices = {ham: _Lattice(vol, interaction_terms(co, ham)) for ham in ("h2", "h4")}
+    for m in rng.choice(len(sites), size=min(len(sites), 4), replace=False):
         flipped = cfg.with_flip(sites[m])
-        assert vol.index(sites[m]) == np.unravel_index(lat.vol_flat[m], lat.shape)
         for ham, energy in (("h2", h2_relative_energy), ("h4", h4_relative_energy)):
-            w = lat.pair_weights(co, ham)
-            field = spins[lat.pair_idx[m, :w.size]] @ w
-            if ham == "h4":
-                field -= co.c_plq * spins[lat.plq[m]].prod(axis=1).sum()
+            lat = lattices[ham]
+            assert vol.index(sites[m]) == np.unravel_index(lat.vol_flat[m], lat.shape)
+            field = spins[lat.pair_idx[m]] @ lat.pair_w + spins[lat.plq[:, m]].prod(axis=0) @ lat.plq_w
             de = 2.0 * spins[lat.vol_flat[m]] * field
             assert de == pytest.approx(energy(flipped, co) - energy(cfg, co), abs=1e-12)
 
