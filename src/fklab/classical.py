@@ -14,6 +14,7 @@ bonds from as well; ``mc`` builds the sampler's local tables from it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -146,6 +147,15 @@ def interaction_terms(coeffs: ModelCoefficients, hamiltonian: str) -> Terms:
     raise ValueError(f"hamiltonian must be one of {HAMILTONIANS}, got {hamiltonian!r}")
 
 
+@functools.lru_cache(maxsize=8)   # relative_energy asks on every call; a scan of h4 takes ~30 us
+def interaction_reach(terms: Terms) -> int:
+    """The shell depth a table needs: the largest distance along an axis
+    between two corners of one term, 1 for h2 and 2 for h4.  Every site that
+    shares a term with a box site then lies in the box or its shell."""
+    return max(max(x) - min(x) for _, group in terms for offsets in group
+               for x in zip((0, 0, 0), *offsets))
+
+
 def _corner_views(a: np.ndarray, offsets) -> list[np.ndarray]:
     """Views of ``a`` at x and at x + c for each offset c, over every x at
     which all of them are in range."""
@@ -167,7 +177,11 @@ def _box_weighted(config: SpinConfiguration) -> np.ndarray:
 
 def relative_energy(config: SpinConfiguration, terms: Terms) -> float:
     """The relative energy of ``config`` under an ``interaction_terms`` table;
-    each broken term (spin product -1) adds -2 w."""
+    each broken term (spin product -1) adds -2 w.  A shell shallower than
+    the table's ``interaction_reach`` raises ValueError."""
+    reach = interaction_reach(terms)
+    if config.volume.shell < reach:
+        raise ValueError(f"shell depth {config.volume.shell} is below the interaction reach {reach}")
     weighted = _box_weighted(config)
     e = -0.0   # the identity of float addition: a zero sum keeps its sign
     for w, group in terms:
@@ -193,8 +207,6 @@ def h2_relative_energy(config: SpinConfiguration, coeffs: ModelCoefficients) -> 
 
 def h4_relative_energy(config: SpinConfiguration, coeffs: ModelCoefficients) -> float:
     """Fourth-order relative energy with nn, sqrt(2), distance-2 and plaquette terms."""
-    if config.volume.shell < 2:
-        raise ValueError("fourth-order evaluation requires shell depth >= 2")
     return relative_energy(config, interaction_terms(coeffs, "h4"))
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -28,7 +27,7 @@ from .bounds import (
 from .classical import ModelCoefficients, extract_contours, h2_relative_energy, h4_relative_energy
 from .lattice import CapExceeded, SpinConfiguration, Volume
 from .mc import RunSpec, _pinned_faces, mc_run
-from .quantum import MAX_ELECTRON_SITES, FKParameters, extract_couplings, verify_decay
+from .quantum import CouplingTable, FKParameters, extract_couplings, verify_decay
 from .svgout import faces_svg, tiling_svg
 from .tiling import (
     Region,
@@ -82,6 +81,13 @@ def _bool(value, key: str) -> bool:
     raise ConfigError(f"{key} must be true or false, got {value!r}")
 
 
+def _str(value, key: str) -> str:
+    """A string config value; the callee checks it against its names."""
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{key} must be a string, got {value!r}")
+
+
 def _site(value, key: str) -> tuple[int, int, int]:
     """An integer triple: a site, or box dimensions."""
     if not isinstance(value, list) or len(value) != 3:
@@ -96,17 +102,45 @@ def _sites(value, key: str) -> list[tuple[int, int, int]]:
     return [_site(s, key) for s in value]
 
 
-def _load_config(path: str, required: set, optional: set) -> dict:
-    doc = _read_json(path, "config")
+def _read(doc, required: dict, optional: dict, unread=(), where: str | None = None) -> dict:
+    """The values of the JSON object ``doc``, each read by its reader.
+
+    ``required`` and ``optional`` map every key to its reader (``_int``,
+    ``_real``, ...).  Only the keys present are read and returned, so an
+    absent optional key leaves the callee's default in force.  ``unread``
+    keys are allowed but not read; any other key, or a missing required one,
+    is a config error.  ``where`` names a nested block in the messages.
+    """
+    name = where or "config"
     if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    missing = required - set(doc)
+        raise ConfigError(f"{name} must be a JSON object, got {doc!r}")
+    missing = required.keys() - doc.keys()
     if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
-    unknown = set(doc) - required - optional
+        raise ConfigError(f"missing {name} keys: {sorted(missing)}")
+    readers = {**required, **optional}
+    unknown = doc.keys() - readers.keys() - set(unread)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return doc
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return {k: read(doc[k], f"{where}.{k}" if where else k)
+            for k, read in readers.items() if k in doc}
+
+
+def _load_config(path: str, required: dict, optional: dict, unread=()) -> tuple[dict, dict]:
+    """The config object at ``path`` and its values read by ``_read``."""
+    doc = _read_json(path, "config")
+    return doc, _read(doc, required, optional, unread)
+
+
+def _take(cfg: dict, *keys: str) -> dict:
+    """Remove ``keys`` from ``cfg`` and return the present ones as keyword arguments."""
+    return {k: cfg.pop(k) for k in keys if k in cfg}
+
+
+def _volume(value, key: str) -> tuple[Volume, str]:
+    """A volume block: the box ``dims`` and ``bc``, and optionally ``shell`` and ``lo``."""
+    cfg = _read(value, {"dims": _site, "bc": _str}, {"shell": _int, "lo": _site}, where=key)
+    bc = cfg.pop("bc")
+    return Volume(**cfg), bc
 
 
 def _provenance(doc: dict, seed) -> dict:
@@ -124,19 +158,15 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_heff(config_path: str, out: Path, seed) -> int:
-    doc = _load_config(
+    doc, cfg = _load_config(
         config_path,
-        required={"dims", "U", "beta"},
-        optional={"t", "max_g", "window", "shell"},
+        {"dims": _site, "U": _real, "beta": _real},
+        {"t": _real, "max_g": _int, "window": _sites},
     )
-    vol = Volume(dims=_site(doc["dims"], "dims"), shell=_int(doc.get("shell", 1), "shell"))
-    # one site past the electron cap is enough for extract_couplings to raise it
-    sites = list(itertools.islice(vol.sites(), MAX_ELECTRON_SITES + 1))
-    params = FKParameters(U=_real(doc["U"], "U"), beta=_real(doc["beta"], "beta"),
-                          t=_real(doc.get("t", 1.0), "t"))
-    window = _sites(doc["window"], "window") if "window" in doc else None
-    table = extract_couplings(sites, params, max_g=_int(doc.get("max_g", 3), "max_g"),
-                              window=window)
+    vol = Volume(dims=cfg.pop("dims"))
+    params = FKParameters(**_take(cfg, "U", "beta", "t"))
+    table = extract_couplings(vol.sites(), params, max_g=cfg.get("max_g", 3),
+                              **_take(cfg, "window"))
     decay = verify_decay(table)
     audit = decay_audit(table)
     prov = _provenance(doc, seed)
@@ -158,21 +188,19 @@ def cmd_heff(config_path: str, out: Path, seed) -> int:
 
 
 def cmd_tilings(config_path: str, out: Path, seed) -> int:
-    doc = _load_config(
-        config_path,
-        required=set(),
-        optional={"side", "triangles", "render", "max_render"},
-    )
-    if "side" in doc:
-        region = hexagon_region(_int(doc["side"], "side"))
+    # the triangles are read only when the config gives no side
+    doc, cfg = _load_config(config_path, {}, {"side": _int, "render": _bool, "max_render": _int},
+                            unread={"triangles"})
+    if "side" in cfg:
+        region = hexagon_region(cfg["side"])
     elif "triangles" in doc:
         region = Region(frozenset(triangles_from_json(doc["triangles"])))
     else:
         raise ConfigError("config needs 'side' or 'triangles'")
-    cap = _int(doc.get("max_render", 32), "max_render")
+    cap = cfg.get("max_render", 32)
     if cap < 0:
         raise ConfigError(f"max_render must be >= 0, got {cap}")
-    render = _bool(doc.get("render", False), "render")
+    render = cfg.get("render", False)
     tilings = enumerate_tilings(region)
     report = degeneracy_bounds_check(region, tilings)
     prov = _provenance(doc, seed)
@@ -193,36 +221,23 @@ def cmd_tilings(config_path: str, out: Path, seed) -> int:
 
 
 def cmd_mc(config_path: str, out: Path, seed) -> int:
-    doc = _load_config(
+    doc, cfg = _load_config(
         config_path,
-        required={"dims", "bc", "hamiltonian", "U", "beta", "sweeps", "thermalization"},
-        optional={"seed", "move_set", "measure_stride", "cross_check_stride",
-                  "shell", "replicas", "snapshot", "snapshot_stride"},
+        {"dims": _site, "bc": _str, "hamiltonian": _str, "U": _real, "beta": _real,
+         "sweeps": _int, "thermalization": _int},
+        {"seed": _int, "move_set": _str, "measure_stride": _int, "cross_check_stride": _int,
+         "shell": _int, "replicas": _int, "snapshot": _bool, "snapshot_stride": _int},
     )
-    run_seed = _int(doc.get("seed", seed if seed is not None else 0), "seed")
-    spec = RunSpec(
-        dims=_site(doc["dims"], "dims"),
-        bc=str(doc["bc"]),
-        hamiltonian=str(doc["hamiltonian"]),
-        U=_real(doc["U"], "U"),
-        beta=_real(doc["beta"], "beta"),
-        sweeps=_int(doc["sweeps"], "sweeps"),
-        thermalization=_int(doc["thermalization"], "thermalization"),
-        seed=run_seed,
-        move_set=str(doc.get("move_set", "single-flip+hexagon-flip")),
-        measure_stride=_int(doc.get("measure_stride", 10), "measure_stride"),
-        cross_check_stride=_int(doc.get("cross_check_stride", 200), "cross_check_stride"),
-        shell=_int(doc.get("shell", 2), "shell"),
-        snapshot_stride=_int(doc.get("snapshot_stride", 0), "snapshot_stride"),
-    )
-    replicas = _int(doc.get("replicas", 1), "replicas")
+    replicas = cfg.pop("replicas", 1)
     if replicas < 1:
         raise ConfigError(f"replicas must be >= 1, got {replicas}")
-    snapshot = _bool(doc.get("snapshot", False), "snapshot")
+    snapshot = cfg.pop("snapshot", False)
+    run_seed = cfg.setdefault("seed", seed if seed is not None else 0)
+    spec = RunSpec(**cfg)   # the remaining keys are RunSpec's fields
     prov = _provenance(doc, run_seed)
-    out.mkdir(parents=True, exist_ok=True)
     summary = {"provenance": prov, "spec": doc, "replicas": []}
     all_series = [mc_run(spec, replica=rep) for rep in range(replicas)]
+    out.mkdir(parents=True, exist_ok=True)
 
     def _se(values) -> float:
         v = np.asarray(values, dtype=float)
@@ -260,20 +275,27 @@ def cmd_mc(config_path: str, out: Path, seed) -> int:
     return EXIT_OK
 
 
+# each op's keys and their readers; a bounds config may hold the keys of any op
+_BOUNDS_OPS = {
+    "polymer": ({"C1": _real, "C2": _real, "lambda": _real, "b": _real}, {"a": _real}),
+    "cj": ({"U": _real, "beta": _real}, {"d": _int, "t": _real, "c": _real}),
+    "b0": ({"C1": _real, "C2": _real, "lambda": _real}, {"a": _real}),
+    "audit": ({"couplings": _read_json}, {"couplings_2u": _read_json}),
+}
+
+
 def cmd_bounds(config_path: str, out: Path, seed) -> int:
-    doc = _load_config(
-        config_path,
-        required={"op"},
-        optional={"C1", "C2", "lambda", "b", "a", "d", "t", "U", "beta", "c",
-                  "couplings", "couplings_2u"},
-    )
-    op = doc["op"]
+    every_key = {k for schema in _BOUNDS_OPS.values() for readers in schema for k in readers}
+    doc, cfg = _load_config(config_path, {"op": _str}, {}, unread=every_key)
+    op = cfg["op"]
+    if op not in _BOUNDS_OPS:
+        raise ConfigError(f"unknown bounds op {op!r}")
+    cfg = _read(doc, *_BOUNDS_OPS[op], unread=doc)
+    if "lambda" in cfg:
+        cfg["lam"] = cfg.pop("lambda")
     prov = _provenance(doc, seed)
     if op == "polymer":
-        inp = PolymerInputs(C1=_real(doc["C1"], "C1"), C2=_real(doc["C2"], "C2"),
-                            lam=_real(doc["lambda"], "lambda"), b=_real(doc["b"], "b"),
-                            a=_real(doc.get("a", 2.0), "a"))
-        r = polymer_report(inp)
+        r = polymer_report(PolymerInputs(**cfg))
         payload = {
             "provenance": prov, "k0": r.k0, "alpha": r.alpha, "a0": r.a0,
             "C3": r.C3, "C4": r.C4, "a_prime": r.a_prime,
@@ -282,9 +304,7 @@ def cmd_bounds(config_path: str, out: Path, seed) -> int:
             "flags": {"cond1": r.cond1, "cond2": r.cond2, "cond4": r.cond4},
         }
     elif op == "cj":
-        r = cj_sequence(d=_int(doc.get("d", 3), "d"), t=_real(doc.get("t", 1.0), "t"),
-                        U=_real(doc["U"], "U"), beta=_real(doc["beta"], "beta"),
-                        c=_real(doc.get("c", 0.5), "c"))
+        r = cj_sequence(**{"d": 3, "t": 1.0, **cfg})
         payload = {
             "provenance": prov, "ratio": r.ratio, "C0": r.c0,
             "tail_sum": None if r.tail_sum == float("inf") else r.tail_sum,
@@ -293,23 +313,16 @@ def cmd_bounds(config_path: str, out: Path, seed) -> int:
             "values": {str(j): v for j, v in sorted(r.values.items())},
         }
     elif op == "b0":
-        r = find_b0(C1=_real(doc["C1"], "C1"), C2=_real(doc["C2"], "C2"),
-                    lam=_real(doc["lambda"], "lambda"), a=_real(doc.get("a", 2.0), "a"))
+        r = find_b0(**cfg)
         payload = {"provenance": prov, "b0": r.b0, "lambda0": r.lambda0, "B": r.B}
-    elif op == "audit":
-        from .quantum import CouplingTable
-        table = CouplingTable.from_json(_read_json(doc["couplings"], "couplings"))
-        table2 = None
-        if "couplings_2u" in doc:
-            table2 = CouplingTable.from_json(_read_json(doc["couplings_2u"], "couplings_2u"))
-        r = decay_audit(table, table2)
+    else:
+        # the couplings table, then the one at doubled U if the config names it
+        r = decay_audit(*(CouplingTable.from_json(blob) for blob in cfg.values()))
         payload = {
             "provenance": prov, "c1": r.c1, "c2_tilde": r.c2t,
             "violations": len(r.violations),
             "pair_exponent_ok": r.pair_exponent_ok, "trivial": r.trivial,
         }
-    else:
-        raise ConfigError(f"unknown bounds op {op!r}")
     _write_json(out / f"bounds_{op}.json", payload)
     return EXIT_OK
 
@@ -320,30 +333,14 @@ def cmd_energy(config_path: str, out: Path, seed) -> int:
     The configuration is the boundary ground state of ``volume``/``bc`` with an
     optional list of flipped sites.
     """
-    doc = _load_config(
-        config_path,
-        required={"volume", "U"},
-        optional={"flips"},
-    )
-    vdoc = doc["volume"]
-    if not isinstance(vdoc, dict):
-        raise ConfigError(f"volume must be a JSON object, got {vdoc!r}")
-    bc = vdoc.get("bc")
-    if bc is None:
-        raise ConfigError("volume block needs a 'bc' entry")
-    typed = {"dims": _site(vdoc.get("dims"), "volume.dims"),
-             "shell": _int(vdoc.get("shell", 2), "volume.shell")}
-    if "lo" in vdoc:
-        typed["lo"] = _site(vdoc["lo"], "volume.lo")
-    vol = Volume.from_json({**vdoc, **typed})
-    if vol.shell < 2:
-        raise ConfigError("energy evaluation needs shell depth >= 2")
+    doc, cfg = _load_config(config_path, {"volume": _volume, "U": _real}, {"flips": _sites})
+    vol, bc = cfg["volume"]
     config = SpinConfiguration.from_boundary(vol, bc)
     if bc in ("bc100", "bc111") and config.spins.min() == config.spins.max():
         raise ConfigError(f"the box and shell of this volume do not reach the {bc} interface")
-    for site in _sites(doc.get("flips", []), "flips"):
+    for site in cfg.get("flips", []):
         config = config.with_flip(site)
-    co = ModelCoefficients(U=_real(doc["U"], "U"))
+    co = ModelCoefficients(U=cfg["U"])
     contours = extract_contours(config)
     payload = {
         "provenance": _provenance(doc, seed),
@@ -356,24 +353,20 @@ def cmd_energy(config_path: str, out: Path, seed) -> int:
 
 
 def cmd_render(config_path: str, out: Path, seed) -> int:
-    doc = _load_config(
-        config_path,
-        required={"kind", "path"},
-        optional={"index"},
-    )
-    if doc["kind"] == "tiling":
-        blob = _read_json(doc["path"], "path")
+    doc, cfg = _load_config(config_path, {"kind": _str, "path": _read_json}, {"index": _int})
+    if cfg["kind"] == "tiling":
+        blob = cfg["path"]
         tilings = blob.get("tilings", [blob]) if isinstance(blob, dict) else None
         if not isinstance(tilings, list):
             raise ConfigError('a stored tiling file holds a tiling or {"tilings": [...]}')
-        idx = _int(doc.get("index", 0), "index")
+        idx = cfg.get("index", 0)
         if not (0 <= idx < len(tilings)):
             raise ConfigError("tiling index out of range")
         t = Tiling.from_json(tilings[idx])
         out.mkdir(parents=True, exist_ok=True)
         (out / "render.svg").write_text(tiling_svg(t))
     else:
-        raise ConfigError(f"unknown render kind {doc['kind']!r}")
+        raise ConfigError(f"unknown render kind {cfg['kind']!r}")
     return EXIT_OK
 
 

@@ -80,7 +80,8 @@ class Volume:
     The shell consists of all sites within Chebyshev distance ``shell`` of the
     box that are not in it; shell spins are fixed by the boundary condition and
     never updated by dynamics.  ``shell`` must cover the interaction range of
-    the Hamiltonian in use (2 for the fourth-order model, 1 for second order).
+    the Hamiltonian in use, ``classical.interaction_reach`` (2 for the
+    fourth-order model, 1 for second order).
     """
 
     dims: tuple[int, int, int]
@@ -130,24 +131,6 @@ class Volume:
         """Array index of ``site`` in the padded box."""
         return tuple(s - l for s, l in zip(site, self.padded_lo))
 
-    def to_json(self, bc: str | None = None) -> dict:
-        out = {"dims": list(self.dims), "shell": self.shell, "lo": list(self.lo)}
-        if bc is not None:
-            out["bc"] = bc
-        return out
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Volume":
-        allowed = {"dims", "shell", "lo", "bc"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ValueError(f"unknown volume keys: {sorted(unknown)}")
-        dims = tuple(int(d) for d in doc["dims"])
-        if len(dims) != 3:
-            raise ValueError("dims must have 3 entries")
-        lo = tuple(int(x) for x in doc["lo"]) if "lo" in doc else None
-        return cls(dims=dims, shell=int(doc.get("shell", 2)), lo=lo)
-
 
 class SpinConfiguration:
     """Spins +-1 on a volume plus its frozen shell, stored as an int8 array.
@@ -180,15 +163,6 @@ class SpinConfiguration:
         """Configuration equal to the boundary prescription everywhere (shell and bulk)."""
         return cls(volume, boundary_spin(bc, volume.coords()), bc=bc)
 
-    @classmethod
-    def from_function(cls, volume: Volume, bc: str, fn) -> "SpinConfiguration":
-        """Interior spins from ``fn(site)``, called in ``Volume.sites`` order;
-        shell spins forced to the bc prescription."""
-        spins = boundary_spin(bc, volume.coords())
-        interior = np.array([fn(site) for site in volume.sites()], dtype=np.int8)
-        spins[volume.box] = interior.reshape(volume.dims)
-        return cls(volume, spins, bc=bc)
-
     def with_flip(self, site: Site) -> "SpinConfiguration":
         if not self.volume.contains(site):
             raise ValueError("cannot flip a shell spin")
@@ -198,14 +172,6 @@ class SpinConfiguration:
 
     def with_spins(self, spins: np.ndarray) -> "SpinConfiguration":
         return SpinConfiguration(self.volume, spins, bc=self.bc)
-
-    def shell_consistent(self) -> bool:
-        """True if every shell spin equals the active boundary prescription."""
-        if self.bc is None:
-            return True
-        expected = boundary_spin(self.bc, self.volume.coords())
-        expected[self.volume.box] = self._spins[self.volume.box]
-        return bool(np.array_equal(expected, self._spins))
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,19 @@ order.  The colouring separates every pair of sites that a term of
 ``classical.interaction_terms`` couples (axis offsets 1 and 2, face
 diagonals, plaquette corners), so the sites of one class take their
 Metropolis steps at once, each with the energy change it would have alone.
-The sampler's partner tables and couplings are read off that same table, and
-the running energy is cross-checked against ``classical.relative_energy`` of
-it.  Each site of the class is proposed with probability 1/2 and
-a proposal is accepted with probability min(1, e^(-beta dE)); the corner round
-also requires the site to be an interface corner, a predicate that reads only
-neighbours of other colours and ignores the site's own spin, so the proposal
-stays symmetric.  A class update is thus a product of commuting reversible
-single-site kernels: the sweep leaves the Boltzmann distribution stationary,
-but, visiting the classes in a fixed order, it is not itself reversible.  The
-proposal coin keeps the kernel aperiodic: without it, every dE = 0 move would
-be taken with certainty and a cold chain could run deterministically.
+The sampler's partner tables and couplings are read off that same table, as
+is the shell depth a run needs (``classical.interaction_reach``: 1 for h2, 2
+for h4), which ``RunSpec`` checks when it is built; the running energy is
+cross-checked against ``classical.relative_energy`` of it.  Each site of the
+class is proposed with probability 1/2 and a proposal is accepted with
+probability min(1, e^(-beta dE)); the corner round also requires the site to
+be an interface corner, a predicate that reads only neighbours of other
+colours and ignores the site's own spin, so the proposal stays symmetric.  A
+class update is thus a product of commuting reversible single-site kernels:
+the sweep leaves the Boltzmann distribution stationary, but, visiting the
+classes in a fixed order, it is not itself reversible.  The proposal coin
+keeps the kernel aperiodic: without it, every dE = 0 move would be taken with
+certainty and a cold chain could run deterministically.
 
 Randomness comes from a counter-based Philox stream keyed by (seed, replica),
 one fixed-size draw per sweep: replicas are independent and runs reproduce
@@ -38,6 +40,7 @@ from .classical import (
     Terms,
     extract_contours,
     grid_ids,
+    interaction_reach,
     interaction_terms,
     relative_energy,
 )
@@ -70,7 +73,9 @@ class RunSpec:
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"need finite beta >= 0, got {self.beta}")
         # raises ValueError for a U the coefficients reject or an unknown hamiltonian
-        interaction_terms(ModelCoefficients(U=self.U), self.hamiltonian)
+        reach = interaction_reach(interaction_terms(ModelCoefficients(U=self.U), self.hamiltonian))
+        if self.shell < reach:
+            raise ValueError(f"{self.hamiltonian} needs a shell of depth >= {reach}, got {self.shell}")
         boundary_spin(self.bc, (0, 0, 0))  # raises ValueError for an unknown bc
         if self.move_set not in MOVE_SETS:
             raise ValueError(f"move_set must be one of {MOVE_SETS}")
@@ -84,7 +89,7 @@ class RunSpec:
         if self.snapshot_stride < 0:
             raise ValueError("snapshot_stride must be >= 0")
         object.__setattr__(self, "dims", tuple(self.dims))
-        self.volume()  # raises for a bad shell or dims, or CapExceeded for a huge box
+        self.volume()  # raises for bad dims, or CapExceeded for a huge box
 
     def volume(self) -> Volume:
         return Volume(dims=self.dims, shell=self.shell)
@@ -143,17 +148,19 @@ class _Lattice:
     table's w), flipping x changes the energy by 2 s_x times the local field
     ``pair_w . s[pair_idx] + plq_w . prod s[plq]``.  Each group of terms is
     laid out corner by corner, so columns 0-2 of ``pair_idx`` are the up
-    neighbours and 3-5 the down ones.  Every offset is at most 2 sites along
-    an axis, so with a shell of depth >= 2 no lookup leaves the padded array
-    or wraps into another row.  ``classes`` holds, for each colour
-    c = (i1 + 2 i2 + 4 i3) mod 7 of the padded index, the class's rows of
-    ``vol_flat``, ``pair_idx`` and ``plq``; no row of a class refers to a
+    neighbours and 3-5 the down ones.  A partner offset is at most the
+    table's ``interaction_reach`` along each axis, so with a shell at least
+    that deep (checked here) no lookup leaves the padded array or wraps into
+    another row: shell 1 serves h2, shell 2 h4.  ``classes`` holds, for each
+    colour c = (i1 + 2 i2 + 4 i3) mod 7 of the padded index, the class's rows
+    of ``vol_flat``, ``pair_idx`` and ``plq``; no row of a class refers to a
     site of the same class.
     """
 
     def __init__(self, volume: Volume, terms: Terms):
-        if volume.shell < 2:
-            raise ValueError("sampler requires shell depth >= 2")
+        reach = interaction_reach(terms)
+        if volume.shell < reach:
+            raise ValueError(f"the sampler needs a shell of depth >= {reach}, got {volume.shell}")
         self.volume = volume
         dims = volume.padded_dims
         self.shape = dims

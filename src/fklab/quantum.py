@@ -18,6 +18,7 @@ lookup and one dot product.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -225,7 +226,7 @@ def _walsh_transform(values: np.ndarray) -> np.ndarray:
 
 
 def extract_couplings(
-    sites: Sequence[Site],
+    sites: Iterable[Site],
     params: FKParameters,
     max_g: int,
     window: Sequence[Site] | None = None,
@@ -240,7 +241,10 @@ def extract_couplings(
     connectedness of every support come from one ``subset_walks`` pass over
     the window, taken before any eigensolve so that its ``MAX_WALK_SITES`` cap
     is raised first.  Repeated window sites and ``max_g < 0`` raise ValueError.
+    At most ``MAX_ELECTRON_SITES + 1`` sites are drawn from ``sites``, enough
+    to raise that cap, so a huge volume's sites are never listed.
     """
+    sites = list(itertools.islice(sites, MAX_ELECTRON_SITES + 1))
     window = [tuple(s) for s in (window if window is not None else sites)]
     w = len(window)
     if len(set(window)) != w:

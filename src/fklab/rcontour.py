@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from .classical import ModelCoefficients
 from .lattice import CapExceeded, components
 from .tiling import (
+    MAX_COVER_TRIANGLES,
     RConfiguration,
     Region,
     Tiling,
@@ -273,10 +274,11 @@ def minimal_rhombus_cover(support: frozenset) -> int:
     """Minimum number of rhombi inside ``support`` whose union covers it.
 
     Exact branch-and-bound over the first uncovered triangle; rhombi may
-    overlap (covers are by whole rhombi).  Desk scale: at most 12 rhombi.
+    overlap (covers are by whole rhombi).  Desk scale: at most
+    ``MAX_COVER_TRIANGLES`` triangles.
     """
-    if len(support) > 24:
-        raise CapExceeded("minimal cover capped at supports of 12 rhombi")
+    if len(support) > MAX_COVER_TRIANGLES:
+        raise CapExceeded(f"minimal cover capped at supports of {MAX_COVER_TRIANGLES} triangles")
     tris = sorted(support, key=lambda t: sorted(t))
     candidates: dict = {}
     for t in tris:

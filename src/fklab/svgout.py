@@ -76,11 +76,11 @@ def rconfig_svg(rc: RConfiguration) -> str:
     """A rhombus configuration with overlap shading and delta/omega highlights."""
     elements = []
     pts_all = []
+    overlapping = rc.overlapping_rhombi
     for r, mult in sorted(rc.rhombus_multiplicity.items(), key=lambda kv: sorted(map(sorted, kv[0]))):
         corners = [_xy(p) for p in rhombus_corners(r)]
         pts_all.extend(corners)
-        overlapped = r in rc.overlapping_rhombi
-        opacity = 0.45 if overlapped else 1.0
+        opacity = 0.45 if r in overlapping else 1.0
         elements.append(
             _polygon(corners, TYPE_COLORS[rhombus_type(r)], stroke=GOOD_COLOR, opacity=opacity)
         )

@@ -56,6 +56,10 @@ UP_DIRS = ((1, 0), (0, 1), (-1, -1))
 DOWN_DIRS = ((-1, 0), (0, -1), (1, 1))
 ALL_DIRS = UP_DIRS + DOWN_DIRS
 MAX_BOX_VERTICES = 1 << 18
+#: Largest region ``enumerate_tilings`` lists the tilings of, in triangles.
+MAX_TILING_TRIANGLES = 60
+#: Largest support ``rcontour.minimal_rhombus_cover`` searches, in triangles.
+MAX_COVER_TRIANGLES = 24
 
 
 def phi(v: Sequence[int]) -> PlaneVertex:
@@ -455,8 +459,8 @@ def enumerate_tilings(region: Region) -> list[Tiling]:
     backtracking always branches on the least uncovered triangle (by sorted
     vertex list, so by id), so the output order is reproducible.
     """
-    if len(region) > 60:
-        raise CapExceeded("enumeration capped at 60 triangles")
+    if len(region) > MAX_TILING_TRIANGLES:
+        raise CapExceeded(f"enumeration capped at {MAX_TILING_TRIANGLES} triangles")
     ix = region.index
     tri = {i: t for t, i in ix.ids.items()}
     canon = {i: frozenset(ix.xy[v] for v in ix.corners[i]) for i in tri}   # as tri_up/tri_dn build it

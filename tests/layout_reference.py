@@ -4,7 +4,9 @@
 array order.  ``from_boundary`` and ``config_from_heights`` are the per-site
 loops that ``SpinConfiguration.from_boundary`` and
 ``tiling.config_from_heights`` replaced with whole-array expressions over
-``Volume.coords()``; tests compare the two.  ``PRESCRIPTIONS`` states each
+``Volume.coords()``; tests compare the two.  ``from_function`` builds a
+configuration from a per-site function and ``shell_consistent`` checks its
+shell against its boundary condition.  ``PRESCRIPTIONS`` states each
 boundary condition as a per-site predicate (+1 where it holds), apart from
 ``fklab.lattice.boundary_spin``.  ``sublattice_sign`` and ``stagger`` are the
 antiferro <-> ferro change of frame, (-1)^(k1+k2+k3) per site and per array.
@@ -16,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from fklab.lattice import SpinConfiguration, Volume, coordinate_sum
+from fklab.lattice import SpinConfiguration, Volume, boundary_spin, coordinate_sum
 from fklab.tiling import phi, stair_height
 
 PRESCRIPTIONS = {
@@ -66,3 +68,22 @@ def stagger(config: SpinConfiguration) -> SpinConfiguration:
     vol = config.volume
     sign = np.where(vol.coords().sum(axis=0) & 1, -1, 1).astype(np.int8)
     return SpinConfiguration(vol, sign * config.spins, bc=None)
+
+
+def from_function(volume: Volume, bc: str, fn) -> SpinConfiguration:
+    """Interior spins from ``fn(site)``, called in ``Volume.sites`` order;
+    shell spins set by the boundary condition."""
+    spins = boundary_spin(bc, volume.coords())
+    interior = np.array([fn(site) for site in volume.sites()], dtype=np.int8)
+    spins[volume.box] = interior.reshape(volume.dims)
+    return SpinConfiguration(volume, spins, bc=bc)
+
+
+def shell_consistent(config: SpinConfiguration) -> bool:
+    """True if every shell spin equals the prescription of ``config.bc``
+    (always, for a configuration without one)."""
+    if config.bc is None:
+        return True
+    expected = boundary_spin(config.bc, config.volume.coords())
+    expected[config.volume.box] = config.spins[config.volume.box]
+    return bool(np.array_equal(expected, config.spins))

