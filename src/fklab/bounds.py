@@ -13,10 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .lattice import CapExceeded
 from .quantum import TINY, CouplingTable, verify_decay
 
 #: Connectivity constant of the walk-counting bound in d = 3: (2d)^2.
 C_D = 36.0
+#: Largest k0 ``polymer_report`` searches.
+MAX_K0 = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +139,8 @@ def polymer_report(inp: PolymerInputs) -> ConvergenceReport:
     k0 = 1
     while inp.C2 * beta * base**k0 > 1.0:
         k0 += 1
-        if k0 > 10_000:
-            raise ArithmeticError("k0 search did not terminate")
+        if k0 > MAX_K0:
+            raise CapExceeded(f"k0 search capped at {MAX_K0}")
     alpha = inp.C2 * beta * base**k0
 
     C3 = inp.C2 * cd**3 / (1.0 - cd * lam) if cond1 else None

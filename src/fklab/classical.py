@@ -277,7 +277,7 @@ def face_keys(k: np.ndarray, mu: np.ndarray, corner_connect: bool = False) -> np
 
 
 def face_arrays(faces: Iterable[Face]) -> tuple[np.ndarray, np.ndarray]:
-    """Faces as arrays: lower sites (n, 3) and directions (n,), in iteration order."""
+    """Faces as arrays: lower sites (n, 3) and directions (n,), one row per face of ``faces`` in turn."""
     rows = np.array([(*k, mu) for k, mu in faces], dtype=np.int64).reshape(-1, 4)
     return rows[:, :3], rows[:, 3]
 

@@ -102,14 +102,14 @@ def _sites(value, key: str) -> list[tuple[int, int, int]]:
     return [_site(s, key) for s in value]
 
 
-def _read(doc, required: dict, optional: dict, unread=(), where: str | None = None) -> dict:
+def _read(doc, required: dict, optional: dict, where: str | None = None) -> dict:
     """The values of the JSON object ``doc``, each read by its reader.
 
     ``required`` and ``optional`` map every key to its reader (``_int``,
     ``_real``, ...).  Only the keys present are read and returned, so an
-    absent optional key leaves the callee's default in force.  ``unread``
-    keys are allowed but not read; any other key, or a missing required one,
-    is a config error.  ``where`` names a nested block in the messages.
+    absent optional key leaves the callee's default in force.  Any other key,
+    or a missing required one, is a config error.  ``where`` names a nested
+    block in the messages.
     """
     name = where or "config"
     if not isinstance(doc, dict):
@@ -118,17 +118,17 @@ def _read(doc, required: dict, optional: dict, unread=(), where: str | None = No
     if missing:
         raise ConfigError(f"missing {name} keys: {sorted(missing)}")
     readers = {**required, **optional}
-    unknown = doc.keys() - readers.keys() - set(unread)
+    unknown = doc.keys() - readers.keys()
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
     return {k: read(doc[k], f"{where}.{k}" if where else k)
             for k, read in readers.items() if k in doc}
 
 
-def _load_config(path: str, required: dict, optional: dict, unread=()) -> tuple[dict, dict]:
+def _load_config(path: str, required: dict, optional: dict) -> tuple[dict, dict]:
     """The config object at ``path`` and its values read by ``_read``."""
     doc = _read_json(path, "config")
-    return doc, _read(doc, required, optional, unread)
+    return doc, _read(doc, required, optional)
 
 
 def _take(cfg: dict, *keys: str) -> dict:
@@ -188,15 +188,11 @@ def cmd_heff(config_path: str, out: Path, seed) -> int:
 
 
 def cmd_tilings(config_path: str, out: Path, seed) -> int:
-    # the triangles are read only when the config gives no side
-    doc, cfg = _load_config(config_path, {}, {"side": _int, "render": _bool, "max_render": _int},
-                            unread={"triangles"})
-    if "side" in cfg:
-        region = hexagon_region(cfg["side"])
-    elif "triangles" in doc:
-        region = Region(frozenset(triangles_from_json(doc["triangles"])))
-    else:
-        raise ConfigError("config needs 'side' or 'triangles'")
+    doc, cfg = _load_config(config_path, {}, {"side": _int, "triangles": lambda v, k: triangles_from_json(v),
+                                              "render": _bool, "max_render": _int})
+    if ("side" in cfg) == ("triangles" in cfg):
+        raise ConfigError("config needs one of 'side' and 'triangles'")
+    region = hexagon_region(cfg["side"]) if "side" in cfg else Region(frozenset(cfg["triangles"]))
     cap = cfg.get("max_render", 32)
     if cap < 0:
         raise ConfigError(f"max_render must be >= 0, got {cap}")
@@ -275,7 +271,7 @@ def cmd_mc(config_path: str, out: Path, seed) -> int:
     return EXIT_OK
 
 
-# each op's keys and their readers; a bounds config may hold the keys of any op
+# each op's required and optional keys besides "op", with their readers
 _BOUNDS_OPS = {
     "polymer": ({"C1": _real, "C2": _real, "lambda": _real, "b": _real}, {"a": _real}),
     "cj": ({"U": _real, "beta": _real}, {"d": _int, "t": _real, "c": _real}),
@@ -285,12 +281,13 @@ _BOUNDS_OPS = {
 
 
 def cmd_bounds(config_path: str, out: Path, seed) -> int:
-    every_key = {k for schema in _BOUNDS_OPS.values() for readers in schema for k in readers}
-    doc, cfg = _load_config(config_path, {"op": _str}, {}, unread=every_key)
-    op = cfg["op"]
-    if op not in _BOUNDS_OPS:
-        raise ConfigError(f"unknown bounds op {op!r}")
-    cfg = _read(doc, *_BOUNDS_OPS[op], unread=doc)
+    doc = _read_json(config_path, "config")
+    op = doc.get("op") if isinstance(doc, dict) else None
+    if not (isinstance(op, str) and op in _BOUNDS_OPS):
+        raise ConfigError(f"config needs an op in {sorted(_BOUNDS_OPS)}, got {op!r}")
+    required, optional = _BOUNDS_OPS[op]
+    cfg = _read(doc, {"op": _str, **required}, optional)
+    del cfg["op"]
     if "lambda" in cfg:
         cfg["lam"] = cfg.pop("lambda")
     prov = _provenance(doc, seed)

@@ -192,20 +192,30 @@ class CouplingTable:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "CouplingTable":
-        entries = [
-            CouplingEntry(
-                sites=tuple(tuple(s) for s in c["cluster"]),
-                value=float(c["value"]),
-                g=int(c["g"]),
-                connected=bool(c["connected"]),
-            )
-            for c in doc["couplings"]
-        ]
+    def from_json(cls, doc) -> "CouplingTable":
+        """Inverse of ``to_json``, without the full coefficient vector; raises
+        ValueError on a document of any other shape."""
+        def number(x) -> bool:
+            return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+        def sites(x) -> tuple:
+            if not (isinstance(x, list) and all(isinstance(s, list) and len(s) == 3
+                                                and all(type(c) is int for c in s) for s in x)):
+                raise ValueError(f"sites are lists of three integers, got {x!r}")
+            return tuple(map(tuple, x))
+
+        if not (isinstance(doc, dict) and type(doc.get("max_g")) is int
+                and all(number(doc.get(k)) for k in ("beta", "U", "t", "constant"))
+                and isinstance(doc.get("couplings"), list)
+                and all(isinstance(c, dict) and number(c.get("value")) and type(c.get("g")) is int
+                        and type(c.get("connected")) is bool for c in doc["couplings"])):
+            raise ValueError("a coupling table is the object CouplingTable.to_json writes")
+        entries = [CouplingEntry(sites=sites(c.get("cluster")), value=float(c["value"]),
+                                 g=c["g"], connected=c["connected"]) for c in doc["couplings"]]
         return cls(
-            window=tuple(tuple(s) for s in doc["window"]),
+            window=sites(doc.get("window")),
             beta=float(doc["beta"]), U=float(doc["U"]), t=float(doc["t"]),
-            constant=float(doc["constant"]), entries=entries, max_g=int(doc["max_g"]),
+            constant=float(doc["constant"]), entries=entries, max_g=doc["max_g"],
         )
 
 

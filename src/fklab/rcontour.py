@@ -135,7 +135,7 @@ def _link_vertices(pt) -> tuple:
 def _group(ix: TriangleIndex, rhombi, objs, pairs, lines, over=frozenset(), cover=None):
     """The one base and contour grouping, on the ids of ``ix``.
 
-    ``rhombi`` are triangle-id pairs in configuration order, ``objs`` what the
+    ``rhombi`` are triangle-id pairs (t, u) with t < u, ``objs`` what the
     boundary fields hold for them, ``pairs`` the good pairs (rhombus indices)
     and ``lines`` the delta edges, omega edges and lambda links in that order,
     as (tag, object, count, vertex ids, side id).  ``over`` holds the
@@ -169,9 +169,8 @@ def _group(ix: TriangleIndex, rhombi, objs, pairs, lines, over=frozenset(), cove
         contour = RContour(frozenset(objs[k] for k in rks),   # then delta, omega, lambda
                            *(frozenset(m[1] for m in own if m[0] == tag) for tag in "dol"))
         claimed = set()
-        if over:   # overlapping subcontours, in the iteration order of contour.rhombi
-            kof = {objs[k]: k for k in rks}
-            ov = [kof[r] for r in contour.rhombi if kof[r] in over]
+        if over:   # overlapping subcontours, by their least rhombus
+            ov = sorted((k for k in rks if k in over), key=rhombi.__getitem__)
             for sub in components(corners[rhombi[k][0]] + corners[rhombi[k][1]] for k in ov):
                 vs = {v for i in sub for t in rhombi[ov[i]] for v in corners[t]}
                 near = [m for m in own if m[0] != "r" and vs.intersection(m[3])]
@@ -186,10 +185,8 @@ def _group(ix: TriangleIndex, rhombi, objs, pairs, lines, over=frozenset(), cove
         contours.append(contour)
         ids.append(({v for m in own if m[0] != "l" for v in m[3]},
                     {t for k in rks for t in rhombi[k]}, {m[4] for m in own if m[0] in "do"}))
-    # contours sort by their support vertices, each with its two coordinates
-    # sorted, so (1, 2) and (2, 1) tie; ties keep material order
-    keys = [sorted(tuple(sorted(ix.xy[v])) for v in supp) for supp, _, _ in ids]
-    order = sorted(range(len(contours)), key=keys.__getitem__)
+    # contours sort by their sorted support vertices; supports are disjoint
+    order = sorted(range(len(contours)), key=lambda i: sorted(ids[i][0]))
     return Decomposition(bases=bases, contours=[contours[i] for i in order]), [ids[i] for i in order]
 
 
@@ -201,11 +198,8 @@ def decompose(faces_or_rc) -> Decomposition:
     both rhombi simple and non-overlapping.  Bases are listed by their least
     rhombus (sorted vertex lists); the first of largest extent is flagged as
     the boundary-connected one (type 0 under standard boundary conditions).
-
-    Contours are listed by the key ``sorted(map(sorted, support_vertices))``,
-    which sorts the two coordinates inside each vertex, so (1, 2) and (2, 1)
-    tie; tied contours keep their material order (unbased rhombi by first
-    appearance, then delta edges by first encounter).
+    Contours are listed by ``sorted(support_vertices)``, and the overlapping
+    subcontours of a contour by their least rhombus.
     """
     rc = faces_or_rc
     if not isinstance(rc, RConfiguration):
@@ -213,7 +207,7 @@ def decompose(faces_or_rc) -> Decomposition:
     objs = list(rc.rhombus_multiplicity)
     tied = {link: _link_vertices(link[0]) for link in rc.lambda_links}
     ix = TriangleIndex({p for r in objs for t in r for p in t} | {p for vs in tied.values() for p in vs})
-    rhombi = [tuple(map(ix.tid, r)) for r in objs]
+    rhombi = [tuple(sorted(map(ix.tid, r))) for r in objs]
     ov_rhombi = rc.overlapping_rhombi
     over = {k for k, r in enumerate(objs) if r in ov_rhombi}
     simple = {t: k for k, pair in enumerate(rhombi) if k not in over for t in pair}
@@ -227,8 +221,8 @@ def decompose(faces_or_rc) -> Decomposition:
 
 
 def _tiling_group(ix: TriangleIndex, rhombi, objs):
-    """``_group`` of a tiling given as its rhombi (id pairs, in assignment
-    order): its good pairs and delta edges come from ``tiling_edges``."""
+    """``_group`` of a tiling given as its rhombi (ascending id pairs): its
+    good pairs and delta edges come from ``tiling_edges``."""
     partner = [-1] * len(ix.across)
     for t, u in rhombi:
         partner[t], partner[u] = u, t
@@ -239,14 +233,12 @@ def _tiling_group(ix: TriangleIndex, rhombi, objs):
 
 
 def _collared(tiling: Tiling):
-    """``_group`` of a tiling in the R0 collar of its region's index, and the
-    collared rhombi as id pairs and as objects, in assignment order."""
+    """``_group`` of a tiling in the R0 collar of its region's index."""
     ix = tiling.region.index
     if ix.collar is None:
         raise ValueError("decomposing a tiling needs an R0-closed region")
-    rhombi = tiling.pairs + [pair for pair, _ in ix.collar]
-    objs = [*tiling.rhombi, *(r for _, r in ix.collar)]
-    return (*_tiling_group(ix, rhombi, objs), rhombi, objs)
+    rhombi = tiling.pairs + ix.collar
+    return _tiling_group(ix, rhombi, ix.rhombi(rhombi))
 
 
 def decompose_tiling(tiling: Tiling) -> Decomposition:
@@ -341,7 +333,8 @@ class RemovalReport:
     ``shifts`` maps each interior (keyed by its least triangle) to its shift
     n, the level of its adjacent base minus the exterior's: any integer (a
     pocket two levels below the exterior moves by S^-2).  ``interiors`` lists
-    the shifts with each interior's size and the contours inside it.
+    the shifts with each interior's size and the contours inside it.  Both
+    follow the interiors' least triangles in ascending order.
     """
 
     removed_f: float
@@ -371,12 +364,8 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
     vertex or the heights do not make a tiling of the window.
     """
     ix = tiling.region.index
-    deco, ids, pairs, rhombi = _collared(tiling)
-    # the window is a frozenset of the collared triangles built from a dict in
-    # assignment order (which presizes it); its iteration order orders the interiors
-    tri_of = dict(zip((t for pair in pairs for t in pair), (t for r in rhombi for t in r)))
-    window = frozenset(dict.fromkeys(tri_of.values()))
-    win = list(map({t: i for i, t in tri_of.items()}.__getitem__, window))
+    deco, ids = _collared(tiling)
+    win = sorted(ix.tri)   # the collared window
     if not deco.contours:
         raise ValueError("configuration has no contours to remove")
     if not (0 <= contour_index < len(deco.contours)):
@@ -387,7 +376,8 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
 
     # complement components: triangles joined across sides that are not the
     # target's delta/omega lines and through vertices outside its support
-    # (side ids are >= 0, vertex keys < 0); each is keyed by its least triangle
+    # (side ids are >= 0, vertex keys < 0); each is keyed by its least
+    # triangle, and they come in that order
     corners, sides = ix.corners, ix.sides
     outside = [t for t in win if t not in supp_tris]
     groups = {}
@@ -399,7 +389,7 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
         groups[min(tris)] = tris
     # the exterior holds the window's least triangle, which has a side on the
     # window boundary
-    exterior = min(win)
+    exterior = win[0]
     if exterior not in groups:
         raise ValueError("could not identify the exterior component")
 
@@ -423,7 +413,7 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
         if key == exterior:
             continue
         n = adjacent_base_level(tris) - level0
-        shifts[tri_of[key]] = n
+        shifts[ix.tri[key]] = n
         tri_verts = {v for t in tris for v in corners[t]}
         inside = sum(1 for supp in other_supports if supp and supp <= tri_verts)
         interiors.append({"size": len(tris), "shift": n, "contours_inside": inside})
@@ -440,8 +430,8 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
     # the gap: the staircase moved by S^-level0
     hn = [new_h.get(p, (0, 1, -1)[(c + 2 * level0) % 3] + level0) for p, c in zip(ix.xy, ix.vclass)]
     try:
-        new_rhombi, partner = pair_by_heights(ix, window, win, set(win), hn)
-        new_tiling = Tiling(Region(window), tuple(new_rhombi))
+        new_rhombi, partner = pair_by_heights(ix, win, ix.tri, hn)
+        new_tiling = Tiling(Region(frozenset(ix.tri.values())), new_rhombi)
     except ValueError as exc:  # HeightError, or rhombi that do not cover the window
         raise DobrushinViolation(f"removal does not give a tiling: {exc}") from exc
 

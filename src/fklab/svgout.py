@@ -67,7 +67,7 @@ def tiling_svg(tiling: Tiling) -> str:
     """Rhombi colored by type; the delta edges of ``tiling_edges`` (edges
     between rhombi of different types) drawn as heavy strokes."""
     ix = tiling.region.index
-    _, delta = tiling_edges(ix, tiling.partner, [t for pair in tiling.pairs for t in pair])
+    _, delta = tiling_edges(ix, tiling.partner, ix.ids.values())
     edges = {frozenset(ix.xy[v] for v in ix.ends(e)): 1 for e in delta}
     return rconfig_svg(RConfiguration(dict.fromkeys(tiling.rhombi, 1), delta_edges=edges))
 

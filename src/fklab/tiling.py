@@ -121,11 +121,11 @@ def rhombus_type(r: Rhombus) -> int:
 
 
 def rhombus_corners(r: Rhombus) -> tuple[PlaneVertex, ...]:
-    """The four boundary corners in cyclic order (low, side, high, side)."""
-    t1, t2 = tuple(r)
-    p, q = tuple(t1 & t2)
-    (w1,) = tuple(t1 - {p, q})
-    (w2,) = tuple(t2 - {p, q})
+    """The four boundary corners in cyclic order: the shared side's ends
+    p < q alternate with the far corners w1 < w2, as (p, w1, q, w2)."""
+    t1, t2 = r
+    p, q = sorted(t1 & t2)
+    w1, w2 = sorted(t1 ^ t2)
     return (p, w1, q, w2)
 
 
@@ -215,10 +215,7 @@ def project_face(face: Face) -> tuple[Rhombus, int]:
     (rhombus, n) determines the face uniquely; ``face_of_rhombus`` inverts.
     """
     lo, s1, hi, s2 = map(phi, face_vertices(face))
-    # up triangle first (the mu = 1 corner cycle turns the other way), corners
-    # sorted: tri_up/tri_dn's insertion order, which rhombus_corners iterates
-    tris = [frozenset(sorted((lo, s, hi))) for s in ((s2, s1) if face[1] == 1 else (s1, s2))]
-    return frozenset(tris), coordinate_sum(face[0]) + 2
+    return frozenset((frozenset((lo, s1, hi)), frozenset((lo, s2, hi)))), coordinate_sum(face[0]) + 2
 
 
 def face_of_rhombus(r: Rhombus, n: int) -> Face:
@@ -282,14 +279,14 @@ class Region:
 class RegionIndex(TriangleIndex):
     """The integer index of a region and its R0 collar, built once per region.
 
-    Besides the box tables: ``ids`` (triangle -> id, in ``triangles`` order),
-    ``inside`` (their set), ``vertices`` (sorted region vertex ids), ``inner``
-    (those whose star lies in the region) and ``links`` (per region vertex:
-    neighbour, the two triangles flanking the side, height increment).
-    ``collar`` lists the rhombi of ``COLLAR`` frontier steps across the
-    boundary, each triangle with its type-0 partner, as (id pair, rhombus) in
-    the order the frontier loop inserts them; it depends only on the region
-    (None unless it is R0-closed).
+    Besides the box tables: ``tri`` (id -> triangle, one object per id of the
+    region and its collar), ``ids`` (region triangle -> id, ascending),
+    ``inside`` (the region's ids), ``vertices`` (sorted region vertex ids),
+    ``inner`` (those whose star lies in the region) and ``links`` (per region
+    vertex: neighbour, the two triangles flanking the side, height
+    increment).  ``collar`` lists the rhombi of ``COLLAR`` frontier steps
+    across the boundary, each triangle with its type-0 partner, as ascending
+    id pairs; it depends only on the region (None unless it is R0-closed).
     """
 
     def __init__(self, region: Region):
@@ -304,8 +301,10 @@ class RegionIndex(TriangleIndex):
                         collar.append(r0_rhombus(t))
                         seen.update(collar[-1])
         super().__init__({p for t in (*region.triangles, *(u for r in collar for u in r)) for p in t})
-        self.ids = {t: self.tid(t) for t in region.triangles}
-        self.inside = set(self.ids.values())
+        self.tri = dict(sorted((self.tid(t), t) for t in region.triangles))
+        self.ids = {t: i for i, t in self.tri.items()}
+        self.inside = set(self.tri)
+        self.tri.update((self.tid(u), u) for r in collar for u in r)
         stars = Counter(v for t in self.inside for v in self.corners[t])
         self.vertices = sorted(stars)
         self.inner = {v for v in self.vertices if stars[v] == 6}
@@ -315,7 +314,12 @@ class RegionIndex(TriangleIndex):
             inc = -1 if e % 3 == 2 else 1   # (1,1) is a down step
             self.links[v].append((w, *self.flank(e), inc))
             self.links[w].append((v, *self.flank(e), -inc))
-        self.collar = [(tuple(map(self.tid, r)), r) for r in collar] if closed else None
+        self.collar = sorted(tuple(sorted(map(self.tid, r))) for r in collar) if closed else None
+
+    def rhombi(self, pairs) -> tuple:
+        """The rhombi of the id pairs ``pairs``, built from ``tri``."""
+        tri = self.tri
+        return tuple(frozenset((tri[t], tri[u])) for t, u in pairs)
 
 
 def hexagon_region(side: int, center: PlaneVertex | None = None) -> Region:
@@ -387,18 +391,19 @@ class Tiling:
         return {t: r for r in self.rhombi for t in r}
 
     @cached_property
-    def pairs(self) -> list[tuple[int, int]]:
-        """The rhombi as id pairs of ``region.index``, in iteration order."""
-        ids = self.region.index.ids
-        return [tuple(ids[t] for t in r) for r in self.rhombi]
-
-    @cached_property
     def partner(self) -> list[int]:
         """Triangle id -> id of the triangle paired with it, -1 off the tiling."""
-        part = [-1] * len(self.region.index.across)
-        for t, u in self.pairs:
-            part[t], part[u] = u, t
+        ix = self.region.index
+        part = [-1] * len(ix.across)
+        for t, u in self.rhombi:
+            part[ix.ids[t]], part[ix.ids[u]] = ix.ids[u], ix.ids[t]
         return part
+
+    @cached_property
+    def pairs(self) -> list[tuple[int, int]]:
+        """The rhombi as id pairs t < u of ``region.index``, ascending."""
+        part = self.partner
+        return [(t, part[t]) for t in self.region.index.ids.values() if t < part[t]]
 
     def type_counts(self) -> tuple[int, int, int]:
         c = [0, 0, 0]
@@ -408,14 +413,13 @@ class Tiling:
 
     def to_json(self) -> dict:
         ix = self.region.index
-        tris = sorted(ix.ids.values())   # sorted ids are sorted vertex lists
-        pos = {t: i for i, t in enumerate(tris)}
+        pos = {t: i for i, t in enumerate(ix.ids.values())}   # ascending ids are sorted vertex lists
         return {
-            "triangles": [[ix.xy[v] for v in ix.corners[t]] for t in tris],
+            "triangles": [[ix.xy[v] for v in ix.corners[t]] for t in pos],
             "rhombi": [
                 {"pair": [pos[t], pos[u]], "type": ix.rtype(t, u),   # orientation: the shared side's axis
                  "orientation": ix.sides[t][ix.across[t].index(u)] % 3}
-                for t, u in sorted(map(sorted, self.pairs))
+                for t, u in self.pairs
             ],
         }
 
@@ -462,12 +466,10 @@ def enumerate_tilings(region: Region) -> list[Tiling]:
     if len(region) > MAX_TILING_TRIANGLES:
         raise CapExceeded(f"enumeration capped at {MAX_TILING_TRIANGLES} triangles")
     ix = region.index
-    tri = {i: t for t, i in ix.ids.items()}
-    canon = {i: frozenset(ix.xy[v] for v in ix.corners[i]) for i in tri}   # as tri_up/tri_dn build it
-    tris = sorted(tri)
+    tri, tris = ix.tri, list(ix.ids.values())
     out: list[Tiling] = []
     covered: set = set()
-    stack: list[Rhombus] = []
+    stack: list[Rhombus] = []   # by least triangle: t is the least free one, u > t
 
     def backtrack():
         free = [t for t in tris if t not in covered]
@@ -478,7 +480,7 @@ def enumerate_tilings(region: Region) -> list[Tiling]:
         for u in ix.across[t]:   # ascending ids
             if u in ix.inside and u not in covered:
                 covered.update((t, u))
-                stack.append(frozenset((tri[t], canon[u])))
+                stack.append(frozenset((tri[t], tri[u])))
                 backtrack()
                 stack.pop()
                 covered.difference_update((t, u))
@@ -524,8 +526,8 @@ def random_tiling(region: Region, flips: int, seed: int) -> Tiling:
                 flippable.add(q)
             else:
                 flippable.discard(q)
-    rhombi, _ = pair_by_heights(ix, region.triangles, ix.ids.values(), ix.inside, h)
-    return Tiling(region, tuple(rhombi))
+    rhombi, _ = pair_by_heights(ix, ix.ids.values(), ix.inside, h)
+    return Tiling(region, rhombi)
 
 
 @dataclass
@@ -645,33 +647,28 @@ def tiling_from_heights(region: Region, heights) -> Tiling:
     h = ix.stair[:]
     for v in ix.vertices:
         h[v] = hfun(ix.xy[v])
-    rhombi, _ = pair_by_heights(ix, region.triangles, ix.ids.values(), ix.inside, h)
-    return Tiling(region, tuple(rhombi))
+    rhombi, _ = pair_by_heights(ix, ix.ids.values(), ix.inside, h)
+    return Tiling(region, rhombi)
 
 
-def pair_by_heights(ix: TriangleIndex, tris, ids, inside, h: list) -> tuple[set, list]:
-    """Pair the triangles ``tris`` (ids ``ids``) across their lo-hi diagonals
+def pair_by_heights(ix: RegionIndex, ids, inside, h: list) -> tuple[tuple, list]:
+    """Pair the triangles ``ids`` (ascending) across their lo-hi diagonals
     under the heights ``h`` by vertex id; partners must be in ``inside``.
 
-    Returns the rhombus set, filled in ``tris`` order, and the partner list,
-    or raises HeightError.  A rhombus is (triangle, partner) with the
-    partner's corners inserted lo, hi, far corner, as ``rhombus_corners``
-    order has always depended on.
+    Returns the rhombi, in ascending id order, and the partner list, or
+    raises HeightError.
     """
-    corners, across, xy = ix.corners, ix.across, ix.xy
+    corners, across = ix.corners, ix.across
     part = [-1] * len(across)
-    rhombi: set = set()
-    for t, i in zip(tris, ids):
+    for i in ids:
         lo, mid, hi = sorted(corners[i], key=h.__getitem__)
         if h[mid] - h[lo] != 1 or h[hi] - h[mid] != 1:
             raise HeightError(f"triangle heights {sorted(h[v] for v in corners[i])} are not consecutive")
         u = across[i][2 - corners[i].index(mid)]
         if u not in inside:
             raise HeightError("rhombus diagonal leaves the region")
-        if part[u] < 0:   # u's third corner: ids are linear in the coordinates
-            rhombi.add(frozenset((t, frozenset((xy[lo], xy[hi], xy[sum(corners[u]) - lo - hi])))))
         part[i] = u
-    return rhombi, part
+    return ix.rhombi((t, part[t]) for t in ids if t < part[t]), part
 
 
 def tiling_edges(ix: TriangleIndex, partner: list, order) -> tuple[list, list]:

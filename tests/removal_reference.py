@@ -48,9 +48,10 @@ def rhombus_remove(tiling, contour_index=0, *, coeffs):
 
     # complement components: triangles joined across edges that are not the
     # target's delta/omega lines and through vertices outside its support
-    # (edge keys are frozensets, vertex keys tuples: they never collide)
+    # (edge keys are frozensets, vertex keys tuples: they never collide);
+    # the components come in order of their least triangles
     blocked = target.delta_edges | target.omega_edges
-    outside = [t for t in window if t not in supp_tris]
+    outside = [t for t in sorted(window, key=sorted) if t not in supp_tris]
     groups = {}
     for members in components(
         [e for e in triangle_edges(t) if e not in blocked] + [p for p in t if p not in supp_verts]

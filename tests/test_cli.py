@@ -137,6 +137,7 @@ def test_tilings_sparse_region_exits_3(tmp_path):
     {"side": 0},
     {"side": -1},
     {"side": 1, "render": True, "max_render": -1},
+    {"side": 1, "triangles": [[[0, 0], [1, 0], [1, 1]], [[0, 0], [0, 1], [1, 1]]]},
 ])
 def test_tilings_bad_config_exits_2(tmp_path, bad):
     cfg = _write(tmp_path, "t.json", bad)
@@ -318,6 +319,34 @@ def test_bounds_polymer_and_infeasible(tmp_path):
     assert main(["bounds", "--config", cfg2, "--out", str(out2)]) == 0
     doc2 = json.loads((out2 / "bounds_polymer.json").read_text())
     assert doc2["flags"]["cond2"] is False
+
+
+def test_bounds_polymer_k0_cap_exits_3(tmp_path):
+    """Just under the cond2 threshold the k0 search runs past its cap."""
+    cfg = _write(tmp_path, "b.json", {
+        "op": "polymer", "C1": 1.0, "C2": 1.0, "lambda": 0.0037593096639258177, "b": 1e10,
+    })
+    out = tmp_path / "o"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [
+    {"op": "polymer", "C1": 1.0, "C2": 1.0, "lambda": 1e-6, "b": 1e14, "d": "x"},   # a cj key
+])
+def test_bounds_bad_config_exits_2(tmp_path, bad):
+    out = tmp_path / "o"
+    assert main(["bounds", "--config", _write(tmp_path, "b.json", bad), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("blob", [[], {"couplings": [1], "window": []}])
+def test_bounds_audit_wrong_shape_couplings_exits_2(tmp_path, blob):
+    path = _write(tmp_path, "couplings.json", blob)
+    cfg = _write(tmp_path, "a.json", {"op": "audit", "couplings": path})
+    out = tmp_path / "o"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_bounds_b0_and_cj(tmp_path):

@@ -7,19 +7,26 @@ sort its bases by their least rhombus; ``removals`` was recorded again when
 ``dobrushin_remove`` began to take each interior's shift from the height
 function (a level difference) instead of its base type mod 3, which turned
 three pocket shifts from +1 into -2 and left every tiling and energy as it was.
-They pin, byte for byte:
+``decompositions``, ``removals`` and ``TILING_SVGS`` were recorded again when
+every order in the tiling and R-contour layers began to follow triangle ids
+instead of frozenset hash and insertion order: contours sort by their sorted
+support vertices, overlapping subcontours by their least rhombus, removal
+shifts and interiors by their least triangle, and ``rhombus_corners`` (so each
+SVG polygon) starts at the shared side's least end.  Each re-recorded record
+equals its predecessor up to that reordering (contour indices of removals
+renumbered by the new contour order).  They pin, byte for byte:
 
 * ``decompose_tiling(...).to_json`` on seeded random R0-closed hexagon tilings
-  (bases in canonical order, contours in sort order with their subcontour lists),
+  (bases by their least rhombus, contours by their sorted support vertices,
+  with their subcontour lists),
   and ``decompose(...).to_json`` of every Ising contour of seeded bc111 boxes
   with flips next to the interface (non-minimal, with overlapping subcontours);
 * every ``dobrushin_remove`` on those tilings (new tiling JSON, energies,
-  contour counts, shifts and interiors in component order);
+  contour counts, shifts and interiors in order of their least triangles);
 * ``extract_contours`` with edge and corner connectivity on seeded bc111 boxes
   with bulk flips (contour order, faces, areas and the pinned flag);
 * ``tiling_svg`` of every tiling of the hexagons of side 2 and 3, in
-  ``enumerate_tilings`` order (recorded when ``tiling_svg`` still found the
-  delta edges itself, before it rendered ``RConfiguration.from_assignment``).
+  ``enumerate_tilings`` order.
 
 Any change to component membership or to the order of groups shows up here.
 """
@@ -38,12 +45,12 @@ from fklab.tiling import enumerate_tilings, hexagon_region, r0_closure, random_t
 CO = ModelCoefficients(U=8.0)
 
 GOLDEN = {
-    "decompositions": "f45d9a7f4b829cd6dda9b63fd09e4c280e1d09310b3381dbac7ab5c6046fe005",
-    "removals": "c45c8782f1670997c77e12dd24d276661eda90f1a0cd0afa76285f5714d64ae8",
+    "decompositions": "0281ed8170214c08b720c0b893d076477d3fc6af09bce8d0c3c88e4da06e9b63",
+    "removals": "e7150d29b73a2fe04e7d5055a53636c06fa03863f1b105bf5a9147461cf68021",
     "contours": "7da5c994b3d1398243d3207f23d46186afeebda76c5ab8f467fe6b3fd8da9572",
 }
 
-TILING_SVGS = "7be81a51efa1278dbd2ca7af09a8c1c07f18d792967c52fa190564fd19facf76"
+TILING_SVGS = "f836c37e21d5344331fb0a5804af5d7b92fe7ed28ef7fa09f8ba333b70c49876"
 
 
 def _digest(records) -> str:

@@ -1,5 +1,7 @@
 """Bases, R-contours, contour energies, geometric classes, Dobrushin removal."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +24,7 @@ from fklab.rcontour import (
     geometric_class,
     minimal_rhombus_cover,
 )
+from fklab.svgout import tiling_svg
 from fklab.tiling import (
     RConfiguration,
     Region,
@@ -246,8 +249,8 @@ def test_removal_shift_is_the_level_difference():
     tiling = random_tiling(r0_closure(hexagon_region(4).triangles), 30, seed=241250750)
     assert len(decompose_tiling(tiling).contours) == 2
     new_t, rep = dobrushin_remove(tiling, 0, coeffs=CO)
-    assert [info["shift"] for info in rep.interiors] == [-1, -2, -1]
-    assert list(rep.shifts.values()) == [-1, -2, -1]
+    assert [info["shift"] for info in rep.interiors] == [-1, -1, -2]
+    assert list(rep.shifts.values()) == [-1, -1, -2]
     assert rep.contours_after == 1
     assert len(decompose_tiling(new_t).contours) == 1
 
@@ -331,12 +334,13 @@ def test_dobrushin_invariants_on_large_hexagons(side, flips, seed, pick):
 
 
 def _removal_outcome(remove, tiling, idx):
-    """What a removal gives, or the type of the exception it raised."""
+    """What a removal gives, shifts and interiors in order, or the type of
+    the exception it raised."""
     try:
         new_t, rep = remove(tiling, idx, coeffs=CO)
     except Exception as exc:  # noqa: BLE001 - the type is what is compared
         return type(exc)
-    return new_t.to_json(), rep.shifts, rep.interiors
+    return new_t.to_json(), list(rep.shifts.items()), rep.interiors
 
 
 @settings(max_examples=30, deadline=None)
@@ -376,50 +380,69 @@ def test_height_removal_matches_rhombus_oracle_inside_a_terrace():
         assert got == _removal_outcome(removal_reference.rhombus_remove, tiling, idx)
 
 
-def _rhombus_lists(tiling):
-    """The rhombi in tuple order, each triangle in its frozenset's iteration order."""
-    return [[list(t) for t in r] for r in tiling.rhombi]
-
-
 @settings(max_examples=40, deadline=None)
 @given(side=st.integers(2, 6), flips=st.integers(0, 120),
        seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 10**6))
 def test_integer_index_matches_frozenset_reference(side, flips, seed, pick):
     """The tiling path on ``Region.index`` ids gives what the frozenset path
-    gave: the same ``Tiling.rhombi`` tuple (down to frozenset iteration
-    order), the same bases and contours in order, and the same removal, with
-    shifts and interiors in order, or the same exception type."""
+    gives: the same ``Tiling.rhombi`` tuple, the same bases and contours in
+    order, and the same removal, with shifts and interiors in order, or the
+    same exception type."""
     region = _REGIONS[side]
     tiling = random_tiling(region, flips, seed=seed)
-    assert _rhombus_lists(tiling) == _rhombus_lists(ref.random_tiling(region, flips, seed=seed))
+    assert tiling.rhombi == ref.random_tiling(region, flips, seed=seed).rhombi
     got, want = decompose_tiling(tiling), ref.decompose_tiling(tiling)
     assert got.bases == want.bases
     assert got.contours == want.contours
     assert got.to_json(CO) == want.to_json(CO)
     assume(got.contours)
     idx = pick % len(got.contours)
-
-    def outcome(remove):
-        try:
-            new_t, rep = remove(tiling, idx, coeffs=CO)
-        except Exception as exc:  # noqa: BLE001 - the type is what is compared
-            return type(exc)
-        return new_t.to_json(), list(rep.shifts.items()), rep.interiors
-
-    assert outcome(dobrushin_remove) == outcome(removal_reference.rhombus_remove)
+    want = _removal_outcome(removal_reference.rhombus_remove, tiling, idx)
+    assert _removal_outcome(dobrushin_remove, tiling, idx) == want
 
 
-def test_tied_contours_keep_material_order():
-    """Two contours of this tiling have the same key (their support vertices
-    with the coordinates inside each vertex sorted); they keep the order of
-    their material, as in the frozenset reference.  A lexicographic key on
-    the vertices would swap them."""
+@settings(max_examples=30, deadline=None)
+@given(side=st.integers(3, 5), flips=st.integers(0, 80), seed=st.integers(0, 2**32 - 1),
+       pick=st.integers(0, 10**6), order=st.randoms(use_true_random=False))
+def test_outputs_do_not_depend_on_how_the_tiling_was_built(side, flips, seed, pick, order):
+    """One tiling built four ways (the random walk, a JSON round trip, its
+    height function, and its rhombi shuffled with every frozenset rebuilt in
+    a shuffled insertion order) gives the same SVG bytes, decomposition and
+    removal, shifts and interiors in order."""
+    region = _REGIONS[side]
+    tiling = random_tiling(region, flips, seed=seed)
+
+    def rebuilt(items):
+        items = list(items)
+        order.shuffle(items)
+        return frozenset(items)
+
+    rhombi = [rebuilt(rebuilt(t) for t in r) for r in tiling.rhombi]
+    order.shuffle(rhombi)
+    builds = [tiling, Tiling.from_json(json.loads(json.dumps(tiling.to_json()))),
+              tiling_from_heights(region, tiling_heights(tiling)), Tiling(region, tuple(rhombi))]
+
+    def outputs(t):
+        deco = decompose_tiling(t)
+        removal = _removal_outcome(dobrushin_remove, t, pick % len(deco.contours)) if deco.contours else None
+        return tiling_svg(t), deco.to_json(CO), removal
+
+    want = outputs(tiling)
+    for t in builds[1:]:
+        assert outputs(t) == want
+
+
+def test_contours_follow_sorted_support_vertices():
+    """Two contours of this tiling have the same support vertices once the
+    two coordinates inside each vertex are sorted; sorted as vertex lists,
+    their order is strict and the one of the frozenset reference."""
     tiling = random_tiling(r0_closure(hexagon_region(4).triangles), 28, seed=637)
     contours = decompose_tiling(tiling).contours
     keys = [sorted(map(sorted, c.support_vertices)) for c in contours]
     assert len(contours) == 3 and keys[1] == keys[2]
     assert contours == ref.decompose_tiling(tiling).contours
-    assert sorted(contours[1].support_vertices) > sorted(contours[2].support_vertices)
+    supports = [sorted(c.support_vertices) for c in contours]
+    assert supports[0] < supports[1] < supports[2]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -12,7 +12,10 @@ The frozenset path is the one ``fklab`` ran before ``Region.index``:
 tiling triangle by triangle, ``collared_assignment`` extends the triangle ->
 rhombus map by the R0 collar with the frontier loop, ``rconfig_of_assignment``
 classifies its edges, and ``decompose``/``decompose_tiling`` group bases and
-contours on frozensets with ``lattice.components``.
+contours on frozensets with ``lattice.components``.  It lists what it returns
+in the order ``fklab`` does, by sorted vertex lists (ascending triangle ids):
+rhombi by their least triangle, contours by their sorted support vertices and
+overlapping subcontours by their least rhombus.
 """
 
 from collections import Counter
@@ -186,7 +189,7 @@ def tiling_from_heights(region, heights):
         if partner not in region.triangles:
             raise HeightError("rhombus diagonal leaves the region")
         rhombi.add(frozenset((t, partner)))
-    return Tiling(region, tuple(rhombi))
+    return Tiling(region, tuple(sorted(rhombi, key=_vertex_lists)))
 
 
 def collared_assignment(tiling, collar=COLLAR):
@@ -222,6 +225,11 @@ def rconfig_of_assignment(assign):
 def rhombus_sides(r):
     p, w1, q, w2 = rhombus_corners(r)
     return [frozenset((p, w1)), frozenset((w1, q)), frozenset((q, w2)), frozenset((w2, p))]
+
+
+def _vertex_lists(r):
+    """The sort key of a rhombus: its triangles' sorted vertex lists, least first."""
+    return sorted(map(sorted, r))
 
 
 def _rhombus_vertices(r):
@@ -278,12 +286,12 @@ def decompose(rc):
         )
         _split_subcontours(contour, rc)
         contours.append(contour)
-    contours.sort(key=lambda c: sorted(map(sorted, c.support_vertices)) if c.support_vertices else [])
+    contours.sort(key=lambda c: sorted(c.support_vertices))
     return Decomposition(bases=bases, contours=contours)
 
 
 def _split_subcontours(contour, rc):
-    ov_rhombi = [r for r in contour.rhombi if r in rc.overlapping_rhombi]
+    ov_rhombi = sorted((r for r in contour.rhombi if r in rc.overlapping_rhombi), key=_vertex_lists)
     comps = [
         frozenset(ov_rhombi[i] for i in members)
         for members in components(_rhombus_vertices(r) for r in ov_rhombi)
