@@ -23,6 +23,15 @@ classes in a fixed order, it is not itself reversible.  The proposal coin
 keeps the kernel aperiodic: without it, every dE = 0 move would be taken with
 certainty and a cold chain could run deterministically.
 
+A rejected class update leaves the spins as they were, so nothing read off
+them changes: each class's energy changes, acceptance thresholds and corner
+mask, and the last measurement's observables, are kept until a spin flips,
+and any flip drops them all (every site has partners in all six other
+classes).  A chain's cost thus follows its flip rate, the observation behind
+rejection-free Monte Carlo (Bortz, Kalos and Lebowitz 1975), here without
+changing the chain: a frozen chain costs its random draws and the
+cross-checks, which still run at every ``cross_check_stride``.
+
 Randomness comes from a counter-based Philox stream keyed by (seed, replica),
 one fixed-size draw per sweep: replicas are independent and runs reproduce
 exactly regardless of scheduling.
@@ -241,9 +250,12 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
 
     Starts in the boundary ground configuration, accumulates local energy
     differences, and cross-checks the running energy against a full
-    re-evaluation every ``cross_check_stride`` sweeps to 1e-9.  The acceptance
-    of a measurement is the sweep's accepted / proposed moves; a proposed
-    corner move at a site that is not a corner counts as rejected.
+    re-evaluation every ``cross_check_stride`` sweeps to 1e-9, also while no
+    spin flips.  The acceptance of a measurement is the sweep's accepted /
+    proposed moves; a proposed corner move at a site that is not a corner
+    counts as rejected.  A class's energy changes and the last measurement are
+    reused while no spin has flipped since they were computed, so the outputs
+    are those of a chain that recomputes them at every visit and measurement.
     """
     vol = spec.volume()
     terms = interaction_terms(ModelCoefficients(U=spec.U), spec.hamiltonian)
@@ -264,6 +276,11 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
 
     energy = relative_energy(view_config(), terms)
     series = ObservableSeries(spec=spec, replica=replica)
+    # read off the spins and kept until a spin flips: each class's partner
+    # spins, de and threshold, its corner mask, and the last measurement
+    fields = [None] * N_COLOURS
+    corners = [None] * N_COLOURS
+    measured = None
 
     for sweep in range(1, spec.sweeps + 1):
         # one uniform u per site and round: the site is proposed when u < 1/2
@@ -273,19 +290,32 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
         proposals = int(np.count_nonzero(us < 0.5))
         accepted = 0
         for r in range(rounds):
-            for sites, pair, plq, block in classes:
-                nb = spins[pair]
-                field = nb @ pair_w
-                if plq_w.size:   # h2 has no plaquettes
-                    trip = spins[plq]
-                    field += (trip[0] * trip[1] * trip[2]) @ plq_w
-                de = 2.0 * spins[sites] * field
-                flip = us[r, block] < 0.5 * np.exp(-beta * np.maximum(de, 0.0))
+            for c, (sites, pair, plq, block) in enumerate(classes):
+                if fields[c] is None:
+                    nb = spins[pair]
+                    field = nb @ pair_w
+                    if plq_w.size:   # h2 has no plaquettes
+                        trip = spins[plq]
+                        field += (trip[0] * trip[1] * trip[2]) @ plq_w
+                    de = 2.0 * spins[sites] * field
+                    fields[c] = nb, de, 0.5 * np.exp(-beta * np.maximum(de, 0.0))
+                nb, de, threshold = fields[c]
+                flip = us[r, block] < threshold
                 if r == 1:
-                    flip &= nb[:, :6] @ _CORNER == 6
+                    if corners[c] is None:
+                        corners[c] = nb[:, :6] @ _CORNER == 6
+                    flip &= corners[c]
+                flips = int(np.count_nonzero(flip))
+                if not flips:
+                    energy += 0.0   # the empty sum, which turns a cross-checked -0.0 into 0.0
+                    continue
                 spins[sites[flip]] *= -1
                 energy += float(de[flip].sum())
-                accepted += int(np.count_nonzero(flip))
+                accepted += flips
+                # every site has partners in all six other classes
+                fields = [None] * N_COLOURS
+                corners = [None] * N_COLOURS
+                measured = None
         if sweep % spec.cross_check_stride == 0:
             full = relative_energy(view_config(), terms)
             if abs(energy - full) > 1e-9 * max(1.0, abs(full)):
@@ -297,19 +327,22 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
             series.sweeps.append(sweep)
             series.energies.append(energy)
             series.acceptance.append(accepted / max(proposals, 1))
-            cfg = view_config()
             if spec.bc == "bc111":
-                faces = _pinned_faces(cfg)
-                frac, flag = good_pair_fraction_of_faces(faces)
+                if measured is None:
+                    cfg = view_config()
+                    faces = _pinned_faces(cfg)
+                    measured = (faces, *good_pair_fraction_of_faces(faces), interface_width(cfg))
+                faces, frac, flag, width = measured
                 series.good_fractions.append(frac)
                 series.overlap_flags.append(flag)
-                series.widths.append(interface_width(cfg))
+                series.widths.append(width)
                 if spec.snapshot_stride and len(series.sweeps) % spec.snapshot_stride == 0:
                     series.snapshots.append((sweep, faces))
             elif spec.bc == "bc100":
-                labels, prof = layer_magnetization(cfg, normal="e3")
-                series.layers = labels
-                series.profiles.append(prof)
+                if measured is None:
+                    measured = layer_magnetization(view_config(), normal="e3")
+                series.layers, prof = measured
+                series.profiles.append(prof.copy())
     series.final_config = view_config()
     return series
 

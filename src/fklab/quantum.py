@@ -327,7 +327,8 @@ def verify_decay(table: CouplingTable) -> DecayReport:
     """Per-g maxima of |coupling| and an affine fit of their logarithms.
 
     The fitted pair (c1, c) realizes |coupling| <= c1 (c/U)^g on the table;
-    a clean exponential decay shows up as c/U < 1.
+    a clean exponential decay shows up as c/U < 1.  Raises ValueError when
+    two or more levels need that fit and U is not positive.
     """
     levels: dict = {}
     for e in table.entries:
@@ -340,6 +341,8 @@ def verify_decay(table: CouplingTable) -> DecayReport:
     if len(live) == 1:
         ((g, v),) = live.items()
         return DecayReport(levels=levels, trivial=False, slope=None, c1=v, c=None)
+    if not table.U > 0:
+        raise ValueError(f"the decay fit |coupling| <= c1 (c/U)^g needs U > 0, got U = {table.U!r}")
     gs = np.array(sorted(live))
     logs = np.log([live[g] for g in gs])
     slope, intercept = np.polyfit(gs, logs, 1)

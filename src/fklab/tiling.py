@@ -415,7 +415,7 @@ class Tiling:
         ix = self.region.index
         pos = {t: i for i, t in enumerate(ix.ids.values())}   # ascending ids are sorted vertex lists
         return {
-            "triangles": [[ix.xy[v] for v in ix.corners[t]] for t in pos],
+            "triangles": [[list(ix.xy[v]) for v in ix.corners[t]] for t in pos],
             "rhombi": [
                 {"pair": [pos[t], pos[u]], "type": ix.rtype(t, u),   # orientation: the shared side's axis
                  "orientation": ix.sides[t][ix.across[t].index(u)] % 3}
@@ -465,28 +465,30 @@ def enumerate_tilings(region: Region) -> list[Tiling]:
     """
     if len(region) > MAX_TILING_TRIANGLES:
         raise CapExceeded(f"enumeration capped at {MAX_TILING_TRIANGLES} triangles")
-    ix = region.index
-    tri, tris = ix.tri, list(ix.ids.values())
     out: list[Tiling] = []
-    covered: set = set()
-    stack: list[Rhombus] = []   # by least triangle: t is the least free one, u > t
-
-    def backtrack():
-        free = [t for t in tris if t not in covered]
-        if not free:
-            out.append(Tiling(region, tuple(stack)))
-            return
-        t = free[0]
-        for u in ix.across[t]:   # ascending ids
-            if u in ix.inside and u not in covered:
-                covered.update((t, u))
-                stack.append(frozenset((tri[t], tri[u])))
-                backtrack()
-                stack.pop()
-                covered.difference_update((t, u))
-
-    backtrack()
+    _extend_cover(region, list(region.index.ids.values()), set(), [], out)
     return out
+
+
+def _extend_cover(region: Region, tris: list, covered: set, stack: list, out: list) -> None:
+    """Append to ``out`` every tiling of ``region`` that extends ``stack``, the
+    rhombi placed so far on the ``covered`` triangle ids, in order of their
+    least triangle.  A module-level function, not a closure calling itself:
+    that would be a reference cycle keeping ``out`` alive until the cyclic GC
+    runs."""
+    free = [t for t in tris if t not in covered]
+    if not free:
+        out.append(Tiling(region, tuple(stack)))
+        return
+    ix = region.index
+    t = free[0]   # the least free triangle, so every u placed with it is > t
+    for u in ix.across[t]:   # ascending ids
+        if u in ix.inside and u not in covered:
+            covered.update((t, u))
+            stack.append(frozenset((ix.tri[t], ix.tri[u])))
+            _extend_cover(region, tris, covered, stack, out)
+            stack.pop()
+            covered.difference_update((t, u))
 
 
 def random_tiling(region: Region, flips: int, seed: int) -> Tiling:

@@ -3,7 +3,10 @@
 ``reference_mc_run`` is the random-site Metropolis kernel: every round draws
 n uniformly random sites, and each proposal is accepted with probability
 min(1, e^(-beta dE)); in the corner round, a site that is not an interface
-corner counts as a rejected proposal.  ``interface_width`` and
+corner counts as a rejected proposal.  ``colour_sweep_reference`` is the
+colour-class sweep of ``mc_run`` with every energy change and measurement
+recomputed at every class visit and every measured sweep: ``mc_run`` keeps
+them while no spin flips and must give the same bytes.  ``interface_width`` and
 ``layer_magnetization`` are the per-site dictionary loops that define the
 observables.  The colour-sweep sampler and the vectorised observables in
 ``fklab.mc`` are checked against these.  ``good_pair_fraction`` reads the
@@ -18,6 +21,7 @@ import numpy as np
 
 from fklab.classical import ModelCoefficients, interaction_terms, relative_energy
 from fklab.lattice import SpinConfiguration, coordinate_sum
+from fklab import mc
 from fklab.mc import ObservableSeries, RunSpec, _Lattice, _pinned_faces
 from fklab.tiling import good_pair_fraction_of_faces, phi, stair_height
 
@@ -121,6 +125,74 @@ def reference_mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
                     series.snapshots.append((sweep, faces))
             elif spec.bc == "bc100":
                 labels, prof = layer_magnetization(cfg, normal="e3")
+                series.layers = labels
+                series.profiles.append(prof)
+    series.final_config = view_config()
+    return series
+
+
+def colour_sweep_reference(spec: RunSpec, replica: int = 0) -> ObservableSeries:
+    """``mc_run``'s chain, recomputing each class's energy changes at every
+    visit and the observables at every measurement."""
+    vol = spec.volume()
+    terms = interaction_terms(ModelCoefficients(U=spec.U), spec.hamiltonian)
+    config0 = SpinConfiguration.from_boundary(vol, spec.bc)
+    spins = config0.spins.ravel().copy()
+    lat = _Lattice(vol, terms)
+    rng = np.random.Generator(np.random.Philox(key=(spec.seed, replica)))
+    pair_w, plq_w = lat.pair_w, lat.plq_w
+    rounds = 2 if spec.move_set == "single-flip+hexagon-flip" else 1
+    beta = spec.beta
+    ends = np.cumsum([len(sites) for sites, _, _ in lat.classes])
+    classes = [(sites, pair, plq, slice(end - len(sites), end))
+               for (sites, pair, plq), end in zip(lat.classes, ends)]
+
+    def view_config() -> SpinConfiguration:
+        return SpinConfiguration(vol, spins.reshape(lat.shape).copy(), bc=spec.bc)
+
+    energy = relative_energy(view_config(), terms)
+    series = ObservableSeries(spec=spec, replica=replica)
+
+    for sweep in range(1, spec.sweeps + 1):
+        us = rng.random(size=(rounds, lat.n_vol))
+        proposals = int(np.count_nonzero(us < 0.5))
+        accepted = 0
+        for r in range(rounds):
+            for sites, pair, plq, block in classes:
+                nb = spins[pair]
+                field = nb @ pair_w
+                if plq_w.size:
+                    trip = spins[plq]
+                    field += (trip[0] * trip[1] * trip[2]) @ plq_w
+                de = 2.0 * spins[sites] * field
+                flip = us[r, block] < 0.5 * np.exp(-beta * np.maximum(de, 0.0))
+                if r == 1:
+                    flip &= nb[:, :6] @ mc._CORNER == 6
+                spins[sites[flip]] *= -1
+                energy += float(de[flip].sum())
+                accepted += int(np.count_nonzero(flip))
+        if sweep % spec.cross_check_stride == 0:
+            full = relative_energy(view_config(), terms)
+            if abs(energy - full) > 1e-9 * max(1.0, abs(full)):
+                raise RuntimeError(
+                    f"energy bookkeeping drifted: running {energy!r} vs full {full!r}"
+                )
+            energy = full
+        if sweep > spec.thermalization and (sweep - spec.thermalization) % spec.measure_stride == 0:
+            series.sweeps.append(sweep)
+            series.energies.append(energy)
+            series.acceptance.append(accepted / max(proposals, 1))
+            cfg = view_config()
+            if spec.bc == "bc111":
+                faces = _pinned_faces(cfg)
+                frac, flag = good_pair_fraction_of_faces(faces)
+                series.good_fractions.append(frac)
+                series.overlap_flags.append(flag)
+                series.widths.append(mc.interface_width(cfg))
+                if spec.snapshot_stride and len(series.sweeps) % spec.snapshot_stride == 0:
+                    series.snapshots.append((sweep, faces))
+            elif spec.bc == "bc100":
+                labels, prof = mc.layer_magnetization(cfg, normal="e3")
                 series.layers = labels
                 series.profiles.append(prof)
     series.final_config = view_config()

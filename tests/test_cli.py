@@ -380,6 +380,27 @@ def test_bounds_audit_consumes_coupling_files(tmp_path):
     assert doc["pair_exponent_ok"] is True
 
 
+def test_bounds_audit_of_a_table_at_u_zero(tmp_path, capsys):
+    """The decay fit divides by U: a table edited to U = 0 with live couplings
+    exits 2 naming U; with every coupling zero the audit stays trivial."""
+    cfg = _write(tmp_path, "c.json", {"dims": [2, 2, 1], "U": 16.0, "beta": 256.0, "max_g": 4})
+    assert main(["heff", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
+    table = json.loads((tmp_path / "t" / "couplings.json").read_text())
+    table["U"] = 0.0
+    live = _write(tmp_path, "live.json", table)
+    dead = _write(tmp_path, "dead.json", {
+        **table, "couplings": [{**c, "value": 0.0} for c in table["couplings"]]})
+    out = tmp_path / "o"
+    capsys.readouterr()
+    acfg = _write(tmp_path, "a.json", {"op": "audit", "couplings": live})
+    assert main(["bounds", "--config", acfg, "--out", str(out)]) == 2
+    assert "U = 0.0" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+    acfg = _write(tmp_path, "a.json", {"op": "audit", "couplings": dead})
+    assert main(["bounds", "--config", acfg, "--out", str(out)]) == 0
+    assert json.loads((out / "bounds_audit.json").read_text())["trivial"] is True
+
+
 _ENERGY = {"volume": {"dims": [3, 3, 3], "shell": 2, "bc": "bc111"}, "U": 8.0}
 _POLYMER = {"op": "polymer", "C1": 1.0, "C2": 1.0, "lambda": 1e-6, "b": 1e14, "a": 2.0}
 _CJ = {"op": "cj", "t": 1.0, "U": 24.0, "beta": 50.0, "c": 0.5}

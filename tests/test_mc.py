@@ -88,6 +88,49 @@ def test_h2_chain_on_a_shell_1_volume_matches_shell_2():
     assert np.array_equal(*box)
 
 
+_COLD = 40.0 * 4.0**3   # criterion 9's beta at U = 4
+_REUSE_CHAINS = {
+    # the benchmark's three chain kinds, shorter
+    "bc100-h2-cold": dict(dims=(9, 9, 9), bc="bc100", U=8.0, beta=8.0 * 40, sweeps=60),
+    "bc111-h2-cold": dict(dims=(9, 9, 9), bc="bc111", beta=_COLD, sweeps=60),
+    "bc111-h4-cold": dict(dims=(9, 9, 9), bc="bc111", hamiltonian="h4", beta=_COLD, sweeps=60),
+    "bc111-h2-warm": dict(dims=(5, 5, 5), bc="bc111", beta=1.0),
+    "bc111-h4-warm": dict(dims=(5, 5, 5), bc="bc111", hamiltonian="h4", beta=0.2 * 4.0**3),
+    "bc100-h4": dict(dims=(5, 5, 5), bc="bc100", hamiltonian="h4", beta=2.0),
+    "single-flip": dict(dims=(5, 5, 5), bc="bc111", hamiltonian="h4", beta=4.0,
+                        move_set="single-flip"),
+    "h2-shell-1": dict(dims=(5, 5, 5), bc="bc111", beta=2.0, shell=1),
+    # frozen: the energy is -0.0 only at a cross-check sweep
+    "hom-plus": dict(dims=(4, 4, 4), bc="hom_plus", beta=_COLD),
+    # some sweeps flip no spin, some do; a flat box has a non-zero width
+    "intermittent": dict(dims=(7, 7, 3), bc="bc111", hamiltonian="h4", beta=3.0 * 4.0**3),
+    # even sides put the box off-centre: lo = (-3, -3, -2)
+    "anisotropic": dict(dims=(7, 6, 4), bc="bc111", hamiltonian="h4", beta=8.0),
+    "cross-check-1": dict(dims=(5, 5, 5), bc="bc111", hamiltonian="h4", beta=_COLD,
+                          cross_check_stride=1),
+    "snapshots": dict(dims=(5, 5, 5), bc="bc111", beta=4.0, snapshot_stride=2),
+}
+
+
+@pytest.mark.parametrize("name", list(_REUSE_CHAINS))
+def test_reused_energy_changes_and_measurements_match_recomputing_sweep(name):
+    """``mc_run`` keeps each class's energy changes and the last measurement
+    while no spin flips; the sweep that recomputes them at every visit gives
+    the same bytes, frozen, warm or in between."""
+    spec = _spec(**{**dict(sweeps=30, thermalization=10, measure_stride=2,
+                           cross_check_stride=7, seed=3), **_REUSE_CHAINS[name]})
+    for replica in (0, 1):
+        got, want = mc_run(spec, replica), ref.colour_sweep_reference(spec, replica)
+        assert list(got.csv_rows()) == list(want.csv_rows())
+        assert got.final_config.spins.tobytes() == want.final_config.spins.tobytes()
+        assert [p.tobytes() for p in got.profiles] == [p.tobytes() for p in want.profiles]
+        assert got.layers == want.layers
+        assert got.snapshots == want.snapshots
+        assert got.overlap_flags == want.overlap_flags
+    if name == "snapshots":
+        assert len(got.snapshots) == 5
+
+
 def test_spec_takes_a_single_measurement():
     assert mc_run(_spec(sweeps=6, thermalization=0, measure_stride=6)).sweeps == [6]
 

@@ -1,7 +1,10 @@
 """Projection geometry, height functions, the tiling<->interface bijection,
 enumeration, and rhombus-configuration bookkeeping."""
 
+import gc
+import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -82,6 +85,21 @@ def test_enumeration_order_deterministic():
     a = enumerate_tilings(hexagon_region(2))
     b = enumerate_tilings(hexagon_region(2))
     assert [t.rhombi for t in a] == [t.rhombi for t in b]
+
+
+def test_enumerated_tilings_are_freed_on_drop():
+    """Dropping the list frees the tilings at once: the enumeration leaves no
+    reference cycle that only the cyclic GC could break.  Tilings that place
+    the same rhombus at the same step share one rhombus object."""
+    gc.disable()
+    try:
+        tilings = enumerate_tilings(hexagon_region(2))
+        assert tilings[0].rhombi[0] is tilings[1].rhombi[0]
+        first = weakref.ref(tilings[0])
+        del tilings
+        assert first() is None
+    finally:
+        gc.enable()
 
 
 def test_macmahon_box_formula_oracle():
@@ -406,6 +424,19 @@ def test_heights_round_trip(flips, seed):
 
 
 _REGIONS = {side: r0_closure(hexagon_region(side).triangles) for side in range(2, 6)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(side=st.integers(2, 5), flips=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+def test_json_round_trip(side, flips, seed):
+    """``to_json`` returns plain JSON values, so ``from_json`` inverts it
+    directly, as it does through JSON text."""
+    t = random_tiling(_REGIONS[side], flips, seed=seed)
+    doc = t.to_json()
+    assert json.loads(json.dumps(doc)) == doc
+    back = Tiling.from_json(doc)
+    assert back.region == t.region and set(back.rhombi) == set(t.rhombi)
+    assert back.to_json() == doc
 
 
 @settings(max_examples=25, deadline=None)
