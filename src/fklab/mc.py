@@ -4,20 +4,23 @@ scale: layer magnetization profiles, the good-pair fraction of the projected
 111 interface, and its excess width.
 
 A sweep is a single-flip round and, with the hexagon move set, a corner round.
-Each round visits the seven colour classes c(k) = (k1 + 2 k2 + 4 k3) mod 7 in
-order.  The colouring separates every pair of sites that a term of
-``classical.interaction_terms`` couples (axis offsets 1 and 2, face
-diagonals, plaquette corners), so the sites of one class take their
-Metropolis steps at once, each with the energy change it would have alone.
-The sampler's partner tables and couplings are read off that same table, as
-is the shell depth a run needs (``classical.interaction_reach``: 1 for h2, 2
-for h4), which ``RunSpec`` checks when it is built; the running energy is
-cross-checked against ``classical.relative_energy`` of it.  Each site of the
-class is proposed with probability 1/2 and a proposal is accepted with
-probability min(1, e^(-beta dE)); the corner round also requires the site to
-be an interface corner, a predicate that reads only neighbours of other
-colours and ignores the site's own spin, so the proposal stays symmetric.  A
-class update is thus a product of commuting reversible single-site kernels:
+Each round visits the colour classes c(j) = (j1 + a j2 + a^2 j3) mod m of the
+box index j in order, with the least modulus m, then the least multiplier a,
+that separates every pair of sites a term of ``classical.interaction_terms``
+couples: the checkerboard (m, a) = (2, 1) for h2's bonds, and (7, 2) for h4's
+axis offsets 1 and 2, face diagonals and plaquette corners, where no linear
+colouring with fewer than seven classes exists.  The sites of one class thus
+take their Metropolis steps at once, each with the energy change it would
+have alone, and a round costs a fixed number of array operations per class.
+The sampler's partner tables, couplings and colouring are read off that same
+table, as is the shell depth a run needs (``classical.interaction_reach``: 1
+for h2, 2 for h4), which ``RunSpec`` checks when it is built; the running
+energy is cross-checked against ``classical.relative_energy`` of it.  Each
+site of the class is proposed with probability 1/2 and a proposal is
+accepted with probability min(1, e^(-beta dE)); the corner round also
+requires the site to be an interface corner, a predicate that reads only
+neighbours of other colours and ignores the site's own spin, so the proposal
+stays symmetric.  A class update is thus a product of commuting reversible single-site kernels:
 the sweep leaves the Boltzmann distribution stationary, but, visiting the
 classes in a fixed order, it is not itself reversible.  The proposal coin
 keeps the kernel aperiodic: without it, every dE = 0 move would be taken with
@@ -26,8 +29,8 @@ certainty and a cold chain could run deterministically.
 A rejected class update leaves the spins as they were, so nothing read off
 them changes: each class's energy changes, acceptance thresholds and corner
 mask, and the last measurement's observables, are kept until a spin flips,
-and any flip drops them all (every site has partners in all six other
-classes).  A chain's cost thus follows its flip rate, the observation behind
+and any flip drops them all (every site has partners in every other class).
+A chain's cost thus follows its flip rate, the observation behind
 rejection-free Monte Carlo (Bortz, Kalos and Lebowitz 1975), here without
 changing the chain: a frozen chain costs its random draws and the
 cross-checks, which still run at every ``cross_check_stride``.
@@ -39,6 +42,7 @@ exactly regardless of scheduling.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -57,7 +61,6 @@ from .lattice import SpinConfiguration, Volume, boundary_spin
 from .tiling import good_pair_fraction_of_faces
 
 MOVE_SETS = ("single-flip", "single-flip+hexagon-flip")
-N_COLOURS = 7
 # a corner has spin +1 at its three up neighbours and -1 at its three down ones
 _CORNER = np.array((1, 1, 1, -1, -1, -1), dtype=np.int8)
 
@@ -161,9 +164,11 @@ class _Lattice:
     table's ``interaction_reach`` along each axis, so with a shell at least
     that deep (checked here) no lookup leaves the padded array or wraps into
     another row: shell 1 serves h2, shell 2 h4.  ``classes`` holds, for each
-    colour c = (i1 + 2 i2 + 4 i3) mod 7 of the padded index, the class's rows
-    of ``vol_flat``, ``pair_idx`` and ``plq``; no row of a class refers to a
-    site of the same class.
+    colour c = (j1 + a j2 + a^2 j3) mod m of the box index j (``_colouring``
+    of the table: two classes for h2, seven for h4), the class's rows of
+    ``vol_flat``, ``pair_idx`` and ``plq``; no row of a class refers to a
+    site of the same class.  Box indices make the colours independent of the
+    shell depth.
     """
 
     def __init__(self, volume: Volume, terms: Terms):
@@ -193,12 +198,28 @@ class _Lattice:
         self.plq = self.vol_flat[:, None] + plq_d[:, None]
         self.pair_w = np.array(pair_w)
         self.plq_w = np.array(plq_w)
-        i1, i2, i3 = np.indices(dims)
-        colour = ((i1 + 2 * i2 + 4 * i3) % N_COLOURS).ravel()[self.vol_flat]
+        m, a = _colouring(terms)
+        j1, j2, j3 = np.indices(volume.dims)   # in the order of vol_flat
+        colour = ((j1 + a * j2 + a * a * j3) % m).ravel()
         self.classes = [
-            (self.vol_flat[m], self.pair_idx[m], self.plq[:, m])
-            for m in (colour == c for c in range(N_COLOURS))
+            (self.vol_flat[mask], self.pair_idx[mask], self.plq[:, mask])
+            for mask in (colour == c for c in range(m))
         ]
+
+
+def _colouring(terms: Terms) -> tuple[int, int]:
+    """The least modulus m >= 2, then the least multiplier a in [1, m), such
+    that (1, a, a^2) . d is not 0 mod m for any offset d between two corners
+    of one term: (2, 1) for h2, (7, 2) for h4.  The search ends: mod a prime
+    m greater than every |d_i| no d vanishes, so each d1 + d2 a + d3 a^2 has
+    at most two roots a, and if also m > 2 len(d) + 1, some a is a root of
+    none."""
+    d = np.array([np.subtract(q, p) for _, group in terms for offsets in group
+                  for p, q in itertools.combinations(((0, 0, 0), *offsets), 2)])
+    for m in itertools.count(2):
+        for a in range(1, m):
+            if np.all(d @ (1, a, a * a) % m):
+                return m, a
 
 
 def _box_arrays(config: SpinConfiguration):
@@ -209,6 +230,8 @@ def _box_arrays(config: SpinConfiguration):
 
 def layer_magnetization(config: SpinConfiguration, normal: str = "e3"):
     """Mean spin per lattice layer: x3 layers for e3, coordinate-sum layers for 111."""
+    if normal not in ("e3", "111"):
+        raise ValueError(f'normal must be "e3" or "111", got {normal!r}')
     k, spins = _box_arrays(config)
     key = k[2] if normal == "e3" else k.sum(axis=0)
     first = key.min()
@@ -278,8 +301,8 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
     series = ObservableSeries(spec=spec, replica=replica)
     # read off the spins and kept until a spin flips: each class's partner
     # spins, de and threshold, its corner mask, and the last measurement
-    fields = [None] * N_COLOURS
-    corners = [None] * N_COLOURS
+    fields = [None] * len(classes)
+    corners = [None] * len(classes)
     measured = None
 
     for sweep in range(1, spec.sweeps + 1):
@@ -312,9 +335,9 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
                 spins[sites[flip]] *= -1
                 energy += float(de[flip].sum())
                 accepted += flips
-                # every site has partners in all six other classes
-                fields = [None] * N_COLOURS
-                corners = [None] * N_COLOURS
+                # every site has partners in every other class
+                fields = [None] * len(classes)
+                corners = [None] * len(classes)
                 measured = None
         if sweep % spec.cross_check_stride == 0:
             full = relative_energy(view_config(), terms)

@@ -1,5 +1,7 @@
 """Sampler determinism, detailed balance, bookkeeping, observables."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +27,7 @@ from fklab.mc import (
 )
 from fklab.tiling import config_from_heights
 
+import exact_reference as exact
 import mc_reference as ref
 from layout_reference import from_function
 
@@ -79,8 +82,8 @@ def test_spec_rejects_runs_without_measurement(bad):
 
 def test_h2_chain_on_a_shell_1_volume_matches_shell_2():
     """h2 reaches one site, so the outer layer of a shell-2 run never enters
-    its energies, and the colour of a site does not depend on the shell
-    (1 + 2 + 4 = 7): the two chains agree move for move."""
+    its energies, and colours are read off the box index, not the padded
+    one: the two chains agree move for move."""
     thin, thick = (mc_run(_spec(shell=shell, bc="bc111", cross_check_stride=1)) for shell in (1, 2))
     assert thin.final_config.volume.shell == 1 and len(thin.energies) == 7
     assert thin.energies == thick.energies and thin.acceptance == thick.acceptance
@@ -112,13 +115,39 @@ _REUSE_CHAINS = {
 }
 
 
+# sha256 of the CSV rows ("\n"-terminated) and of the final spins of
+# replicas 0 and 1, recorded on the seven-class sweep that preceded the
+# colouring's derivation from the interaction table: h4 still gets those
+# seven classes, in the same order, so its chains must not change a byte
+_H4_DIGESTS = {
+    "bc111-h4-cold": ("bcd593bea5f00e53ea575f3cfc63ed9aecbd7d80184b45700e1a801de408962a",
+                      "f6a075f32f7f8b3aca7c5340b4effd411cd02c3bfd8182cc42c4db182150d612"),
+    "bc111-h4-warm": ("d9b62e6b95f6b2273a85e855cf376d14ef21543a98fab09e4bb36d34b1013146",
+                      "1a2a9558e14e382d62c9366b497b183fc4045c27d070a633ac787477a452aec9"),
+    "bc100-h4": ("c7921b04ab7a73daff08bd0a63b5c35329b9b40f754c8ce57fffea53758ab596",
+                 "f79e916a63df397d2830737fc69142befc7170ba49f4f7dfac1d55e8770991b7"),
+    "single-flip": ("184ab0b04df0713733dc07c9ef8c2b4317f95ed5849c41a8628d3552712f0626",
+                    "927320697724b29e50636830d69e653558d55f6a60ed0bbf66b8a5ac8cfac8c8"),
+    "intermittent": ("79f22f431350a530985635e6d3b44621b984c70461e50a95ce552ce879775515",
+                     "17cadc78b82bc7ec90863f8f043daa879df6dd209a7690058b9e9c48a363dac9"),
+    "anisotropic": ("ebe1215eec96d2955ae1a7723003864cf0b1a81638edf236a2cdc3b7e1c8f775",
+                    "95a24904aa613cd061d1f10a0372d65e00afbacc0c4604fca22773b95e3f8779"),
+    "cross-check-1": ("6a6edd2dfddb86832f55fe6feb01dd20d352e51ac1c74c751e87320e04684e2e",
+                      "d770f67bd9b950e3fbb6bce1c1583b1bf749435598b30a2139e614764bc7aee1"),
+}
+
+
+def _reuse_spec(name):
+    return _spec(**{**dict(sweeps=30, thermalization=10, measure_stride=2,
+                           cross_check_stride=7, seed=3), **_REUSE_CHAINS[name]})
+
+
 @pytest.mark.parametrize("name", list(_REUSE_CHAINS))
 def test_reused_energy_changes_and_measurements_match_recomputing_sweep(name):
     """``mc_run`` keeps each class's energy changes and the last measurement
     while no spin flips; the sweep that recomputes them at every visit gives
     the same bytes, frozen, warm or in between."""
-    spec = _spec(**{**dict(sweeps=30, thermalization=10, measure_stride=2,
-                           cross_check_stride=7, seed=3), **_REUSE_CHAINS[name]})
+    spec = _reuse_spec(name)
     for replica in (0, 1):
         got, want = mc_run(spec, replica), ref.colour_sweep_reference(spec, replica)
         assert list(got.csv_rows()) == list(want.csv_rows())
@@ -129,6 +158,18 @@ def test_reused_energy_changes_and_measurements_match_recomputing_sweep(name):
         assert got.overlap_flags == want.overlap_flags
     if name == "snapshots":
         assert len(got.snapshots) == 5
+
+
+@pytest.mark.parametrize("name", list(_H4_DIGESTS))
+def test_h4_chains_match_recorded_digests(name):
+    assert _REUSE_CHAINS[name]["hamiltonian"] == "h4"
+    spec = _reuse_spec(name)
+    rows, spins = hashlib.sha256(), hashlib.sha256()
+    for replica in (0, 1):
+        series = mc_run(spec, replica)
+        rows.update("".join(row + "\n" for row in series.csv_rows()).encode())
+        spins.update(series.final_config.spins.tobytes())
+    assert (rows.hexdigest(), spins.hexdigest()) == _H4_DIGESTS[name]
 
 
 def test_spec_takes_a_single_measurement():
@@ -175,6 +216,13 @@ def test_layer_magnetization_ground_states():
     cfg111 = SpinConfiguration.from_boundary(vol, "bc111")
     labels, prof = layer_magnetization(cfg111, normal="111")
     assert all(m == (1.0 if l >= -1 else -1.0) for l, m in zip(labels, prof))
+
+
+def test_layer_magnetization_rejects_other_normals():
+    cfg = SpinConfiguration.from_boundary(Volume(dims=(3, 3, 3), shell=2), "bc111")
+    for bad in ("e1", "e2", "100", ""):
+        with pytest.raises(ValueError, match="normal"):
+            layer_magnetization(cfg, bad)
 
 
 def test_layer_magnetization_bounds():
@@ -271,18 +319,39 @@ def test_pinned_interface_missing_is_invariant_violation():
 
 @pytest.mark.parametrize("dims", [(9, 9, 9), (4, 5, 6), (1, 2, 3)])
 def test_colour_classes_are_independent_sets(dims):
-    vol = Volume(dims=dims, shell=2)
-    lat = _Lattice(vol, interaction_terms(ModelCoefficients(U=4.0), "h4"))
-    # columns 0-5 are the up neighbours e1, e2, e3, then the down ones
-    k = np.array([vol.index(s) for s in vol.sites()])
-    for col, step in enumerate(np.vstack([np.eye(3, dtype=int), -np.eye(3, dtype=int)])):
-        assert np.array_equal(lat.pair_idx[:, col], np.ravel_multi_index((k + step).T, lat.shape))
-    sites = np.concatenate([c[0] for c in lat.classes])
-    assert np.array_equal(np.sort(sites), np.sort(lat.vol_flat))
-    for own, pair, plq in lat.classes:
-        # no coupling partner of a class site is in the class itself
-        assert not np.isin(pair, own).any()
-        assert not np.isin(plq, own).any()
+    """The colouring read off the table: two checkerboard classes for h2,
+    and for h4 the seven classes (i1 + 2 i2 + 4 i3) mod 7 of the padded
+    index i, in that order, as the sweep had before it read the table."""
+    cases = itertools.product([("h2", 1), ("h2", 2), ("h4", 2)], [None, (5, -7, 2)])
+    for (ham, shell), lo in cases:
+        vol = Volume(dims=dims, shell=shell, lo=lo)
+        lat = _Lattice(vol, interaction_terms(ModelCoefficients(U=4.0), ham))
+        # columns 0-5 are the up neighbours e1, e2, e3, then the down ones
+        k = np.array([vol.index(s) for s in vol.sites()])
+        for col, step in enumerate(np.vstack([np.eye(3, dtype=int), -np.eye(3, dtype=int)])):
+            want = np.ravel_multi_index((k + step).T, lat.shape)
+            assert np.array_equal(lat.pair_idx[:, col], want)
+        sites = np.concatenate([c[0] for c in lat.classes])
+        assert np.array_equal(np.sort(sites), np.sort(lat.vol_flat))
+        for own, pair, plq in lat.classes:
+            # no coupling partner of a class site is in the class itself
+            assert not np.isin(pair, own).any()
+            assert not np.isin(plq, own).any()
+        colour, n = ((k - shell).sum(axis=1) % 2, 2) if ham == "h2" else (k @ (1, 2, 4) % 7, 7)
+        assert [own.tolist() for own, _, _ in lat.classes] == [
+            lat.vol_flat[colour == c].tolist() for c in range(n)]
+
+
+def test_h4_has_no_linear_colouring_with_fewer_than_seven_classes():
+    """Every weight vector w mod m < 7 gives two corners of some h4 term the
+    same colour w . k mod m; mod 7, (1, 2, 4) separates them all."""
+    offsets = [np.subtract(q, p) for _, group in interaction_terms(ModelCoefficients(U=4.0), "h4")
+               for corners in group
+               for p, q in itertools.combinations(((0, 0, 0), *corners), 2)]
+    for m in range(2, 7):
+        for w in itertools.product(range(m), repeat=3):
+            assert any(np.dot(w, d) % m == 0 for d in offsets), (m, w)
+    assert all(np.dot((1, 2, 4), d) % 7 for d in offsets)
 
 
 @settings(max_examples=60, deadline=None)
@@ -338,3 +407,37 @@ def test_colour_sweep_matches_random_site_kernel(ham, bc):
         (m1, se1), (m2, se2) = stats["colour"][key], stats["random-site"][key]
         assert se1 > 0 and se2 > 0
         assert abs(m1 - m2) <= 4.0 * math.hypot(se1, se2), (key, stats)
+
+
+@pytest.mark.parametrize("bc", ["bc111", "bc100"])
+def test_exact_h2_energies_match_relative_energy(bc):
+    """The enumeration's bond loop agrees with ``h2_relative_energy`` (read
+    off the interaction table) on sampled configurations of the 3x2x2 box."""
+    vol = Volume(dims=(3, 2, 2), shell=2)
+    spins, energies = exact.h2_energies(vol, bc, U=4.0)
+    assert spins.shape == (4096, 12)
+    base = SpinConfiguration.from_boundary(vol, bc)
+    for m in np.random.default_rng(5).choice(len(energies), size=32, replace=False):
+        padded = base.spins.copy()
+        padded[vol.box] = spins[m].reshape(vol.dims)
+        cfg = SpinConfiguration(vol, padded, bc=bc)
+        assert energies[m] == pytest.approx(h2_relative_energy(cfg, ModelCoefficients(U=4.0)),
+                                            abs=1e-12)
+
+
+@pytest.mark.parametrize("bc, stride, want", [("bc111", 50, 2.963566), ("bc100", 10, 2.801072)])
+def test_h2_chain_mean_energy_matches_exact_enumeration(bc, stride, want):
+    """<E> of one h2 chain with the corner round (U = 4, beta = 1, seed 11)
+    on the 3x2x2 box lies within 4 standard errors of the exact Boltzmann
+    average over its 4096 configurations; the error is that of 20 batch
+    means.  bc111 measures every 50 sweeps, since each measurement extracts
+    the pinned interface."""
+    spec = RunSpec(dims=(3, 2, 2), bc=bc, hamiltonian="h2", U=4.0, beta=1.0, sweeps=20200,
+                   thermalization=200, seed=11, measure_stride=stride)
+    exact_mean = exact.boltzmann_mean(exact.h2_energies(spec.volume(), bc, spec.U)[1], spec.beta)
+    assert exact_mean == pytest.approx(want, abs=1e-6)
+    energies = np.array(mc_run(spec).energies)
+    batches = energies.reshape(20, -1).mean(axis=1)
+    se = batches.std(ddof=1) / math.sqrt(len(batches))
+    assert se > 0
+    assert abs(energies.mean() - exact_mean) <= 4.0 * se, (energies.mean(), exact_mean, se)
