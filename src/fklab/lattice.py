@@ -155,9 +155,6 @@ class SpinConfiguration:
     def spins(self) -> np.ndarray:
         return self._spins
 
-    def spin(self, site: Site) -> int:
-        return int(self._spins[self.volume.index(site)])
-
     @classmethod
     def from_boundary(cls, volume: Volume, bc: str) -> "SpinConfiguration":
         """Configuration equal to the boundary prescription everywhere (shell and bulk)."""

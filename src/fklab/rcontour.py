@@ -15,7 +15,8 @@ any other face set goes through ``RConfiguration.from_faces``.
 A Dobrushin removal is a height edit: the exterior of the removed contour keeps
 its heights, each interior moves by S^n (plane step n * (1,1), heights down by
 n) with n its base level minus the exterior's, the gap takes the staircase
-moved by S^-L0 (L0 the exterior's level), and the triangles are paired again.
+moved by S^-L0 (L0 the exterior's level), and the region's triangles are
+paired again: the exterior holds the R0 collar, so the result tiles the region.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .lattice import CapExceeded, components
 from .tiling import (
     MAX_COVER_TRIANGLES,
     RConfiguration,
-    Region,
     Tiling,
     TriangleIndex,
     heights_by_id,
@@ -220,25 +220,21 @@ def decompose(faces_or_rc) -> Decomposition:
     return _group(ix, rhombi, objs, pairs, lines, over, cover)[0]
 
 
-def _tiling_group(ix: TriangleIndex, rhombi, objs):
-    """``_group`` of a tiling given as its rhombi (ascending id pairs): its
-    good pairs and delta edges come from ``tiling_edges``."""
-    partner = [-1] * len(ix.across)
-    for t, u in rhombi:
-        partner[t], partner[u] = u, t
-    good, delta = tiling_edges(ix, partner, [t for pair in rhombi for t in pair])
-    rk = {t: k for k, pair in enumerate(rhombi) for t in pair}
-    lines = [("d", frozenset(ix.xy[v] for v in ends), 1, ends, e) for e in delta for ends in [ix.ends(e)]]
-    return _group(ix, rhombi, objs, [(rk[t], rk[u]) for t, u in good], lines)
-
-
 def _collared(tiling: Tiling):
-    """``_group`` of a tiling in the R0 collar of its region's index."""
+    """``_group`` of a tiling in the R0 collar of its region's index: its
+    rhombi, then the collar's, with good pairs and delta edges from
+    ``tiling_edges``."""
     ix = tiling.region.index
     if ix.collar is None:
         raise ValueError("decomposing a tiling needs an R0-closed region")
     rhombi = tiling.pairs + ix.collar
-    return _tiling_group(ix, rhombi, ix.rhombi(rhombi))
+    partner = list(tiling.partner)
+    for t, u in ix.collar:
+        partner[t], partner[u] = u, t
+    good, delta = tiling_edges(ix, partner, [t for pair in rhombi for t in pair])
+    rk = {t: k for k, pair in enumerate(rhombi) for t in pair}
+    lines = [("d", frozenset(ix.xy[v] for v in ends), 1, ends, e) for e in delta for ends in [ix.ends(e)]]
+    return _group(ix, rhombi, ix.rhombi(rhombi), [(rk[t], rk[u]) for t, u in good], lines)
 
 
 def decompose_tiling(tiling: Tiling) -> Decomposition:
@@ -351,21 +347,22 @@ class RemovalReport:
 def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoefficients):
     """Remove one R-contour from a minimal configuration by editing its heights.
 
-    The contour's complement splits into the exterior and interior components.
-    The new tiling of the collared window is the one of a height function:
-    the exterior keeps its heights; each interior moves by S^n, its vertices
-    by the plane step n * (1,1) and its heights down by n, where n is the
-    level of its adjacent base minus the level of the exterior's (the level
-    of a base is the middle corner height of its rhombi); every other vertex
-    gets the staircase moved by S^-L0, L0 the exterior's level.  Returns
-    (new_tiling, report); the work runs on the ids of ``region.index``.
+    The contour's complement in the region and its R0 collar splits into the
+    exterior and interior components.  The new tiling, of the same region, is
+    the one of a height function: the exterior (which holds the collar) keeps
+    its heights; each interior moves by S^n, its vertices by the plane step
+    n * (1,1) and its heights down by n, where n is the level of its adjacent
+    base minus the level of the exterior's (the level of a base is the middle
+    corner height of its rhombi); every other vertex gets the staircase moved
+    by S^-L0, L0 the exterior's level.  Returns (new_tiling, report); the work
+    runs on the ids of ``region.index``, and the new tiling shares it.
 
     Raises DobrushinViolation if two pieces put different heights on one
-    vertex or the heights do not make a tiling of the window.
+    vertex or the heights do not make a tiling of the region.
     """
     ix = tiling.region.index
     deco, ids = _collared(tiling)
-    win = sorted(ix.tri)   # the collared window
+    win = sorted(ix.tri)   # the region and its collar
     if not deco.contours:
         raise ValueError("configuration has no contours to remove")
     if not (0 <= contour_index < len(deco.contours)):
@@ -374,26 +371,29 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
     f_before = sorted(f_energy(c, coeffs) for c in deco.contours)
     supp_verts, supp_tris, blocked = ids[contour_index]
 
-    # complement components: triangles joined across sides that are not the
-    # target's delta/omega lines and through vertices outside its support
-    # (side ids are >= 0, vertex keys < 0); each is keyed by its least
-    # triangle, and they come in that order
+    # complement components: triangles joined through vertices off the
+    # target's support (keys < 0) and across sides between two support
+    # vertices that are not its delta/omega lines (any other side joins what
+    # an end's key joins); each is keyed by its least triangle, in that order
     corners, sides = ix.corners, ix.sides
     outside = [t for t in win if t not in supp_tris]
+
+    def keys(t):
+        off = [v for v in corners[t] if v not in supp_verts]
+        return [-1 - v for v in off] + [e for e, w in zip(sides[t], reversed(corners[t]))   # w: opposite e
+                                        if e not in blocked and (not off or off == [w])]
+
     groups = {}
-    for members in components(
-        [e for e in sides[t] if e not in blocked] + [-1 - v for v in corners[t] if v not in supp_verts]
-        for t in outside
-    ):
+    for members in components(map(keys, outside)):
         tris = [outside[i] for i in members]
         groups[min(tris)] = tris
-    # the exterior holds the window's least triangle, which has a side on the
-    # window boundary
+    # the exterior holds the least triangle of the region and its collar,
+    # which has a side on their boundary
     exterior = win[0]
     if exterior not in groups:
         raise ValueError("could not identify the exterior component")
 
-    # heights of the window: the tiling's, and the staircase in the collar
+    # heights of the region, and the staircase in the collar
     h = heights_by_id(ix, tiling.partner)
 
     def adjacent_base_level(tris) -> int:
@@ -430,13 +430,11 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
     # the gap: the staircase moved by S^-level0
     hn = [new_h.get(p, (0, 1, -1)[(c + 2 * level0) % 3] + level0) for p, c in zip(ix.xy, ix.vclass)]
     try:
-        new_rhombi, partner = pair_by_heights(ix, win, ix.tri, hn)
-        new_tiling = Tiling(Region(frozenset(ix.tri.values())), new_rhombi)
-    except ValueError as exc:  # HeightError, or rhombi that do not cover the window
+        new_tiling = Tiling(tiling.region, pair_by_heights(ix, hn))
+    except ValueError as exc:  # HeightError, or pairs that are not a tiling of the region
         raise DobrushinViolation(f"removal does not give a tiling: {exc}") from exc
 
-    new_pairs = [(t, partner[t]) for t in win if t < partner[t]]
-    new_deco, _ = _tiling_group(ix, new_pairs, new_pairs)
+    new_deco, _ = _collared(new_tiling)
     f_after = sorted(f_energy(c, coeffs) for c in new_deco.contours)
     report = RemovalReport(
         removed_f=f_energy(target, coeffs),

@@ -21,9 +21,10 @@ Integer index
 Triangles and rhombi are frozensets only at the boundary (``Region.triangles``,
 ``Tiling.rhombi``, JSON, SVG).  The tiling layer runs on the integer ids of
 ``Region.index``, built once per region with its R0 collar: a tiling is its
-``partner`` table, ``random_tiling`` walks heights by vertex id, and
-``tiling_edges`` is the one edge rule of a tiling.  Tilings change only through
-their height function (``tiling_heights``, ``tiling_from_heights``).
+``partner`` table and nothing else (``Tiling.rhombi`` is a view of it),
+``random_tiling`` walks heights by vertex id, and ``tiling_edges`` is the one
+edge rule of a tiling.  Tilings change only through their height function
+(``tiling_heights``, ``tiling_from_heights``).
 
 Edge classes
 ------------
@@ -371,33 +372,37 @@ def r0_closure(triangles: Iterable[Triangle]) -> Region:
 
 @dataclass(frozen=True)
 class Tiling:
-    """An exact cover of a region by rhombi, with standard boundary outside."""
+    """An exact cover of a region by rhombi, with standard boundary outside:
+    its ``partner`` table, triangle id of ``region.index`` -> id of the
+    triangle paired with it across a side, -1 off the region."""
 
     region: Region
-    rhombi: tuple
+    partner: tuple
 
     def __post_init__(self):
-        covered = self.assignment()
-        if len(covered) != sum(map(len, self.rhombi)):
-            raise ValueError("rhombi overlap")
-        if covered.keys() != self.region.triangles:
-            raise ValueError("rhombi do not cover the region exactly")
-
-    def __len__(self) -> int:
-        return len(self.rhombi)
-
-    def assignment(self) -> dict:
-        """A fresh triangle -> rhombus map of the tiling."""
-        return {t: r for r in self.rhombi for t in r}
-
-    @cached_property
-    def partner(self) -> list[int]:
-        """Triangle id -> id of the triangle paired with it, -1 off the tiling."""
+        object.__setattr__(self, "partner", part := tuple(self.partner))
         ix = self.region.index
-        part = [-1] * len(ix.across)
-        for t, u in self.rhombi:
-            part[ix.ids[t]], part[ix.ids[u]] = ix.ids[u], ix.ids[t]
-        return part
+        if len(part) != len(ix.across) or len(part) - part.count(-1) != len(ix.inside):
+            raise ValueError("rhombi do not cover the region exactly")
+        for t in ix.inside:
+            u = part[t]
+            if u not in ix.inside or part[u] != t or u not in ix.across[t]:
+                raise ValueError("paired triangles are not partners across a side")
+
+    @classmethod
+    def from_rhombi(cls, region: Region, rhombi: Iterable[Rhombus]) -> "Tiling":
+        """The tiling of ``region`` by ``rhombi``, each two triangles of it."""
+        ids = region.index.ids
+        part = [-1] * len(region.index.across)
+        for r in rhombi:
+            pair = [ids.get(t, -1) for t in r]
+            if len(pair) != 2 or -1 in pair:
+                raise ValueError("rhombi do not cover the region exactly")
+            t, u = pair
+            if part[t] >= 0 or part[u] >= 0:
+                raise ValueError("rhombi overlap")
+            part[t], part[u] = u, t
+        return cls(region, part)
 
     @cached_property
     def pairs(self) -> list[tuple[int, int]]:
@@ -405,10 +410,15 @@ class Tiling:
         part = self.partner
         return [(t, part[t]) for t in self.region.index.ids.values() if t < part[t]]
 
+    @cached_property
+    def rhombi(self) -> tuple:
+        """The rhombi as frozensets of two triangles, in ``pairs`` order."""
+        return self.region.index.rhombi(self.pairs)
+
     def type_counts(self) -> tuple[int, int, int]:
         c = [0, 0, 0]
-        for r in self.rhombi:
-            c[rhombus_type(r)] += 1
+        for t, u in self.pairs:
+            c[self.region.index.rtype(t, u)] += 1
         return tuple(c)
 
     def to_json(self) -> dict:
@@ -436,7 +446,7 @@ class Tiling:
                     and all(type(i) is int and 0 <= i < len(tris) for i in pair)):
                 raise ValueError(f"a rhombus pair is two triangle indices below {len(tris)}, got {pair!r}")
             rhombi.append(rhombus_of(tris[pair[0]], tris[pair[1]]))
-        return cls(Region(frozenset(tris)), tuple(rhombi))
+        return cls.from_rhombi(Region(frozenset(tris)), rhombi)
 
 
 def _json_list(x) -> list:
@@ -466,29 +476,27 @@ def enumerate_tilings(region: Region) -> list[Tiling]:
     if len(region) > MAX_TILING_TRIANGLES:
         raise CapExceeded(f"enumeration capped at {MAX_TILING_TRIANGLES} triangles")
     out: list[Tiling] = []
-    _extend_cover(region, list(region.index.ids.values()), set(), [], out)
+    _extend_cover(region, list(region.index.ids.values()), 0, [-1] * len(region.index.across), out)
     return out
 
 
-def _extend_cover(region: Region, tris: list, covered: set, stack: list, out: list) -> None:
-    """Append to ``out`` every tiling of ``region`` that extends ``stack``, the
-    rhombi placed so far on the ``covered`` triangle ids, in order of their
-    least triangle.  A module-level function, not a closure calling itself:
-    that would be a reference cycle keeping ``out`` alive until the cyclic GC
-    runs."""
-    free = [t for t in tris if t not in covered]
-    if not free:
-        out.append(Tiling(region, tuple(stack)))
+def _extend_cover(region: Region, tris: list, i: int, part: list, out: list) -> None:
+    """Append to ``out`` every tiling of ``region`` that extends ``part``, the
+    partner table of the rhombi placed so far, which covers ``tris[:i]``.  A
+    module-level function, not a closure calling itself: that would be a
+    reference cycle keeping ``out`` alive until the cyclic GC runs."""
+    while i < len(tris) and part[tris[i]] >= 0:
+        i += 1
+    if i == len(tris):
+        out.append(Tiling(region, part))
         return
     ix = region.index
-    t = free[0]   # the least free triangle, so every u placed with it is > t
+    t = tris[i]   # the least free triangle
     for u in ix.across[t]:   # ascending ids
-        if u in ix.inside and u not in covered:
-            covered.update((t, u))
-            stack.append(frozenset((ix.tri[t], ix.tri[u])))
-            _extend_cover(region, tris, covered, stack, out)
-            stack.pop()
-            covered.difference_update((t, u))
+        if u in ix.inside and part[u] < 0:
+            part[t], part[u] = u, t
+            _extend_cover(region, tris, i + 1, part, out)
+            part[t] = part[u] = -1
 
 
 def random_tiling(region: Region, flips: int, seed: int) -> Tiling:
@@ -528,8 +536,7 @@ def random_tiling(region: Region, flips: int, seed: int) -> Tiling:
                 flippable.add(q)
             else:
                 flippable.discard(q)
-    rhombi, _ = pair_by_heights(ix, ix.ids.values(), ix.inside, h)
-    return Tiling(region, rhombi)
+    return Tiling(region, pair_by_heights(ix, h))
 
 
 @dataclass
@@ -649,28 +656,23 @@ def tiling_from_heights(region: Region, heights) -> Tiling:
     h = ix.stair[:]
     for v in ix.vertices:
         h[v] = hfun(ix.xy[v])
-    rhombi, _ = pair_by_heights(ix, ix.ids.values(), ix.inside, h)
-    return Tiling(region, rhombi)
+    return Tiling(region, pair_by_heights(ix, h))
 
 
-def pair_by_heights(ix: RegionIndex, ids, inside, h: list) -> tuple[tuple, list]:
-    """Pair the triangles ``ids`` (ascending) across their lo-hi diagonals
-    under the heights ``h`` by vertex id; partners must be in ``inside``.
-
-    Returns the rhombi, in ascending id order, and the partner list, or
-    raises HeightError.
-    """
+def pair_by_heights(ix: RegionIndex, h: list) -> list:
+    """The partner table of the region's triangles paired across their lo-hi
+    diagonals under the heights ``h`` by vertex id; raises HeightError."""
     corners, across = ix.corners, ix.across
     part = [-1] * len(across)
-    for i in ids:
+    for i in ix.ids.values():
         lo, mid, hi = sorted(corners[i], key=h.__getitem__)
         if h[mid] - h[lo] != 1 or h[hi] - h[mid] != 1:
             raise HeightError(f"triangle heights {sorted(h[v] for v in corners[i])} are not consecutive")
         u = across[i][2 - corners[i].index(mid)]
-        if u not in inside:
+        if u not in ix.inside:
             raise HeightError("rhombus diagonal leaves the region")
         part[i] = u
-    return ix.rhombi((t, part[t]) for t in ids if t < part[t]), part
+    return part
 
 
 def tiling_edges(ix: TriangleIndex, partner: list, order) -> tuple[list, list]:
@@ -712,17 +714,12 @@ def interface_to_tiling(faces: Iterable[Face]) -> Tiling:
     Errors with an overlap report (listing triangles and their overlap
     numbers) if any triangle is covered more than once.
     """
-    coverage: dict = {}
-    rhombi = []
-    for f in faces:
-        r, _ = project_face(f)
-        rhombi.append(r)
-        for t in r:
-            coverage[t] = coverage.get(t, 0) + 1
+    rhombi = [project_face(f)[0] for f in faces]
+    coverage = Counter(t for r in rhombi for t in r)
     overlaps = {t: c - 1 for t, c in coverage.items() if c > 1}
     if overlaps:
         raise OverlapError(overlaps)
-    return Tiling(Region(frozenset(coverage)), tuple(rhombi))
+    return Tiling.from_rhombi(Region(frozenset(coverage)), rhombi)
 
 
 def config_from_heights(

@@ -5,10 +5,10 @@ array order.  ``from_boundary`` and ``config_from_heights`` are the per-site
 loops that ``SpinConfiguration.from_boundary`` and
 ``tiling.config_from_heights`` replaced with whole-array expressions over
 ``Volume.coords()``; tests compare the two.  ``from_function`` builds a
-configuration from a per-site function and ``shell_consistent`` checks its
-shell against its boundary condition.  ``PRESCRIPTIONS`` states each
-boundary condition as a per-site predicate (+1 where it holds), apart from
-``fklab.lattice.boundary_spin``.  ``sublattice_sign`` and ``stagger`` are the
+configuration from a per-site function, ``shell_consistent`` checks its
+shell against its boundary condition and ``spin`` reads one site.
+``PRESCRIPTIONS`` states each boundary condition as a per-site predicate (+1
+where it holds), apart from ``fklab.lattice.boundary_spin``.  ``sublattice_sign`` and ``stagger`` are the
 antiferro <-> ferro change of frame, (-1)^(k1+k2+k3) per site and per array.
 """
 
@@ -27,6 +27,11 @@ PRESCRIPTIONS = {
     "bc100": lambda k: k[2] >= 0,
     "bc111": lambda k: coordinate_sum(k) >= -1,
 }
+
+
+def spin(config: SpinConfiguration, site) -> int:
+    """The spin of ``config`` at one site of its padded box."""
+    return int(config.spins[config.volume.index(site)])
 
 
 def padded_sites(volume: Volume):

@@ -24,6 +24,7 @@ from fklab.lattice import SpinConfiguration, coordinate_sum
 from fklab import mc
 from fklab.mc import ObservableSeries, RunSpec, _Lattice, _pinned_faces
 from fklab.tiling import good_pair_fraction_of_faces, phi, stair_height
+from layout_reference import spin
 
 
 def good_pair_fraction(config: SpinConfiguration) -> float:
@@ -41,7 +42,7 @@ def layer_magnetization(config: SpinConfiguration, normal: str = "e3"):
     layers: dict = {}
     for site in vol.sites():
         key = site[2] if normal == "e3" else coordinate_sum(site)
-        layers.setdefault(key, []).append(config.spin(site))
+        layers.setdefault(key, []).append(spin(config, site))
     labels = sorted(layers)
     return labels, np.array([np.mean(layers[k]) for k in labels])
 
@@ -53,7 +54,7 @@ def interface_width(config: SpinConfiguration) -> float:
     for site in vol.sites():
         c = phi(site)
         gs = 1 if coordinate_sum(site) >= stair_height(c) - 1 else -1
-        cols[c] = cols.get(c, 0) + (config.spin(site) - gs)
+        cols[c] = cols.get(c, 0) + (spin(config, site) - gs)
         lengths[c] = lengths.get(c, 0) + 1
     full = max(lengths.values())
     d = np.array([v for c, v in cols.items() if lengths[c] == full], dtype=float) / 2.0

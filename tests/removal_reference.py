@@ -147,7 +147,7 @@ def rhombus_remove(tiling, contour_index=0, *, coeffs):
     # may stick out of the window by one triangle)
     out_rhombi = set(new_assign.values())
     out_tris = frozenset(t for r in out_rhombi for t in r)
-    new_tiling = Tiling(Region(out_tris), tuple(out_rhombi))
+    new_tiling = Tiling.from_rhombi(Region(out_tris), out_rhombi)
 
     new_deco = decompose(rconfig_of_assignment(new_assign))
     f_after = sorted(f_energy(c, coeffs) for c in new_deco.contours)

@@ -20,7 +20,7 @@ from fklab.classical import (
     relative_energy,
 )
 from fklab.lattice import SpinConfiguration, Volume
-from layout_reference import from_function, padded_sites
+from layout_reference import from_function, padded_sites, spin as layout_spin
 
 CO8 = ModelCoefficients(U=8.0)
 
@@ -85,7 +85,7 @@ def _h4_bruteforce(cfg: SpinConfiguration, co: ModelCoefficients) -> float:
     involume = set(vol.sites())
 
     def spin(s):
-        return cfg.spin(s)
+        return layout_spin(cfg, s)
 
     e = 0.0
     seen = set()

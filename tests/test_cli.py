@@ -478,13 +478,32 @@ _TRIANGLES = [[[0, 0], [1, 0], [1, 1]], [[0, 0], [0, 1], [1, 1]]]
     {"triangles": _TRIANGLES, "rhombi": [{"pair": [-1, 0], "type": 0, "orientation": 0}]},
     {"triangles": _TRIANGLES, "rhombi": [{"pair": [0, 0.5], "type": 0, "orientation": 0}]},
     [{"triangles": _TRIANGLES, "rhombi": _RHOMBUS}],
+    {"triangles": _TRIANGLES, "rhombi": _RHOMBUS * 2},
+    {"triangles": _TRIANGLES + [[[1, 0], [2, 0], [2, 1]], [[1, 0], [1, 1], [2, 1]]],
+     "rhombi": [{"pair": [0, 2], "type": 0, "orientation": 0}, {"pair": [1, 3], "type": 0, "orientation": 0}]},
+    {"triangles": _TRIANGLES + [[[1, 0], [2, 0], [2, 1]]], "rhombi": _RHOMBUS},
+    {"triangles": _TRIANGLES},
+    {"triangles": _TRIANGLES, "rhombi": {"pair": [0, 1]}},
 ], ids=["vertex_not_a_pair", "pair_out_of_range", "pair_negative", "pair_not_integer",
-        "top_level_list"])
+        "top_level_list", "duplicate_pair", "pair_not_adjacent", "odd_region", "no_rhombi",
+        "rhombi_not_a_list"])
 def test_render_malformed_stored_tiling_exits_2(tmp_path, blob):
     path = _write(tmp_path, "tiling.json", blob)
     rcfg = _write(tmp_path, "r.json", {"kind": "tiling", "path": path})
     out = tmp_path / "r"
     assert main(["render", "--config", rcfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_render_sparse_stored_tiling_exits_3(tmp_path):
+    """A stored tiling is checked on its region's index, so a region whose
+    bounding box passes ``MAX_BOX_VERTICES`` exits 3 before its cover is
+    checked."""
+    blob = {"triangles": [[[0, 0], [1, 0], [1, 1]], [[900, 900], [901, 900], [901, 901]]], "rhombi": []}
+    path = _write(tmp_path, "tiling.json", blob)
+    rcfg = _write(tmp_path, "r.json", {"kind": "tiling", "path": path})
+    out = tmp_path / "r"
+    assert main(["render", "--config", rcfg, "--out", str(out)]) == 3
     assert not out.exists()
 
 

@@ -14,15 +14,21 @@ support vertices, overlapping subcontours by their least rhombus, removal
 shifts and interiors by their least triangle, and ``rhombus_corners`` (so each
 SVG polygon) starts at the shared side's least end.  Each re-recorded record
 equals its predecessor up to that reordering (contour indices of removals
-renumbered by the new contour order).  They pin, byte for byte:
+renumbered by the new contour order).  ``dobrushin_remove`` now returns a
+tiling of its input's region, not of the collared window; each removal record
+widens it by the region's R0 collar (``tiling_reference.widened``) before
+``to_json``, so the unchanged ``removals`` digest pins that the result plus
+the unchanged collar is the window tiling it used to return.  They pin, byte
+for byte:
 
 * ``decompose_tiling(...).to_json`` on seeded random R0-closed hexagon tilings
   (bases by their least rhombus, contours by their sorted support vertices,
   with their subcontour lists),
   and ``decompose(...).to_json`` of every Ising contour of seeded bc111 boxes
   with flips next to the interface (non-minimal, with overlapping subcontours);
-* every ``dobrushin_remove`` on those tilings (new tiling JSON, energies,
-  contour counts, shifts and interiors in order of their least triangles);
+* every ``dobrushin_remove`` on those tilings (new tiling JSON widened by the
+  collar, energies, contour counts, shifts and interiors in order of their
+  least triangles);
 * ``extract_contours`` with edge and corner connectivity on seeded bc111 boxes
   with bulk flips (contour order, faces, areas and the pinned flag);
 * ``tiling_svg`` of every tiling of the hexagons of side 2 and 3, in
@@ -36,6 +42,7 @@ import json
 
 import numpy as np
 
+import tiling_reference as ref
 from fklab.classical import ModelCoefficients, extract_contours
 from fklab.lattice import SpinConfiguration, Volume
 from fklab.rcontour import DobrushinViolation, decompose, decompose_tiling, dobrushin_remove
@@ -81,7 +88,7 @@ def _tiling_records():
                 continue
             removals.append({
                 "side": side, "seed": seed, "idx": idx,
-                "tiling": new_t.to_json(),
+                "tiling": ref.widened(new_t).to_json(),
                 "removed_f": rep.removed_f,
                 "before": rep.contours_before,
                 "after": rep.contours_after,

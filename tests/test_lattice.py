@@ -52,12 +52,12 @@ def test_stagger_involution_and_neel():
     # interior becomes uniformly +1 under staggering
     ferro = layout.stagger(neel)
     for site in vol.sites():
-        assert ferro.spin(site) == 1
+        assert layout.spin(ferro, site) == 1
 
     plus = SpinConfiguration.from_boundary(vol, "hom_plus")
     sig = layout.stagger(plus)
     for site in vol.sites():
-        assert sig.spin(site) == layout.sublattice_sign(site)
+        assert layout.spin(sig, site) == layout.sublattice_sign(site)
 
 
 def _walk_oracle(sites):

@@ -1,6 +1,7 @@
 """Bases, R-contours, contour energies, geometric classes, Dobrushin removal."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -28,10 +29,12 @@ from fklab.svgout import tiling_svg
 from fklab.tiling import (
     RConfiguration,
     Region,
+    RegionIndex,
     Tiling,
     config_from_heights,
     enumerate_tilings,
     hexagon_region,
+    interface_to_tiling,
     project_face,
     r0_closure,
     r0_rhombus,
@@ -50,7 +53,7 @@ CO = ModelCoefficients(U=8.0)
 
 
 def _r0_tiling(region):
-    return Tiling(region, tuple({r0_rhombus(t) for t in region.triangles}))
+    return Tiling.from_rhombi(region, {r0_rhombus(t) for t in region.triangles})
 
 
 def _site_bound(contour):
@@ -229,6 +232,29 @@ def test_removal_of_nested_pair_preserves_inner_energy():
     assert f_energy(remaining[0], CO) == pytest.approx(min(fvals), abs=1e-12)
 
 
+def test_iterated_removals_stay_on_the_region(monkeypatch):
+    """Removing every contour of a side-5 tiling one at a time keeps its
+    region and index, builds no other index, and ends with no contours."""
+    tiling = random_tiling(_REGIONS[5], 60, seed=7)
+    region, ix = tiling.region, tiling.region.index
+    count = len(decompose_tiling(tiling).contours)
+    assert count == 6
+    built = []
+    init = RegionIndex.__init__
+
+    def counted(self, r):
+        built.append(r)
+        init(self, r)
+
+    monkeypatch.setattr(RegionIndex, "__init__", counted)
+    for left in range(count, 0, -1):
+        tiling, rep = dobrushin_remove(tiling, 0, coeffs=CO)
+        assert rep.contours_after == left - 1
+        assert tiling.region == region and tiling.region.index is ix and len(tiling.region) == len(region)
+    assert decompose_tiling(tiling).contours == []
+    assert built == []
+
+
 def test_randomized_removal_campaign_small():
     base = r0_closure(hexagon_region(4).triangles)
     done = 0
@@ -335,11 +361,15 @@ def test_dobrushin_invariants_on_large_hexagons(side, flips, seed, pick):
 
 def _removal_outcome(remove, tiling, idx):
     """What a removal gives, shifts and interiors in order, or the type of
-    the exception it raised."""
+    the exception it raised.  ``dobrushin_remove`` returns a tiling of the
+    input's region, which is widened by the unchanged R0 collar to compare
+    with the rhombus oracle's tiling of the collared window."""
     try:
         new_t, rep = remove(tiling, idx, coeffs=CO)
     except Exception as exc:  # noqa: BLE001 - the type is what is compared
         return type(exc)
+    if remove is dobrushin_remove:
+        new_t = ref.widened(new_t)
     return new_t.to_json(), list(rep.shifts.items()), rep.interiors
 
 
@@ -401,17 +431,10 @@ def test_integer_index_matches_frozenset_reference(side, flips, seed, pick):
     assert _removal_outcome(dobrushin_remove, tiling, idx) == want
 
 
-@settings(max_examples=30, deadline=None)
-@given(side=st.integers(3, 5), flips=st.integers(0, 80), seed=st.integers(0, 2**32 - 1),
-       pick=st.integers(0, 10**6), order=st.randoms(use_true_random=False))
-def test_outputs_do_not_depend_on_how_the_tiling_was_built(side, flips, seed, pick, order):
-    """One tiling built four ways (the random walk, a JSON round trip, its
-    height function, and its rhombi shuffled with every frozenset rebuilt in
-    a shuffled insertion order) gives the same SVG bytes, decomposition and
-    removal, shifts and interiors in order."""
-    region = _REGIONS[side]
-    tiling = random_tiling(region, flips, seed=seed)
-
+def _builds(tiling, order):
+    """One tiling built five ways: the random walk, a JSON round trip, its
+    height function, its rhombi shuffled with every frozenset rebuilt in a
+    shuffled insertion order, and its interface projected back."""
     def rebuilt(items):
         items = list(items)
         order.shuffle(items)
@@ -419,8 +442,29 @@ def test_outputs_do_not_depend_on_how_the_tiling_was_built(side, flips, seed, pi
 
     rhombi = [rebuilt(rebuilt(t) for t in r) for r in tiling.rhombi]
     order.shuffle(rhombi)
-    builds = [tiling, Tiling.from_json(json.loads(json.dumps(tiling.to_json()))),
-              tiling_from_heights(region, tiling_heights(tiling)), Tiling(region, tuple(rhombi))]
+    return [tiling, Tiling.from_json(json.loads(json.dumps(tiling.to_json()))),
+            tiling_from_heights(tiling.region, tiling_heights(tiling)),
+            Tiling.from_rhombi(tiling.region, rhombi), interface_to_tiling(tiling_to_interface(tiling)[0])]
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_one_tiling_built_five_ways_is_one_tiling(seed):
+    """Tilings are equal, with equal hashes, when their regions and pairings
+    are, however they were built."""
+    tiling = random_tiling(r0_closure(hexagon_region(4).triangles), 30, seed=seed)
+    for t in _builds(tiling, random.Random(seed)):
+        assert t == tiling and hash(t) == hash(tiling)
+        assert t.rhombi == tiling.rhombi
+
+
+@settings(max_examples=30, deadline=None)
+@given(side=st.integers(3, 5), flips=st.integers(0, 80), seed=st.integers(0, 2**32 - 1),
+       pick=st.integers(0, 10**6), order=st.randoms(use_true_random=False))
+def test_outputs_do_not_depend_on_how_the_tiling_was_built(side, flips, seed, pick, order):
+    """One tiling built five ways (``_builds``) gives the same SVG bytes,
+    decomposition and removal, shifts and interiors in order."""
+    tiling = random_tiling(_REGIONS[side], flips, seed=seed)
+    builds = _builds(tiling, order)
 
     def outputs(t):
         deco = decompose_tiling(t)

@@ -15,7 +15,7 @@ from fklab.tiling import (
 
 def test_tiling_svg_structure_and_highlights():
     reg = hexagon_region(2)
-    pure = Tiling(reg, tuple({r0_rhombus(t) for t in reg.triangles}))
+    pure = Tiling.from_rhombi(reg, {r0_rhombus(t) for t in reg.triangles})
     svg = tiling_svg(pure)
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert svg.count("<polygon") == 12

@@ -10,12 +10,16 @@ by collecting the rhombi that cover the star.
 The frozenset path is the one ``fklab`` ran before ``Region.index``:
 ``random_tiling`` walks heights keyed by vertex tuples and assembles the
 tiling triangle by triangle, ``collared_assignment`` extends the triangle ->
-rhombus map by the R0 collar with the frontier loop, ``rconfig_of_assignment``
-classifies its edges, and ``decompose``/``decompose_tiling`` group bases and
-contours on frozensets with ``lattice.components``.  It lists what it returns
-in the order ``fklab`` does, by sorted vertex lists (ascending triangle ids):
-rhombi by their least triangle, contours by their sorted support vertices and
-overlapping subcontours by their least rhombus.
+rhombus map (``assignment``) by the R0 collar with the frontier loop,
+``rconfig_of_assignment`` classifies its edges, and
+``decompose``/``decompose_tiling`` group bases and contours on frozensets with
+``lattice.components``.  It lists what it returns in the order ``fklab`` does,
+by sorted vertex lists (ascending triangle ids): rhombi by their least
+triangle, contours by their sorted support vertices and overlapping
+subcontours by their least rhombus.
+
+``widened`` extends a tiling by its index's collar into the tiling of the
+collared window, the region that the rhombus removal oracle returns a tiling of.
 """
 
 from collections import Counter
@@ -141,7 +145,7 @@ def lifted_rconfig(assign):
     The window is lifted to its minimal interface (heights from the staircase
     values on the window boundary) and projected back by ``from_faces``.
     """
-    tiling = Tiling(Region(frozenset(assign)), tuple(set(assign.values())))
+    tiling = Tiling.from_rhombi(Region(frozenset(assign)), set(assign.values()))
     faces, _ = tiling_to_interface(tiling)
     return RConfiguration.from_faces(faces)
 
@@ -189,12 +193,17 @@ def tiling_from_heights(region, heights):
         if partner not in region.triangles:
             raise HeightError("rhombus diagonal leaves the region")
         rhombi.add(frozenset((t, partner)))
-    return Tiling(region, tuple(sorted(rhombi, key=_vertex_lists)))
+    return Tiling.from_rhombi(region, sorted(rhombi, key=_vertex_lists))
+
+
+def assignment(tiling):
+    """A fresh triangle -> rhombus map of the tiling."""
+    return {t: r for r in tiling.rhombi for t in r}
 
 
 def collared_assignment(tiling, collar=COLLAR):
     """triangle -> rhombus map of the tiling extended by an R0 collar."""
-    assign = tiling.assignment()
+    assign = assignment(tiling)
     frontier = set(tiling.region.triangles)
     for _ in range(2 * collar + 2):
         frontier = {u for t in frontier for u in triangles_across(t) if u not in assign}
@@ -203,6 +212,13 @@ def collared_assignment(tiling, collar=COLLAR):
             for u in r:
                 assign.setdefault(u, r)
     return assign
+
+
+def widened(tiling):
+    """The tiling of the collared window: ``tiling`` and the R0 collar of its
+    region's index, whose pairing a Dobrushin removal leaves as it is."""
+    ix = tiling.region.index
+    return Tiling.from_rhombi(Region(frozenset(ix.tri.values())), tiling.rhombi + ix.rhombi(ix.collar))
 
 
 def rconfig_of_assignment(assign):
