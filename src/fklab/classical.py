@@ -10,6 +10,8 @@ coupling and the offsets of its terms' corners from their anchor site.  The
 energies evaluate it with one shifted-view helper, ``_corner_views``, on the
 spins with the box's doubled, which ``extract_contours`` reads its broken
 bonds from as well; ``mc`` builds the sampler's local tables from it.
+``extract_contours`` labels its faces' components in numpy, on the integer
+edge (or corner) ids of ``face_keys``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import Site, SpinConfiguration, UNIT_STEPS, components
+from .lattice import Site, SpinConfiguration, UNIT_STEPS
 
 # ---------------------------------------------------------------------------
 # Coefficients of the truncated effective Hamiltonians
@@ -268,12 +270,26 @@ def face_sides(k: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def face_keys(k: np.ndarray, mu: np.ndarray, corner_connect: bool = False) -> np.ndarray:
     """Integer ids of the four sides of each face (k[i], mu[i]), in
     ``face_sides`` order, shape (n, 4); with ``corner_connect`` the ids of its
-    four corners instead.  A side's id encodes its lower corner and its axis;
-    ids compare only within one call (see ``grid_ids``)."""
+    four corners instead.  Equal ids mean equal sides (or corners); ids
+    compare only within one call, and no origin is assumed.
+
+    The lower sites are numbered over their bounding box widened by one step,
+    which holds every corner of every face, so a point's id is its base id
+    ``(k - lo) @ stride`` plus the id of its offset from k (``_SIDE_LOW`` or
+    ``_FACE_CORNERS``); a side's id is its lower corner's times 3 plus its
+    axis.
+    """
+    if len(k) == 0:
+        return np.zeros((0, 4), dtype=np.int64)
+    lo = k.min(axis=0)
+    ext = k.max(axis=0) - lo + 2
+    stride = np.array([ext[1] * ext[2], ext[2], 1])
     if corner_connect:
-        return grid_ids(face_corners(k, mu))
-    low, axis = face_sides(k, mu)
-    return grid_ids(low) * 3 + axis
+        offsets = _FACE_CORNERS @ stride
+    else:
+        stride = 3 * stride
+        offsets = _SIDE_LOW @ stride + _SIDE_AXIS
+    return ((k - lo) @ stride)[:, None] + offsets[mu]
 
 
 def face_arrays(faces: Iterable[Face]) -> tuple[np.ndarray, np.ndarray]:
@@ -294,6 +310,38 @@ class IsingContour:
         return self.area
 
 
+def _label_rows(ids: np.ndarray) -> np.ndarray:
+    """Component label of each row of an (n, m) integer id array: rows that
+    share an id are connected, and every row is labelled with the least row
+    index of its component.
+
+    One stable sort of the flat ids joins the rows of equal neighbouring ids
+    into edges (a, b).  Each round hooks the label of either end to the
+    smaller of the two labels (``np.minimum.at``) and then jumps pointers
+    until every label is a root (``lab[lab] == lab``); the rounds stop when
+    both ends of every edge carry one label.  A label never exceeds its row
+    and stays in its row's component, so the fixed point labels each
+    component with its least row.
+    """
+    flat = ids.ravel()
+    order = np.argsort(flat, kind="stable")
+    row = order // ids.shape[1]
+    same = flat[order[1:]] == flat[order[:-1]]
+    a, b = row[:-1][same], row[1:][same]
+    lab = np.arange(len(ids))
+    while True:
+        la, lb = lab[a], lab[b]
+        if np.array_equal(la, lb):
+            return lab
+        np.minimum.at(lab, la, lb)
+        np.minimum.at(lab, lb, la)
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+
+
 def extract_contours(
     config: SpinConfiguration,
     corner_connect: bool = False,
@@ -311,8 +359,10 @@ def extract_contours(
 
     The broken bonds are read per axis as whole arrays, each face is keyed by
     the integer ids of its four edges (or corners) from ``face_keys``, and
-    ``lattice.components`` joins faces sharing an id; face tuples are built
-    only for the returned contours.
+    ``_label_rows`` labels the faces' components on those ids; areas and
+    pinned flags are counts per label.  Face tuples are built only for the
+    returned contours, each frozenset filled in ascending face order, and
+    contours of equal rank come in order of their first face.
     """
     vol = config.volume
     weighted = _box_weighted(config)
@@ -326,18 +376,25 @@ def extract_contours(
         inside.append(product[broken] < -1)
     k = np.concatenate(idx) + np.array(vol.padded_lo)
     mu = np.concatenate(mus)
-    involume = np.concatenate(inside).tolist()
-    sites, dirs = k.tolist(), mu.tolist()
+    involume = np.concatenate(inside)
 
+    n = len(k)
+    lab = _label_rows(face_keys(k, mu, corner_connect))
+    size = np.bincount(lab, minlength=n)
+    area = np.bincount(lab[involume], minlength=n)
     mixed = config.bc in ("bc100", "bc111")
-    contours = []
-    for members in components(face_keys(k, mu, corner_connect).tolist()):
-        area = sum(involume[i] for i in members)
-        pinned = mixed and area < len(members)
-        if area == 0 and not pinned:
-            continue  # artifact of the bc living purely in the shell
-        fs = frozenset((tuple(sites[i]), dirs[i]) for i in members)
-        contours.append(IsingContour(faces=fs, area=area, pinned=pinned))
+    pinned = (area < size) & mixed
+    # a component with no face in the volume and not pinned is an artifact
+    # of the bc living purely in the shell
+    keep = (lab == np.arange(n)) & ((area > 0) | pinned)
+    roots = np.flatnonzero(keep)
+    members = np.flatnonzero(keep[lab])
+    members = members[np.argsort(lab[members], kind="stable")]
+    faces = list(zip(map(tuple, k[members].tolist()), mu[members].tolist()))
+    ends = np.cumsum(size[roots]).tolist()
+    contours = [IsingContour(faces=frozenset(faces[start:end]), area=a, pinned=p)
+                for start, end, a, p in zip([0, *ends], ends, area[roots].tolist(),
+                                            pinned[roots].tolist())]
     contours.sort(key=lambda c: (-c.pinned, -c.area))
     if mixed:
         assert sum(1 for c in contours if c.pinned) == 1, "mixed bc must pin exactly one component"

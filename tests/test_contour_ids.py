@@ -5,6 +5,8 @@
 path returns, in the same order, on random boxes of up to 5^3 sites under
 every kind of boundary condition, at any ``Volume.lo``, and on face sets that
 are not minimal interfaces (omega edges, overlapping triangles).
+``extract_contours`` is also compared on 9^3 interfaces, and ``face_keys``
+against the points it encodes.
 """
 
 import numpy as np
@@ -13,8 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import contour_reference as ref
-from fklab.classical import extract_contours
+from fklab.classical import extract_contours, face_corners, face_keys, face_sides
 from fklab.lattice import SpinConfiguration, Volume
+from fklab.mc import RunSpec, mc_run
 from fklab.tiling import RConfiguration, good_pair_fraction_of_faces
 
 FIELDS = ("rhombus_multiplicity", "coverage", "good_edges", "delta_edges", "omega_edges",
@@ -58,10 +61,29 @@ FAR = _config((5, 5, 5), "hom_plus", 2, (1000, -1000, 7), 3, 0.3)
 FAR_111 = _config((5, 5, 5), "bc111", 2, (1000, -1000, -4), 3, 0.2)
 
 
+def _chain(beta, replica):
+    """The final configuration of a 9^3 bc111 h2 chain at U = 4."""
+    spec = RunSpec(dims=(9, 9, 9), bc="bc111", hamiltonian="h2", U=4.0, beta=beta,
+                   sweeps=400, thermalization=200, seed=202, measure_stride=200)
+    return mc_run(spec, replica=replica).final_config
+
+
+# interface scale: bc111 chains whose degenerate interface wandered off the
+# staircase (cold), gained area (warm) or has bubbles beside it (hot), and
+# bc100 boxes with about 60 bulk flips
+ROUGH_111 = [_chain(40.0 * 4.0**3, 0), _chain(8.0, 0), _chain(5.0, 1)]
+SPRINKLED_100 = [_config((9, 9, 9), "bc100", 2, None, seed, 0.08) for seed in (0, 1)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(config=configs)
 @example(config=FAR)
 @example(config=FAR_111)
+@example(config=ROUGH_111[0])
+@example(config=ROUGH_111[1])
+@example(config=ROUGH_111[2])
+@example(config=SPRINKLED_100[0])
+@example(config=SPRINKLED_100[1])
 def test_extract_contours_matches_face_set_oracle(config):
     for corner in (False, True):
         want = _outcome(ref.extract_contours, config, corner)
@@ -70,6 +92,45 @@ def test_extract_contours_matches_face_set_oracle(config):
         if isinstance(want, list):
             # the same frozensets, built in the same insertion order
             assert [list(c.faces) for c in got] == [list(c.faces) for c in want]
+
+
+def test_interface_scale_examples():
+    """The 9^3 examples are what they stand for: chains off the staircase,
+    bubbles in the hot chain and the sprinkled boxes; a 9^3 hom_plus box
+    without flips has no contours."""
+    for config in ROUGH_111:
+        staircase = SpinConfiguration.from_boundary(config.volume, "bc111")
+        assert np.count_nonzero(config.spins != staircase.spins) > 30
+    assert len(extract_contours(ROUGH_111[-1])) > 1
+    assert all(len(extract_contours(config)) > 10 for config in SPRINKLED_100)
+    assert extract_contours(SpinConfiguration.from_boundary(Volume(dims=(9, 9, 9)), "hom_plus")) == []
+
+
+_COORD = st.integers(-2000, 2000)
+# faces near one anchor share sides and corners; far ones use the whole range
+_FACES = st.one_of(
+    st.tuples(st.tuples(*[st.integers(-2000, 1998)] * 3),
+              st.lists(st.tuples(*[st.integers(0, 2)] * 3, st.integers(0, 2)), max_size=30)).map(
+        lambda t: [(*(a + o for a, o in zip(t[0], f[:3])), f[3]) for f in t[1]]),
+    st.lists(st.tuples(_COORD, _COORD, _COORD, st.integers(0, 2)), max_size=30),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FACES)
+def test_face_keys_encode_sides_and_corners(faces):
+    """Two sides (corners) get equal ids exactly when ``face_sides``
+    (``face_corners``) gives them equal points."""
+    rows = np.array(faces, dtype=np.int64).reshape(-1, 4)
+    k, mu = rows[:, :3], rows[:, 3]
+    low, axis = face_sides(k, mu)
+    for corner, points in ((False, np.concatenate([low, axis[..., None]], axis=-1)),
+                           (True, face_corners(k, mu))):
+        ids = face_keys(k, mu, corner)
+        assert ids.shape == (len(k), 4)
+        pairs = set(zip(ids.ravel().tolist(), map(tuple, points.reshape(-1, points.shape[-1]).tolist())))
+        # a bijection between the ids and the points
+        assert len(pairs) == len({i for i, _ in pairs}) == len({p for _, p in pairs})
 
 
 def _face_sets(config, seed):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fklab.classical import _label_rows
 from fklab.lattice import (
     MAX_PADDED_SITES,
     CapExceeded,
@@ -219,6 +220,45 @@ def test_components_matches_bfs_oracle(keys):
     # ... each group in ascending order, groups ordered by their first index
     assert all(g == sorted(g) for g in got)
     assert [g[0] for g in got] == [min(c) for c in expect]
+
+
+def _assert_least_row_labels(ids, lab):
+    """``lab`` is the partition of ``_bfs_components`` on the rows of ``ids``,
+    each row labelled with the least row of its component."""
+    want = [0] * len(ids)
+    for comp in _bfs_components(ids.tolist()):
+        for i in comp:
+            want[i] = min(comp)
+    assert lab.tolist() == want
+
+
+_ID_ARRAYS = st.integers(0, 40).flatmap(lambda n: st.integers(0, 4).flatmap(
+    lambda m: st.lists(st.lists(st.integers(0, 30), min_size=m, max_size=m),
+                       min_size=n, max_size=n).map(
+        lambda rows: np.array(rows, dtype=np.int64).reshape(n, m))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ID_ARRAYS)
+@example(np.zeros((0, 4), dtype=np.int64))
+@example(np.array([[3, 3, 3, 3], [1, 2, 1, 2], [2, 2, 5, 5], [7, 7, 7, 7]]))
+def test_label_rows_matches_bfs_oracle(ids):
+    """Rows sharing an id (ids may repeat within a row) get one label, the
+    least row of their component; an empty array has no labels."""
+    _assert_least_row_labels(ids, _label_rows(ids))
+
+
+def test_label_rows_on_a_permuted_path():
+    """A 5000-row path whose rows are numbered in a random order: neighbours
+    on the path share an id, so the labels need several hooking rounds."""
+    n = 5000
+    perm = np.random.default_rng(5).permutation(n)
+    ids = np.empty((n, 2), dtype=np.int64)
+    ids[perm] = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
+    assert _label_rows(ids).tolist() == [0] * n
+    # cut the path in the middle: two components, each labelled by its least row
+    ids[perm[n // 2:]] += n + 1
+    _assert_least_row_labels(ids, _label_rows(ids))
 
 
 def test_library_caps_raise_cap_exceeded():
