@@ -10,7 +10,11 @@ material is through shared plane vertices (contours are closed complexes).
 The grouping runs on the integer ids of a ``TriangleIndex``; bases and
 contours hold frozensets.  A tiling (a minimal interface) enters as its partner
 table in the R0 collar of ``Region.index``, its edges from ``tiling_edges``;
-any other face set goes through ``RConfiguration.from_faces``.
+any other face set goes through ``RConfiguration.from_faces``.  A tiling is
+grouped once: its decomposition is kept while the tiling lives and shared by
+``decompose_tiling`` and ``dobrushin_remove``, and the collar's rhombi, types
+and good pairs come from the region's index, so each grouping walks only the
+region's triangles.
 
 A Dobrushin removal is a height edit: the exterior of the removed contour keeps
 its heights, each interior moves by S^n (plane step n * (1,1), heights down by
@@ -21,6 +25,8 @@ paired again: the exterior holds the R0 collar, so the result tiles the region.
 
 from __future__ import annotations
 
+import numbers
+import weakref
 from dataclasses import dataclass, field
 
 from .classical import ModelCoefficients
@@ -30,12 +36,14 @@ from .tiling import (
     RConfiguration,
     Tiling,
     TriangleIndex,
+    _edge_walk,
     heights_by_id,
     pair_by_heights,
     rhombus_of,
-    tiling_edges,
     triangles_across,
 )
+
+_DECOMPOSED = weakref.WeakKeyDictionary()   # tiling -> _collared(tiling), dies with the tiling
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,10 @@ class RContour:
 
 @dataclass
 class Decomposition:
+    """Bases and contours of a configuration.  The decomposition of a tiling
+    is computed once per tiling and shared, so it is read-only, as
+    ``Tiling.pairs`` is."""
+
     bases: list
     contours: list
 
@@ -222,24 +234,35 @@ def decompose(faces_or_rc) -> Decomposition:
 
 def _collared(tiling: Tiling):
     """``_group`` of a tiling in the R0 collar of its region's index: its
-    rhombi, then the collar's, with good pairs and delta edges from
-    ``tiling_edges``."""
-    ix = tiling.region.index
-    if ix.collar is None:
-        raise ValueError("decomposing a tiling needs an R0-closed region")
-    rhombi = tiling.pairs + ix.collar
-    partner = list(tiling.partner)
-    for t, u in ix.collar:
-        partner[t], partner[u] = u, t
-    good, delta = tiling_edges(ix, partner, [t for pair in rhombi for t in pair])
-    rk = {t: k for k, pair in enumerate(rhombi) for t in pair}
-    lines = [("d", frozenset(ix.xy[v] for v in ends), 1, ends, e) for e in delta for ends in [ix.ends(e)]]
-    return _group(ix, rhombi, ix.rhombi(rhombi), [(rk[t], rk[u]) for t, u in good], lines)
+    rhombi, then the collar's, with good pairs and delta edges in the order of
+    ``tiling_edges`` over both.  The walk covers the region's triangles; the
+    collar's share (all type 0, its own sides all good) is the index's.  The
+    result is kept per tiling, in ``_DECOMPOSED``."""
+    got = _DECOMPOSED.get(tiling)
+    if got is None:
+        ix = tiling.region.index
+        if ix.collar is None:
+            raise ValueError("decomposing a tiling needs an R0-closed region")
+        pairs, n = tiling.pairs, len(tiling.pairs)
+        kind = dict(ix.collar_kind)
+        for t, u in pairs:
+            kind[t] = kind[u] = ix.rtype(t, u)
+        good, delta = _edge_walk(ix, tiling.partner, [t for pair in pairs for t in pair], kind)
+        rhombi = pairs + ix.collar
+        rk = {t: k for k, pair in enumerate(rhombi) for t in pair}
+        good = [(rk[t], rk[u]) for t, u in good] + [(n + j, n + k) for j, k in ix.collar_good]
+        lines = [("d", frozenset(ix.xy[v] for v in ends), 1, ends, e) for e in delta for ends in [ix.ends(e)]]
+        got = _DECOMPOSED[tiling] = _group(ix, rhombi, tiling.rhombi + ix.collar_rhombi, good, lines)
+    return got
 
 
 def decompose_tiling(tiling: Tiling) -> Decomposition:
     """Decompose a minimal configuration, embedded in the R0 collar of
-    ``region.index`` so that boundary edges classify correctly."""
+    ``region.index`` so that boundary edges classify correctly.
+
+    Computed once per tiling (``dobrushin_remove`` shares it, and its check
+    of the result leaves the new tiling's decomposition ready); the result is
+    shared and read-only, as ``Tiling.pairs`` is."""
     return _collared(tiling)[0]
 
 
@@ -357,9 +380,12 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
     by S^-L0, L0 the exterior's level.  Returns (new_tiling, report); the work
     runs on the ids of ``region.index``, and the new tiling shares it.
 
-    Raises DobrushinViolation if two pieces put different heights on one
-    vertex or the heights do not make a tiling of the region.
+    Raises ValueError if ``contour_index`` is not an integer (a bool is not)
+    or names no contour, and DobrushinViolation if two pieces put different
+    heights on one vertex or the heights do not make a tiling of the region.
     """
+    if isinstance(contour_index, bool) or not isinstance(contour_index, numbers.Integral):
+        raise ValueError(f"contour_index must be an integer, got {contour_index!r}")
     ix = tiling.region.index
     deco, ids = _collared(tiling)
     win = sorted(ix.tri)   # the region and its collar

@@ -288,6 +288,13 @@ class RegionIndex(TriangleIndex):
     increment).  ``collar`` lists the rhombi of ``COLLAR`` frontier steps
     across the boundary, each triangle with its type-0 partner, as ascending
     id pairs; it depends only on the region (None unless it is R0-closed).
+    The collar's share of every decomposition of a tiling of the region is
+    built with it, each None when it is: ``collar_rhombi`` (its rhombi as
+    frozensets, in ``collar`` order), ``collar_kind`` (collar triangle id ->
+    rhombus type, all 0, in ``collar`` order) and ``collar_good`` (the good
+    sides between two collar rhombi, as pairs of positions in ``collar``, in
+    the order ``tiling_edges`` meets them after the region's triangles; all
+    the collar's own sides are good).
     """
 
     def __init__(self, region: Region):
@@ -315,7 +322,18 @@ class RegionIndex(TriangleIndex):
             inc = -1 if e % 3 == 2 else 1   # (1,1) is a down step
             self.links[v].append((w, *self.flank(e), inc))
             self.links[w].append((v, *self.flank(e), -inc))
-        self.collar = sorted(tuple(sorted(map(self.tid, r))) for r in collar) if closed else None
+        self.collar = self.collar_rhombi = self.collar_kind = self.collar_good = None
+        if closed:
+            self.collar = sorted(tuple(sorted(map(self.tid, r))) for r in collar)
+            self.collar_rhombi = self.rhombi(self.collar)
+            self.collar_kind = {t: self.rtype(t, u) for pair in self.collar for t, u in (pair, pair[::-1])}
+            part = [-1] * len(self.across)
+            for t, u in self.collar:
+                part[t], part[u] = u, t
+            good, delta = _edge_walk(self, part, list(self.collar_kind), self.collar_kind)
+            assert not delta, "the collar's rhombi all have type 0"
+            k = {t: i for i, pair in enumerate(self.collar) for t in pair}
+            self.collar_good = [(k[t], k[u]) for t, u in good]
 
     def rhombi(self, pairs) -> tuple:
         """The rhombi of the id pairs ``pairs``, built from ``tri``."""
@@ -685,8 +703,13 @@ def tiling_edges(ix: TriangleIndex, partner: list, order) -> tuple[list, list]:
     the delta side ids, each once, in order of first encounter (triangles in
     ``order``, then sides).
     """
+    return _edge_walk(ix, partner, order, {t: ix.rtype(t, partner[t]) for t in order})
+
+
+def _edge_walk(ix: TriangleIndex, partner: list, order, kind: dict) -> tuple[list, list]:
+    """``tiling_edges`` over the triangles in ``order``, with ``kind`` the
+    rhombus type of every triangle on the tiling, those off ``order`` too."""
     across, sides = ix.across, ix.sides
-    kind = {t: ix.rtype(t, partner[t]) for t in order}
     good, delta, seen = [], [], set()
     for t in order:
         p = partner[t]

@@ -1,7 +1,10 @@
 """Bases, R-contours, contour energies, geometric classes, Dobrushin removal."""
 
+import gc
 import json
 import random
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 import removal_reference
 import tiling_reference as ref
+from fklab import rcontour
 from fklab.classical import (
     ModelCoefficients,
     extract_contours,
@@ -293,13 +297,22 @@ def test_decomposition_json_report():
     assert entry["F"] == pytest.approx(6 * CO.k2)
 
 
-def test_removal_errors():
+def test_removal_errors(monkeypatch):
     t0 = _r0_tiling(hexagon_region(2))
     with pytest.raises(ValueError):
         dobrushin_remove(t0, 0, coeffs=CO)
     t = _single_flip_tilings(hexagon_region(2))[0]
     with pytest.raises(ValueError):
         dobrushin_remove(t, 5, coeffs=CO)
+    # a bool or a non-integer index is refused before any decomposition
+    grouped = []
+    monkeypatch.setattr(rcontour, "_group", lambda *a: grouped.append(a))
+    rcontour._DECOMPOSED.pop(t, None)
+    for idx in (True, False, 1.0, 0.0, "0", None):
+        with pytest.raises(ValueError, match="contour_index"):
+            dobrushin_remove(t, idx, coeffs=CO)
+    assert grouped == []
+    monkeypatch.undo()
     # the R0 collar exists only around an R0-closed region
     unclosed = enumerate_tilings(hexagon_region(1, center=(0, 0)))[0]
     for call in (decompose_tiling, lambda t: dobrushin_remove(t, 0, coeffs=CO)):
@@ -308,6 +321,73 @@ def test_removal_errors():
 
 
 _REGIONS = {side: r0_closure(hexagon_region(side).triangles) for side in range(2, 7)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(side=st.integers(2, 6), flips=st.integers(0, 120), seed=st.integers(0, 2**32 - 1))
+def test_collar_share_matches_the_full_window_walk(side, flips, seed):
+    """What ``_collared`` feeds ``_group`` (the region's walk plus the
+    index's collar share) is, in order, ``tiling_edges`` over the whole
+    window: the tiling's pairs and the collar's, the collar overlaid on the
+    partner table."""
+    tiling = random_tiling(_REGIONS[side], flips, seed=seed)
+    rcontour._DECOMPOSED.pop(tiling, None)
+    with mock.patch.object(rcontour, "_group", wraps=rcontour._group) as group:
+        rcontour._collared(tiling)
+    (fed_ix, rhombi, objs, pairs, lines), _ = group.call_args
+
+    ix = tiling.region.index
+    window = tiling.pairs + ix.collar
+    partner = list(tiling.partner)
+    for t, u in ix.collar:
+        partner[t], partner[u] = u, t
+    good, delta = tiling_edges(ix, partner, [t for pair in window for t in pair])
+    rk = {t: k for k, pair in enumerate(window) for t in pair}
+    assert fed_ix is ix and rhombi == window and objs == ix.rhombi(window)
+    assert pairs == [(rk[t], rk[u]) for t, u in good]
+    assert [m[4] for m in lines] == delta and {m[0] for m in lines} <= {"d"}
+
+
+def test_a_tiling_is_grouped_once_and_freed_with_it(monkeypatch):
+    """``decompose_tiling`` then ``dobrushin_remove`` group the tiling once
+    and the result once, which a later ``decompose_tiling`` reuses; dropping
+    both tilings frees them at once, their entries with them.  An equal
+    tiling built another way gives the same outputs, and a region that is
+    not R0-closed leaves no entry."""
+    grouped = []
+    group = rcontour._group
+    monkeypatch.setattr(rcontour, "_group", lambda *a: grouped.append(a) or group(*a))
+    gc.disable()
+    try:
+        entries = len(rcontour._DECOMPOSED)
+        t = random_tiling(_REGIONS[4], 30, seed=11)
+        deco = decompose_tiling(t)
+        idx = len(deco.contours) - 1
+        new_t, rep = dobrushin_remove(t, idx, coeffs=CO)
+        assert len(grouped) == 2
+        assert len(decompose_tiling(new_t).contours) == len(deco.contours) - 1
+        assert decompose_tiling(t) is deco and len(grouped) == 2
+
+        same = Tiling.from_rhombi(t.region, t.rhombi)
+        assert same == t and same is not t
+        assert same.to_json() == t.to_json()
+        assert (_removal_outcome(dobrushin_remove, same, idx)
+                == (ref.widened(new_t).to_json(), list(rep.shifts.items()), rep.interiors))
+        assert len(grouped) == 2   # equal tilings share one entry
+
+        refs = [weakref.ref(t), weakref.ref(new_t)]
+        assert len(rcontour._DECOMPOSED) == entries + 2
+        del t, new_t, same, deco, rep
+        assert [r() for r in refs] == [None, None]
+        assert len(rcontour._DECOMPOSED) == entries
+
+        unclosed = enumerate_tilings(hexagon_region(1, center=(0, 0)))[0]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="R0-closed"):
+                decompose_tiling(unclosed)
+            assert unclosed not in rcontour._DECOMPOSED and len(rcontour._DECOMPOSED) == entries
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=40, deadline=None)
@@ -467,6 +547,7 @@ def test_outputs_do_not_depend_on_how_the_tiling_was_built(side, flips, seed, pi
     builds = _builds(tiling, order)
 
     def outputs(t):
+        rcontour._DECOMPOSED.clear()   # equal tilings share a decomposition: group each build anew
         deco = decompose_tiling(t)
         removal = _removal_outcome(dobrushin_remove, t, pick % len(deco.contours)) if deco.contours else None
         return tiling_svg(t), deco.to_json(CO), removal
