@@ -342,28 +342,10 @@ def _label_rows(ids: np.ndarray) -> np.ndarray:
             lab = jumped
 
 
-def extract_contours(
-    config: SpinConfiguration,
-    corner_connect: bool = False,
-) -> list[IsingContour]:
-    """Decompose the broken-bond face set into maximal connected components.
-
-    Faces are connected when they share an edge (``corner_connect=True`` uses
-    shared corners instead, for sensitivity checks).  Faces dual to bonds with
-    both ends in the shell are included, so that the pinned interface stays
-    connected through the boundary ring, but they do not count toward contour
-    areas.  Under the mixed boundary conditions exactly one component is
-    flagged as the pinned interface: the one containing faces dual to
-    shell-shell bonds, i.e. the component forced through the boundary by the
-    prescription itself.  The boundary condition is ``config.bc``.
-
-    The broken bonds are read per axis as whole arrays, each face is keyed by
-    the integer ids of its four edges (or corners) from ``face_keys``, and
-    ``_label_rows`` labels the faces' components on those ids; areas and
-    pinned flags are counts per label.  Face tuples are built only for the
-    returned contours, each frozenset filled in ascending face order, and
-    contours of equal rank come in order of their first face.
-    """
+def _face_components(config: SpinConfiguration, corner_connect: bool = False):
+    """The labelled broken-bond faces of ``extract_contours``: lower sites k
+    (n, 3), directions mu (n,) and component labels lab (n,) of the faces,
+    and, indexed by label, each component's size, area and pinned flag."""
     vol = config.volume
     weighted = _box_weighted(config)
     idx, mus, inside = [], [], []
@@ -384,9 +366,38 @@ def extract_contours(
     area = np.bincount(lab[involume], minlength=n)
     mixed = config.bc in ("bc100", "bc111")
     pinned = (area < size) & mixed
+    if mixed:
+        assert np.count_nonzero(pinned) == 1, "mixed bc must pin exactly one component"
+    return k, mu, lab, size, area, pinned
+
+
+def extract_contours(
+    config: SpinConfiguration,
+    corner_connect: bool = False,
+) -> list[IsingContour]:
+    """Decompose the broken-bond face set into maximal connected components.
+
+    Faces are connected when they share an edge (``corner_connect=True`` uses
+    shared corners instead, for sensitivity checks).  Faces dual to bonds with
+    both ends in the shell are included, so that the pinned interface stays
+    connected through the boundary ring, but they do not count toward contour
+    areas.  Under the mixed boundary conditions exactly one component is
+    flagged as the pinned interface: the one containing faces dual to
+    shell-shell bonds, i.e. the component forced through the boundary by the
+    prescription itself.  The boundary condition is ``config.bc``.
+
+    The broken bonds are read per axis as whole arrays, each face is keyed by
+    the integer ids of its four edges (or corners) from ``face_keys``, and
+    ``_label_rows`` labels the faces' components on those ids; areas and
+    pinned flags are counts per label (``_face_components``).  Face tuples
+    are built only for the returned contours, each frozenset filled in
+    ascending face order, and contours of equal rank come in order of their
+    first face.
+    """
+    k, mu, lab, size, area, pinned = _face_components(config, corner_connect)
     # a component with no face in the volume and not pinned is an artifact
     # of the bc living purely in the shell
-    keep = (lab == np.arange(n)) & ((area > 0) | pinned)
+    keep = (lab == np.arange(len(k))) & ((area > 0) | pinned)
     roots = np.flatnonzero(keep)
     members = np.flatnonzero(keep[lab])
     members = members[np.argsort(lab[members], kind="stable")]
@@ -396,8 +407,6 @@ def extract_contours(
                 for start, end, a, p in zip([0, *ends], ends, area[roots].tolist(),
                                             pinned[roots].tolist())]
     contours.sort(key=lambda c: (-c.pinned, -c.area))
-    if mixed:
-        assert sum(1 for c in contours if c.pinned) == 1, "mixed bc must pin exactly one component"
     return contours
 
 

@@ -30,20 +30,31 @@ A rejected class update leaves the spins as they were, so nothing read off
 them changes: each class's energy changes, acceptance thresholds and corner
 mask, and the last measurement's observables, are kept until a spin flips,
 and any flip drops them all (every site has partners in every other class).
-A chain's cost thus follows its flip rate, the observation behind
-rejection-free Monte Carlo (Bortz, Kalos and Lebowitz 1975), here without
-changing the chain: a frozen chain costs its random draws and the
-cross-checks, which still run at every ``cross_check_stride``.
+After a sweep that flips nothing, every threshold and corner mask is
+current, so the uniforms of the sweeps still to come in the drawn block are
+compared with them in one operation: the sweeps before the first one in
+which a site would flip only do their bookkeeping (cross-check and
+measurement), and that sweep runs the class visits.  A chain's cost thus
+follows its flip rate, the observation behind rejection-free Monte Carlo
+(Bortz, Kalos and Lebowitz 1975), here without changing the chain: a frozen
+chain costs its random draws, its measurements and the cross-checks, which
+still run at every ``cross_check_stride``.
 
 Randomness comes from a counter-based Philox stream keyed by (seed, replica),
-one fixed-size draw per sweep: replicas are independent and runs reproduce
-exactly regardless of scheduling.
+drawn in blocks of whole sweeps (about ``_BLOCK_UNIFORMS`` uniforms, at
+least one sweep); Philox fills a block in order, so the stream is that of
+one draw per sweep: replicas are independent and runs reproduce exactly
+regardless of scheduling.  The pinned interface is measured on the face
+arrays of ``extract_contours``' labelling, and a snapshot's frozenset is
+built only when one is due.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,18 +62,26 @@ import numpy as np
 from .classical import (
     ModelCoefficients,
     Terms,
-    extract_contours,
+    _face_components,
     grid_ids,
     interaction_reach,
     interaction_terms,
     relative_energy,
 )
 from .lattice import SpinConfiguration, Volume, boundary_spin
-from .tiling import good_pair_fraction_of_faces
+from .tiling import _good_pair_fraction
 
 MOVE_SETS = ("single-flip", "single-flip+hexagon-flip")
 # a corner has spin +1 at its three up neighbours and -1 at its three down ones
 _CORNER = np.array((1, 1, 1, -1, -1, -1), dtype=np.int8)
+# uniforms per random draw (128 KB of float64): 11 sweeps of a 9^3 box with the corner round
+_BLOCK_UNIFORMS = 2**14
+_INT_FIELDS = ("sweeps", "thermalization", "seed", "measure_stride", "cross_check_stride",
+               "shell", "snapshot_stride")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -82,6 +101,11 @@ class RunSpec:
     snapshot_stride: int = 0   # keep pinned-interface faces every n-th measurement
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"need finite beta >= 0, got {self.beta}")
         # raises ValueError for a U the coefficients reject or an unknown hamiltonian
@@ -241,12 +265,40 @@ def layer_magnetization(config: SpinConfiguration, normal: str = "e3"):
     return (rows + first).tolist(), sums[rows] / counts[rows]
 
 
+def _pinned_rows(config: SpinConfiguration) -> tuple[np.ndarray, np.ndarray]:
+    """Lower sites (n, 3) and directions (n,) of the pinned interface's faces,
+    in the order ``extract_contours`` fills its frozenset with them; a bc111
+    configuration always has one."""
+    k, mu, lab, _, _, pinned = _face_components(config)
+    root = np.flatnonzero(pinned)
+    if not root.size:
+        raise RuntimeError("no pinned interface present")
+    rows = lab == root[0]
+    return k[rows], mu[rows]
+
+
+def _face_set(k: np.ndarray, mu: np.ndarray) -> frozenset:
+    return frozenset(zip(map(tuple, k.tolist()), mu.tolist()))
+
+
 def _pinned_faces(config: SpinConfiguration):
     """Faces of the pinned interface; a bc111 configuration always has one."""
-    for c in extract_contours(config):
-        if c.pinned:
-            return c.faces
-    raise RuntimeError("no pinned interface present")
+    return _face_set(*_pinned_rows(config))
+
+
+@functools.lru_cache(maxsize=8)
+def _width_columns(dims: tuple, shell: int, lo: tuple):
+    """``interface_width``'s constants of a volume: the (1,1,1) column id of
+    each box site, the mask of the full-length columns, and the staircase
+    spins, read-only."""
+    vol = Volume(dims=dims, shell=shell, lo=lo)
+    k = vol.coords()[(slice(None),) + vol.box].reshape(3, -1)
+    col = grid_ids((k[:2] - k[2]).T)   # phi, the projection along (1,1,1)
+    lengths = np.bincount(col)
+    out = col, lengths == lengths.max(), boundary_spin("bc111", k)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def interface_width(config: SpinConfiguration) -> float:
@@ -261,11 +313,24 @@ def interface_width(config: SpinConfiguration) -> float:
     maximal length, so the width is identically 0 there; boxes with a short
     side (e.g. 7x7x3) have many full-length columns.
     """
-    k, spins = _box_arrays(config)
-    col = grid_ids((k[:2] - k[2]).T)   # phi, the projection along (1,1,1)
-    lengths = np.bincount(col)
-    disp = np.bincount(col, weights=spins - boundary_spin("bc111", k))
-    return float(np.std(disp[lengths == lengths.max()] / 2.0))
+    vol = config.volume
+    col, full, stair = _width_columns(tuple(vol.dims), vol.shell, tuple(vol.lo))
+    disp = np.bincount(col, weights=config.spins[vol.box].ravel() - stair)
+    return float(np.std(disp[full] / 2.0))
+
+
+def _sweeps_without_flip(us: np.ndarray, threshold: np.ndarray, corner: np.ndarray) -> int:
+    """How many of the sweeps with uniforms ``us`` (b, rounds, n) come before
+    the first in which some site's uniform falls below its threshold (in the
+    corner round, at a corner), all thresholds and corner masks held."""
+    if us.min() >= threshold.max():   # no site can flip
+        return len(us)
+    hit = us < threshold
+    if us.shape[1] == 2:
+        hit[:, 1] &= corner
+    hit = hit.reshape(-1)
+    first = int(hit.argmax())
+    return first // us[0].size if hit[first] else len(us)
 
 
 def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
@@ -277,9 +342,14 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
     spin flips.  The acceptance of a measurement is the sweep's accepted /
     proposed moves; a proposed corner move at a site that is not a corner
     counts as rejected.  A class's energy changes and the last measurement are
-    reused while no spin has flipped since they were computed, so the outputs
-    are those of a chain that recomputes them at every visit and measurement.
+    reused while no spin has flipped since they were computed, and after a
+    sweep without a flip the rest of the drawn block is compared with the
+    kept thresholds at once: the sweeps before the next one that flips a
+    spin only do their bookkeeping.  The outputs are those of a chain that
+    recomputes everything at every class visit and measurement.
     """
+    if not _is_int(replica) or replica < 0:
+        raise ValueError(f"replica must be an integer >= 0, got {replica!r}")
     vol = spec.volume()
     terms = interaction_terms(ModelCoefficients(U=spec.U), spec.hamiltonian)
     config0 = SpinConfiguration.from_boundary(vol, spec.bc)
@@ -289,31 +359,35 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
     pair_w, plq_w = lat.pair_w, lat.plq_w
     rounds = 2 if spec.move_set == "single-flip+hexagon-flip" else 1
     beta = spec.beta
-    # each class reads its own block of the sweep's uniforms
+    n = lat.n_vol
+    per_draw = max(1, _BLOCK_UNIFORMS // (rounds * n))   # sweeps
+    # read off the spins and kept until a spin flips: per site, in the order
+    # of a sweep's uniforms, the acceptance threshold and corner mask, and per
+    # class its partner spins and de; then the last measurement
+    threshold = np.empty(n)
+    corner = np.zeros(n, dtype=bool)
     ends = np.cumsum([len(sites) for sites, _, _ in lat.classes])
-    classes = [(sites, pair, plq, slice(end - len(sites), end))
+    classes = [(sites, pair, plq, slice(end - len(sites), end),
+                threshold[end - len(sites):end], corner[end - len(sites):end])
                for (sites, pair, plq), end in zip(lat.classes, ends)]
+    fields = [None] * len(classes)
+    cornered = [False] * len(classes)
+    measured = None
 
     def view_config() -> SpinConfiguration:
         return SpinConfiguration(vol, spins.reshape(lat.shape).copy(), bc=spec.bc)
 
     energy = relative_energy(view_config(), terms)
     series = ObservableSeries(spec=spec, replica=replica)
-    # read off the spins and kept until a spin flips: each class's partner
-    # spins, de and threshold, its corner mask, and the last measurement
-    fields = [None] * len(classes)
-    corners = [None] * len(classes)
-    measured = None
 
-    for sweep in range(1, spec.sweeps + 1):
+    def class_sweep(us: np.ndarray) -> int:
         # one uniform u per site and round: the site is proposed when u < 1/2
         # and flipped when u < min(1, e^(-beta dE)) / 2, so given a proposal,
         # 2u is the uniform of the acceptance test
-        us = rng.random(size=(rounds, lat.n_vol))
-        proposals = int(np.count_nonzero(us < 0.5))
+        nonlocal energy, fields, cornered, measured
         accepted = 0
         for r in range(rounds):
-            for c, (sites, pair, plq, block) in enumerate(classes):
+            for c, (sites, pair, plq, block, th, cm) in enumerate(classes):
                 if fields[c] is None:
                     nb = spins[pair]
                     field = nb @ pair_w
@@ -321,13 +395,19 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
                         trip = spins[plq]
                         field += (trip[0] * trip[1] * trip[2]) @ plq_w
                     de = 2.0 * spins[sites] * field
-                    fields[c] = nb, de, 0.5 * np.exp(-beta * np.maximum(de, 0.0))
-                nb, de, threshold = fields[c]
-                flip = us[r, block] < threshold
+                    # e^x is 0.0 for x <= -746: skip the slow underflow path
+                    arg = -beta * np.maximum(de, 0.0)
+                    th.fill(0.0)
+                    np.exp(arg, out=th, where=arg > -746.0)
+                    th *= 0.5
+                    fields[c] = nb, de
+                nb, de = fields[c]
+                flip = us[r, block] < th
                 if r == 1:
-                    if corners[c] is None:
-                        corners[c] = nb[:, :6] @ _CORNER == 6
-                    flip &= corners[c]
+                    if not cornered[c]:
+                        np.equal(nb[:, :6] @ _CORNER, 6, out=cm)
+                        cornered[c] = True
+                    flip &= cm
                 flips = int(np.count_nonzero(flip))
                 if not flips:
                     energy += 0.0   # the empty sum, which turns a cross-checked -0.0 into 0.0
@@ -337,8 +417,12 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
                 accepted += flips
                 # every site has partners in every other class
                 fields = [None] * len(classes)
-                corners = [None] * len(classes)
+                cornered = [False] * len(classes)
                 measured = None
+        return accepted
+
+    def end_sweep(sweep: int, accepted: int, us: np.ndarray) -> None:
+        nonlocal energy, measured
         if sweep % spec.cross_check_stride == 0:
             full = relative_energy(view_config(), terms)
             if abs(energy - full) > 1e-9 * max(1.0, abs(full)):
@@ -349,23 +433,43 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
         if sweep > spec.thermalization and (sweep - spec.thermalization) % spec.measure_stride == 0:
             series.sweeps.append(sweep)
             series.energies.append(energy)
-            series.acceptance.append(accepted / max(proposals, 1))
+            series.acceptance.append(accepted / max(int(np.count_nonzero(us < 0.5)), 1))
             if spec.bc == "bc111":
                 if measured is None:
                     cfg = view_config()
-                    faces = _pinned_faces(cfg)
-                    measured = (faces, *good_pair_fraction_of_faces(faces), interface_width(cfg))
-                faces, frac, flag, width = measured
+                    k, mu = _pinned_rows(cfg)
+                    # the faces' frozenset comes first, built when a snapshot is due
+                    measured = [None, k, mu, *_good_pair_fraction(k, mu), interface_width(cfg)]
+                _, k, mu, frac, flag, width = measured
                 series.good_fractions.append(frac)
                 series.overlap_flags.append(flag)
                 series.widths.append(width)
                 if spec.snapshot_stride and len(series.sweeps) % spec.snapshot_stride == 0:
-                    series.snapshots.append((sweep, faces))
+                    if measured[0] is None:
+                        measured[0] = _face_set(k, mu)
+                    series.snapshots.append((sweep, measured[0]))
             elif spec.bc == "bc100":
                 if measured is None:
                     measured = layer_magnetization(view_config(), normal="e3")
                 series.layers, prof = measured
                 series.profiles.append(prof.copy())
+
+    current = False   # every threshold and corner mask is read off the present spins
+    for done in range(0, spec.sweeps, per_draw):
+        # one draw for the next b sweeps, in the order of one draw per sweep
+        b = min(per_draw, spec.sweeps - done)
+        us = rng.random(size=(b, rounds, n))
+        next_flip = -1   # while current, the sweeps before this one flip no spin
+        for i in range(b):
+            if current and i > next_flip:
+                next_flip = i + _sweeps_without_flip(us[i:], threshold, corner)
+            if i < next_flip:
+                energy += 0.0   # the class visits' empty sums
+                accepted = 0
+            else:
+                accepted = class_sweep(us[i])
+                current = not accepted
+            end_sweep(done + i + 1, accepted, us[i])
     series.final_config = view_config()
     return series
 

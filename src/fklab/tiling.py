@@ -888,7 +888,11 @@ def good_pair_fraction_of_faces(faces: Iterable[Face]) -> tuple[float, bool]:
     on the classified edges only and the flag is set: some triangle is
     covered twice.
     """
-    k, mu = face_arrays(frozenset(faces))
+    return _good_pair_fraction(*face_arrays(frozenset(faces)))
+
+
+def _good_pair_fraction(k: np.ndarray, mu: np.ndarray) -> tuple[float, bool]:
+    """``good_pair_fraction_of_faces`` of the distinct faces (k[i], mu[i]), in any order."""
     kind, _, _ = shared_edges(k, mu)
     good, delta, omega = np.bincount(kind, minlength=3).tolist()
     total = good + delta + omega

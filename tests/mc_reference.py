@@ -4,13 +4,17 @@
 n uniformly random sites, and each proposal is accepted with probability
 min(1, e^(-beta dE)); in the corner round, a site that is not an interface
 corner counts as a rejected proposal.  ``colour_sweep_reference`` is the
-colour-class sweep of ``mc_run`` with every energy change and measurement
-recomputed at every class visit and every measured sweep: ``mc_run`` keeps
-them while no spin flips and must give the same bytes.  ``interface_width`` and
+colour-class sweep of ``mc_run`` with one draw of uniforms per sweep and
+every energy change and measurement recomputed at every class visit and every
+measured sweep: ``mc_run`` draws several sweeps at once, keeps what it read
+off the spins while no spin flips, and passes over sweeps that flip nothing,
+and must give the same bytes.  ``interface_width`` and
 ``layer_magnetization`` are the per-site dictionary loops that define the
 observables.  The colour-sweep sampler and the vectorised observables in
-``fklab.mc`` are checked against these.  ``good_pair_fraction`` reads the
-fraction off one configuration's pinned interface, as ``mc_run`` measures it.
+``fklab.mc`` are checked against these.  ``pinned_faces`` takes the pinned
+interface from ``extract_contours``, and ``good_pair_fraction`` reads the
+fraction off it with ``good_pair_fraction_of_faces``: the frozenset path that
+``mc_run``'s measurement on face arrays must match.
 """
 
 from __future__ import annotations
@@ -19,12 +23,20 @@ import math
 
 import numpy as np
 
-from fklab.classical import ModelCoefficients, interaction_terms, relative_energy
+from fklab.classical import ModelCoefficients, extract_contours, interaction_terms, relative_energy
 from fklab.lattice import SpinConfiguration, coordinate_sum
 from fklab import mc
-from fklab.mc import ObservableSeries, RunSpec, _Lattice, _pinned_faces
+from fklab.mc import ObservableSeries, RunSpec, _Lattice
 from fklab.tiling import good_pair_fraction_of_faces, phi, stair_height
 from layout_reference import spin
+
+
+def pinned_faces(config: SpinConfiguration) -> frozenset:
+    """The faces of ``config``'s pinned contour; RuntimeError when it has none."""
+    for c in extract_contours(config):
+        if c.pinned:
+            return c.faces
+    raise RuntimeError("no pinned interface present")
 
 
 def good_pair_fraction(config: SpinConfiguration) -> float:
@@ -33,7 +45,7 @@ def good_pair_fraction(config: SpinConfiguration) -> float:
     Exactly 1.0 on the staircase; on a non-minimal interface the fraction is
     taken over the classified edges only (overlap flag via the projection).
     """
-    frac, _flag = good_pair_fraction_of_faces(_pinned_faces(config))
+    frac, _flag = good_pair_fraction_of_faces(pinned_faces(config))
     return frac
 
 
@@ -117,7 +129,7 @@ def reference_mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
             series.acceptance.append(accepted / max(proposals, 1))
             cfg = view_config()
             if spec.bc == "bc111":
-                faces = _pinned_faces(cfg)
+                faces = pinned_faces(cfg)
                 frac, flag = good_pair_fraction_of_faces(faces)
                 series.good_fractions.append(frac)
                 series.overlap_flags.append(flag)
@@ -133,8 +145,9 @@ def reference_mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
 
 
 def colour_sweep_reference(spec: RunSpec, replica: int = 0) -> ObservableSeries:
-    """``mc_run``'s chain, recomputing each class's energy changes at every
-    visit and the observables at every measurement."""
+    """``mc_run``'s chain, drawing each sweep's uniforms on their own and
+    recomputing each class's energy changes at every visit and the
+    observables at every measurement."""
     vol = spec.volume()
     terms = interaction_terms(ModelCoefficients(U=spec.U), spec.hamiltonian)
     config0 = SpinConfiguration.from_boundary(vol, spec.bc)
@@ -185,7 +198,7 @@ def colour_sweep_reference(spec: RunSpec, replica: int = 0) -> ObservableSeries:
             series.acceptance.append(accepted / max(proposals, 1))
             cfg = view_config()
             if spec.bc == "bc111":
-                faces = _pinned_faces(cfg)
+                faces = pinned_faces(cfg)
                 frac, flag = good_pair_fraction_of_faces(faces)
                 series.good_fractions.append(frac)
                 series.overlap_flags.append(flag)

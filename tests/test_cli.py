@@ -241,7 +241,9 @@ def test_mc_snapshot_flag_writes_final_snapshot(tmp_path):
                                  {"sweeps": 5, "thermalization": 0, "measure_stride": 10},
                                  {"sweeps": 12, "thermalization": 3, "measure_stride": 10},
                                  {"sweeps": 0, "thermalization": -1, "measure_stride": 1},
-                                 {"thermalization": -1}])
+                                 {"thermalization": -1},
+                                 # a negative Philox key
+                                 {"seed": -1}])
 def test_mc_bad_stride_exits_2(tmp_path, bad):
     cfg = _write(tmp_path, "m.json", {
         "dims": [4, 4, 4], "bc": "hom_plus", "hamiltonian": "h2", "U": 4.0,

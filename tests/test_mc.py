@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from fklab.classical import (
     interaction_terms,
 )
 from fklab.lattice import CapExceeded, SpinConfiguration, Volume, coordinate_sum
+from fklab import mc
 from fklab.mc import (
+    MOVE_SETS,
     ObservableSeries,
     RunSpec,
     interface_width,
@@ -67,6 +70,19 @@ def test_spec_validation():
                 dict(cross_check_stride=0), dict(snapshot_stride=-1)):
         with pytest.raises(ValueError):
             _spec(**bad)
+    # integer fields: a float or a bool is refused when the spec is built,
+    # not by the chain (sweeps=30.0) and not truncated by Philox (seed=1.5)
+    for name in ("sweeps", "thermalization", "seed", "measure_stride", "cross_check_stride",
+                 "shell", "snapshot_stride"):
+        for bad in (float(getattr(_spec(), name)), getattr(_spec(), name) + 0.5, True, "2"):
+            with pytest.raises(ValueError, match=name):
+                _spec(**{name: bad})
+    with pytest.raises(ValueError, match="seed"):   # Philox would cast it with a warning
+        _spec(seed=-1)
+    assert _spec(seed=np.int64(3), sweeps=np.int32(20)).seed == 3
+    for bad in (True, 1.0, 1.5, -1, "0"):
+        with pytest.raises(ValueError, match="replica"):
+            mc_run(_spec(), replica=bad)
 
 
 @pytest.mark.parametrize("bad", [
@@ -112,6 +128,12 @@ _REUSE_CHAINS = {
     "cross-check-1": dict(dims=(5, 5, 5), bc="bc111", hamiltonian="h4", beta=_COLD,
                           cross_check_stride=1),
     "snapshots": dict(dims=(5, 5, 5), bc="bc111", beta=4.0, snapshot_stride=2),
+    # several draws of uniforms: 65 sweeps a draw on 5^3 and 55 on 7x7x3,
+    # frozen across the draws' ends, or flipping now and then
+    "h4-frozen-blocks": dict(dims=(5, 5, 5), bc="bc111", hamiltonian="h4", beta=_COLD,
+                             sweeps=150, snapshot_stride=3),
+    "intermittent-blocks": dict(dims=(7, 7, 3), bc="bc111", hamiltonian="h4",
+                                beta=3.0 * 4.0**3, sweeps=130),
 }
 
 
@@ -134,6 +156,11 @@ _H4_DIGESTS = {
                     "95a24904aa613cd061d1f10a0372d65e00afbacc0c4604fca22773b95e3f8779"),
     "cross-check-1": ("6a6edd2dfddb86832f55fe6feb01dd20d352e51ac1c74c751e87320e04684e2e",
                       "d770f67bd9b950e3fbb6bce1c1583b1bf749435598b30a2139e614764bc7aee1"),
+    # recorded on the sweep that drew each sweep's uniforms on their own
+    "h4-frozen-blocks": ("c22172c2cc147925312566991d45648acb98237c44c715eed35ca075694858ee",
+                         "d770f67bd9b950e3fbb6bce1c1583b1bf749435598b30a2139e614764bc7aee1"),
+    "intermittent-blocks": ("9ae78bfe291e07f06b08fa854dbdae6705b60019b5edfa7801ecce10dbc09ab5",
+                            "b9eb58e30e06abd396e3d2e04fdc2cf9c484df957b13684bb9b7d2698121a6e1"),
 }
 
 
@@ -142,22 +169,52 @@ def _reuse_spec(name):
                            cross_check_stride=7, seed=3), **_REUSE_CHAINS[name]})
 
 
+def _assert_same_chain(got, want):
+    assert list(got.csv_rows()) == list(want.csv_rows())
+    assert got.final_config.spins.tobytes() == want.final_config.spins.tobytes()
+    assert [p.tobytes() for p in got.profiles] == [p.tobytes() for p in want.profiles]
+    assert got.layers == want.layers
+    assert got.snapshots == want.snapshots
+    # each snapshot's frozenset is filled as extract_contours fills it
+    assert [list(f) for _, f in got.snapshots] == [list(f) for _, f in want.snapshots]
+    assert got.overlap_flags == want.overlap_flags
+
+
 @pytest.mark.parametrize("name", list(_REUSE_CHAINS))
 def test_reused_energy_changes_and_measurements_match_recomputing_sweep(name):
     """``mc_run`` keeps each class's energy changes and the last measurement
-    while no spin flips; the sweep that recomputes them at every visit gives
-    the same bytes, frozen, warm or in between."""
+    while no spin flips, and passes over the sweeps of a draw that flip
+    nothing; the sweep that draws its own uniforms and recomputes everything
+    at every visit gives the same bytes, frozen, warm or in between."""
     spec = _reuse_spec(name)
     for replica in (0, 1):
-        got, want = mc_run(spec, replica), ref.colour_sweep_reference(spec, replica)
-        assert list(got.csv_rows()) == list(want.csv_rows())
-        assert got.final_config.spins.tobytes() == want.final_config.spins.tobytes()
-        assert [p.tobytes() for p in got.profiles] == [p.tobytes() for p in want.profiles]
-        assert got.layers == want.layers
-        assert got.snapshots == want.snapshots
-        assert got.overlap_flags == want.overlap_flags
+        _assert_same_chain(mc_run(spec, replica), ref.colour_sweep_reference(spec, replica))
     if name == "snapshots":
-        assert len(got.snapshots) == 5
+        assert len(mc_run(spec).snapshots) == 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 5)] * 3), ham=st.sampled_from(["h2", "h4"]),
+       bc=st.sampled_from(["bc111", "bc100", "hom_plus"]), move_set=st.sampled_from(MOVE_SETS),
+       beta=st.one_of(st.sampled_from([0.0, _COLD]), st.floats(0.0, 400.0)),
+       thermalization=st.integers(0, 6), measure_stride=st.integers(1, 4),
+       extra=st.integers(0, 30), cross_check_stride=st.integers(1, 9),
+       snapshot_stride=st.integers(0, 3), seed=st.integers(0, 2**16),
+       per_draw=st.one_of(st.just(mc._BLOCK_UNIFORMS), st.integers(1, 700)))
+def test_drawn_blocks_match_the_sweep_by_sweep_reference(
+        dims, ham, bc, move_set, beta, thermalization, measure_stride, extra,
+        cross_check_stride, snapshot_stride, seed, per_draw):
+    """Drawing the uniforms of several sweeps at once, with draws of as
+    few as one sweep (and sweeps that are not a multiple of a draw), and
+    passing over the sweeps that flip nothing, gives the chain of one draw
+    per sweep byte for byte."""
+    spec = RunSpec(dims=dims, bc=bc, hamiltonian=ham, U=4.0, beta=beta, move_set=move_set,
+                   sweeps=thermalization + measure_stride + extra, thermalization=thermalization,
+                   seed=seed, measure_stride=measure_stride, cross_check_stride=cross_check_stride,
+                   snapshot_stride=snapshot_stride)
+    with mock.patch.object(mc, "_BLOCK_UNIFORMS", per_draw):
+        got = mc_run(spec, replica=1)
+    _assert_same_chain(got, ref.colour_sweep_reference(spec, replica=1))
 
 
 @pytest.mark.parametrize("name", list(_H4_DIGESTS))
@@ -315,6 +372,8 @@ def test_pinned_interface_missing_is_invariant_violation():
     cfg = SpinConfiguration.from_boundary(Volume(dims=(4, 4, 4), shell=2), "hom_plus")
     with pytest.raises(RuntimeError):
         ref.good_pair_fraction(cfg)
+    with pytest.raises(RuntimeError, match="no pinned interface"):
+        mc._pinned_faces(cfg)
 
 
 @pytest.mark.parametrize("dims", [(9, 9, 9), (4, 5, 6), (1, 2, 3)])
