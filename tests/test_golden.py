@@ -32,7 +32,11 @@ for byte:
 * ``extract_contours`` with edge and corner connectivity on seeded bc111 boxes
   with bulk flips (contour order, faces, areas and the pinned flag);
 * ``tiling_svg`` of every tiling of the hexagons of side 2 and 3, in
-  ``enumerate_tilings`` order.
+  ``enumerate_tilings`` order;
+* ``faces_svg`` of every Ising contour of seeded bc111 boxes, with flips next
+  to the interface (overlap shading, omega edges, lambda links) and in the
+  bulk (``FACES_SVGS``, recorded from the ``RConfiguration.from_faces``
+  renderer before ``faces_svg`` drew from arrays).
 
 Any change to component membership or to the order of groups shows up here.
 """
@@ -46,7 +50,7 @@ import tiling_reference as ref
 from fklab.classical import ModelCoefficients, extract_contours
 from fklab.lattice import SpinConfiguration, Volume
 from fklab.rcontour import DobrushinViolation, decompose, decompose_tiling, dobrushin_remove
-from fklab.svgout import tiling_svg
+from fklab.svgout import faces_svg, tiling_svg
 from fklab.tiling import enumerate_tilings, hexagon_region, r0_closure, random_tiling
 
 CO = ModelCoefficients(U=8.0)
@@ -58,6 +62,7 @@ GOLDEN = {
 }
 
 TILING_SVGS = "f836c37e21d5344331fb0a5804af5d7b92fe7ed28ef7fa09f8ba333b70c49876"
+FACES_SVGS = "43c3ce37597ea04d93f0421e22e0974e01165e48d55d9a7184b33fb25612d25d"
 
 
 def _digest(records) -> str:
@@ -159,3 +164,16 @@ def test_tiling_svgs_match_golden_digest():
             count += 1
     assert count == 20 + 980
     assert h.hexdigest() == TILING_SVGS
+
+
+def test_faces_svgs_match_golden_digest():
+    h = hashlib.sha256(faces_svg([]).encode())
+    count = 0
+    for seed in range(6):
+        for near_interface in (True, False):
+            for c in extract_contours(_flipped_bc111(seed, near_interface)):
+                svg = faces_svg(c.faces)
+                h.update(svg.encode())
+                count += 1
+    assert count == 44
+    assert h.hexdigest() == FACES_SVGS
