@@ -22,7 +22,6 @@ from .classical import (
     plaquette_potential,
 )
 from .tiling import (
-    RConfiguration,
     Region,
     Tiling,
     config_from_heights,

@@ -10,7 +10,8 @@ material is through shared plane vertices (contours are closed complexes).
 The grouping runs on the integer ids of a ``TriangleIndex``; bases and
 contours hold frozensets.  A tiling (a minimal interface) enters as its partner
 table in the R0 collar of ``Region.index``, its edges from ``tiling_edges``;
-any other face set goes through ``RConfiguration.from_faces``.  A tiling is
+any other face set as the arrays of ``tiling._project_faces``, numbered by a
+``TriangleIndex`` of its plane box.  A tiling is
 grouped once: its decomposition is kept while the tiling lives and shared by
 ``decompose_tiling`` and ``dobrushin_remove``, and the collar's rhombi, types
 and good pairs come from the region's index, so each grouping walks only the
@@ -29,14 +30,16 @@ import numbers
 import weakref
 from dataclasses import dataclass, field
 
-from .classical import ModelCoefficients
+from .classical import ModelCoefficients, face_arrays
 from .lattice import CapExceeded, components
 from .tiling import (
+    GOOD,
     MAX_COVER_TRIANGLES,
-    RConfiguration,
+    OMEGA,
     Tiling,
     TriangleIndex,
     _edge_walk,
+    _project_faces,
     heights_by_id,
     pair_by_heights,
     rhombus_of,
@@ -137,13 +140,6 @@ def f_energy(contour: RContour, coeffs: ModelCoefficients) -> float:
     return e
 
 
-def _link_vertices(pt) -> tuple:
-    """The lattice vertices nearest to a lambda link's doubled-coordinate key
-    (the structures the link joins already share them in every interface)."""
-    a, b = pt
-    return ((a // 2, b // 2), ((a + 1) // 2, (b + 1) // 2))
-
-
 def _group(ix: TriangleIndex, rhombi, objs, pairs, lines, over=frozenset(), cover=None):
     """The one base and contour grouping, on the ids of ``ix``.
 
@@ -202,33 +198,43 @@ def _group(ix: TriangleIndex, rhombi, objs, pairs, lines, over=frozenset(), cove
     return Decomposition(bases=bases, contours=[contours[i] for i in order]), [ids[i] for i in order]
 
 
-def decompose(faces_or_rc) -> Decomposition:
-    """Split a rhombus configuration into bases and R-contours.
+def decompose(faces) -> Decomposition:
+    """Split the rhombus configuration of a face set into bases and R-contours.
 
-    Accepts a face set (projected via RConfiguration.from_faces) or a
-    prebuilt RConfiguration, converted to ids at entry.  Good pairs require
-    both rhombi simple and non-overlapping.  Bases are listed by their least
+    The faces are projected by ``tiling._project_faces`` and grouped on the
+    ids of a ``TriangleIndex`` of their plane box.  Good pairs require both
+    rhombi simple and non-overlapping.  Bases are listed by their least
     rhombus (sorted vertex lists); the first of largest extent is flagged as
     the boundary-connected one (type 0 under standard boundary conditions).
     Contours are listed by ``sorted(support_vertices)``, and the overlapping
     subcontours of a contour by their least rhombus.
     """
-    rc = faces_or_rc
-    if not isinstance(rc, RConfiguration):
-        rc = RConfiguration.from_faces(rc)
-    objs = list(rc.rhombus_multiplicity)
-    tied = {link: _link_vertices(link[0]) for link in rc.lambda_links}
-    ix = TriangleIndex({p for r in objs for t in r for p in t} | {p for vs in tied.values() for p in vs})
-    rhombi = [tuple(sorted(map(ix.tid, r))) for r in objs]
-    ov_rhombi = rc.overlapping_rhombi
-    over = {k for k, r in enumerate(objs) if r in ov_rhombi}
+    (corners, _, tsum, cover, _), (ends, kind, count), (point, axis, links) = \
+        _project_faces(*face_arrays(frozenset(faces)))
+    # a lambda link joins the lattice vertices nearest to its doubled point
+    # (the structures it links already share them in every interface)
+    tied = [((a // 2, b // 2), ((a + 1) // 2, (b + 1) // 2)) for a, b in point.tolist()]
+    ix = TriangleIndex({*map(tuple, corners.reshape(-1, 2).tolist()), *(p for pair in tied for p in pair)})
+
+    def vid(p):
+        return (p[..., 0] - ix.a0) * ix.H + p[..., 1] - ix.b0
+
+    low = tsum // 3
+    rhombi = list(map(tuple, (2 * vid(low) + (tsum[..., 0] - 3 * low[..., 0] == 2)).tolist()))
+    objs = [frozenset((frozenset((p, w1, q)), frozenset((p, w2, q))))
+            for p, w1, q, w2 in (map(tuple, c) for c in corners.tolist())]
+    over = set((cover > 1).any(axis=1).nonzero()[0].tolist())
     simple = {t: k for k, pair in enumerate(rhombi) if k not in over for t in pair}
-    flanks = [tuple(simple.get(t) for t in ix.flank(ix.eid(e))) for e in rc.good_edges]
+    d = ends[:, 1] - ends[:, 0]   # (1, 0), (0, 1) or (1, 1): side 0, 1 or 2 of the lower end
+    eids = (3 * vid(ends[:, 0]) + d[:, 0] + 2 * d[:, 1] - 1).tolist()
+    flanks = [tuple(simple.get(t) for t in ix.flank(e)) for e, c in zip(eids, kind.tolist()) if c == GOOD]
     pairs = [(a, b) for a, b in flanks if a is not None and b is not None and a != b]
-    lines = [(tag, e, n, tuple(map(ix.vid, e)), ix.eid(e))
-             for tag, edges in (("d", rc.delta_edges), ("o", rc.omega_edges)) for e, n in edges.items()]
-    lines += [("l", link, n, tuple(map(ix.vid, tied[link])), None) for link, n in rc.lambda_links.items()]
-    cover = {ix.tid(t): c for t, c in rc.coverage.items() if c > 1}
+    lines = [("do"[c == OMEGA], frozenset(map(tuple, e)), n, tuple(v), i)
+             for e, c, n, v, i in zip(ends.tolist(), kind.tolist(), count.tolist(), vid(ends).tolist(), eids)
+             if c != GOOD]
+    lines += [("l", (tuple(p), m), n, tuple(map(ix.vid, vs)), None)
+              for p, m, n, vs in zip(point.tolist(), axis.tolist(), links.tolist(), tied)]
+    cover = {t: c for pair, cs in zip(rhombi, cover.tolist()) for t, c in zip(pair, cs) if c > 1}
     return _group(ix, rhombi, objs, pairs, lines, over, cover)[0]
 
 

@@ -1,7 +1,8 @@
 """Minimal SVG rendering of tilings, rhombus configurations and contour
 overlays.  Axial plane coordinates (a, b) map to cartesian
 x = a - b/2, y = -(b * sqrt(3)/2); rhombi are colored by type and the
-delta/omega edges of a configuration are drawn as heavy strokes.
+delta/omega edges of a configuration are drawn as heavy strokes.  Tilings
+and face sets go through one renderer.
 """
 
 from __future__ import annotations
@@ -9,13 +10,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .tiling import (
-    RConfiguration,
-    Tiling,
-    rhombus_corners,
-    rhombus_type,
-    tiling_edges,
-)
+from .classical import face_arrays
+from .tiling import DELTA, OMEGA, Tiling, _project_faces, rhombus_corners, tiling_edges
 
 TYPE_COLORS = ("#c8d9f0", "#f0d3c8", "#d2ecc9")
 DELTA_COLOR = "#c01818"
@@ -63,38 +59,37 @@ def _bbox(points):
     return (min(xs), min(ys), max(xs), max(ys))
 
 
-def tiling_svg(tiling: Tiling) -> str:
-    """Rhombi colored by type; the delta edges of ``tiling_edges`` (edges
-    between rhombi of different types) drawn as heavy strokes."""
-    ix = tiling.region.index
-    _, delta = tiling_edges(ix, tiling.partner, ix.ids.values())
-    edges = {frozenset(ix.xy[v] for v in ix.ends(e)): 1 for e in delta}
-    return rconfig_svg(RConfiguration(dict.fromkeys(tiling.rhombi, 1), delta_edges=edges))
-
-
-def rconfig_svg(rc: RConfiguration) -> str:
-    """A rhombus configuration with overlap shading and delta/omega highlights."""
+def _render(rhombi, delta, omega) -> str:
+    """Rhombi given as (corners, type, shaded), delta and omega edges as
+    (p1, p2), each in drawing order; shaded rhombi are drawn translucent."""
     elements = []
     pts_all = []
-    overlapping = rc.overlapping_rhombi
-    for r, mult in sorted(rc.rhombus_multiplicity.items(), key=lambda kv: sorted(map(sorted, kv[0]))):
-        corners = [_xy(p) for p in rhombus_corners(r)]
+    for corners, kind, shaded in rhombi:
+        corners = [_xy(p) for p in corners]
         pts_all.extend(corners)
-        opacity = 0.45 if r in overlapping else 1.0
         elements.append(
-            _polygon(corners, TYPE_COLORS[rhombus_type(r)], stroke=GOOD_COLOR, opacity=opacity)
+            _polygon(corners, TYPE_COLORS[kind], stroke=GOOD_COLOR, opacity=0.45 if shaded else 1.0)
         )
-    for e in sorted(rc.delta_edges, key=lambda e: sorted(e)):
-        p1, p2 = sorted(e)
-        elements.append(_line(_xy(p1), _xy(p2), DELTA_COLOR, 3.0))
-    for e in sorted(rc.omega_edges, key=lambda e: sorted(e)):
-        p1, p2 = sorted(e)
-        elements.append(_line(_xy(p1), _xy(p2), OMEGA_COLOR, 3.5))
+    for color, width, edges in ((DELTA_COLOR, 3.0, delta), (OMEGA_COLOR, 3.5, omega)):
+        elements.extend(_line(_xy(p1), _xy(p2), color, width) for p1, p2 in edges)
     if not pts_all:
         pts_all = [(0.0, 0.0)]
     return _wrap(elements, _bbox(pts_all))
 
 
+def tiling_svg(tiling: Tiling) -> str:
+    """Rhombi colored by type; the delta edges of ``tiling_edges`` (edges
+    between rhombi of different types) drawn as heavy strokes."""
+    ix = tiling.region.index
+    rhombi = [(rhombus_corners(r), ix.rtype(t, u), False) for (t, u), r in zip(tiling.pairs, tiling.rhombi)]
+    _, delta = tiling_edges(ix, tiling.partner, ix.ids.values())
+    return _render(rhombi, [(ix.xy[v], ix.xy[w]) for v, w in sorted(map(ix.ends, delta))], [])
+
+
 def faces_svg(faces: Iterable) -> str:
-    """Convenience: project a face set and render the configuration."""
-    return rconfig_svg(RConfiguration.from_faces(faces))
+    """The rhombus configuration of a face set: rhombi with an overlapping
+    triangle shaded, delta and omega edges as heavy strokes."""
+    (corners, kind, _, cover, _), (ends, ekind, _), _ = _project_faces(*face_arrays(frozenset(faces)))
+    rhombi = zip(corners.tolist(), kind.tolist(), (cover > 1).any(axis=1).tolist())
+    ends, ekind = ends.tolist(), ekind.tolist()
+    return _render(rhombi, *([e for e, c in zip(ends, ekind) if c == tag] for tag in (DELTA, OMEGA)))

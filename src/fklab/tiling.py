@@ -24,20 +24,24 @@ Triangles and rhombi are frozensets only at the boundary (``Region.triangles``,
 ``partner`` table and nothing else (``Tiling.rhombi`` is a view of it),
 ``random_tiling`` walks heights by vertex id, and ``tiling_edges`` is the one
 edge rule of a tiling.  Tilings change only through their height function
-(``tiling_heights``, ``tiling_from_heights``).
+(``tiling_heights``, ``tiling_from_heights``).  A face set that need not be
+a minimal interface is projected by ``_project_faces`` to arrays: its
+distinct rhombi with their types, triangle keys and coverage, its edge
+classes counted per plane edge, and its lambda links.  ``rcontour.decompose``
+numbers them with a ``TriangleIndex`` and ``svgout.faces_svg`` draws them.
 
 Edge classes
 ------------
 ``shared_edges`` is the one rule that classifies the 3D edges of a face set,
 by counting faces per integer edge id: two faces of one direction make a
 delta edge, two of different directions a good edge, four an omega edge.
-``RConfiguration.from_faces`` and ``good_pair_fraction_of_faces`` read it.
+``_project_faces`` and ``good_pair_fraction_of_faces`` read it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -184,10 +188,6 @@ class TriangleIndex:
     def tid(self, t: Triangle) -> int:
         a, b = min(t)
         return 2 * self.vid((a, b)) + ((a + 1, b) in t)
-
-    def eid(self, e) -> int:
-        p, q = sorted(e)
-        return 3 * self.vid(p) + ((1, 0), (0, 1), (1, 1)).index((q[0] - p[0], q[1] - p[1]))
 
     def ends(self, e: int) -> tuple[int, int]:
         v, d = divmod(e, 3)
@@ -772,99 +772,19 @@ def config_from_heights(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RConfiguration:
-    """Projection of an interface: rhombus multiset with overlap bookkeeping.
-
-    ``coverage`` maps triangles to the number of faces covering them (the
-    overlap number is coverage - 1); classified edge sets are derived from the
-    local plaquette structure of the source faces:
-
-    * good edges: two faces sharing a 3D edge via two plaquette bonds that
-      share a site (the three-against-one spin pattern);
-    * delta edges: two coplanar faces side by side (the striped pattern);
-    * omega edges: four faces around one 3D edge (the diagonal pattern);
-    * lambda links: stacked parallel faces one lattice unit apart, counted
-      with multiplicity.
-
-    A 3D face set is projected by ``from_faces``; a tiling's edges come from
-    ``tiling_edges`` instead.
-    """
-
-    rhombus_multiplicity: dict = field(default_factory=dict)
-    coverage: dict = field(default_factory=dict)
-    good_edges: dict = field(default_factory=dict)
-    delta_edges: dict = field(default_factory=dict)
-    omega_edges: dict = field(default_factory=dict)
-    lambda_links: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_faces(cls, faces: Iterable[Face]) -> "RConfiguration":
-        """The configuration of a 3D face set.  Its good, delta and omega
-        edges are the ``shared_edges`` of the faces, counted per projected
-        plane edge in order of first appearance."""
-        faces = frozenset(faces)
-        rmult: dict = {}
-        coverage: dict = {}
-        for f in faces:
-            r, _ = project_face(f)
-            rmult[r] = rmult.get(r, 0) + 1
-            for t in r:
-                coverage[t] = coverage.get(t, 0) + 1
-
-        good: dict = {}
-        delta: dict = {}
-        omega: dict = {}
-        kind, low, axis = shared_edges(*face_arrays(faces))
-        for c, v, a in zip(kind.tolist(), low.tolist(), axis.tolist()):
-            p = phi(v)
-            d = UP_DIRS[a]   # phi(e_a)
-            pe = frozenset((p, (p[0] + d[0], p[1] + d[1])))
-            target = (good, delta, omega)[c]
-            target[pe] = target.get(pe, 0) + 1
-
-        # lambda links: faces (k, mu) and (k + e_mu, mu)
-        lam: dict = {}
-        for (k, mu) in faces:
-            k2 = list(k)
-            k2[mu] += 1
-            if (tuple(k2), mu) in faces:
-                center2 = tuple(2 * k[i] + 1 + (2 if i == mu else 0) for i in range(3))
-                key = (phi(center2), mu)
-                lam[key] = lam.get(key, 0) + 1
-        return cls(
-            rhombus_multiplicity=rmult,
-            coverage=coverage,
-            good_edges=good,
-            delta_edges=delta,
-            omega_edges=omega,
-            lambda_links=lam,
-        )
-
-    @property
-    def overlapping_triangles(self) -> dict:
-        return {t: c - 1 for t, c in self.coverage.items() if c > 1}
-
-    @property
-    def overlapping_rhombi(self) -> set:
-        """Rhombi containing at least one overlapping triangle."""
-        ot = set(self.overlapping_triangles)
-        return {r for r in self.rhombus_multiplicity if (set(r) & ot) or self.rhombus_multiplicity[r] > 1}
-
-
 GOOD, DELTA, OMEGA = 0, 1, 2
 
 
-def shared_edges(k: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def shared_edges(k: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Classify the 3D edges shared by several of the faces (k[i], mu[i]).
 
     This is the one edge-classification rule.  An edge of two faces is
     ``DELTA`` when both have the same direction (coplanar, the striped
     pattern) and ``GOOD`` otherwise (the three-against-one pattern); an edge
     of four faces is ``OMEGA`` (the diagonal pattern); three faces on one edge
-    is an AssertionError.  Returns the kind, lower corner (m, 3) and axis of
-    each shared edge, in order of first appearance (faces in order, sides in
-    ``face_vertices`` order).  The faces must be distinct.
+    is an AssertionError.  Returns the kind of each shared edge and the
+    position 4i + j of its first side, side j of face i in ``face_sides``
+    order.  The faces must be distinct.
     """
     ids = face_keys(k, mu).ravel()
     _, first, inverse, count = np.unique(
@@ -874,26 +794,24 @@ def shared_edges(k: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     # two faces on an edge have the same direction when their mu sum is twice the first's
     mu_of = np.repeat(mu, 4)
     coplanar = np.bincount(inverse, weights=mu_of, minlength=len(count)) == 2 * mu_of[first]
-    kind = np.where(count == 4, OMEGA, np.where(coplanar, DELTA, GOOD))
-    order = np.sort(first[count > 1])
-    low, axis = face_sides(k, mu)
-    return kind[inverse[order]], low.reshape(-1, 3)[order], axis.ravel()[order]
+    shared = count > 1
+    return np.where(count == 4, OMEGA, np.where(coplanar, DELTA, GOOD))[shared], first[shared]
 
 
 def good_pair_fraction_of_faces(faces: Iterable[Face]) -> tuple[float, bool]:
     """(good edges / classified interior edges, overlap flag) of a projection.
 
-    The counts are those of ``RConfiguration.from_faces`` (both come from
-    ``shared_edges``).  On a non-minimal interface the fraction is computed
-    on the classified edges only and the flag is set: some triangle is
-    covered twice.
+    The edges are the ``shared_edges`` of the faces, each 3D edge counted
+    once.  On a non-minimal interface the fraction is computed on the
+    classified edges only and the flag is set: some triangle is covered
+    twice.
     """
     return _good_pair_fraction(*face_arrays(frozenset(faces)))
 
 
 def _good_pair_fraction(k: np.ndarray, mu: np.ndarray) -> tuple[float, bool]:
     """``good_pair_fraction_of_faces`` of the distinct faces (k[i], mu[i]), in any order."""
-    kind, _, _ = shared_edges(k, mu)
+    kind, _ = shared_edges(k, mu)
     good, delta, omega = np.bincount(kind, minlength=3).tolist()
     total = good + delta + omega
     # project_face's triangles {lo, s1, hi} and {lo, s2, hi}, each keyed by
@@ -903,3 +821,61 @@ def _good_pair_fraction(k: np.ndarray, mu: np.ndarray) -> tuple[float, bool]:
     tri = grid_ids(sums[..., :2] - sums[..., 2:])
     overlap = len(np.unique(tri)) < tri.size
     return (good / total if total else 1.0), overlap
+
+
+def _sorted_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lesser and the greater of the plane points a[i] and b[i]."""
+    swap = ((a[:, 0] > b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] > b[:, 1])))[:, None]
+    return np.where(swap, b, a), np.where(swap, a, b)
+
+
+def _project_faces(k: np.ndarray, mu: np.ndarray):
+    """The rhombus configuration of the distinct faces (k[i], mu[i]), as arrays.
+
+    Returns three groups of arrays:
+
+    * the distinct rhombi, least first (by their triangles' sorted vertex
+      lists): plane corners (r, 4, 2) in ``rhombus_corners`` order
+      (p, w1, q, w2), type (r,), the keys of the triangles {p, w1, q} <
+      {p, w2, q} (r, 2, 2), the faces on each of them (r, 2) and the faces on
+      the rhombus (r,).  A triangle's key is its corner sum, (3a + 2, 3b + 1)
+      for ``tri_up(a, b)`` and (3a + 1, 3b + 2) for ``tri_dn(a, b)``;
+    * the ``shared_edges`` of the faces, counted per class and plane edge:
+      plane ends (m, 2, 2) lower first, class (m,) and count (m,), sorted by
+      class, then ends;
+    * the lambda links, stacked faces (k, mu) and (k + e_mu, mu): the
+      projection of twice the centre of their cube (l, 2), mu (l,) and count
+      (l,), sorted.
+
+    Three faces on one 3D edge raise AssertionError, as in ``shared_edges``.
+    """
+    c = face_corners(k, mu)
+    plane = c[..., :2] - c[..., 2:]   # phi of lo, s1, hi, s2
+    p, q = _sorted_pair(plane[:, 0], plane[:, 2])
+    w1, w2 = _sorted_pair(plane[:, 1], plane[:, 3])
+    tsum = np.stack([p + w1 + q, p + w2 + q], axis=1)
+    low = tsum // 3
+    tri = 2 * grid_ids(low) + (tsum[..., 0] - 3 * low[..., 0] == 2)   # sorted ids are sorted vertex lists
+    _, at, cover = np.unique(tri.ravel(), return_inverse=True, return_counts=True)
+    _, first, mult = np.unique(grid_ids(tri), return_index=True, return_counts=True)   # pairs in order
+    rhombi = (np.stack([p, w1, q, w2], axis=1)[first], ((k.sum(axis=1) + 2) % 3)[first],
+              tsum[first], cover[at.reshape(-1, 2)[first]], mult)
+
+    kind, pos = shared_edges(k, mu)
+    low, axis = face_sides(k, mu)
+    low, axis = low.reshape(-1, 3)[pos], axis.ravel()[pos]
+    a = low[:, :2] - low[:, 2:]
+    rows = np.column_stack([kind, *_sorted_pair(a, a + np.array(UP_DIRS)[axis])])
+    _, first, count = np.unique(grid_ids(rows), return_index=True, return_counts=True)
+    edges = (rows[first, 1:].reshape(-1, 2, 2), kind[first], count)
+
+    faces = np.column_stack([k, mu])
+    above = faces.copy()
+    above[np.arange(len(k)), mu] += 1
+    ids = grid_ids(np.concatenate([faces, above]))
+    linked = np.isin(ids[len(k):], ids[:len(k)])
+    centre = 2 * k[linked] + 1
+    centre[np.arange(len(centre)), mu[linked]] += 2
+    rows = np.column_stack([centre[:, :2] - centre[:, 2:], mu[linked]])
+    _, first, count = np.unique(grid_ids(rows), return_index=True, return_counts=True)
+    return rhombi, edges, (rows[first, :2], rows[first, 2], count)

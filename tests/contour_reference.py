@@ -3,17 +3,56 @@
 
 ``broken_faces`` lists the broken-bond faces one at a time, ``face_edges``
 keys each face by four frozenset edges of 3D corner tuples, and
-``rconfiguration_from_faces`` classifies the 3D edges through a dict of face
-lists.  Each returns what the package code returns, in the same order.
+``rconfiguration_from_faces`` projects a face set to an ``RConfiguration``
+of frozenset-keyed dicts, classifying the 3D edges through a dict of face
+lists; ``fklab`` draws and decomposes the arrays of ``tiling._project_faces``
+instead.  ``broken_faces`` and ``extract_contours`` return what the package
+code returns, in the same order.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from fklab.classical import IsingContour, face_vertices
+from fklab.classical import IsingContour, face_arrays, face_vertices
 from fklab.lattice import components
-from fklab.tiling import RConfiguration, phi, project_face
+from fklab.tiling import _project_faces, phi, project_face, rhombus_type
+
+
+@dataclass
+class RConfiguration:
+    """Projection of an interface: rhombus multiset with overlap bookkeeping.
+
+    ``coverage`` maps triangles to the number of faces covering them (the
+    overlap number is coverage - 1); the edge dicts map plane edges
+    (frozensets of two plane vertices) to the number of 3D edges over them:
+
+    * good edges: two faces sharing a 3D edge via two plaquette bonds that
+      share a site (the three-against-one spin pattern);
+    * delta edges: two coplanar faces side by side (the striped pattern);
+    * omega edges: four faces around one 3D edge (the diagonal pattern);
+    * lambda links: stacked parallel faces one lattice unit apart, counted
+      with multiplicity.
+    """
+
+    rhombus_multiplicity: dict = field(default_factory=dict)
+    coverage: dict = field(default_factory=dict)
+    good_edges: dict = field(default_factory=dict)
+    delta_edges: dict = field(default_factory=dict)
+    omega_edges: dict = field(default_factory=dict)
+    lambda_links: dict = field(default_factory=dict)
+
+    @property
+    def overlapping_triangles(self) -> dict:
+        return {t: c - 1 for t, c in self.coverage.items() if c > 1}
+
+    @property
+    def overlapping_rhombi(self) -> set:
+        """Rhombi containing at least one overlapping triangle."""
+        ot = set(self.overlapping_triangles)
+        return {r for r in self.rhombus_multiplicity if (set(r) & ot) or self.rhombus_multiplicity[r] > 1}
 
 
 def face_edges(face) -> list[frozenset]:
@@ -93,6 +132,30 @@ def rconfiguration_from_faces(faces) -> RConfiguration:
             lam[key] = lam.get(key, 0) + 1
     return RConfiguration(rhombus_multiplicity=rmult, coverage=coverage, good_edges=good,
                           delta_edges=delta, omega_edges=omega, lambda_links=lam)
+
+
+def projected(faces) -> RConfiguration:
+    """``fklab.tiling._project_faces`` of a face set in the form of
+    ``rconfiguration_from_faces``, in the projection's order.  Checks on the
+    way that each rhombus carries its type and its triangles' corner sums."""
+    (corners, kind, tsum, cover, mult), (ends, cls, count), (point, axis, links) = \
+        _project_faces(*face_arrays(frozenset(faces)))
+    rc = RConfiguration()
+    for (p, w1, q, w2), tau, sums, covers, m in zip(
+            corners.tolist(), kind.tolist(), tsum.tolist(), cover.tolist(), mult.tolist()):
+        tris = [frozenset(map(tuple, (p, w, q))) for w in (w1, w2)]
+        assert sums == [[sum(v[i] for v in t) for i in range(2)] for t in tris]
+        r = frozenset(tris)
+        assert r not in rc.rhombus_multiplicity and rhombus_type(r) == tau
+        rc.rhombus_multiplicity[r] = m
+        for t, c in zip(tris, covers):
+            assert rc.coverage.setdefault(t, c) == c
+    for e, c, n in zip(ends.tolist(), cls.tolist(), count.tolist()):
+        edges = (rc.good_edges, rc.delta_edges, rc.omega_edges)[c]
+        assert frozenset(map(tuple, e)) not in edges
+        edges[frozenset(map(tuple, e))] = n
+    rc.lambda_links = {(tuple(pt), m): n for pt, m, n in zip(point.tolist(), axis.tolist(), links.tolist())}
+    return rc
 
 
 def good_pair_fraction_of_faces(faces) -> tuple[float, bool]:

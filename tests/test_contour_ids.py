@@ -1,10 +1,12 @@
 """Integer edge ids against the face-set oracle in ``contour_reference``.
 
-``extract_contours`` (both connectivities), ``RConfiguration.from_faces`` and
-``good_pair_fraction_of_faces`` must return exactly what the frozenset-edge
-path returns, in the same order, on random boxes of up to 5^3 sites under
-every kind of boundary condition, at any ``Volume.lo``, and on face sets that
-are not minimal interfaces (omega edges, overlapping triangles).
+``extract_contours`` (both connectivities) and ``good_pair_fraction_of_faces``
+must return exactly what the frozenset-edge path returns, in the same order,
+the array projection of ``tiling._project_faces`` the same rhombi, coverage,
+edge classes and lambda links, and ``decompose`` the same bases and contours,
+on random boxes of up to 5^3 sites under every kind of boundary condition,
+at any ``Volume.lo``, and on face sets that are not minimal interfaces (omega
+edges, overlapping triangles).
 ``extract_contours`` is also compared on 9^3 interfaces, and ``face_keys``
 against the points it encodes.
 """
@@ -15,18 +17,36 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import contour_reference as ref
-from fklab.classical import extract_contours, face_corners, face_keys, face_sides
+import tiling_reference
+from fklab.classical import ModelCoefficients, extract_contours, face_corners, face_keys, face_sides
 from fklab.lattice import SpinConfiguration, Volume
 from fklab.mc import RunSpec, mc_run
-from fklab.tiling import RConfiguration, good_pair_fraction_of_faces
+from fklab.rcontour import decompose
+from fklab.tiling import good_pair_fraction_of_faces
 
+CO = ModelCoefficients(U=8.0)
 FIELDS = ("rhombus_multiplicity", "coverage", "good_edges", "delta_edges", "omega_edges",
           "lambda_links")
 
 
-def _items(rc):
-    """Every dict of a configuration as an item list: values and insertion order."""
-    return [list(getattr(rc, name).items()) for name in FIELDS]
+def _fields(rc):
+    """Every dict of a configuration."""
+    return [getattr(rc, name) for name in FIELDS]
+
+
+def _decomposition(fn, faces):
+    """``fn(faces)`` field for field, or the AssertionError it raises (the
+    random halves below are no interfaces, and may have an odd overlap)."""
+    def fields():
+        deco = fn(faces)
+        return deco.bases, deco.contours, deco.to_json(CO)
+
+    return _outcome(fields)
+
+
+def _vertex_lists(x):
+    """The sort key of a rhombus or an edge: its parts as sorted lists, least first."""
+    return sorted(sorted(p) if isinstance(p, frozenset) else p for p in x)
 
 
 def _outcome(fn, *args):
@@ -152,9 +172,17 @@ def _face_sets(config, seed):
 def test_edge_classes_match_face_set_oracle(config, seed):
     for faces in _face_sets(config, seed):
         want = _outcome(ref.rconfiguration_from_faces, faces)
-        got = _outcome(RConfiguration.from_faces, faces)
-        assert (_items(got) if isinstance(got, RConfiguration) else got) == \
-            (_items(want) if isinstance(want, RConfiguration) else want)
+        got = _outcome(ref.projected, faces)
+        if isinstance(got, ref.RConfiguration):
+            assert _fields(got) == _fields(want)
+            # rhombi by their least triangle, edges by their ends, links sorted
+            for d in _fields(got)[:1] + _fields(got)[2:5]:
+                assert list(d) == sorted(d, key=_vertex_lists)
+            assert list(got.lambda_links) == sorted(got.lambda_links)
+        else:
+            assert got == want
+        assert _decomposition(decompose, faces) == \
+            _decomposition(lambda fs: tiling_reference.decompose(ref.rconfiguration_from_faces(fs)), faces)
         assert _outcome(good_pair_fraction_of_faces, faces) == \
             _outcome(ref.good_pair_fraction_of_faces, faces)
 
@@ -168,7 +196,7 @@ def test_oracle_cases_reach_every_edge_class():
         config = _config((5, 5, 5), bc, 2, (1000, -1000, -4), seed, 0.05 + 0.04 * seed)
         for faces in _face_sets(config, seed):
             rc = _outcome(ref.rconfiguration_from_faces, faces)
-            if not isinstance(rc, RConfiguration):
+            if not isinstance(rc, ref.RConfiguration):
                 seen["three"] += 1
                 continue
             seen["omega"] += bool(rc.omega_edges)
@@ -183,4 +211,5 @@ def test_empty_face_set(lo):
     config = SpinConfiguration.from_boundary(Volume(dims=(3, 3, 3), lo=lo), "hom_plus")
     assert extract_contours(config) == [] == ref.extract_contours(config)
     assert good_pair_fraction_of_faces([]) == (1.0, False) == ref.good_pair_fraction_of_faces([])
-    assert _items(RConfiguration.from_faces([])) == [[]] * len(FIELDS)
+    assert _fields(ref.projected([])) == [{}] * len(FIELDS)
+    assert decompose([]).bases == [] == decompose([]).contours

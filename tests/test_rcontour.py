@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import contour_reference
 import removal_reference
 import tiling_reference as ref
 from fklab import rcontour
@@ -31,7 +32,6 @@ from fklab.rcontour import (
 )
 from fklab.svgout import tiling_svg
 from fklab.tiling import (
-    RConfiguration,
     Region,
     RegionIndex,
     Tiling,
@@ -584,8 +584,8 @@ def test_face_path_matches_frozenset_reference(seed):
         config = config.with_flip(sites[k])
     seen_overlap = False
     for c in extract_contours(config):
-        rc = RConfiguration.from_faces(c.faces)
-        got, want = decompose(rc), ref.decompose(rc)
+        got = decompose(c.faces)
+        want = ref.decompose(contour_reference.rconfiguration_from_faces(c.faces))
         assert got.bases == want.bases
         assert got.contours == want.contours
         assert got.to_json(CO) == want.to_json(CO)

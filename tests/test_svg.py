@@ -2,9 +2,8 @@
 
 from fklab.classical import extract_contours
 from fklab.lattice import Volume
-from fklab.svgout import DELTA_COLOR, OMEGA_COLOR, faces_svg, rconfig_svg, tiling_svg
+from fklab.svgout import DELTA_COLOR, OMEGA_COLOR, faces_svg, tiling_svg
 from fklab.tiling import (
-    RConfiguration,
     Tiling,
     config_from_heights,
     enumerate_tilings,
@@ -35,12 +34,12 @@ def test_faces_svg_overlap_and_omega():
     assert 'fill-opacity="0.45"' in svg  # overlapped rhombi shaded
 
 
-def test_rconfig_svg_deterministic_under_set_rebuild():
+def test_faces_svg_deterministic_under_set_rebuild():
     vol = Volume(dims=(8, 8, 8), shell=2)
     flip = config_from_heights(vol).with_flip((0, 0, -1))
     (c,) = extract_contours(flip)
-    svg1 = rconfig_svg(RConfiguration.from_faces(c.faces))
+    svg1 = faces_svg(c.faces)
     # rebuild the face set in a different insertion order (mimics unpickling)
     rebuilt = frozenset(sorted(c.faces, reverse=True))
-    svg2 = rconfig_svg(RConfiguration.from_faces(rebuilt))
+    svg2 = faces_svg(rebuilt)
     assert svg1 == svg2

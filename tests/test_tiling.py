@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contour_reference as cref
 import layout_reference as layout
 import tiling_reference as ref
 from fklab.classical import extract_contours, face_vertices
@@ -21,7 +22,6 @@ from fklab.tiling import (
     MAX_BOX_VERTICES,
     HeightError,
     OverlapError,
-    RConfiguration,
     Region,
     Tiling,
     config_from_heights,
@@ -226,7 +226,7 @@ def test_overlap_numbers_even_and_extra_faces():
     stair = config_from_heights(vol)
     pyramid = stair.with_flip((0, 0, 0))
     (c,) = extract_contours(pyramid)
-    rc = RConfiguration.from_faces(c.faces)
+    rc = cref.projected(c.faces)
     assert all(o % 2 == 0 for o in rc.overlapping_triangles.values())
     # the total overlap is twice the number of extra faces, a^ov = 6
     assert sum(rc.overlapping_triangles.values()) == 12
@@ -239,14 +239,14 @@ def test_edge_classification_cases():
     # (the two rhombi flanking a good edge have the same type: their lifted
     # faces share a 3D edge through adjacent plaquette bonds)
     (c0,) = extract_contours(stair)
-    rc = RConfiguration.from_faces(c0.faces)
+    rc = cref.projected(c0.faces)
     assert rc.good_edges and rc.delta_edges == {} and rc.omega_edges == {}
 
     # hexagon flip: 6 delta edges between type-0 and type-1 rhombi, each
     # classified once and as nothing else
     flip = stair.with_flip((0, 0, -1))  # coordinate sum -1
     (c1,) = extract_contours(flip)
-    rc1 = RConfiguration.from_faces(c1.faces)
+    rc1 = cref.projected(c1.faces)
     assert len(rc1.delta_edges) == 6 and set(rc1.delta_edges.values()) == {1}
     assert not rc1.delta_edges.keys() & (rc1.good_edges.keys() | rc1.omega_edges.keys())
 
@@ -254,7 +254,7 @@ def test_edge_classification_cases():
     # and nothing else
     pyr = stair.with_flip((0, 0, 0))
     (c2,) = extract_contours(pyr)
-    rc2 = RConfiguration.from_faces(c2.faces)
+    rc2 = cref.projected(c2.faces)
     apex = (0, 0)
     assert rc2.omega_edges == {frozenset((apex, (apex[0] + da, apex[1] + db))): 1
                                for da, db in ((1, 0), (0, 1), (-1, -1))}
@@ -266,7 +266,7 @@ def test_good_edges_join_same_type_rhombi():
     reg = hexagon_region(2)
     for tiling in enumerate_tilings(reg)[:8]:
         faces, _ = tiling_to_interface(tiling)
-        rc = RConfiguration.from_faces(faces)
+        rc = cref.projected(faces)
         side_of = {}
         for r in tiling.rhombi:
             for e in ref.rhombus_sides(r):
@@ -476,5 +476,5 @@ def test_lift_consistency_with_spin_configuration():
         cfg = config_from_heights(vol, h)
         (pinned,) = [c for c in extract_contours(cfg) if c.pinned]
         assert set(faces) <= set(pinned.faces)
-        rc = RConfiguration.from_faces(pinned.faces)
+        rc = cref.projected(pinned.faces)
         assert not rc.overlapping_triangles

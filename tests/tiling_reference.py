@@ -26,13 +26,13 @@ from collections import Counter
 
 import numpy as np
 
+from contour_reference import RConfiguration, rconfiguration_from_faces
 from fklab.lattice import components
 from fklab.rcontour import Base, Decomposition, OverlappingSubcontour, RContour
 from fklab.tiling import (
     ALL_DIRS,
     COLLAR,
     HeightError,
-    RConfiguration,
     Region,
     Tiling,
     r0_rhombus,
@@ -143,11 +143,11 @@ def lifted_rconfig(assign):
     """The configuration of a triangle -> rhombus window, through its 3D faces.
 
     The window is lifted to its minimal interface (heights from the staircase
-    values on the window boundary) and projected back by ``from_faces``.
+    values on the window boundary) and projected back by the face-set oracle.
     """
     tiling = Tiling.from_rhombi(Region(frozenset(assign)), set(assign.values()))
     faces, _ = tiling_to_interface(tiling)
-    return RConfiguration.from_faces(faces)
+    return rconfiguration_from_faces(faces)
 
 
 def random_tiling(region, flips, seed):
