@@ -219,8 +219,7 @@ def decompose(faces) -> Decomposition:
     def vid(p):
         return (p[..., 0] - ix.a0) * ix.H + p[..., 1] - ix.b0
 
-    low = tsum // 3
-    rhombi = list(map(tuple, (2 * vid(low) + (tsum[..., 0] - 3 * low[..., 0] == 2)).tolist()))
+    rhombi = list(map(tuple, (2 * vid(tsum // 3) + (tsum[..., 0] % 3 == 2)).tolist()))
     objs = [frozenset((frozenset((p, w1, q)), frozenset((p, w2, q))))
             for p, w1, q, w2 in (map(tuple, c) for c in corners.tolist())]
     over = set((cover > 1).any(axis=1).nonzero()[0].tolist())

@@ -854,8 +854,7 @@ def _project_faces(k: np.ndarray, mu: np.ndarray):
     p, q = _sorted_pair(plane[:, 0], plane[:, 2])
     w1, w2 = _sorted_pair(plane[:, 1], plane[:, 3])
     tsum = np.stack([p + w1 + q, p + w2 + q], axis=1)
-    low = tsum // 3
-    tri = 2 * grid_ids(low) + (tsum[..., 0] - 3 * low[..., 0] == 2)   # sorted ids are sorted vertex lists
+    tri = 2 * grid_ids(tsum // 3) + (tsum[..., 0] % 3 == 2)   # sorted ids are sorted vertex lists
     _, at, cover = np.unique(tri.ravel(), return_inverse=True, return_counts=True)
     _, first, mult = np.unique(grid_ids(tri), return_index=True, return_counts=True)   # pairs in order
     rhombi = (np.stack([p, w1, q, w2], axis=1)[first], ((k.sum(axis=1) + 2) % 3)[first],
