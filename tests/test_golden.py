@@ -29,8 +29,10 @@ for byte:
 * every ``dobrushin_remove`` on those tilings (new tiling JSON widened by the
   collar, energies, contour counts, shifts and interiors in order of their
   least triangles);
-* ``extract_contours`` with edge and corner connectivity on seeded bc111 boxes
-  with bulk flips (contour order, faces, areas and the pinned flag);
+* ``extract_contours`` on seeded bc111 boxes with bulk flips (contour order,
+  faces, areas and the pinned flag; ``contours`` was recorded again over the
+  edge-connectivity records alone before the corner-connectivity option left
+  ``extract_contours``);
 * ``tiling_svg`` of every tiling of the hexagons of side 2 and 3, in
   ``enumerate_tilings`` order;
 * ``faces_svg`` of every Ising contour of seeded bc111 boxes, with flips next
@@ -58,7 +60,7 @@ CO = ModelCoefficients(U=8.0)
 GOLDEN = {
     "decompositions": "0281ed8170214c08b720c0b893d076477d3fc6af09bce8d0c3c88e4da06e9b63",
     "removals": "e7150d29b73a2fe04e7d5055a53636c06fa03863f1b105bf5a9147461cf68021",
-    "contours": "7da5c994b3d1398243d3207f23d46186afeebda76c5ab8f467fe6b3fd8da9572",
+    "contours": "7c1d2959e173b7f34a70e6043d39da2e4fbea79433bb39682e4be58b64cb2e6e",
 }
 
 TILING_SVGS = "f836c37e21d5344331fb0a5804af5d7b92fe7ed28ef7fa09f8ba333b70c49876"
@@ -131,16 +133,14 @@ def _interface_records():
 def _contour_records():
     out = []
     for seed in range(3):
-        config = _flipped_bc111(seed, False)
-        for corner in (False, True):
-            out.append({
-                "seed": seed, "corner": corner,
-                "contours": [
-                    {"faces": sorted([list(k), mu] for k, mu in c.faces),
-                     "area": c.area, "pinned": c.pinned}
-                    for c in extract_contours(config, corner_connect=corner)
-                ],
-            })
+        out.append({
+            "seed": seed,
+            "contours": [
+                {"faces": sorted([list(k), mu] for k, mu in c.faces),
+                 "area": c.area, "pinned": c.pinned}
+                for c in extract_contours(_flipped_bc111(seed, False))
+            ],
+        })
     return out
 
 
