@@ -27,10 +27,8 @@ from .tiling import (
     config_from_heights,
     degeneracy_bounds_check,
     enumerate_tilings,
-    face_of_rhombus,
     hexagon_region,
     interface_to_tiling,
-    project_face,
     r0_closure,
     random_tiling,
     tiling_from_heights,

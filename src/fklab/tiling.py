@@ -48,9 +48,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .classical import (
-    Face, face_arrays, face_corners, face_keys, face_sides, face_vertices, grid_ids,
+    Face, face_arrays, face_corners, face_keys, face_sides, grid_ids,
 )
-from .lattice import CapExceeded, SpinConfiguration, Volume, boundary_spin, coordinate_sum
+from .lattice import CapExceeded, SpinConfiguration, Volume, boundary_spin
 
 PlaneVertex = tuple[int, int]
 Triangle = frozenset  # of 3 PlaneVertex
@@ -67,19 +67,8 @@ MAX_TILING_TRIANGLES = 60
 MAX_COVER_TRIANGLES = 24
 
 
-def phi(v: Sequence[int]) -> PlaneVertex:
-    """Exact projection of an integer 3D point along (1,1,1)."""
-    return (v[0] - v[2], v[1] - v[2])
-
-
 def vertex_class(p: PlaneVertex) -> int:
     return (p[0] + p[1]) % 3
-
-
-def lift_vertex(p: PlaneVertex, level: int) -> tuple[int, int, int]:
-    """The preimage of ``p`` with coordinate sum ``level`` (of its class mod 3)."""
-    v3 = (level - p[0] - p[1]) // 3
-    return (p[0] + v3, p[1] + v3, v3)
 
 
 def stair_height(p: PlaneVertex) -> int:
@@ -116,13 +105,6 @@ def rhombus_of(t1: Triangle, t2: Triangle) -> Rhombus:
     if len(shared) != 2:
         raise ValueError("triangles do not share an edge")
     return frozenset((t1, t2))
-
-
-def rhombus_type(r: Rhombus) -> int:
-    """Type tau in {0,1,2}: the vertex class absent from the shared edge."""
-    t1, t2 = r
-    p, q = t1 & t2
-    return (3 - vertex_class(p) - vertex_class(q)) % 3
 
 
 def rhombus_corners(r: Rhombus) -> tuple[PlaneVertex, ...]:
@@ -201,41 +183,6 @@ class TriangleIndex:
     def rtype(self, t: int, u: int) -> int:
         """Type of the rhombus of ``t`` and ``u``: the class of t's corner off u."""
         return self.vclass[self.corners[t][2 - self.across[t].index(u)]]
-
-
-# ---------------------------------------------------------------------------
-# Projection of faces
-# ---------------------------------------------------------------------------
-
-
-def project_face(face: Face) -> tuple[Rhombus, int]:
-    """Project a dual face to its rhombus and integer level n(f).
-
-    The rhombus is the parallelogram of the projected corners lo, s1, hi,
-    s2: the triangles {lo, s1, hi} and {lo, s2, hi} on the low-high diagonal.
-    (rhombus, n) determines the face uniquely; ``face_of_rhombus`` inverts.
-    """
-    lo, s1, hi, s2 = map(phi, face_vertices(face))
-    return frozenset((frozenset((lo, s1, hi)), frozenset((lo, s2, hi)))), coordinate_sum(face[0]) + 2
-
-
-def face_of_rhombus(r: Rhombus, n: int) -> Face:
-    """Inverse of project_face: the unique face at level ``n`` over rhombus ``r``."""
-    if rhombus_type(r) != n % 3:
-        raise ValueError("level does not match rhombus type")
-    t1, t2 = r
-    p, q = t1 & t2
-    if vertex_class(p) != (n - 1) % 3:
-        p, q = q, p
-    lo = lift_vertex(p, n - 1)
-    hi = lift_vertex(q, n + 1)
-    d = tuple(h - l for h, l in zip(hi, lo))
-    if sorted(d) != [0, 1, 1]:
-        raise AssertionError("rhombus diagonal does not lift to a face diagonal")
-    mu = d.index(0)
-    k = list(lo)
-    k[mu] -= 1
-    return (tuple(k), mu)
 
 
 # ---------------------------------------------------------------------------
@@ -644,20 +591,31 @@ def tiling_to_interface(tiling: Tiling) -> tuple[set, dict]:
     Returns (faces, heights): one face per rhombus, placed at the level given
     by the height function; together with the staircase outside the region the
     faces form the connected pinned interface of the standard boundary
-    condition.
+    condition.  The corners of a rhombus carry heights n - 1, n, n, n + 1,
+    and its face (k, mu) has level n.  The shared side runs from the lo
+    corner (height n - 1), the projection of k + e_mu, to the hi corner
+    (n + 1), one step of (1, 1, 1) - e_mu further, so the plane step from lo
+    to hi is ``DOWN_DIRS[mu]``, and k is the lift of lo to coordinate sum
+    n - 1, minus e_mu.
     """
     if not tiling.region.r0_closed():
         raise ValueError("standard boundary requires an R0-closed region")
-    h = tiling_heights(tiling)
+    ix = tiling.region.index
+    h = heights_by_id(ix, tiling.partner)
     faces = set()
-    for r in tiling.rhombi:
-        corners = rhombus_corners(r)
-        values = sorted(h[p] for p in corners)
-        n = values[1]
+    for t, u in tiling.pairs:
+        lo, *mid, hi = sorted({*ix.corners[t], *ix.corners[u]}, key=h.__getitem__)
+        n = h[mid[0]]
+        values = [h[lo], n, h[mid[1]], h[hi]]
         if values != [n - 1, n, n, n + 1]:
             raise HeightError(f"rhombus heights {values} are not (n-1, n, n, n+1)")
-        faces.add(face_of_rhombus(r, n))
-    return faces, h
+        (a, b), (c, d) = ix.xy[lo], ix.xy[hi]
+        mu = DOWN_DIRS.index((c - a, d - b))
+        v3 = (n - 1 - a - b) // 3
+        k = [a + v3, b + v3, v3]
+        k[mu] -= 1
+        faces.add((tuple(k), mu))
+    return faces, {ix.xy[v]: h[v] for v in ix.vertices}
 
 
 def tiling_from_heights(region: Region, heights) -> Tiling:
@@ -734,15 +692,19 @@ class OverlapError(ValueError):
 def interface_to_tiling(faces: Iterable[Face]) -> Tiling:
     """Project a minimal-area interface patch onto its tiling.
 
-    Errors with an overlap report (listing triangles and their overlap
-    numbers) if any triangle is covered more than once.
+    The faces are projected by ``_project_faces``, so the input is a face
+    set: a repeated face counts once, as in ``rcontour.decompose`` and
+    ``svgout.faces_svg``.  Each distinct rhombus is the triangles {p, w1, q}
+    and {p, w2, q} of its plane corners.  Errors with an overlap report
+    (triangle -> coverage - 1) if any triangle is covered more than once.
     """
-    rhombi = [project_face(f)[0] for f in faces]
-    coverage = Counter(t for r in rhombi for t in r)
-    overlaps = {t: c - 1 for t, c in coverage.items() if c > 1}
+    (corners, _, _, cover, _), _, _ = _project_faces(*face_arrays(frozenset(faces)))
+    rhombi = [(frozenset((p, w1, q)), frozenset((p, w2, q)))
+              for p, w1, q, w2 in (map(tuple, c) for c in corners.tolist())]
+    overlaps = {t: c - 1 for pair, cs in zip(rhombi, cover.tolist()) for t, c in zip(pair, cs) if c > 1}
     if overlaps:
         raise OverlapError(overlaps)
-    return Tiling.from_rhombi(Region(frozenset(coverage)), rhombi)
+    return Tiling.from_rhombi(Region(frozenset(t for pair in rhombi for t in pair)), map(frozenset, rhombi))
 
 
 def config_from_heights(

@@ -18,7 +18,8 @@ import numpy as np
 
 from fklab.classical import IsingContour, face_arrays, face_vertices
 from fklab.lattice import components
-from fklab.tiling import _project_faces, phi, project_face, rhombus_type
+from fklab.tiling import _project_faces
+from plane_reference import phi, project_face, rhombus_type
 
 
 @dataclass

@@ -19,7 +19,8 @@ import itertools
 import numpy as np
 
 from fklab.lattice import SpinConfiguration, Volume, boundary_spin, coordinate_sum
-from fklab.tiling import phi, stair_height
+from fklab.tiling import stair_height
+from plane_reference import phi
 
 PRESCRIPTIONS = {
     "hom_plus": lambda k: True,

@@ -27,8 +27,9 @@ from fklab.classical import ModelCoefficients, extract_contours, interaction_ter
 from fklab.lattice import SpinConfiguration, coordinate_sum
 from fklab import mc
 from fklab.mc import ObservableSeries, RunSpec, _Lattice
-from fklab.tiling import good_pair_fraction_of_faces, phi, stair_height
+from fklab.tiling import good_pair_fraction_of_faces, stair_height
 from layout_reference import spin
+from plane_reference import phi
 
 
 def pinned_faces(config: SpinConfiguration) -> frozenset:

@@ -15,12 +15,12 @@ from fklab.tiling import (
     Region,
     Tiling,
     rhombus_corners,
-    rhombus_type,
     stair_height,
     tiling_heights,
     triangles_across,
     type_partner,
 )
+from plane_reference import rhombus_type
 from tiling_reference import collared_assignment, decompose, rconfig_of_assignment, triangle_edges
 
 

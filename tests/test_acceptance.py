@@ -35,11 +35,11 @@ from fklab.tiling import (
     r0_closure,
     random_tiling,
     rhombus_corners,
-    rhombus_type,
     tiling_heights,
     tiling_to_interface,
 )
 from layout_reference import from_function
+from plane_reference import rhombus_type
 
 
 def _report(n: int, started: float, detail: str):

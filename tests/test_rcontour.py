@@ -39,7 +39,6 @@ from fklab.tiling import (
     enumerate_tilings,
     hexagon_region,
     interface_to_tiling,
-    project_face,
     r0_closure,
     r0_rhombus,
     random_tiling,

@@ -6,6 +6,7 @@ import json
 import math
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 import contour_reference as cref
 import layout_reference as layout
 import tiling_reference as ref
+from plane_reference import face_of_rhombus, phi, project_face, rhombus_type
+from test_golden import _flipped_bc111
 from fklab.classical import extract_contours, face_vertices
 from fklab.lattice import CapExceeded, SpinConfiguration, Volume, coordinate_sum
 from fklab.tiling import (
@@ -24,20 +27,17 @@ from fklab.tiling import (
     OverlapError,
     Region,
     Tiling,
+    _project_faces,
     config_from_heights,
     degeneracy_bounds_check,
     enumerate_tilings,
-    face_of_rhombus,
     good_pair_fraction_of_faces,
     hexagon_region,
     interface_to_tiling,
-    phi,
-    project_face,
     r0_closure,
     r0_rhombus,
     random_tiling,
     rhombus_corners,
-    rhombus_type,
     stair_height,
     tiling_from_heights,
     tiling_heights,
@@ -50,24 +50,40 @@ from fklab.tiling import (
 )
 
 
+def _projected_rhombus(k, mu):
+    """The one rhombus of ``_project_faces`` of the face (k, mu), checked
+    against ``plane_reference.project_face``: its corners, type and triangle
+    keys.  Returns the rhombus and the face's level n."""
+    (corners, kind, tsum, cover, mult), _, _ = _project_faces(np.array([k]), np.array([mu]))
+    r, n = project_face((k, mu))
+    assert [tuple(c) for c in corners[0].tolist()] == list(rhombus_corners(r))
+    assert kind.tolist() == [rhombus_type(r)] == [n % 3]
+    p, w1, q, w2 = rhombus_corners(r)
+    assert tsum[0].tolist() == [[sum(c) for c in zip(p, w, q)] for w in (w1, w2)]
+    assert cover.tolist() == [[1, 1]] and mult.tolist() == [1]
+    return r, n
+
+
 def test_project_face_roundtrip_orientations():
     k = (2, -1, 3)
     seen = set()
     for mu in range(3):
-        r, n = project_face((k, mu))
+        r, n = _projected_rhombus(k, mu)
         assert n == coordinate_sum(k) + 2
-        assert rhombus_type(r) == n % 3
         seen.add(ref.rhombus_orientation(r))
         assert face_of_rhombus(r, n) == (k, mu)
     assert seen == {0, 1, 2}  # three orientations = three edge families
 
 
 def test_project_face_translation_by_111():
-    k = (0, 0, 0)
-    r1, n1 = project_face((k, 1))
-    r2, n2 = project_face(((1, 1, 1), 1))
+    r1, n1 = _projected_rhombus((0, 0, 0), 1)
+    r2, n2 = _projected_rhombus((1, 1, 1), 1)
     assert r1 == r2
     assert n2 == n1 + 3  # same rhombus, level shifted by 3, type preserved
+    # projected together, the two faces make one rhombus covered twice
+    (corners, kind, _, cover, mult), _, _ = _project_faces(np.array([(0, 0, 0), (1, 1, 1)]), np.array([1, 1]))
+    assert len(corners) == 1 and kind.tolist() == [rhombus_type(r1)]
+    assert cover.tolist() == [[2, 2]] and mult.tolist() == [2]
 
 
 def test_vertex_class_well_defined():
@@ -211,6 +227,37 @@ def test_interface_to_tiling_overlap_error():
         interface_to_tiling(c.faces)
     assert len(err.value.overlaps) == 6
     assert all(o == 2 for o in err.value.overlaps.values())
+
+
+def test_bijection_matches_plane_oracle():
+    """``tiling_to_interface`` and ``interface_to_tiling`` against the
+    one-face-at-a-time map of ``plane_reference``: the lift of random tilings
+    of the R0 closures of sides 2-6, their projection back, and the overlap
+    report of every Ising contour of bc111 boxes with flips next to the
+    interface."""
+    for side in range(2, 7):
+        region = r0_closure(hexagon_region(side).triangles)
+        for seed in range(3):
+            t = random_tiling(region, 10 * side, seed=seed)
+            faces, h = tiling_to_interface(t)
+            assert h == tiling_heights(t)
+            expect = set()
+            for r in t.rhombi:
+                values = sorted(h[p] for p in rhombus_corners(r))
+                expect.add(face_of_rhombus(r, values[1]))
+            assert faces == expect
+            rhombi = [project_face(f)[0] for f in faces]
+            oracle = Tiling.from_rhombi(Region(frozenset(u for r in rhombi for u in r)), rhombi)
+            assert interface_to_tiling(faces) == oracle == t
+    contours = 0
+    for seed in range(6):
+        for c in extract_contours(_flipped_bc111(seed, True)):   # each one overlaps
+            coverage = Counter(u for f in c.faces for u in project_face(f)[0])
+            with pytest.raises(OverlapError) as err:
+                interface_to_tiling(c.faces)
+            assert err.value.overlaps == {u: n - 1 for u, n in coverage.items() if n > 1}
+            contours += 1
+    assert contours == 15
 
 
 def test_interface_to_tiling_empty():
@@ -366,7 +413,7 @@ def test_closed_form_adjacency_matches_search_oracle():
             hi = max(verts, key=sum)
             expect = ref.search_triangles_of_edge((phi(lo), phi(hi)))
             assert len(expect) == 2
-            r, _ = project_face((k, mu))
+            r, _ = _projected_rhombus(k, mu)
             assert r == frozenset(expect)
 
 

@@ -37,7 +37,6 @@ from fklab.tiling import (
     Tiling,
     r0_rhombus,
     rhombus_corners,
-    rhombus_type,
     stair_height,
     tiling_to_interface,
     tri_dn,
@@ -46,6 +45,7 @@ from fklab.tiling import (
     tri_up,
     triangles_across,
 )
+from plane_reference import rhombus_type
 
 
 def triangle_edges(t):
