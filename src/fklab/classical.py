@@ -11,7 +11,7 @@ energies evaluate it with one shifted-view helper, ``_corner_views``, on the
 spins with the box's doubled, which ``extract_contours`` reads its broken
 bonds from as well; ``mc`` builds the sampler's local tables from it.
 ``extract_contours`` labels its faces' components in numpy, on the integer
-edge (or corner) ids of ``face_keys``.
+edge ids of ``face_keys``.
 """
 
 from __future__ import annotations
@@ -267,29 +267,22 @@ def face_sides(k: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k[:, None, :] + _SIDE_LOW[mu], _SIDE_AXIS[mu]
 
 
-def face_keys(k: np.ndarray, mu: np.ndarray, corner_connect: bool = False) -> np.ndarray:
+def face_keys(k: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Integer ids of the four sides of each face (k[i], mu[i]), in
-    ``face_sides`` order, shape (n, 4); with ``corner_connect`` the ids of its
-    four corners instead.  Equal ids mean equal sides (or corners); ids
+    ``face_sides`` order, shape (n, 4).  Equal ids mean equal sides; ids
     compare only within one call, and no origin is assumed.
 
     The lower sites are numbered over their bounding box widened by one step,
-    which holds every corner of every face, so a point's id is its base id
-    ``(k - lo) @ stride`` plus the id of its offset from k (``_SIDE_LOW`` or
-    ``_FACE_CORNERS``); a side's id is its lower corner's times 3 plus its
-    axis.
+    which holds every corner of every face, so a side's lower corner has the
+    base id ``(k - lo) @ stride`` plus the id of its offset ``_SIDE_LOW``
+    from k, and a side's id is its lower corner's times 3 plus its axis.
     """
     if len(k) == 0:
         return np.zeros((0, 4), dtype=np.int64)
     lo = k.min(axis=0)
     ext = k.max(axis=0) - lo + 2
-    stride = np.array([ext[1] * ext[2], ext[2], 1])
-    if corner_connect:
-        offsets = _FACE_CORNERS @ stride
-    else:
-        stride = 3 * stride
-        offsets = _SIDE_LOW @ stride + _SIDE_AXIS
-    return ((k - lo) @ stride)[:, None] + offsets[mu]
+    stride = 3 * np.array([ext[1] * ext[2], ext[2], 1])
+    return ((k - lo) @ stride)[:, None] + (_SIDE_LOW @ stride + _SIDE_AXIS)[mu]
 
 
 def face_arrays(faces: Iterable[Face]) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +335,7 @@ def _label_rows(ids: np.ndarray) -> np.ndarray:
             lab = jumped
 
 
-def _face_components(config: SpinConfiguration, corner_connect: bool = False):
+def _face_components(config: SpinConfiguration):
     """The labelled broken-bond faces of ``extract_contours``: lower sites k
     (n, 3), directions mu (n,) and component labels lab (n,) of the faces,
     and, indexed by label, each component's size, area and pinned flag."""
@@ -361,7 +354,7 @@ def _face_components(config: SpinConfiguration, corner_connect: bool = False):
     involume = np.concatenate(inside)
 
     n = len(k)
-    lab = _label_rows(face_keys(k, mu, corner_connect))
+    lab = _label_rows(face_keys(k, mu))
     size = np.bincount(lab, minlength=n)
     area = np.bincount(lab[involume], minlength=n)
     mixed = config.bc in ("bc100", "bc111")
@@ -371,14 +364,10 @@ def _face_components(config: SpinConfiguration, corner_connect: bool = False):
     return k, mu, lab, size, area, pinned
 
 
-def extract_contours(
-    config: SpinConfiguration,
-    corner_connect: bool = False,
-) -> list[IsingContour]:
+def extract_contours(config: SpinConfiguration) -> list[IsingContour]:
     """Decompose the broken-bond face set into maximal connected components.
 
-    Faces are connected when they share an edge (``corner_connect=True`` uses
-    shared corners instead, for sensitivity checks).  Faces dual to bonds with
+    Faces are connected when they share an edge.  Faces dual to bonds with
     both ends in the shell are included, so that the pinned interface stays
     connected through the boundary ring, but they do not count toward contour
     areas.  Under the mixed boundary conditions exactly one component is
@@ -387,14 +376,14 @@ def extract_contours(
     prescription itself.  The boundary condition is ``config.bc``.
 
     The broken bonds are read per axis as whole arrays, each face is keyed by
-    the integer ids of its four edges (or corners) from ``face_keys``, and
+    the integer ids of its four edges from ``face_keys``, and
     ``_label_rows`` labels the faces' components on those ids; areas and
     pinned flags are counts per label (``_face_components``).  Face tuples
     are built only for the returned contours, each frozenset filled in
     ascending face order, and contours of equal rank come in order of their
     first face.
     """
-    k, mu, lab, size, area, pinned = _face_components(config, corner_connect)
+    k, mu, lab, size, area, pinned = _face_components(config)
     # a component with no face in the volume and not pinned is an artifact
     # of the bc living purely in the shell
     keep = (lab == np.arange(len(k))) & ((area > 0) | pinned)

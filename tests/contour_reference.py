@@ -79,12 +79,11 @@ def broken_faces(config):
     return faces, involume
 
 
-def extract_contours(config, corner_connect=False):
+def extract_contours(config):
     faces, involume = broken_faces(config)
-    key_of = face_vertices if corner_connect else face_edges
     mixed = config.bc in ("bc100", "bc111")
     contours = []
-    for members in components(key_of(f) for f in faces):
+    for members in components(face_edges(f) for f in faces):
         fs = frozenset(faces[i] for i in members)
         area = sum(1 for i in members if involume[i])
         pinned = mixed and any(not involume[i] for i in members)

@@ -259,15 +259,3 @@ def test_peierls_check():
     assert report.c0_max == pytest.approx(0.5, abs=1e-15)
     # vacuous pass on the empty set
     assert peierls_check([], CO8).ok
-
-
-def test_corner_connectivity_flag_changes_components():
-    # two blocks touching only at a corner: edge-connectivity sees two
-    # contours, corner-connectivity one
-    vol = Volume(dims=(6, 6, 6), shell=2)
-    cfg = SpinConfiguration.from_boundary(vol, "hom_plus")
-    cfg = cfg.with_flip((0, 0, 0)).with_flip((1, 1, 1))
-    by_edge = extract_contours(cfg)
-    by_corner = extract_contours(cfg, corner_connect=True)
-    assert len(by_edge) == 2
-    assert len(by_corner) == 1

@@ -1,12 +1,12 @@
 """Integer edge ids against the face-set oracle in ``contour_reference``.
 
-``extract_contours`` (both connectivities) and ``good_pair_fraction_of_faces``
-must return exactly what the frozenset-edge path returns, in the same order,
-the array projection of ``tiling._project_faces`` the same rhombi, coverage,
-edge classes and lambda links, and ``decompose`` the same bases and contours,
-on random boxes of up to 5^3 sites under every kind of boundary condition,
-at any ``Volume.lo``, and on face sets that are not minimal interfaces (omega
-edges, overlapping triangles).
+``extract_contours`` and ``good_pair_fraction_of_faces`` must return exactly
+what the frozenset-edge path returns, in the same order, the array projection
+of ``tiling._project_faces`` the same rhombi, coverage, edge classes and
+lambda links, and ``decompose`` the same bases and contours, on random boxes
+of up to 5^3 sites under every kind of boundary condition, at any
+``Volume.lo``, and on face sets that are not minimal interfaces (omega edges,
+overlapping triangles).
 ``extract_contours`` is also compared on 9^3 interfaces, and ``face_keys``
 against the points it encodes.
 """
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import contour_reference as ref
 import tiling_reference
-from fklab.classical import ModelCoefficients, extract_contours, face_corners, face_keys, face_sides
+from fklab.classical import ModelCoefficients, extract_contours, face_keys, face_sides
 from fklab.lattice import SpinConfiguration, Volume
 from fklab.mc import RunSpec, mc_run
 from fklab.rcontour import decompose
@@ -105,13 +105,12 @@ SPRINKLED_100 = [_config((9, 9, 9), "bc100", 2, None, seed, 0.08) for seed in (0
 @example(config=SPRINKLED_100[0])
 @example(config=SPRINKLED_100[1])
 def test_extract_contours_matches_face_set_oracle(config):
-    for corner in (False, True):
-        want = _outcome(ref.extract_contours, config, corner)
-        got = _outcome(extract_contours, config, corner)
-        assert got == want
-        if isinstance(want, list):
-            # the same frozensets, built in the same insertion order
-            assert [list(c.faces) for c in got] == [list(c.faces) for c in want]
+    want = _outcome(ref.extract_contours, config)
+    got = _outcome(extract_contours, config)
+    assert got == want
+    if isinstance(want, list):
+        # the same frozensets, built in the same insertion order
+        assert [list(c.faces) for c in got] == [list(c.faces) for c in want]
 
 
 def test_interface_scale_examples():
@@ -127,7 +126,7 @@ def test_interface_scale_examples():
 
 
 _COORD = st.integers(-2000, 2000)
-# faces near one anchor share sides and corners; far ones use the whole range
+# faces near one anchor share sides; far ones use the whole range
 _FACES = st.one_of(
     st.tuples(st.tuples(*[st.integers(-2000, 1998)] * 3),
               st.lists(st.tuples(*[st.integers(0, 2)] * 3, st.integers(0, 2)), max_size=30)).map(
@@ -138,19 +137,18 @@ _FACES = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(_FACES)
-def test_face_keys_encode_sides_and_corners(faces):
-    """Two sides (corners) get equal ids exactly when ``face_sides``
-    (``face_corners``) gives them equal points."""
+def test_face_keys_encode_sides(faces):
+    """Two sides get equal ids exactly when ``face_sides`` gives them equal
+    points."""
     rows = np.array(faces, dtype=np.int64).reshape(-1, 4)
     k, mu = rows[:, :3], rows[:, 3]
     low, axis = face_sides(k, mu)
-    for corner, points in ((False, np.concatenate([low, axis[..., None]], axis=-1)),
-                           (True, face_corners(k, mu))):
-        ids = face_keys(k, mu, corner)
-        assert ids.shape == (len(k), 4)
-        pairs = set(zip(ids.ravel().tolist(), map(tuple, points.reshape(-1, points.shape[-1]).tolist())))
-        # a bijection between the ids and the points
-        assert len(pairs) == len({i for i, _ in pairs}) == len({p for _, p in pairs})
+    points = np.concatenate([low, axis[..., None]], axis=-1)
+    ids = face_keys(k, mu)
+    assert ids.shape == (len(k), 4)
+    pairs = set(zip(ids.ravel().tolist(), map(tuple, points.reshape(-1, 4).tolist())))
+    # a bijection between the ids and the points
+    assert len(pairs) == len({i for i, _ in pairs}) == len({p for _, p in pairs})
 
 
 def _face_sets(config, seed):
