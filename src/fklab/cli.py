@@ -30,6 +30,7 @@ from .mc import RunSpec, _pinned_faces, mc_run
 from .quantum import CouplingTable, FKParameters, extract_couplings, verify_decay
 from .svgout import faces_svg, tiling_svg
 from .tiling import (
+    MAX_TILING_TRIANGLES,
     Region,
     Tiling,
     degeneracy_bounds_check,
@@ -192,10 +193,14 @@ def cmd_tilings(config_path: str, out: Path, seed) -> int:
                                               "render": _bool, "max_render": _int})
     if ("side" in cfg) == ("triangles" in cfg):
         raise ConfigError("config needs one of 'side' and 'triangles'")
-    region = hexagon_region(cfg["side"]) if "side" in cfg else Region(frozenset(cfg["triangles"]))
     cap = cfg.get("max_render", 32)
     if cap < 0:
         raise ConfigError(f"max_render must be >= 0, got {cap}")
+    if cfg.get("side", 0) > 0 and 6 * cfg["side"] ** 2 > MAX_TILING_TRIANGLES:
+        # a hexagon has 6 side^2 triangles: refuse it before building them
+        raise CapExceeded(f"enumeration capped at {MAX_TILING_TRIANGLES} triangles, "
+                          f"a side-{cfg['side']} hexagon has {6 * cfg['side'] ** 2}")
+    region = hexagon_region(cfg["side"]) if "side" in cfg else Region(frozenset(cfg["triangles"]))
     render = cfg.get("render", False)
     tilings = enumerate_tilings(region)
     report = degeneracy_bounds_check(region, tilings)

@@ -293,7 +293,7 @@ def _width_columns(dims: tuple, shell: int, lo: tuple):
     spins, read-only."""
     vol = Volume(dims=dims, shell=shell, lo=lo)
     k = vol.coords()[(slice(None),) + vol.box].reshape(3, -1)
-    col = grid_ids((k[:2] - k[2]).T)   # phi, the projection along (1,1,1)
+    col = grid_ids((k[:2] - k[2]).T)   # the projection along (1,1,1)
     lengths = np.bincount(col)
     out = col, lengths == lengths.max(), boundary_spin("bc111", k)
     for a in out:

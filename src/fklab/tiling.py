@@ -5,13 +5,13 @@ are not minimal (overlap numbers, delta/omega edges, lambda links).
 
 Plane conventions
 -----------------
-``phi(v) = (v1 - v3, v2 - v3)`` projects integer 3D points along (1,1,1) onto
-the triangular lattice in axial coordinates; its unit directions are (1,0),
-(0,1), (-1,-1) (height +1) and their negatives.  The class of a plane vertex
-is ``(a + b) mod 3``, the coordinate sum mod 3 of any preimage.  A face dual
-to the bond (k, k + e_mu) has level n(f) = k1 + k2 + k3 + 2, its rhombus is
-the parallelogram of its projected corners lo, s1, hi, s2 split along lo-hi,
-and its type is n(f) mod 3.  A triangle is ``tri_up(a, b)`` or ``tri_dn(a,
+The projection ``(v1 - v3, v2 - v3)`` of integer 3D points v along (1,1,1)
+onto the triangular lattice gives plane vertices in axial coordinates; its
+unit directions are (1,0), (0,1), (-1,-1) (height +1) and their negatives.
+The class of a plane vertex is ``(a + b) mod 3``, the coordinate sum mod 3 of
+any preimage.  A face dual to the bond (k, k + e_mu) has level n(f) = k1 +
+k2 + k3 + 2, its rhombus is the parallelogram of its projected corners lo,
+s1, hi, s2 split along lo-hi, and its type is n(f) mod 3.  A triangle is ``tri_up(a, b)`` or ``tri_dn(a,
 b)`` of its lowest vertex (a, b); ``triangles_across`` lists the triangles
 across its sides v0v1, v0v2, v1v2 (corners v0 < v1 < v2).  The partner of t
 in the all-type-tau tiling lies across the side opposite t's class-tau corner.
@@ -28,7 +28,10 @@ edge rule of a tiling.  Tilings change only through their height function
 a minimal interface is projected by ``_project_faces`` to arrays: its
 distinct rhombi with their types, triangle keys and coverage, its edge
 classes counted per plane edge, and its lambda links.  ``rcontour.decompose``
-numbers them with a ``TriangleIndex`` and ``svgout.faces_svg`` draws them.
+numbers them with a ``TriangleIndex``, ``svgout.faces_svg`` draws them, and
+``interface_to_tiling`` reads its tiling off them.  The inverse,
+``tiling_to_interface``, lifts each id pair of a tiling from the heights of
+its four corner ids (``heights_by_id``).
 
 Edge classes
 ------------
@@ -714,15 +717,15 @@ def config_from_heights(
 
     ``heights`` maps plane vertices to interface heights (staircase values by
     default and outside the mapping).  A site k is + exactly when its
-    coordinate sum is >= h(phi(k)) - 1; with the staircase heights this is the
-    bc111 ground configuration, ``boundary_spin("bc111", k)``.  The heights
-    are read once per (1,1,1) column of the padded box.
+    coordinate sum is >= h(p) - 1, p the projection of k; with the staircase
+    heights this is the bc111 ground configuration, ``boundary_spin("bc111",
+    k)``.  The heights are read once per (1,1,1) column of the padded box.
     """
     k = volume.coords()
     if heights is None:
         return SpinConfiguration(volume, boundary_spin("bc111", k), bc="bc111")
     hfun = _height_function(heights)
-    ab = np.moveaxis(k[:2] - k[2], 0, -1).reshape(-1, 2)   # phi(k), one value per column
+    ab = np.moveaxis(k[:2] - k[2], 0, -1).reshape(-1, 2)   # the projection of k, one value per column
     _, first, col_of = np.unique(grid_ids(ab), return_index=True, return_inverse=True)
     h = np.array([hfun(tuple(p)) for p in ab[first].tolist()])[col_of]
     spins = np.where(k.sum(axis=0) >= h.reshape(volume.padded_dims) - 1, 1, -1).astype(np.int8)
@@ -776,8 +779,8 @@ def _good_pair_fraction(k: np.ndarray, mu: np.ndarray) -> tuple[float, bool]:
     kind, _ = shared_edges(k, mu)
     good, delta, omega = np.bincount(kind, minlength=3).tolist()
     total = good + delta + omega
-    # project_face's triangles {lo, s1, hi} and {lo, s2, hi}, each keyed by
-    # the projection of its corner sum
+    # a face's triangles {lo, s1, hi} and {lo, s2, hi}, as in _project_faces,
+    # each keyed by the projection of its corner sum
     c = face_corners(k, mu)
     sums = np.stack([c[:, 0] + c[:, 1] + c[:, 2], c[:, 0] + c[:, 3] + c[:, 2]])
     tri = grid_ids(sums[..., :2] - sums[..., 2:])
@@ -794,6 +797,11 @@ def _sorted_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _project_faces(k: np.ndarray, mu: np.ndarray):
     """The rhombus configuration of the distinct faces (k[i], mu[i]), as arrays.
 
+    A face with corners lo, s1, hi, s2 (``face_vertices`` order) projects to
+    the rhombus of the triangles {lo, s1, hi} and {lo, s2, hi} on its low-high
+    diagonal, at level n = k1 + k2 + k3 + 2 and of type n mod 3; the rhombus
+    and the level determine the face.  ``rcontour.decompose``,
+    ``svgout.faces_svg`` and ``interface_to_tiling`` read the projection.
     Returns three groups of arrays:
 
     * the distinct rhombi, least first (by their triangles' sorted vertex
@@ -812,7 +820,7 @@ def _project_faces(k: np.ndarray, mu: np.ndarray):
     Three faces on one 3D edge raise AssertionError, as in ``shared_edges``.
     """
     c = face_corners(k, mu)
-    plane = c[..., :2] - c[..., 2:]   # phi of lo, s1, hi, s2
+    plane = c[..., :2] - c[..., 2:]   # the projections of lo, s1, hi, s2
     p, q = _sorted_pair(plane[:, 0], plane[:, 2])
     w1, w2 = _sorted_pair(plane[:, 1], plane[:, 3])
     tsum = np.stack([p + w1 + q, p + w2 + q], axis=1)

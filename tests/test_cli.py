@@ -119,6 +119,21 @@ def test_tilings_cap_exits_3(tmp_path):
     assert main(["tilings", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_tilings_huge_side_exits_3_before_building(tmp_path, monkeypatch):
+    """A side of 10^6 is refused from its triangle count, 6 side^2, without
+    building the hexagon."""
+    import fklab.cli
+
+    def unbuilt(side, center=None):
+        raise AssertionError(f"built the side-{side} hexagon")
+
+    monkeypatch.setattr(fklab.cli, "hexagon_region", unbuilt)
+    cfg = _write(tmp_path, "t.json", {"side": 1000000})
+    out = tmp_path / "o"
+    assert main(["tilings", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_tilings_sparse_region_exits_3(tmp_path):
     """Two triangles 10^6 steps apart: the triangle index would span their
     bounding box, so it stops at its cap before writing anything."""

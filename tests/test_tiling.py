@@ -93,6 +93,11 @@ def test_vertex_class_well_defined():
         assert phi((v[0] + 1, v[1] + 1, v[2] + 1)) == p
 
 
+def test_hexagon_has_six_side_squared_triangles():
+    """``fklab tilings`` refuses a side from this count before building it."""
+    assert [len(hexagon_region(side)) for side in range(1, 6)] == [6, 24, 54, 96, 150]
+
+
 def test_enumeration_counts():
     assert len(enumerate_tilings(hexagon_region(1))) == 2
     assert len(enumerate_tilings(hexagon_region(2))) == 20
