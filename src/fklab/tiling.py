@@ -11,10 +11,11 @@ unit directions are (1,0), (0,1), (-1,-1) (height +1) and their negatives.
 The class of a plane vertex is ``(a + b) mod 3``, the coordinate sum mod 3 of
 any preimage.  A face dual to the bond (k, k + e_mu) has level n(f) = k1 +
 k2 + k3 + 2, its rhombus is the parallelogram of its projected corners lo,
-s1, hi, s2 split along lo-hi, and its type is n(f) mod 3.  A triangle is ``tri_up(a, b)`` or ``tri_dn(a,
-b)`` of its lowest vertex (a, b); ``triangles_across`` lists the triangles
-across its sides v0v1, v0v2, v1v2 (corners v0 < v1 < v2).  The partner of t
-in the all-type-tau tiling lies across the side opposite t's class-tau corner.
+s1, hi, s2 split along lo-hi, and its type is n(f) mod 3.  A triangle is
+``tri_up(a, b)`` or ``tri_dn(a, b)`` of its lowest vertex (a, b);
+``triangles_across`` lists the triangles across its sides v0v1, v0v2, v1v2
+(corners v0 < v1 < v2).  The partner of t in the all-type-tau tiling lies
+across the side opposite t's class-tau corner.
 
 Integer index
 -------------
