@@ -45,6 +45,8 @@ def cj_sequence(d: int, t: float, U: float, beta: float, c: float = 0.5, jmax: i
     """
     if not all(map(math.isfinite, (t, U, beta, c))):
         raise ValueError(f"t, U, beta and c must be finite, got {(t, U, beta, c)}")
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1 or t <= 0.0 or beta <= 0.0:
+        raise ValueError(f"need an integer d >= 1, t > 0 and beta > 0, got d = {d!r}, t = {t}, beta = {beta}")
     if not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
     if U <= 1.0:

@@ -154,8 +154,10 @@ def _provenance(doc: dict, seed) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` as strict JSON: a NaN or infinity raises ValueError before any write."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(text)
 
 
 def cmd_heff(config_path: str, out: Path, seed) -> int:
@@ -397,7 +399,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(json.dumps({"error": str(exc), "code": EXIT_CAP}), file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ArithmeticError) as exc:   # an overflow: inputs out of range
         print(json.dumps({"error": str(exc), "code": EXIT_CONFIG}), file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:

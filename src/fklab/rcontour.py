@@ -7,15 +7,16 @@ R-contours are the connected components of everything else: delta/omega edges,
 lambda links and rhombi that belong to no good pair.  Connectivity of contour
 material is through shared plane vertices (contours are closed complexes).
 
-The grouping runs on the integer ids of a ``TriangleIndex``; bases and
-contours hold frozensets.  A tiling (a minimal interface) enters as its partner
-table in the R0 collar of ``Region.index``, its edges from ``tiling_edges``;
-any other face set as the arrays of ``tiling._project_faces``, numbered by a
-``TriangleIndex`` of its plane box.  A tiling is
-grouped once: its decomposition is kept while the tiling lives and shared by
-``decompose_tiling`` and ``dobrushin_remove``, and the collar's rhombi, types
-and good pairs come from the region's index, so each grouping walks only the
-region's triangles.
+The grouping runs on integer triangle and vertex ids; bases and contours
+hold frozensets.  A tiling (a minimal interface) enters as its partner table
+in the R0 collar of ``Region.index``, its edges from ``tiling_edges``; any
+other face set as the arrays of ``tiling._project_faces``, on the
+projection's own triangle ids, its vertices numbered by one ``grid_ids``
+call and its good pairs the rhombi of the two faces on each good 3D edge.
+A tiling is grouped once: its decomposition is kept while the tiling lives
+and shared by ``decompose_tiling`` and ``dobrushin_remove``, and the collar's
+rhombi, types and good pairs come from the region's index, so each grouping
+walks only the region's triangles.
 
 A Dobrushin removal is a height edit: the exterior of the removed contour keeps
 its heights, each interior moves by S^n (plane step n * (1,1), heights down by
@@ -30,14 +31,15 @@ import numbers
 import weakref
 from dataclasses import dataclass, field
 
-from .classical import ModelCoefficients, face_arrays
+import numpy as np
+
+from .classical import ModelCoefficients, face_arrays, grid_ids
 from .lattice import CapExceeded, components
 from .tiling import (
     GOOD,
     MAX_COVER_TRIANGLES,
     OMEGA,
     Tiling,
-    TriangleIndex,
     _edge_walk,
     _project_faces,
     heights_by_id,
@@ -140,17 +142,18 @@ def f_energy(contour: RContour, coeffs: ModelCoefficients) -> float:
     return e
 
 
-def _group(ix: TriangleIndex, rhombi, objs, pairs, lines, over=frozenset(), cover=None):
-    """The one base and contour grouping, on the ids of ``ix``.
+def _group(corners, rhombi, kinds, objs, pairs, lines, over=frozenset(), cover=None):
+    """The one base and contour grouping, on integer ids whose order is that
+    of sorted vertices and sorted vertex lists.
 
-    ``rhombi`` are triangle-id pairs (t, u) with t < u, ``objs`` what the
-    boundary fields hold for them, ``pairs`` the good pairs (rhombus indices)
-    and ``lines`` the delta edges, omega edges and lambda links in that order,
-    as (tag, object, count, vertex ids, side id).  ``over`` holds the
-    overlapping rhombi, ``cover`` the coverage of overlapping triangles.
+    ``corners`` maps triangle ids to vertex ids.  ``rhombi`` are triangle-id
+    pairs (t, u) with t < u, ``kinds`` their types, ``objs`` what the boundary
+    fields hold for them, ``pairs`` the good pairs (rhombus indices) and
+    ``lines`` the delta edges, omega edges and lambda links in that order, as
+    (tag, object, count, vertex ids, side id).  ``over`` holds the overlapping
+    rhombi, ``cover`` the coverage of overlapping triangles, by triangle.
     Returns the decomposition and each contour's vertex, triangle and side ids.
     """
-    corners = ix.corners
     paired: dict = {}   # rhombus -> its good pairs
     for i, pair in enumerate(pairs):
         for k in pair:
@@ -158,7 +161,7 @@ def _group(ix: TriangleIndex, rhombi, objs, pairs, lines, over=frozenset(), cove
     keys, bases = list(paired), []
     for members in components(paired.values()):
         comp = [keys[i] for i in members]
-        types = {ix.rtype(*rhombi[k]) for k in comp}
+        types = {kinds[k] for k in comp}
         assert len(types) == 1, "a base must have a single type"
         base = Base(rhombi=frozenset(objs[k] for k in comp), type=types.pop())
         bases.append((min(min(rhombi[k]) for k in comp), base))
@@ -185,7 +188,7 @@ def _group(ix: TriangleIndex, rhombi, objs, pairs, lines, over=frozenset(), cove
                 claimed.update(m[1] for m in near if m[0] == "d")
                 rh = frozenset(objs[ov[i]] for i in sub)
                 contour.overlapping.append(OverlappingSubcontour(
-                    rh, {t: cover[ix.tid(t)] - 1 for r in rh for t in r if ix.tid(t) in cover},
+                    rh, {t: cover[t] - 1 for r in rh for t in r if t in cover},
                     *(sum(m[2] for m in near if m[0] == tag) for tag in "dol")))
         free = [m for m in own if m[0] == "d" and m[1] not in claimed]
         contour.standard_delta = sorted(
@@ -202,39 +205,34 @@ def decompose(faces) -> Decomposition:
     """Split the rhombus configuration of a face set into bases and R-contours.
 
     The faces are projected by ``tiling._project_faces`` and grouped on the
-    ids of a ``TriangleIndex`` of their plane box.  Good pairs require both
-    rhombi simple and non-overlapping.  Bases are listed by their least
-    rhombus (sorted vertex lists); the first of largest extent is flagged as
-    the boundary-connected one (type 0 under standard boundary conditions).
+    projection's triangle ids, with vertices numbered by ``grid_ids``.  A
+    good pair is the two rhombi of the faces on a good 3D edge, both simple
+    and non-overlapping.  Bases are listed by their least rhombus (sorted
+    vertex lists); the first of largest extent is flagged as the
+    boundary-connected one (type 0 under standard boundary conditions).
     Contours are listed by ``sorted(support_vertices)``, and the overlapping
     subcontours of a contour by their least rhombus.
     """
-    (corners, _, tsum, cover, _), (ends, kind, count), (point, axis, links) = \
+    (corners, types, tris, cover, _), (ends, kind, count, good), (point, axis, links) = \
         _project_faces(*face_arrays(frozenset(faces)))
     # a lambda link joins the lattice vertices nearest to its doubled point
     # (the structures it links already share them in every interface)
-    tied = [((a // 2, b // 2), ((a + 1) // 2, (b + 1) // 2)) for a, b in point.tolist()]
-    ix = TriangleIndex({*map(tuple, corners.reshape(-1, 2).tolist()), *(p for pair in tied for p in pair)})
-
-    def vid(p):
-        return (p[..., 0] - ix.a0) * ix.H + p[..., 1] - ix.b0
-
-    rhombi = list(map(tuple, (2 * vid(tsum // 3) + (tsum[..., 0] % 3 == 2)).tolist()))
-    objs = [frozenset((frozenset((p, w1, q)), frozenset((p, w2, q))))
-            for p, w1, q, w2 in (map(tuple, c) for c in corners.tolist())]
+    tied = np.stack([point // 2, (point + 1) // 2], axis=1)
+    # one numbering of all vertices, two a row: sorted ids are sorted vertices
+    vid = grid_ids(np.concatenate([x.reshape(-1, 2) for x in (corners, ends, tied)])).reshape(-1, 2)
+    cv, ev, lv = np.split(vid, [2 * len(corners), 2 * len(corners) + len(ends)])
+    cv = cv.reshape(-1, 4)[:, [0, 1, 2, 0, 3, 2]].reshape(-1, 3)   # {p, w1, q} and {p, w2, q}
+    halves = [(frozenset((p, w1, q)), frozenset((p, w2, q)))
+              for p, w1, q, w2 in (map(tuple, c) for c in corners.tolist())]
     over = set((cover > 1).any(axis=1).nonzero()[0].tolist())
-    simple = {t: k for k, pair in enumerate(rhombi) if k not in over for t in pair}
-    d = ends[:, 1] - ends[:, 0]   # (1, 0), (0, 1) or (1, 1): side 0, 1 or 2 of the lower end
-    eids = (3 * vid(ends[:, 0]) + d[:, 0] + 2 * d[:, 1] - 1).tolist()
-    flanks = [tuple(simple.get(t) for t in ix.flank(e)) for e, c in zip(eids, kind.tolist()) if c == GOOD]
-    pairs = [(a, b) for a, b in flanks if a is not None and b is not None and a != b]
-    lines = [("do"[c == OMEGA], frozenset(map(tuple, e)), n, tuple(v), i)
-             for e, c, n, v, i in zip(ends.tolist(), kind.tolist(), count.tolist(), vid(ends).tolist(), eids)
-             if c != GOOD]
-    lines += [("l", (tuple(p), m), n, tuple(map(ix.vid, vs)), None)
-              for p, m, n, vs in zip(point.tolist(), axis.tolist(), links.tolist(), tied)]
-    cover = {t: c for pair, cs in zip(rhombi, cover.tolist()) for t, c in zip(pair, cs) if c > 1}
-    return _group(ix, rhombi, objs, pairs, lines, over, cover)[0]
+    pairs = [(a, b) for a, b in good.tolist() if a not in over and b not in over]
+    lines = [("do"[c == OMEGA], frozenset(map(tuple, e)), n, v, None)
+             for e, c, n, v in zip(ends.tolist(), kind.tolist(), count.tolist(), ev.tolist()) if c != GOOD]
+    lines += [("l", (tuple(p), m), n, v, None)
+              for p, m, n, v in zip(point.tolist(), axis.tolist(), links.tolist(), lv.tolist())]
+    cover = {t: c for pair, cs in zip(halves, cover.tolist()) for t, c in zip(pair, cs) if c > 1}
+    return _group(dict(zip(tris.ravel().tolist(), cv.tolist())), tris.tolist(), types.tolist(),
+                  list(map(frozenset, halves)), pairs, lines, over, cover)[0]
 
 
 def _collared(tiling: Tiling):
@@ -257,7 +255,8 @@ def _collared(tiling: Tiling):
         rk = {t: k for k, pair in enumerate(rhombi) for t in pair}
         good = [(rk[t], rk[u]) for t, u in good] + [(n + j, n + k) for j, k in ix.collar_good]
         lines = [("d", frozenset(ix.xy[v] for v in ends), 1, ends, e) for e in delta for ends in [ix.ends(e)]]
-        got = _DECOMPOSED[tiling] = _group(ix, rhombi, tiling.rhombi + ix.collar_rhombi, good, lines)
+        got = _DECOMPOSED[tiling] = _group(ix.corners, rhombi, [kind[t] for t, _ in rhombi],
+                                           tiling.rhombi + ix.collar_rhombi, good, lines)
     return got
 
 

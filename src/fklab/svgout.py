@@ -89,7 +89,7 @@ def tiling_svg(tiling: Tiling) -> str:
 def faces_svg(faces: Iterable) -> str:
     """The rhombus configuration of a face set: rhombi with an overlapping
     triangle shaded, delta and omega edges as heavy strokes."""
-    (corners, kind, _, cover, _), (ends, ekind, _), _ = _project_faces(*face_arrays(frozenset(faces)))
+    (corners, kind, _, cover, _), (ends, ekind, _, _), _ = _project_faces(*face_arrays(frozenset(faces)))
     rhombi = zip(corners.tolist(), kind.tolist(), (cover > 1).any(axis=1).tolist())
     ends, ekind = ends.tolist(), ekind.tolist()
     return _render(rhombi, *([e for e, c in zip(ends, ekind) if c == tag] for tag in (DELTA, OMEGA)))

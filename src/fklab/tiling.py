@@ -26,10 +26,10 @@ Triangles and rhombi are frozensets only at the boundary (``Region.triangles``,
 ``random_tiling`` walks heights by vertex id, and ``tiling_edges`` is the one
 edge rule of a tiling.  Tilings change only through their height function
 (``tiling_heights``, ``tiling_from_heights``).  A face set that need not be
-a minimal interface is projected by ``_project_faces`` to arrays: its
-distinct rhombi with their types, triangle keys and coverage, its edge
-classes counted per plane edge, and its lambda links.  ``rcontour.decompose``
-numbers them with a ``TriangleIndex``, ``svgout.faces_svg`` draws them, and
+a minimal interface is projected by ``_project_faces`` to arrays on ids of
+its own triangles (no plane box): its distinct rhombi with their types,
+triangle ids and coverage, its edge classes, and its lambda links.
+``rcontour.decompose`` groups them, ``svgout.faces_svg`` draws them, and
 ``interface_to_tiling`` reads its tiling off them.  The inverse,
 ``tiling_to_interface``, lifts each id pair of a tiling from the heights of
 its four corner ids (``heights_by_id``).
@@ -134,61 +134,6 @@ def r0_rhombus(t: Triangle) -> Rhombus:
     return rhombus_of(t, type_partner(t, 0))
 
 
-class TriangleIndex:
-    """Integer ids for the vertices, sides and triangles of a box of the plane.
-
-    The box holds ``points`` with a margin of one; boxes of more than
-    ``MAX_BOX_VERTICES`` vertices raise CapExceeded.  Vertex (a, b) has id
-    v = (a - a0) * H + (b - b0), so sorted vertex ids are sorted vertices.  The
-    triangles with lowest vertex v are 2v (``tri_dn``) and 2v + 1 (``tri_up``):
-    down sorts before up, so sorted triangle ids are sorted vertex lists.  The
-    side from v along (1,0), (0,1), (1,1) has id 3v, 3v + 1, 3v + 2.  Per
-    triangle, ``corners`` holds the sorted corners v0 < v1 < v2, and ``sides``
-    and ``across`` (-1 off the box) the sides v0v1, v0v2, v1v2 and the
-    triangles across them.
-    """
-
-    def __init__(self, points):
-        points = points or {(0, 0)}   # an empty region gets a box of its own
-        a0 = min(p[0] for p in points) - 1
-        b0 = min(p[1] for p in points) - 1
-        H = max(p[1] for p in points) - b0 + 2
-        W = max(p[0] for p in points) - a0 + 2
-        if W * H > MAX_BOX_VERTICES:
-            raise CapExceeded(f"triangle index capped at {MAX_BOX_VERTICES} box vertices, got {W * H}")
-        self.a0, self.b0, self.H = a0, b0, H
-        self.xy = [(a0 + v // H, b0 + v % H) for v in range(W * H)]
-        self.vclass = [(a + b) % 3 for a, b in self.xy]
-        self.stair = [(0, 1, -1)[c] for c in self.vclass]
-        self.corners, self.sides, self.across = [], [], []
-        for v in range(W * H):
-            i, j = divmod(v, H)
-            self.corners += [(v, v + 1, v + H + 1), (v, v + H, v + H + 1)]
-            self.sides += [(3 * v + 1, 3 * v + 2, 3 * v + 3), (3 * v, 3 * v + 2, 3 * (v + H) + 1)]
-            self.across += [(2 * (v - H) + 1 if i else -1, 2 * v + 1, 2 * v + 3 if j + 1 < H else -1),
-                            (2 * v - 2 if j else -1, 2 * v, 2 * (v + H) if i + 1 < W else -1)]
-
-    def vid(self, p: PlaneVertex) -> int:
-        return (p[0] - self.a0) * self.H + p[1] - self.b0
-
-    def tid(self, t: Triangle) -> int:
-        a, b = min(t)
-        return 2 * self.vid((a, b)) + ((a + 1, b) in t)
-
-    def ends(self, e: int) -> tuple[int, int]:
-        v, d = divmod(e, 3)
-        return v, v + (self.H, 1, self.H + 1)[d]
-
-    def flank(self, e: int) -> tuple[int, int]:
-        """The two triangles having side ``e``."""
-        v, d = divmod(e, 3)
-        return ((2 * v + 1, 2 * v - 2), (2 * v, 2 * (v - self.H) + 1), (2 * v + 1, 2 * v))[d]
-
-    def rtype(self, t: int, u: int) -> int:
-        """Type of the rhombus of ``t`` and ``u``: the class of t's corner off u."""
-        return self.vclass[self.corners[t][2 - self.across[t].index(u)]]
-
-
 # ---------------------------------------------------------------------------
 # Regions and tilings
 # ---------------------------------------------------------------------------
@@ -228,10 +173,18 @@ class Region:
         return RegionIndex(self)
 
 
-class RegionIndex(TriangleIndex):
+class RegionIndex:
     """The integer index of a region and its R0 collar, built once per region.
 
-    Besides the box tables: ``tri`` (id -> triangle, one object per id of the
+    The box tables number the bounding box of the region and its collar,
+    with a margin of one (more than ``MAX_BOX_VERTICES`` vertices raise
+    CapExceeded).  Vertex (a, b) is v = (a - a0) * H + (b - b0), with its
+    ``xy``, ``vclass`` and ``stair``; its triangles are 2v (``tri_dn``) and
+    2v + 1 (``tri_up``), so sorted ids are sorted vertices and sorted vertex
+    lists; its sides along (1,0), (0,1), (1,1) are 3v, 3v + 1, 3v + 2.  Per
+    triangle, ``corners`` holds the corners v0 < v1 < v2, and ``sides`` and
+    ``across`` (-1 off the box) the sides v0v1, v0v2, v1v2 and the triangles
+    across them.  Besides: ``tri`` (id -> triangle, one object per id of the
     region and its collar), ``ids`` (region triangle -> id, ascending),
     ``inside`` (the region's ids), ``vertices`` (sorted region vertex ids),
     ``inner`` (those whose star lies in the region) and ``links`` (per region
@@ -259,7 +212,25 @@ class RegionIndex(TriangleIndex):
                     if t not in seen:   # then neither is its type-0 partner
                         collar.append(r0_rhombus(t))
                         seen.update(collar[-1])
-        super().__init__({p for t in (*region.triangles, *(u for r in collar for u in r)) for p in t})
+        # an empty region gets a box of its own
+        points = {p for t in (*region.triangles, *(u for r in collar for u in r)) for p in t} or {(0, 0)}
+        a0 = min(p[0] for p in points) - 1
+        b0 = min(p[1] for p in points) - 1
+        H = max(p[1] for p in points) - b0 + 2
+        W = max(p[0] for p in points) - a0 + 2
+        if W * H > MAX_BOX_VERTICES:
+            raise CapExceeded(f"triangle index capped at {MAX_BOX_VERTICES} box vertices, got {W * H}")
+        self.a0, self.b0, self.H = a0, b0, H
+        self.xy = [(a0 + v // H, b0 + v % H) for v in range(W * H)]
+        self.vclass = [(a + b) % 3 for a, b in self.xy]
+        self.stair = [(0, 1, -1)[c] for c in self.vclass]
+        self.corners, self.sides, self.across = [], [], []
+        for v in range(W * H):
+            i, j = divmod(v, H)
+            self.corners += [(v, v + 1, v + H + 1), (v, v + H, v + H + 1)]
+            self.sides += [(3 * v + 1, 3 * v + 2, 3 * v + 3), (3 * v, 3 * v + 2, 3 * (v + H) + 1)]
+            self.across += [(2 * (v - H) + 1 if i else -1, 2 * v + 1, 2 * v + 3 if j + 1 < H else -1),
+                            (2 * v - 2 if j else -1, 2 * v, 2 * (v + H) if i + 1 < W else -1)]
         self.tri = dict(sorted((self.tid(t), t) for t in region.triangles))
         self.ids = {t: i for i, t in self.tri.items()}
         self.inside = set(self.tri)
@@ -285,6 +256,26 @@ class RegionIndex(TriangleIndex):
             assert not delta, "the collar's rhombi all have type 0"
             k = {t: i for i, pair in enumerate(self.collar) for t in pair}
             self.collar_good = [(k[t], k[u]) for t, u in good]
+
+    def vid(self, p: PlaneVertex) -> int:
+        return (p[0] - self.a0) * self.H + p[1] - self.b0
+
+    def tid(self, t: Triangle) -> int:
+        a, b = min(t)
+        return 2 * self.vid((a, b)) + ((a + 1, b) in t)
+
+    def ends(self, e: int) -> tuple[int, int]:
+        v, d = divmod(e, 3)
+        return v, v + (self.H, 1, self.H + 1)[d]
+
+    def flank(self, e: int) -> tuple[int, int]:
+        """The two triangles having side ``e``."""
+        v, d = divmod(e, 3)
+        return ((2 * v + 1, 2 * v - 2), (2 * v, 2 * (v - self.H) + 1), (2 * v + 1, 2 * v))[d]
+
+    def rtype(self, t: int, u: int) -> int:
+        """Type of the rhombus of ``t`` and ``u``: the class of t's corner off u."""
+        return self.vclass[self.corners[t][2 - self.across[t].index(u)]]
 
     def rhombi(self, pairs) -> tuple:
         """The rhombi of the id pairs ``pairs``, built from ``tri``."""
@@ -655,7 +646,7 @@ def pair_by_heights(ix: RegionIndex, h: list) -> list:
     return part
 
 
-def tiling_edges(ix: TriangleIndex, partner: list, order) -> tuple[list, list]:
+def tiling_edges(ix: RegionIndex, partner: list, order) -> tuple[list, list]:
     """The one edge rule of a tiling given as its ``partner`` table (-1 off it).
 
     A side between t and u != partner[t], both on the tiling, is good when
@@ -668,7 +659,7 @@ def tiling_edges(ix: TriangleIndex, partner: list, order) -> tuple[list, list]:
     return _edge_walk(ix, partner, order, {t: ix.rtype(t, partner[t]) for t in order})
 
 
-def _edge_walk(ix: TriangleIndex, partner: list, order, kind: dict) -> tuple[list, list]:
+def _edge_walk(ix: RegionIndex, partner: list, order, kind: dict) -> tuple[list, list]:
     """``tiling_edges`` over the triangles in ``order``, with ``kind`` the
     rhombus type of every triangle on the tiling, those off ``order`` too."""
     across, sides = ix.across, ix.sides
@@ -741,27 +732,28 @@ def config_from_heights(
 GOOD, DELTA, OMEGA = 0, 1, 2
 
 
-def shared_edges(k: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def shared_edges(k: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Classify the 3D edges shared by several of the faces (k[i], mu[i]).
 
     This is the one edge-classification rule.  An edge of two faces is
     ``DELTA`` when both have the same direction (coplanar, the striped
     pattern) and ``GOOD`` otherwise (the three-against-one pattern); an edge
     of four faces is ``OMEGA`` (the diagonal pattern); three faces on one edge
-    is an AssertionError.  Returns the kind of each shared edge and the
-    position 4i + j of its first side, side j of face i in ``face_sides``
-    order.  The faces must be distinct.
+    is an AssertionError.  Returns, by edge id, the kind of each shared edge
+    and the positions 4i + j of its first and last sides (side j of face i
+    in ``face_sides`` order).  The faces must be distinct.
     """
     ids = face_keys(k, mu).ravel()
-    _, first, inverse, count = np.unique(
-        ids, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(ids, kind="stable")
+    run = ids[order]   # one run per edge: its start, then the end of the last run
+    start = np.flatnonzero(np.diff(run, prepend=run[:1] - 1, append=run[-1:] + 1))
+    count = np.diff(start)
     if np.any(count == 3):
         raise AssertionError("a 3D edge is shared by 3 faces")
-    # two faces on an edge have the same direction when their mu sum is twice the first's
-    mu_of = np.repeat(mu, 4)
-    coplanar = np.bincount(inverse, weights=mu_of, minlength=len(count)) == 2 * mu_of[first]
     shared = count > 1
-    return np.where(count == 4, OMEGA, np.where(coplanar, DELTA, GOOD))[shared], first[shared]
+    first, last = order[start[:-1]][shared], order[start[1:] - 1][shared]
+    coplanar = mu[first // 4] == mu[last // 4]
+    return np.where(count[shared] == 4, OMEGA, np.where(coplanar, DELTA, GOOD)), first, last
 
 
 def good_pair_fraction_of_faces(faces: Iterable[Face]) -> tuple[float, bool]:
@@ -777,7 +769,7 @@ def good_pair_fraction_of_faces(faces: Iterable[Face]) -> tuple[float, bool]:
 
 def _good_pair_fraction(k: np.ndarray, mu: np.ndarray) -> tuple[float, bool]:
     """``good_pair_fraction_of_faces`` of the distinct faces (k[i], mu[i]), in any order."""
-    kind, _ = shared_edges(k, mu)
+    kind, _, _ = shared_edges(k, mu)
     good, delta, omega = np.bincount(kind, minlength=3).tolist()
     total = good + delta + omega
     # a face's triangles {lo, s1, hi} and {lo, s2, hi}, as in _project_faces,
@@ -807,13 +799,14 @@ def _project_faces(k: np.ndarray, mu: np.ndarray):
 
     * the distinct rhombi, least first (by their triangles' sorted vertex
       lists): plane corners (r, 4, 2) in ``rhombus_corners`` order
-      (p, w1, q, w2), type (r,), the keys of the triangles {p, w1, q} <
-      {p, w2, q} (r, 2, 2), the faces on each of them (r, 2) and the faces on
-      the rhombus (r,).  A triangle's key is its corner sum, (3a + 2, 3b + 1)
-      for ``tri_up(a, b)`` and (3a + 1, 3b + 2) for ``tri_dn(a, b)``;
+      (p, w1, q, w2), type (r,), the ids of the triangles {p, w1, q} <
+      {p, w2, q} (r, 2), the faces on each of them (r, 2) and the faces on
+      the rhombus (r,).  Triangle ids number the distinct triangles from 0,
+      in the order of their sorted vertex lists;
     * the ``shared_edges`` of the faces, counted per class and plane edge:
       plane ends (m, 2, 2) lower first, class (m,) and count (m,), sorted by
-      class, then ends;
+      class, then ends; and the rhombi of the two faces on each good 3D edge,
+      as pairs of rhombus indices (g, 2), by edge id;
     * the lambda links, stacked faces (k, mu) and (k + e_mu, mu): the
       projection of twice the centre of their cube (l, 2), mu (l,) and count
       (l,), sorted.
@@ -827,17 +820,21 @@ def _project_faces(k: np.ndarray, mu: np.ndarray):
     tsum = np.stack([p + w1 + q, p + w2 + q], axis=1)
     tri = 2 * grid_ids(tsum // 3) + (tsum[..., 0] % 3 == 2)   # sorted ids are sorted vertex lists
     _, at, cover = np.unique(tri.ravel(), return_inverse=True, return_counts=True)
-    _, first, mult = np.unique(grid_ids(tri), return_index=True, return_counts=True)   # pairs in order
+    _, first, rhombus, mult = np.unique(   # pairs in order
+        grid_ids(tri), return_index=True, return_inverse=True, return_counts=True)
+    at = at.reshape(-1, 2)[first]
     rhombi = (np.stack([p, w1, q, w2], axis=1)[first], ((k.sum(axis=1) + 2) % 3)[first],
-              tsum[first], cover[at.reshape(-1, 2)[first]], mult)
+              at, cover[at], mult)
 
-    kind, pos = shared_edges(k, mu)
+    kind, pos, last = shared_edges(k, mu)
+    good = kind == GOOD
     low, axis = face_sides(k, mu)
     low, axis = low.reshape(-1, 3)[pos], axis.ravel()[pos]
     a = low[:, :2] - low[:, 2:]
     rows = np.column_stack([kind, *_sorted_pair(a, a + np.array(UP_DIRS)[axis])])
     _, first, count = np.unique(grid_ids(rows), return_index=True, return_counts=True)
-    edges = (rows[first, 1:].reshape(-1, 2, 2), kind[first], count)
+    edges = (rows[first, 1:].reshape(-1, 2, 2), kind[first], count,
+             rhombus[np.stack([pos[good], last[good]], axis=1) // 4])
 
     faces = np.column_stack([k, mu])
     above = faces.copy()

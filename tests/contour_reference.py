@@ -137,19 +137,23 @@ def rconfiguration_from_faces(faces) -> RConfiguration:
 def projected(faces) -> RConfiguration:
     """``fklab.tiling._project_faces`` of a face set in the form of
     ``rconfiguration_from_faces``, in the projection's order.  Checks on the
-    way that each rhombus carries its type and its triangles' corner sums."""
-    (corners, kind, tsum, cover, mult), (ends, cls, count), (point, axis, links) = \
+    way that each rhombus carries its type, and that the triangle ids number
+    the distinct triangles from 0 in the order of their sorted vertex lists."""
+    (corners, kind, tri_ids, cover, mult), (ends, cls, count, _), (point, axis, links) = \
         _project_faces(*face_arrays(frozenset(faces)))
     rc = RConfiguration()
-    for (p, w1, q, w2), tau, sums, covers, m in zip(
-            corners.tolist(), kind.tolist(), tsum.tolist(), cover.tolist(), mult.tolist()):
+    ids = {}
+    for (p, w1, q, w2), tau, pair, covers, m in zip(
+            corners.tolist(), kind.tolist(), tri_ids.tolist(), cover.tolist(), mult.tolist()):
         tris = [frozenset(map(tuple, (p, w, q))) for w in (w1, w2)]
-        assert sums == [[sum(v[i] for v in t) for i in range(2)] for t in tris]
+        for t, i in zip(tris, pair):
+            assert ids.setdefault(t, i) == i
         r = frozenset(tris)
         assert r not in rc.rhombus_multiplicity and rhombus_type(r) == tau
         rc.rhombus_multiplicity[r] = m
         for t, c in zip(tris, covers):
             assert rc.coverage.setdefault(t, c) == c
+    assert [ids[t] for t in sorted(ids, key=sorted)] == list(range(len(ids)))
     for e, c, n in zip(ends.tolist(), cls.tolist(), count.tolist()):
         edges = (rc.good_edges, rc.delta_edges, rc.omega_edges)[c]
         assert frozenset(map(tuple, e)) not in edges

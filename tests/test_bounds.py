@@ -43,6 +43,19 @@ def test_cj_c0_limit_and_divergence():
     assert rep.ratio >= 1.0 and not rep.converges
 
 
+@pytest.mark.parametrize("d, t, beta", [
+    (0, 1.0, 50.0), (-3, 1.0, 50.0), (3.0, 1.0, 50.0), (True, 1.0, 50.0),   # d
+    (3, 0.0, 50.0), (3, -1.0, 50.0),                                        # t
+    (3, 1.0, 0.0), (3, 1.0, -50.0),                                         # beta
+])
+def test_cj_rejects_degenerate_inputs(d, t, beta):
+    """C_j needs a lattice dimension d >= 1, hopping t > 0 and beta > 0: a
+    negative beta makes C_0 = e^(-beta c U) huge, a negative d or t a
+    negative ratio."""
+    with pytest.raises(ValueError, match="integer d >= 1, t > 0 and beta > 0"):
+        cj_sequence(d, t, 24.0, beta)
+
+
 def test_k0_arithmetic_example():
     # C2*beta = 10 and lam*c_d*e^a = 1/2: k0 = 4 since 10/8 > 1 >= 10/16
     a = 2.0

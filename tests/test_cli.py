@@ -379,6 +379,27 @@ def test_bounds_b0_and_cj(tmp_path):
     assert doc2["values"]["2"] == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("command, doc", [
+    # an overflow inside the model: lambda0 of b0, c_nn of ModelCoefficients
+    ("bounds", {"op": "b0", "C1": 1, "C2": 1, "lambda": 1e-12, "a": 800}),
+    ("mc", {"dims": [3, 3, 3], "bc": "bc111", "hamiltonian": "h4", "U": 1e308, "beta": 1,
+            "sweeps": 20, "thermalization": 0, "measure_stride": 1}),
+    # results that strict JSON cannot hold: NaN couplings, an infinite C3
+    ("heff", {"dims": [2, 2, 2], "U": 8, "beta": 1e-320}),
+    ("bounds", {"op": "polymer", "C1": 1e308, "C2": 1e308, "lambda": 1e-300, "b": 1e308}),
+    # a negative beta, d and t
+    ("bounds", {"op": "cj", "U": 24, "beta": -50, "d": -3, "t": -1.0}),
+], ids=["b0-overflow", "mc-overflow", "heff-nan", "polymer-inf", "cj-degenerate"])
+def test_out_of_range_inputs_exit_2_and_write_nothing(tmp_path, capsys, command, doc):
+    """Inputs whose arithmetic overflows, or whose results are NaN or
+    infinite, are config errors: exit 2 with a JSON error line and no
+    artifact, never a traceback or a file of invalid JSON."""
+    out = tmp_path / "o"
+    assert main([command, "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["code"] == 2
+    assert not out.exists()
+
+
 def test_bounds_audit_consumes_coupling_files(tmp_path):
     c16 = _write(tmp_path, "c16.json", {"dims": [2, 2, 1], "U": 16.0, "beta": 256.0, "max_g": 4})
     c32 = _write(tmp_path, "c32.json", {"dims": [2, 2, 1], "U": 32.0, "beta": 512.0, "max_g": 4})

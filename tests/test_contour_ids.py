@@ -211,3 +211,15 @@ def test_empty_face_set(lo):
     assert good_pair_fraction_of_faces([]) == (1.0, False) == ref.good_pair_fraction_of_faces([])
     assert _fields(ref.projected([])) == [{}] * len(FIELDS)
     assert decompose([]).bases == [] == decompose([]).contours
+
+
+def test_sparse_face_set_decomposes_without_a_plane_box():
+    """Two face pairs whose projections lie about 600 steps apart (a plane
+    box of 366025 vertices) decompose as the oracle does: the grouping
+    numbers only the projection's own triangles and vertices, so no box is
+    built and no box cap applies.  One pair is a base, the other a contour."""
+    faces = [((0, 0, 0), 0), ((0, 0, 0), 1), ((600, -600, 0), 2), ((601, -600, 0), 2)]
+    got = _decomposition(decompose, faces)
+    assert got == _decomposition(lambda fs: tiling_reference.decompose(ref.rconfiguration_from_faces(fs)), faces)
+    assert got[2]["bases"] == [{"type": 2, "size": 2, "boundary": True}]
+    assert [c["std_delta"] for c in got[2]["contours"]] == [[1]]

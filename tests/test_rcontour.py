@@ -333,7 +333,7 @@ def test_collar_share_matches_the_full_window_walk(side, flips, seed):
     rcontour._DECOMPOSED.pop(tiling, None)
     with mock.patch.object(rcontour, "_group", wraps=rcontour._group) as group:
         rcontour._collared(tiling)
-    (fed_ix, rhombi, objs, pairs, lines), _ = group.call_args
+    (fed_corners, rhombi, kinds, objs, pairs, lines), _ = group.call_args
 
     ix = tiling.region.index
     window = tiling.pairs + ix.collar
@@ -342,7 +342,8 @@ def test_collar_share_matches_the_full_window_walk(side, flips, seed):
         partner[t], partner[u] = u, t
     good, delta = tiling_edges(ix, partner, [t for pair in window for t in pair])
     rk = {t: k for k, pair in enumerate(window) for t in pair}
-    assert fed_ix is ix and rhombi == window and objs == ix.rhombi(window)
+    assert fed_corners is ix.corners and rhombi == window and objs == ix.rhombi(window)
+    assert kinds == [ix.rtype(t, u) for t, u in window]
     assert pairs == [(rk[t], rk[u]) for t, u in good]
     assert [m[4] for m in lines] == delta and {m[0] for m in lines} <= {"d"}
 

@@ -53,13 +53,12 @@ from fklab.tiling import (
 def _projected_rhombus(k, mu):
     """The one rhombus of ``_project_faces`` of the face (k, mu), checked
     against ``plane_reference.project_face``: its corners, type and triangle
-    keys.  Returns the rhombus and the face's level n."""
-    (corners, kind, tsum, cover, mult), _, _ = _project_faces(np.array([k]), np.array([mu]))
+    ids.  Returns the rhombus and the face's level n."""
+    (corners, kind, tri_ids, cover, mult), _, _ = _project_faces(np.array([k]), np.array([mu]))
     r, n = project_face((k, mu))
     assert [tuple(c) for c in corners[0].tolist()] == list(rhombus_corners(r))
     assert kind.tolist() == [rhombus_type(r)] == [n % 3]
-    p, w1, q, w2 = rhombus_corners(r)
-    assert tsum[0].tolist() == [[sum(c) for c in zip(p, w, q)] for w in (w1, w2)]
+    assert tri_ids.tolist() == [[0, 1]]
     assert cover.tolist() == [[1, 1]] and mult.tolist() == [1]
     return r, n
 
