@@ -185,24 +185,27 @@ def components(keys: Iterable[Iterable[Hashable]]) -> list[list[int]]:
     """
     parent: list[int] = []
     owner: dict = {}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    # the root searches halve their paths inline; ``parent[r] = r = ...``
+    # assigns left to right, so the old r gets the grandparent
     for i, item_keys in enumerate(keys):
         parent.append(i)
         for k in item_keys:
             j = owner.setdefault(k, i)
             if j != i:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+                r = i
+                while parent[r] != r:
+                    parent[r] = r = parent[parent[r]]
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                if r != j:
+                    parent[r] = j
     groups: dict[int, list[int]] = {}
     for i in range(len(parent)):
-        groups.setdefault(find(i), []).append(i)
+        r = i
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        parent[i] = r
+        groups.setdefault(r, []).append(i)
     return list(groups.values())
 
 

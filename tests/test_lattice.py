@@ -222,6 +222,19 @@ def test_components_matches_bfs_oracle(keys):
     assert [g[0] for g in got] == [min(c) for c in expect]
 
 
+@pytest.mark.parametrize("keys", [
+    [(i, i + 1) for i in reversed(range(3000))],                     # a chain, listed from its far end
+    [(i,) for i in range(3000)] + [(i, i + 1) for i in range(2999)],  # singletons, then linked root to root
+    [tuple(range(3000))] + [(i,) for i in reversed(range(3000))],     # a star: a hub and its leaves
+    [(), (0,), (), (0, 1), (), (1,), ()],                            # items without keys stand alone
+], ids=["reversed-chain", "linked-roots", "star", "keyless"])
+def test_components_on_long_paths_matches_bfs_oracle(keys):
+    """Long inputs give the oracle's partition, with ascending members and
+    groups ordered by their first index.  Linking 3000 singletons root to
+    root builds a tree 3000 deep, which the last pass's path halving walks."""
+    assert components(iter(keys)) == [sorted(c) for c in _bfs_components(keys)]
+
+
 def _assert_least_row_labels(ids, lab):
     """``lab`` is the partition of ``_bfs_components`` on the rows of ``ids``,
     each row labelled with the least row of its component."""
