@@ -371,6 +371,34 @@ class RemovalReport:
         return any(info["contours_inside"] > 0 for info in self.interiors)
 
 
+def _complement(ix, supp_tris, blocked) -> dict:
+    """The components of the window (the region and its collar) off a
+    contour: its triangles outside ``supp_tris``, joined across every side
+    that is not in ``blocked`` (the contour's delta/omega side ids).  Returns
+    {least triangle: ascending triangles}, in ascending key order.
+
+    Side adjacency alone suffices: every corner of a contour rhombus and both
+    ends of each of its lines are support vertices, so the six triangles
+    around an off-support vertex inside the window lie outside the support
+    and unblocked sides join them around it (the window's outer edge lies in
+    the collar, which is all exterior)."""
+    across, sides, tri = ix.across, ix.sides, ix.tri
+    seen, groups = set(supp_tris), {}
+    for t in sorted(tri):   # so each walk starts at its component's least triangle
+        if t in seen:
+            continue
+        seen.add(t)
+        comp = [t]
+        for x in comp:   # the list grows while it is walked
+            for u, e in zip(across[x], sides[x]):
+                if u in tri and u not in seen and e not in blocked:
+                    seen.add(u)
+                    comp.append(u)
+        comp.sort()
+        groups[t] = comp
+    return groups
+
+
 def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoefficients):
     """Remove one R-contour from a minimal configuration by editing its heights.
 
@@ -392,7 +420,6 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
         raise ValueError(f"contour_index must be an integer, got {contour_index!r}")
     ix = tiling.region.index
     deco, ids = _collared(tiling)
-    win = sorted(ix.tri)   # the region and its collar
     if not deco.contours:
         raise ValueError("configuration has no contours to remove")
     if not (0 <= contour_index < len(deco.contours)):
@@ -401,29 +428,18 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
     f_before = sorted(f_energy(c, coeffs) for c in deco.contours)
     supp_verts, supp_tris, blocked = ids[contour_index]
 
-    # complement components: triangles joined through vertices off the
-    # target's support (keys < 0) and across sides between two support
-    # vertices that are not its delta/omega lines (any other side joins what
-    # an end's key joins); each is keyed by its least triangle, in that order
-    corners, sides = ix.corners, ix.sides
-    outside = [t for t in win if t not in supp_tris]
-
-    def keys(t):
-        off = [v for v in corners[t] if v not in supp_verts]
-        return [-1 - v for v in off] + [e for e, w in zip(sides[t], reversed(corners[t]))   # w: opposite e
-                                        if e not in blocked and (not off or off == [w])]
-
-    groups = {}
-    for members in components(map(keys, outside)):
-        tris = [outside[i] for i in members]
-        groups[min(tris)] = tris
+    # complement components: the triangles off the target's rhombi, joined
+    # across every side that is not one of its delta/omega lines; each is
+    # keyed by its least triangle, in that order
+    groups = _complement(ix, supp_tris, blocked)
     # the exterior holds the least triangle of the region and its collar,
     # which has a side on their boundary
-    exterior = win[0]
+    exterior = min(ix.tri)
     if exterior not in groups:
         raise ValueError("could not identify the exterior component")
 
     # heights of the region, and the staircase in the collar
+    corners = ix.corners
     h = heights_by_id(ix, tiling.partner)
 
     def adjacent_base_level(tris) -> int:

@@ -1,5 +1,6 @@
 """The rhombus-set Dobrushin removal, kept as the oracle for the height-edit
-removal in ``fklab.rcontour``.
+removal in ``fklab.rcontour``, and the keyed union-find rule for the
+complement of a contour, the oracle for the walk of ``rcontour._complement``.
 
 ``rhombus_remove`` translates each interior's rhombi by n * (1,1) (the plane
 step of S^n, n the level of the interior's adjacent base minus the level of
@@ -26,6 +27,28 @@ from tiling_reference import collared_assignment, decompose, rconfig_of_assignme
 
 def _translate_rhombus(r, d):
     return frozenset(frozenset((p[0] + d[0], p[1] + d[1]) for p in t) for t in r)
+
+
+def keyed_complement(ix, supp_verts, supp_tris, blocked):
+    """The components of the window off a contour, as ``components`` of keys:
+    the window triangles outside ``supp_tris`` in ascending id order, joined
+    through vertices off the support (keys < 0) and across sides between two
+    support vertices that are not in ``blocked`` (any other side joins what an
+    end's key joins).  Returns {least triangle: ascending triangles}, in
+    ascending key order."""
+    corners, sides = ix.corners, ix.sides
+    outside = [t for t in sorted(ix.tri) if t not in supp_tris]
+
+    def keys(t):
+        off = [v for v in corners[t] if v not in supp_verts]
+        return [-1 - v for v in off] + [e for e, w in zip(sides[t], reversed(corners[t]))   # w: opposite e
+                                        if e not in blocked and (not off or off == [w])]
+
+    groups = {}
+    for members in components(map(keys, outside)):
+        tris = [outside[i] for i in members]
+        groups[min(tris)] = tris
+    return groups
 
 
 def rhombus_remove(tiling, contour_index=0, *, coeffs):

@@ -348,6 +348,21 @@ def test_collar_share_matches_the_full_window_walk(side, flips, seed):
     assert [m[4] for m in lines] == delta and {m[0] for m in lines} <= {"d"}
 
 
+@settings(max_examples=40, deadline=None)
+@given(side=st.integers(2, 6), flips=st.integers(0, 120), seed=st.integers(0, 2**32 - 1))
+def test_complement_walk_matches_keyed_union_find(side, flips, seed):
+    """For every contour of a tiling, the side walk of ``_complement`` gives
+    the keyed union-find's components: the same keys, in the same order, with
+    the same members in the same order."""
+    tiling = random_tiling(_REGIONS[side], flips, seed=seed)
+    ix = tiling.region.index
+    for supp_verts, supp_tris, blocked in rcontour._collared(tiling)[1]:
+        got = rcontour._complement(ix, supp_tris, blocked)
+        want = removal_reference.keyed_complement(ix, supp_verts, supp_tris, blocked)
+        assert list(got.items()) == list(want.items())
+        assert min(ix.tri) in got   # the exterior
+
+
 def test_a_tiling_is_grouped_once_and_freed_with_it(monkeypatch):
     """``decompose_tiling`` then ``dobrushin_remove`` group the tiling once
     and the result once, which a later ``decompose_tiling`` reuses; dropping
