@@ -43,6 +43,10 @@ class ModelCoefficients:
     def __post_init__(self):
         if not (math.isfinite(self.U) and self.U >= 2):
             raise ValueError(f"coefficients are only sensible for finite U >= 2, got {self.U}")
+        try:
+            self.U**3   # the fourth-order coefficients divide by it
+        except OverflowError:
+            raise ValueError(f"U^3 overflows a float, got U = {self.U}") from None
 
     @property
     def j(self) -> float:

@@ -44,7 +44,8 @@ class FKParameters:
     """Couplings of the itinerant model; energies in units of the hopping.
 
     The half-filled neutral preset sets both chemical potentials to U.
-    beta must be finite and positive; U, t and both chemical potentials finite.
+    beta must be finite and positive, with a finite 1/beta; U, t and both
+    chemical potentials finite.
     """
 
     U: float
@@ -58,8 +59,8 @@ class FKParameters:
             object.__setattr__(self, "mu_e", self.U)
         if self.mu_i is None:
             object.__setattr__(self, "mu_i", self.U)
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta > 0 and math.isfinite(1.0 / float(self.beta))):
+            raise ValueError(f"beta must be finite and > 0 with a finite 1/beta, got {self.beta}")
         for name in ("U", "t", "mu_e", "mu_i"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

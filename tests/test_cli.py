@@ -8,6 +8,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -379,24 +380,31 @@ def test_bounds_b0_and_cj(tmp_path):
     assert doc2["values"]["2"] == pytest.approx(0.25)
 
 
-@pytest.mark.parametrize("command, doc", [
-    # an overflow inside the model: lambda0 of b0, c_nn of ModelCoefficients
-    ("bounds", {"op": "b0", "C1": 1, "C2": 1, "lambda": 1e-12, "a": 800}),
+@pytest.mark.parametrize("command, doc, key", [
+    # an overflow inside the model: lambda0 of b0; U^3, refused when ModelCoefficients is built
+    ("bounds", {"op": "b0", "C1": 1, "C2": 1, "lambda": 1e-12, "a": 800}, None),
     ("mc", {"dims": [3, 3, 3], "bc": "bc111", "hamiltonian": "h4", "U": 1e308, "beta": 1,
-            "sweeps": 20, "thermalization": 0, "measure_stride": 1}),
-    # results that strict JSON cannot hold: NaN couplings, an infinite C3
-    ("heff", {"dims": [2, 2, 2], "U": 8, "beta": 1e-320}),
-    ("bounds", {"op": "polymer", "C1": 1e308, "C2": 1e308, "lambda": 1e-300, "b": 1e308}),
+            "sweeps": 20, "thermalization": 0, "measure_stride": 1}, "U"),
+    # a beta whose 1/beta overflows, refused when FKParameters is built, before any trace
+    ("heff", {"dims": [2, 2, 2], "U": 8, "beta": 1e-320}, "beta"),
+    # a result that strict JSON cannot hold: an infinite C3
+    ("bounds", {"op": "polymer", "C1": 1e308, "C2": 1e308, "lambda": 1e-300, "b": 1e308}, None),
     # a negative beta, d and t
-    ("bounds", {"op": "cj", "U": 24, "beta": -50, "d": -3, "t": -1.0}),
+    ("bounds", {"op": "cj", "U": 24, "beta": -50, "d": -3, "t": -1.0}, None),
 ], ids=["b0-overflow", "mc-overflow", "heff-nan", "polymer-inf", "cj-degenerate"])
-def test_out_of_range_inputs_exit_2_and_write_nothing(tmp_path, capsys, command, doc):
+def test_out_of_range_inputs_exit_2_and_write_nothing(tmp_path, capsys, command, doc, key):
     """Inputs whose arithmetic overflows, or whose results are NaN or
-    infinite, are config errors: exit 2 with a JSON error line and no
-    artifact, never a traceback or a file of invalid JSON."""
+    infinite, are config errors: exit 2 with a JSON error line (naming the
+    key, where one is given) and no artifact, never a traceback, a file of
+    invalid JSON or a numerical warning on the way."""
     out = tmp_path / "o"
-    assert main([command, "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) == 2
-    assert json.loads(capsys.readouterr().err)["code"] == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == 2
+    if key is not None:
+        assert key in err["error"]
     assert not out.exists()
 
 

@@ -51,6 +51,8 @@ def test_spec_validation():
     for bad in (-1.0, 1.5):   # the coefficients need U >= 2
         with pytest.raises(ValueError):
             _spec(U=bad)
+    with pytest.raises(ValueError, match=r"U\^3 overflows"):   # and a finite U^3
+        _spec(U=1e308)
     with pytest.raises(CapExceeded):   # before the chain allocates its box
         _spec(dims=(1000, 1000, 1000))
     for bad in (math.nan, math.inf):

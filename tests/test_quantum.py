@@ -230,6 +230,9 @@ def test_parameters_reject_bad_values():
                 dict(U=math.nan), dict(t=math.inf), dict(mu_e=math.nan), dict(mu_i=-math.inf)):
         with pytest.raises(ValueError):
             FKParameters(**{"U": 8.0, "beta": 8.0, **bad})
+    with pytest.raises(ValueError, match="beta"):   # subnormal: 1/beta overflows
+        FKParameters(U=8.0, beta=1e-320)
+    assert FKParameters(U=8.0, beta=1e-300).beta == 1e-300
     assert FKParameters(U=8.0, beta=8.0, t=0.0).t == 0.0  # the atomic limit stays legal
 
 
