@@ -212,6 +212,13 @@ _KEY = st.one_of(st.integers(0, 25), st.tuples(st.integers(0, 3), st.integers(0,
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(_KEY, max_size=4), max_size=40))
+# long inputs, past the drawn lists' 40 items: a chain listed from its far end;
+# 3000 singletons linked root to root, a tree 3000 deep that the last pass's
+# path halving walks; a star (a hub and its leaves); items without keys
+@example([(i, i + 1) for i in reversed(range(3000))])
+@example([(i,) for i in range(3000)] + [(i, i + 1) for i in range(2999)])
+@example([tuple(range(3000))] + [(i,) for i in reversed(range(3000))])
+@example([(), (0,), (), (0, 1), (), (1,), ()])
 def test_components_matches_bfs_oracle(keys):
     got = components(iter(keys))
     expect = _bfs_components(keys)
@@ -220,19 +227,6 @@ def test_components_matches_bfs_oracle(keys):
     # ... each group in ascending order, groups ordered by their first index
     assert all(g == sorted(g) for g in got)
     assert [g[0] for g in got] == [min(c) for c in expect]
-
-
-@pytest.mark.parametrize("keys", [
-    [(i, i + 1) for i in reversed(range(3000))],                     # a chain, listed from its far end
-    [(i,) for i in range(3000)] + [(i, i + 1) for i in range(2999)],  # singletons, then linked root to root
-    [tuple(range(3000))] + [(i,) for i in reversed(range(3000))],     # a star: a hub and its leaves
-    [(), (0,), (), (0, 1), (), (1,), ()],                            # items without keys stand alone
-], ids=["reversed-chain", "linked-roots", "star", "keyless"])
-def test_components_on_long_paths_matches_bfs_oracle(keys):
-    """Long inputs give the oracle's partition, with ascending members and
-    groups ordered by their first index.  Linking 3000 singletons root to
-    root builds a tree 3000 deep, which the last pass's path halving walks."""
-    assert components(iter(keys)) == [sorted(c) for c in _bfs_components(keys)]
 
 
 def _assert_least_row_labels(ids, lab):
