@@ -11,6 +11,7 @@ Peierls constant c0 = 0.4 motivated by the contour audit).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .lattice import CapExceeded
@@ -20,6 +21,15 @@ from .quantum import TINY, CouplingTable, verify_decay
 C_D = 36.0
 #: Largest k0 ``polymer_report`` searches.
 MAX_K0 = 10_000
+
+
+def _exp_a(a: float) -> float:
+    """e^a for the free exponent a; ValueError naming a when it overflows."""
+    try:
+        return math.exp(a)
+    except OverflowError:
+        limit = math.log(sys.float_info.max)
+        raise ValueError(f"e^a overflows for a = {a!r}; a must be at most {limit:.6g}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +97,7 @@ class PolymerInputs:
             raise ValueError(f"polymer inputs must be finite, got {self}")
         if min(self.C1, self.C2, self.lam, self.b) <= 0:
             raise ValueError("C1, C2, lambda, b must be positive")
+        _exp_a(self.a)
 
     @property
     def beta(self) -> float:
@@ -172,8 +183,9 @@ def big_b(C1: float, C2: float) -> float:
 
 
 def lambda0(C1: float, C2: float, a: float = 2.0) -> float:
-    """Feasibility threshold lambda_0 = (B c_d^2 e^a)^(-1)."""
-    return 1.0 / (big_b(C1, C2) * C_D**2 * math.exp(a))
+    """Feasibility threshold lambda_0 = (B c_d^2 e^a)^(-1); an a whose e^a
+    overflows raises ValueError naming a."""
+    return 1.0 / (big_b(C1, C2) * C_D**2 * _exp_a(a))
 
 
 @dataclass
@@ -237,17 +249,18 @@ def cprime_curve(C1: float, C2: float, b_values, a: float = 2.0, log: bool = Fal
     relative window of ~1e-15; ``log=True`` returns log C'(b) instead, which
     stays representable (infeasible points give +inf either way).
     """
+    ea = _exp_a(a)
     lam0 = lambda0(C1, C2, a)
     B = big_b(C1, C2)
     r = math.log(C_D) / math.log(B * C_D)
-    d0 = C2 * C_D * math.exp(a)
+    d0 = C2 * C_D * ea
     X = C1 - C2 * C_D**3 * lam0**2 / (1.0 - C_D * lam0)
     out = []
     for b in b_values:
         k0bar = 1.0 + math.log(d0 * b) / math.log(B * C_D)
         A = (
             a + math.log(C_D)
-            + k0bar * lam0 * math.exp(a) / (1.0 - C_D * lam0 * math.exp(a)) ** 2
+            + k0bar * lam0 * ea / (1.0 - C_D * lam0 * ea) ** 2
             + C_D * (a + 0.25) * (k0bar + 1.0) * C_D**k0bar
         )
         qb = b * X - A

@@ -12,8 +12,11 @@ bounds become something to verify rather than to assume.
 The closed-walk measure g and the connectedness of every support in a window
 come from one ``lattice.subset_walks`` pass, which is also the one place the
 walk cap ``MAX_WALK_SITES`` is raised; ``extract_couplings`` takes it before
-any eigensolve.  ``CouplingTable.synthesize`` re-sums a table with one parity
-lookup and one dot product.
+any eigensolve.  A lattice symmetry of the cluster that fixes the window and
+its frozen exterior only permutes the one-body matrix, so ``extract_couplings``
+takes the trace once per symmetry orbit of window configurations.
+``CouplingTable.synthesize`` re-sums a table with one parity lookup and one
+dot product.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ from .lattice import (
 MAX_ELECTRON_SITES = 14
 MAX_ION_CONFIGS = 1 << 12
 TINY = 1e-13  # couplings at or below this count as zero in decay fits and audits
+
+# the 48 signed axis permutations (row j of each is +-e_perm[j]), the identity first
+_SIGNED_PERMS = (np.array(list(itertools.product((1, -1), repeat=3)))[:, None, :, None]
+                 * np.eye(3, dtype=int)[list(itertools.permutations(range(3)))]).reshape(-1, 3, 3)
 
 
 @dataclass(frozen=True)
@@ -105,14 +112,17 @@ def _trace_energies(adj: np.ndarray, W: np.ndarray, params: FKParameters) -> np.
 def effective_energy(sites: Sequence[Site], ion_config: dict, params: FKParameters) -> float:
     """H_eff = -(1/beta) log Tr exp(-beta H), traced over the full Fock space.
 
-    ``ion_config`` maps each site to W(x) in {0,1}.  H = sum (2U W - mu_e) n
-    - mu_i sum W - t sum (c+c + h.c.) is quadratic in the electrons, so the
-    trace is taken over its one-body levels; finite for all finite parameters.
+    ``ion_config`` maps each site to W(x) in {0,1}; any other value raises
+    ValueError naming the site.  H = sum (2U W - mu_e) n - mu_i sum W
+    - t sum (c+c + h.c.) is quadratic in the electrons, so the trace is taken
+    over its one-body levels; finite for all finite parameters.
     """
     sites, adj = _hopping(sites)
-    W = np.array([int(ion_config[s]) for s in sites], dtype=float)
-    if not np.all((W == 0) | (W == 1)):
-        raise ValueError("ion occupations must be 0/1")
+    occupations = [ion_config[s] for s in sites]
+    for s, occ in zip(sites, occupations):
+        if occ not in (0, 1):
+            raise ValueError(f"ion occupation at {s} must be 0 or 1, got {occ!r}")
+    W = np.array(occupations, dtype=float)
     return float(_trace_energies(adj, W, params))
 
 
@@ -164,13 +174,17 @@ class CouplingTable:
 
         Each support A contributes Phi_A with the sign (-1)^k, k the number of
         empty window sites in A; the signs come from one parity lookup and
-        the sum is one dot product.
+        the sum is one dot product.  An occupation other than 0/1 on a window
+        site raises ValueError.
         """
         if self._coeffs is None:
             raise ValueError("table was loaded without the full coefficient vector")
         m = 0
         for i, s in enumerate(self.window):
-            if ion_config[s]:
+            occ = ion_config[s]
+            if occ not in (0, 1):
+                raise ValueError(f"ion occupation at {s} must be 0 or 1, got {occ!r}")
+            if occ:
                 m |= 1 << i
         w = len(self.window)
         empty = np.arange(1 << w) & ~m
@@ -221,7 +235,8 @@ class CouplingTable:
 
 
 def _walsh_transform(values: np.ndarray) -> np.ndarray:
-    """In-place fast Walsh-Hadamard butterfly; length must be a power of two."""
+    """Fast Walsh-Hadamard butterfly on a copy of ``values``; length must be
+    a power of two."""
     a = values.copy()
     n = a.shape[0]
     h = 1
@@ -236,6 +251,52 @@ def _walsh_transform(values: np.ndarray) -> np.ndarray:
     return a
 
 
+def _orbits(sites: Sequence[Site], window: Sequence[Site],
+            base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the window bitmasks under the cluster's lattice symmetries.
+
+    A symmetry is a signed axis permutation, re-anchored to the bounding box
+    of ``sites`` (sorted), that maps the sites, the window and the exterior
+    occupations ``base`` (aligned with ``sites``) onto themselves; bit i of a
+    bitmask is ``window[i]``.  Returns the least bitmask of each orbit in
+    ascending order and the orbit index of every bitmask.
+
+    Each site gets an integer key from its coordinates, doubled and centred
+    on the box (where every re-anchored symmetry is linear), plus its label
+    (exterior empty, window, exterior occupied); a symmetry keeps the sorted
+    keys.  A box more than 2^19 sites across, whose keys could overflow
+    int64, is left unreduced.
+    """
+    w = len(window)
+    masks = np.arange(1 << w)
+    if w == 0:
+        return masks, masks
+    v = np.array(sites)
+    v = 2 * v - (v.min(axis=0) + v.max(axis=0))
+    radix = 2 * int(v.max()) + 1
+    if radix > 1 << 20:
+        return masks, masks
+    stride = np.array([3 * radix * radix, 3 * radix, 3])
+    index = {s: i for i, s in enumerate(sites)}
+    widx = [index[s] for s in window]
+    label = 2 * base.astype(int)
+    label[widx] = 1
+    key = v @ stride + label                          # ascending, as sites are sorted
+    image = (stride @ _SIGNED_PERMS) @ v.T + label    # [symmetry, site]
+    keep = (np.sort(image, axis=1) == key).all(axis=1)
+    if np.count_nonzero(keep) == 1:                   # the identity alone
+        return masks, masks
+    bit = np.zeros(len(sites), dtype=int)
+    bit[widx] = 1 << np.arange(w)
+    moved = bit[np.searchsorted(key, image[keep][:, widx])]   # image bit of each window bit
+    images = np.zeros((len(moved), 1), dtype=int)
+    for i in range(w):                                # images of masks 0 .. 2^(i+1) - 1
+        images = np.concatenate([images, images + moved[:, i:i + 1]], axis=1)
+    least = images.min(axis=0)
+    reps = np.flatnonzero(least == masks)
+    return reps, np.searchsorted(reps, least)
+
+
 def extract_couplings(
     sites: Iterable[Site],
     params: FKParameters,
@@ -245,13 +306,16 @@ def extract_couplings(
     """Mobius inversion of S -> H_eff over the +-1 monomial basis.
 
     Every ion configuration of the window (exterior frozen to the checkerboard
-    pattern ``neel_ion``) is solved exactly; the Walsh transform of the energy
-    vector gives the coupling of each spin monomial.  The coefficient of the
-    monomial on support A appears at order U^(-g(A)), with g measured by the
-    minimal closed walk through A.  The closed walk and the nearest-neighbour
+    pattern ``neel_ion``) is solved exactly, once per orbit under the lattice
+    symmetries of the cluster that fix the window and the exterior: each
+    configuration takes the energy of its orbit's least bitmask.  The Walsh
+    transform of the energy vector gives the coupling of each spin monomial.
+    The coefficient of the monomial on support A appears at order U^(-g(A)),
+    with g measured by the minimal closed walk through A.  The closed walk and the nearest-neighbour
     connectedness of every support come from one ``subset_walks`` pass over
     the window, taken before any eigensolve so that its ``MAX_WALK_SITES`` cap
-    is raised first.  Repeated window sites and ``max_g < 0`` raise ValueError.
+    is raised first; the symmetry search follows every cap and check.
+    Repeated window sites and ``max_g < 0`` raise ValueError.
     At most ``MAX_ELECTRON_SITES + 1`` sites are drawn from ``sites``, enough
     to raise that cap, so a huge volume's sites are never listed.
     """
@@ -276,9 +340,10 @@ def extract_couplings(
     # one-body matrix depends on it
     wset = set(window)
     base = np.array([0 if s in wset else neel_ion(s) for s in sites], dtype=float)
-    W = np.tile(base, (1 << w, 1))
-    W[:, [index[s] for s in window]] = (np.arange(1 << w)[:, None] >> np.arange(w)) & 1
-    energies = _trace_energies(adj, W, params)
+    reps, orbit = _orbits(sites, window, base)
+    W = np.tile(base, (len(reps), 1))
+    W[:, [index[s] for s in window]] = (reps[:, None] >> np.arange(w)) & 1
+    energies = _trace_energies(adj, W, params)[orbit]
 
     # Phi_A = (-1)^|A| * WHT(F)[A] / 2^w  for s' = 2W - 1
     size = popcounts(w)

@@ -381,8 +381,9 @@ def test_bounds_b0_and_cj(tmp_path):
 
 
 @pytest.mark.parametrize("command, doc, key", [
-    # an overflow inside the model: lambda0 of b0; U^3, refused when ModelCoefficients is built
-    ("bounds", {"op": "b0", "C1": 1, "C2": 1, "lambda": 1e-12, "a": 800}, None),
+    # overflows refused when the inputs are read: e^a of b0, whose message names a
+    # (math.exp's own "math range error" would not match); U^3 of ModelCoefficients
+    ("bounds", {"op": "b0", "C1": 1, "C2": 1, "lambda": 1e-12, "a": 800}, "e^a overflows for a = 800"),
     ("mc", {"dims": [3, 3, 3], "bc": "bc111", "hamiltonian": "h4", "U": 1e308, "beta": 1,
             "sweeps": 20, "thermalization": 0, "measure_stride": 1}, "U"),
     # a beta whose 1/beta overflows, refused when FKParameters is built, before any trace

@@ -1,6 +1,7 @@
 """Free-fermion effective energies against the Fock-space oracle, coupling
-extraction, decay."""
+extraction and its symmetry reduction, decay."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +9,15 @@ import pytest
 from fock_oracle import fock_blocks, fock_energy, fock_spectrum
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from orbit_reference import brute_orbits, neel_base, unreduced_coeffs
 from walk_reference import support_table
 
+from fklab import quantum
 from fklab.lattice import Volume
 from fklab.quantum import (
     CouplingTable,
     FKParameters,
+    _orbits,
     effective_energy,
     extract_couplings,
     neel_ion,
@@ -153,6 +157,113 @@ def test_permuted_window_matches_per_support_oracle(window):
     assert got == support_table(window, max_g=4)
     for e in table.entries:
         assert e.value == pytest.approx(_CUBE_TABLE.value(e.sites), abs=1e-12)
+
+
+def _orbit_partition(sites, window, base):
+    """``_orbits`` as sorted member lists ordered by their least member; each
+    representative is its orbit's least member."""
+    reps, orbit = _orbits(sites, window, base)
+    members = [np.flatnonzero(orbit == k).tolist() for k in range(len(reps))]
+    assert [m[0] for m in members] == reps.tolist()
+    return members
+
+
+_L12_WINDOW = [(-1, -1, -1), (0, -1, -1), (-1, 0, -1), (0, 0, -1)]
+
+
+@pytest.mark.parametrize("dims, window, count", [
+    ((2, 2, 2), None, 22),
+    ((3, 2, 2), None, 378),
+    ((2, 2, 3), None, 378),
+    ((3, 2, 2), _L12_WINDOW, 16),
+], ids=["2x2x2", "3x2x2", "2x2x3", "3x2x2-face"])
+def test_orbits_match_brute_force_partition(dims, window, count):
+    """Whole boxes as windows (orbit counts by Burnside's lemma) and the
+    4-site face of the 3x2x2 cluster, whose checkerboard exterior leaves
+    only the identity."""
+    sites = list(Volume(dims=dims, shell=1).sites())
+    window = window or sites
+    sites, base = neel_base(sites, window)
+    got = _orbit_partition(sites, window, base)
+    assert len(got) == count
+    assert got == brute_orbits(sites, window, base)
+
+
+_BOX3 = list(itertools.product(range(3), repeat=3))
+_SHAPES = (
+    [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0)],                   # L
+    [(x, y, z) for x, y in ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2)) for z in (0, 1)],  # two-layer L
+    [(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 1, 0), (1, 2, 0)],                   # T
+    [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (1, 2, 0), (1, 1, 1)],        # cross
+)
+
+
+@st.composite
+def _clusters(draw):
+    """A box of up to 12 sites, an irregular shape or a random subset of a
+    3x3x3 box, shifted; a window of up to 8 of its sites in shuffled order."""
+    kind = draw(st.sampled_from(["box", "shape", "subset"]))
+    if kind == "box":
+        dims = draw(st.sampled_from([d for d in itertools.product(range(1, 5), repeat=3)
+                                     if math.prod(d) <= 12]))
+        sites = list(Volume(dims=dims, shell=1).sites())
+    else:
+        sites = (draw(st.sampled_from(_SHAPES)) if kind == "shape"
+                 else draw(st.lists(st.sampled_from(_BOX3), min_size=1, max_size=12, unique=True)))
+        shift = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+        sites = [tuple(c + d for c, d in zip(s, shift)) for s in sites]
+    window = draw(st.permutations(sites))[:draw(st.integers(1, min(8, len(sites))))]
+    return sites, window
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cluster=_clusters(),
+    U=st.floats(1.0, 32.0),
+    beta=st.floats(0.05, 20.0),
+    t=st.floats(-2.0, 2.0),
+    mu_e=st.floats(-10.0, 40.0),
+    mu_i=st.floats(-10.0, 40.0),
+)
+def test_orbit_reduced_extraction_matches_unreduced_oracle(cluster, U, beta, t, mu_e, mu_i):
+    """The coefficient vector equals the dense Walsh sum of every bitmask's
+    own eigensolve within 1e-12 times the largest |energy| (eigvalsh is
+    backward stable: a permuted matrix moves each level by a few ulps of its
+    norm); ``_orbits`` gives the brute-force partition; and every bitmask of
+    an orbit enters the transform with bitwise the same energy."""
+    sites, window = cluster
+    params = FKParameters(U=U, beta=beta, t=t, mu_e=mu_e, mu_i=mu_i)
+    walsh = quantum._walsh_transform
+    transformed = []
+
+    def spy(values):
+        transformed.append(values.copy())
+        return walsh(values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantum, "_walsh_transform", spy)
+        table = extract_couplings(sites, params, max_g=2, window=window)
+    coeffs, energies = unreduced_coeffs(sites, window, params)
+    assert np.abs(table._coeffs - coeffs).max() <= 1e-12 * max(1.0, np.abs(energies).max())
+    sites, base = neel_base(sites, window)
+    orbits = brute_orbits(sites, window, base)
+    assert _orbit_partition(sites, window, base) == orbits
+    (used,) = transformed
+    for members in orbits:
+        assert np.unique(used[members].view(np.uint64)).size == 1
+
+
+@pytest.mark.parametrize("occupation", [0.5, 2, -1])
+@pytest.mark.parametrize("energy", [
+    lambda ion, p: effective_energy(CHAIN2, ion, p),
+    lambda ion, p: extract_couplings(CHAIN2, p, max_g=1).synthesize(ion),
+], ids=["effective_energy", "synthesize"])
+def test_occupations_other_than_0_1_rejected(energy, occupation):
+    """0.5 used to be truncated to 0 by effective_energy and read as 1 by
+    synthesize, and synthesize took 2 as 1; both now name the site."""
+    ion = {CHAIN2[0]: occupation, CHAIN2[1]: 1}
+    with pytest.raises(ValueError, match=r"\(0, 0, 0\)"):
+        energy(ion, FKParameters(U=8.0, beta=50.0))
 
 
 def test_malformed_window_rejected():
