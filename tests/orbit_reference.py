@@ -27,7 +27,8 @@ def neel_base(sites, window):
 def lattice_symmetries(sites, window, base):
     """Site maps (dicts) of the re-anchored signed axis permutations that keep
     the site set, the window and the exterior occupations."""
-    occupation = {s: ("window" if s in set(window) else b) for s, b in zip(sites, base)}
+    wset = set(window)
+    occupation = {s: ("window" if s in wset else b) for s, b in zip(sites, base)}
     lo = [min(s[a] for s in sites) for a in range(3)]
     found = []
     for perm in itertools.permutations(range(3)):
