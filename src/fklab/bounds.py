@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .lattice import CapExceeded
-from .quantum import TINY, CouplingTable, verify_decay
+from .quantum import TINY, CouplingTable, DecayReport, verify_decay
 
 #: Connectivity constant of the walk-counting bound in d = 3: (2d)^2.
 C_D = 36.0
@@ -61,15 +61,19 @@ def cj_sequence(d: int, t: float, U: float, beta: float, c: float = 0.5, jmax: i
         raise ValueError("c must lie in (0, 1)")
     if U <= 1.0:
         raise ValueError("U must exceed 1")
-    rho = 2.0 * d * t / (c * U)
+    try:   # an int d past the float range, or a power of rho past it
+        rho = 2.0 * d * t / (c * U)
+        powers = {j: rho**j for j in range(2, jmax + 1)}
+    except OverflowError:
+        rho = math.inf
+    if not math.isfinite(rho):
+        raise ValueError(f"the ratio 2dt/(cU) or its powers up to jmax = {jmax} overflow "
+                         f"for d = {d!r}, t = {t}, c = {c}, U = {U}")
     c0 = math.exp(-beta * c * U)
     tail = rho * rho / (1.0 - rho) if rho < 1.0 else math.inf
-    values = {0: c0}
-    for j in range(2, jmax + 1):
-        values[j] = rho**j
     total = c0 + tail
     return CjReport(ratio=rho, c0=c0, tail_sum=tail, total=total,
-                    converges=total < 1.0, values=values)
+                    converges=total < 1.0, values={0: c0, **powers})
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +182,23 @@ def q_of_b(C1: float, C2: float, lam: float, b: float, a: float = 2.0) -> float 
 
 
 def big_b(C1: float, C2: float) -> float:
-    """B = (1 + sqrt(1 + 4 c_d C2 / C1)) / 2; always exceeds one."""
+    """B = (1 + sqrt(1 + 4 c_d C2 / C1)) / 2; always exceeds one.  C1 and C2
+    must be positive, as in ``PolymerInputs``."""
+    if not (C1 > 0 and C2 > 0):
+        raise ValueError(f"C1 and C2 must be positive, got C1 = {C1!r}, C2 = {C2!r}")
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * C_D * C2 / C1))
 
 
 def lambda0(C1: float, C2: float, a: float = 2.0) -> float:
     """Feasibility threshold lambda_0 = (B c_d^2 e^a)^(-1); an a whose e^a
-    overflows raises ValueError naming a."""
-    return 1.0 / (big_b(C1, C2) * C_D**2 * _exp_a(a))
+    overflows, or whose lambda_0 is not finite and positive, raises
+    ValueError naming a."""
+    den = big_b(C1, C2) * C_D**2 * _exp_a(a)   # 0 once e^a underflows
+    lam0 = 1.0 / den if den > 0 else math.inf
+    if not 0.0 < lam0 < math.inf:
+        raise ValueError(f"lambda0 = 1/(B c_d^2 e^a) is not finite and positive "
+                         f"for a = {a!r} (C1 = {C1!r}, C2 = {C2!r})")
+    return lam0
 
 
 @dataclass
@@ -284,18 +297,14 @@ def cprime_curve(C1: float, C2: float, b_values, a: float = 2.0, log: bool = Fal
 
 @dataclass
 class DecayAudit:
-    c1: float | None          # fitted decay base, bound = c2t * (c1/U)^g
-    c2t: float | None         # fitted prefactor
+    fit: DecayReport          # verify_decay's fit: |coupling| <= fit.c1 * (fit.c/U)^g
     violations: list
     pair_exponent_ok: bool | None
-    trivial: bool
 
 
 def decay_audit(table: CouplingTable, table_2u: CouplingTable | None = None) -> DecayAudit:
-    """Fit |coupling| <= c2t (c1/U)^g to a coupling table and audit it.
-
-    The fit is the one of ``quantum.verify_decay``: c1 is its decay base c,
-    c2t its prefactor c1.
+    """Audit a coupling table against the bound |coupling| <= c1 (c/U)^g of
+    its ``quantum.verify_decay`` fit, kept as ``fit``.
 
     With a companion table at doubled U the audit also checks the pair-cluster
     refinement: after removing the explicit 1/(4U) part, nearest-neighbour
@@ -304,12 +313,11 @@ def decay_audit(table: CouplingTable, table_2u: CouplingTable | None = None) -> 
     """
     fit = verify_decay(table)
     if fit.trivial:
-        return DecayAudit(c1=None, c2t=None, violations=[], pair_exponent_ok=None, trivial=True)
-    c1, c2t = fit.c, fit.c1
+        return DecayAudit(fit=fit, violations=[], pair_exponent_ok=None)
     violations = []
-    if c1 is not None:
+    if fit.c is not None:
         for e in table.entries:
-            if e.size >= 2 and abs(e.value) > c2t * (c1 / table.U) ** e.g * (1 + 1e-9):
+            if e.size >= 2 and abs(e.value) > fit.c1 * (fit.c / table.U) ** e.g * (1 + 1e-9):
                 violations.append(e)
 
     pair_ok = None
@@ -324,5 +332,4 @@ def decay_audit(table: CouplingTable, table_2u: CouplingTable | None = None) -> 
             return best
         t1, t2 = pair_tail(table), pair_tail(table_2u)
         pair_ok = (t2 < TINY) or (t1 / t2 >= 4.0)
-    return DecayAudit(c1=c1, c2t=c2t, violations=violations,
-                      pair_exponent_ok=pair_ok, trivial=False)
+    return DecayAudit(fit=fit, violations=violations, pair_exponent_ok=pair_ok)

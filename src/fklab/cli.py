@@ -27,7 +27,7 @@ from .bounds import (
 from .classical import ModelCoefficients, extract_contours, h2_relative_energy, h4_relative_energy
 from .lattice import CapExceeded, SpinConfiguration, Volume
 from .mc import RunSpec, _pinned_faces, mc_run
-from .quantum import CouplingTable, FKParameters, extract_couplings, verify_decay
+from .quantum import CouplingTable, FKParameters, extract_couplings
 from .svgout import faces_svg, tiling_svg
 from .tiling import (
     MAX_TILING_TRIANGLES,
@@ -170,8 +170,8 @@ def cmd_heff(config_path: str, out: Path, seed) -> int:
     params = FKParameters(**_take(cfg, "U", "beta", "t"))
     table = extract_couplings(vol.sites(), params, max_g=cfg.get("max_g", 3),
                               **_take(cfg, "window"))
-    decay = verify_decay(table)
     audit = decay_audit(table)
+    decay = audit.fit
     prov = _provenance(doc, seed)
     _write_json(out / "couplings.json", {"provenance": prov, **table.to_json()})
     _write_json(out / "decay.json", {
@@ -183,8 +183,8 @@ def cmd_heff(config_path: str, out: Path, seed) -> int:
         "fit_c": decay.c,
         "decreasing": decay.decreasing if not decay.trivial else None,
         "audit": {
-            "c1": audit.c1, "c2_tilde": audit.c2t,
-            "violations": len(audit.violations), "trivial": audit.trivial,
+            "c1": decay.c, "c2_tilde": decay.c1,
+            "violations": len(audit.violations), "trivial": decay.trivial,
         },
     })
     return EXIT_OK
@@ -323,9 +323,9 @@ def cmd_bounds(config_path: str, out: Path, seed) -> int:
         # the couplings table, then the one at doubled U if the config names it
         r = decay_audit(*(CouplingTable.from_json(blob) for blob in cfg.values()))
         payload = {
-            "provenance": prov, "c1": r.c1, "c2_tilde": r.c2t,
+            "provenance": prov, "c1": r.fit.c, "c2_tilde": r.fit.c1,
             "violations": len(r.violations),
-            "pair_exponent_ok": r.pair_exponent_ok, "trivial": r.trivial,
+            "pair_exponent_ok": r.pair_exponent_ok, "trivial": r.fit.trivial,
         }
     _write_json(out / f"bounds_{op}.json", payload)
     return EXIT_OK

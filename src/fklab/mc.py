@@ -104,8 +104,8 @@ class RunSpec:
         for name in _INT_FIELDS:
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:   # the Philox key holds it as a uint64
+            raise ValueError(f"seed must be >= 0 and < 2^64, got {self.seed}")
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"need finite beta >= 0, got {self.beta}")
         # raises ValueError for a U the coefficients reject or an unknown hamiltonian
@@ -348,14 +348,14 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
     spin only do their bookkeeping.  The outputs are those of a chain that
     recomputes everything at every class visit and measurement.
     """
-    if not _is_int(replica) or replica < 0:
-        raise ValueError(f"replica must be an integer >= 0, got {replica!r}")
+    if not _is_int(replica) or not 0 <= replica < 2**64:
+        raise ValueError(f"replica must be an integer >= 0 and < 2^64, got {replica!r}")
     vol = spec.volume()
     terms = interaction_terms(ModelCoefficients(U=spec.U), spec.hamiltonian)
     config0 = SpinConfiguration.from_boundary(vol, spec.bc)
     spins = config0.spins.ravel().copy()
     lat = _Lattice(vol, terms)
-    rng = np.random.Generator(np.random.Philox(key=(spec.seed, replica)))
+    rng = np.random.Generator(np.random.Philox(key=np.array([spec.seed, replica], dtype=np.uint64)))
     pair_w, plq_w = lat.pair_w, lat.plq_w
     rounds = 2 if spec.move_set == "single-flip+hexagon-flip" else 1
     beta = spec.beta

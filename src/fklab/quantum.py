@@ -105,7 +105,8 @@ def _trace_energies(adj: np.ndarray, W: np.ndarray, params: FKParameters) -> np.
     eps = np.linalg.eigvalsh(M)
     if not np.all(np.isfinite(eps)):
         raise FloatingPointError("non-finite spectrum")
-    levels = np.minimum(eps, 0.0) - np.log1p(np.exp(-params.beta * np.abs(eps))) / params.beta
+    with np.errstate(over="ignore"):   # beta |eps| past the float range: e^-inf = 0 is the limit
+        levels = np.minimum(eps, 0.0) - np.log1p(np.exp(-params.beta * np.abs(eps))) / params.beta
     return levels.sum(axis=-1) - params.mu_i * W.sum(axis=-1)
 
 

@@ -34,17 +34,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classical import ModelCoefficients, face_arrays, grid_ids
-from .lattice import CapExceeded, components
+from .lattice import components
 from .tiling import (
     GOOD,
-    MAX_COVER_TRIANGLES,
     OMEGA,
     Tiling,
     _edge_walk,
     _project_faces,
     heights_by_id,
     pair_by_heights,
-    rhombus_of,
+    tri_up,
     triangles_across,
 )
 
@@ -288,34 +287,36 @@ class GeometricContour:
 def minimal_rhombus_cover(support: frozenset) -> int:
     """Minimum number of rhombi inside ``support`` whose union covers it.
 
-    Exact branch-and-bound over the first uncovered triangle; rhombi may
-    overlap (covers are by whole rhombi).  Desk scale: at most
-    ``MAX_COVER_TRIANGLES`` triangles.
+    Rhombi may overlap (covers are by whole rhombi), so a cover is an edge
+    cover of the graph of support triangles joined across shared sides, and
+    its least size is |support| minus a maximum matching (Gallai).  The
+    graph is bipartite (up against down triangles), and the matching grows
+    by a breadth-first augmenting path from each up triangle (König).
     """
-    if len(support) > MAX_COVER_TRIANGLES:
-        raise CapExceeded(f"minimal cover capped at supports of {MAX_COVER_TRIANGLES} triangles")
-    tris = sorted(support, key=lambda t: sorted(t))
-    candidates: dict = {}
-    for t in tris:
-        cand = [rhombus_of(t, u) for u in triangles_across(t) if u in support]
-        if not cand:
+    across = {}
+    for t in support:
+        across[t] = [u for u in triangles_across(t) if u in support]
+        if not across[t]:
             raise ValueError("support triangle not coverable by a rhombus inside support")
-        candidates[t] = cand
-
-    best = [len(tris)]  # never need more rhombi than triangles
-
-    def search(uncovered: frozenset, used: int):
-        if used >= best[0]:
-            return
-        if not uncovered:
-            best[0] = used
-            return
-        t = min(uncovered, key=lambda x: sorted(x))
-        for r in candidates[t]:
-            search(uncovered - set(r), used + 1)
-
-    search(frozenset(tris), 0)
-    return best[0]
+    mate: dict = {}   # matched triangle -> its partner, both ways
+    for root in across:
+        if root != tri_up(*min(root)):
+            continue
+        came = {}   # down triangle -> the up triangle its path reached it from
+        queue = [root]
+        for t in queue:   # the queue grows while it is walked
+            free = next((u for u in across[t] if u not in came and u not in mate), None)
+            if free is not None:   # flip the path root ... t, free
+                came[free] = t
+                while free is not None:
+                    t = came[free]
+                    mate[free], mate[t], free = t, free, mate.get(t)
+                break
+            for u in across[t]:
+                if u not in came:
+                    came[u] = t
+                    queue.append(mate[u])
+    return len(across) - len(mate) // 2
 
 
 def geometric_class(contour: RContour) -> GeometricContour:

@@ -67,8 +67,6 @@ ALL_DIRS = UP_DIRS + DOWN_DIRS
 MAX_BOX_VERTICES = 1 << 18
 #: Largest region ``enumerate_tilings`` lists the tilings of, in triangles.
 MAX_TILING_TRIANGLES = 60
-#: Largest support ``rcontour.minimal_rhombus_cover`` searches, in triangles.
-MAX_COVER_TRIANGLES = 24
 
 
 def vertex_class(p: PlaneVertex) -> int:

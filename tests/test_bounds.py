@@ -149,8 +149,8 @@ def test_decay_audit_on_exact_tables():
     t16 = extract_couplings(PLAQ4, FKParameters(U=16.0, beta=256.0), max_g=4)
     t32 = extract_couplings(PLAQ4, FKParameters(U=32.0, beta=512.0), max_g=4)
     audit = decay_audit(t16, t32)
-    assert not audit.trivial
-    assert audit.c1 is not None and audit.c1 / 16.0 < 1.0
+    assert not audit.fit.trivial
+    assert audit.fit.c is not None and audit.fit.c / 16.0 < 1.0
     assert audit.violations == []
     assert audit.pair_exponent_ok  # pair tails drop by >= 4x when U doubles
 
@@ -158,4 +158,4 @@ def test_decay_audit_on_exact_tables():
 def test_decay_audit_trivial_at_t0():
     t0 = extract_couplings(PLAQ4, FKParameters(U=16.0, beta=64.0, t=0.0), max_g=4)
     audit = decay_audit(t0)
-    assert audit.trivial and audit.violations == []
+    assert audit.fit.trivial and audit.violations == []

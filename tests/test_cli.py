@@ -392,7 +392,16 @@ def test_bounds_b0_and_cj(tmp_path):
     ("bounds", {"op": "polymer", "C1": 1e308, "C2": 1e308, "lambda": 1e-300, "b": 1e308}, None),
     # a negative beta, d and t
     ("bounds", {"op": "cj", "U": 24, "beta": -50, "d": -3, "t": -1.0}, None),
-], ids=["b0-overflow", "mc-overflow", "heff-nan", "polymer-inf", "cj-degenerate"])
+    # a negative C1 (no square root of B), an e^a that underflows (no lambda0),
+    # and a d whose ratio 2dt/(cU) overflows at its 12th power
+    ("bounds", {"op": "b0", "C1": -1, "C2": 1, "lambda": 1e-12}, "C1 and C2 must be positive"),
+    ("bounds", {"op": "b0", "C1": 1, "C2": 1, "lambda": 1e-12, "a": -1e308}, "not finite and positive"),
+    ("bounds", {"op": "cj", "U": 24, "beta": 50, "d": 10**30}, "2dt/(cU)"),
+    # a seed past the 64 bits of the Philox key
+    ("mc", {"dims": [3, 3, 3], "bc": "bc111", "hamiltonian": "h2", "U": 4, "beta": 1,
+            "sweeps": 20, "thermalization": 0, "measure_stride": 1, "seed": 2**64}, "seed"),
+], ids=["b0-overflow", "mc-overflow", "heff-nan", "polymer-inf", "cj-degenerate",
+        "b0-negative-c1", "b0-underflow", "cj-overflow", "mc-seed"])
 def test_out_of_range_inputs_exit_2_and_write_nothing(tmp_path, capsys, command, doc, key):
     """Inputs whose arithmetic overflows, or whose results are NaN or
     infinite, are config errors: exit 2 with a JSON error line (naming the

@@ -51,7 +51,9 @@ import numpy as np
 import tiling_reference as ref
 from fklab.classical import ModelCoefficients, extract_contours
 from fklab.lattice import SpinConfiguration, Volume
-from fklab.rcontour import DobrushinViolation, decompose, decompose_tiling, dobrushin_remove
+from fklab.rcontour import (
+    DobrushinViolation, decompose, decompose_tiling, dobrushin_remove, geometric_class,
+)
 from fklab.svgout import faces_svg, tiling_svg
 from fklab.tiling import enumerate_tilings, hexagon_region, r0_closure, random_tiling
 
@@ -153,6 +155,24 @@ def test_connectivity_outputs_match_golden_digests():
         "contours": _digest(_contour_records()),
     }
     assert got == GOLDEN
+
+
+def test_every_overlapping_interface_contour_has_a_geometric_class():
+    """Each R-contour with overlapping parts in the near-interface face sets
+    gets its class (supports up to 76 triangles): every r_ov lies between
+    the rhombi that the support's triangles need at least and a_ov."""
+    classes = 0
+    for seed in range(6):
+        for c in extract_contours(_flipped_bc111(seed, True)):
+            for contour in decompose(c.faces).contours:
+                if not contour.overlapping:
+                    continue
+                gc = geometric_class(contour)
+                a_ov = {ov.support: ov.a_ov for ov in contour.overlapping}
+                for support, r in zip(gc.overlapping_supports, gc.r_ov):
+                    assert (len(support) + 1) // 2 <= r <= a_ov[support]
+                classes += 1
+    assert classes == 19
 
 
 def test_tiling_svgs_match_golden_digest():

@@ -286,8 +286,7 @@ def test_library_caps_raise_cap_exceeded():
         extract_couplings(line, params, max_g=10)
     with pytest.raises(CapExceeded):
         enumerate_tilings(hexagon_region(4))
-    with pytest.raises(CapExceeded):
-        minimal_rhombus_cover(hexagon_region(3).triangles)
+    assert minimal_rhombus_cover(hexagon_region(3).triangles) == 27
     # the padded-site cap holds at its boundary, raised before any array is built
     assert math.prod(Volume(dims=(126, 126, 126), shell=1).padded_dims) == MAX_PADDED_SITES
     with pytest.raises(CapExceeded):

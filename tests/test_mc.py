@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -81,8 +82,10 @@ def test_spec_validation():
                 _spec(**{name: bad})
     with pytest.raises(ValueError, match="seed"):   # Philox would cast it with a warning
         _spec(seed=-1)
+    with pytest.raises(ValueError, match="seed"):   # the Philox key holds 64 bits
+        _spec(seed=2**64)
     assert _spec(seed=np.int64(3), sweeps=np.int32(20)).seed == 3
-    for bad in (True, 1.0, 1.5, -1, "0"):
+    for bad in (True, 1.0, 1.5, -1, "0", 2**64):
         with pytest.raises(ValueError, match="replica"):
             mc_run(_spec(), replica=bad)
 
@@ -242,6 +245,18 @@ def test_determinism_byte_for_byte():
     assert list(s1.csv_rows()) == list(s2.csv_rows())
     s3 = mc_run(spec, replica=2)
     assert list(s1.csv_rows()) != list(s3.csv_rows())  # replicas independent
+
+
+def test_seeds_above_2_63_give_their_own_chains():
+    """Every seed below 2^64 keys its own stream: 2^63 and 2^63 + 1024 (the
+    same float64) differ, and 2^64 - 1 runs without a cast warning."""
+    rows = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (2**63, 2**63 + 1024, 2**64 - 1):
+            spec = _spec(dims=(3, 3, 3), bc="bc111", beta=4.0, seed=seed)
+            rows[seed] = list(mc_run(spec).csv_rows())
+    assert len({tuple(r) for r in rows.values()}) == 3
 
 
 def test_beta_zero_accepts_everything():

@@ -3,6 +3,8 @@ extraction and its symmetry reduction, decay."""
 
 import itertools
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +304,21 @@ def test_beta_stability_of_couplings():
         assert e1.sites == e2.sites
         if abs(e1.value) > 1e-12:
             assert abs(e1.value - e2.value) <= 1e-3 * abs(e1.value)
+
+
+def test_largest_betas_are_warning_free_and_equal_the_zero_temperature_limit():
+    """beta |eps| overflows past beta ~ 1e308; e^-inf = 0 is the limit, so the
+    table equals the one at beta = 1e300, bit for bit, without a warning."""
+    def values(beta):
+        table = extract_couplings(CHAIN2, FKParameters(U=8.0, beta=beta), max_g=2)
+        return table.constant, [(e.sites, e.value) for e in table.entries]
+
+    want = values(1e300)
+    assert want[1][-1] == (tuple(CHAIN2), 0.031128874149274566)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (1e308, sys.float_info.max):
+            assert values(beta) == want
 
 
 def test_decay_levels_and_u_suppression():

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import contour_reference
+from cover_reference import branch_and_bound_cover
 import removal_reference
 import tiling_reference as ref
 from fklab import rcontour
@@ -49,6 +50,7 @@ from fklab.tiling import (
     tiling_heights,
     tiling_to_interface,
     tri_up,
+    triangles_across,
     vertex_class,
 )
 
@@ -170,6 +172,49 @@ def test_geometric_class_of_pyramid():
     assert len(gc.overlapping_supports) == 1
     assert gc.r_ov == (6,)
     assert ups.overlapping[0].a_ov >= gc.r_ov[0]
+
+
+def _grown_piece(picks, origin):
+    """A connected set of triangles grown from the up triangle at ``origin``:
+    each pick adds one triangle across a side of the piece, chosen from them
+    in sorted vertex order."""
+    piece = {tri_up(*origin)}
+    for k in picks:
+        rim = sorted({u for t in piece for u in triangles_across(t)} - piece, key=sorted)
+        piece.add(rim[k % len(rim)])
+    return piece
+
+
+def _picks(most):
+    """Lists of picks, their lengths uniform in 0..most (plain lists run short)."""
+    return st.integers(0, most).flatmap(lambda n: st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=_picks(19), second=st.none() | _picks(9))
+def test_minimal_cover_matches_branch_and_bound(first, second):
+    """The matching cover equals the branch-and-bound oracle on connected
+    supports and on supports with a second, disjoint piece, of at most 20
+    triangles.  A one-triangle piece cannot be covered, and both refuse it."""
+    if second is None:
+        support = _grown_piece(first, (0, 0))
+    else:
+        support = _grown_piece(first[:9], (0, 0)) | _grown_piece(second, (40, 0))
+    support = frozenset(support)
+    try:
+        want = branch_and_bound_cover(support)
+    except ValueError:
+        with pytest.raises(ValueError, match="not coverable"):
+            minimal_rhombus_cover(support)
+        return
+    assert minimal_rhombus_cover(support) == want
+
+
+def test_minimal_cover_of_hexagons():
+    # a side-n hexagon tiles exactly: 6n^2 triangles, 3n^2 rhombi
+    for side, want in ((1, 3), (2, 12), (3, 27), (10, 300)):
+        assert minimal_rhombus_cover(hexagon_region(side).triangles) == want
+    assert minimal_rhombus_cover(frozenset()) == 0
 
 
 def test_standard_contour_geometric_class_is_itself():
