@@ -23,8 +23,9 @@ Triangles and rhombi are frozensets only at the boundary (``Region.triangles``,
 ``Tiling.rhombi``, JSON, SVG).  The tiling layer runs on the integer ids of
 ``Region.index``, built once per region with its R0 collar: a tiling is its
 ``partner`` table and nothing else (``Tiling.rhombi`` is a view of it),
-``random_tiling`` walks heights by vertex id, and ``tiling_edges`` is the one
-edge rule of a tiling.  Tilings change only through their height function
+``random_tiling`` walks heights by vertex id (a seeded walk, not a sampler:
+its law weights a tiling by its flip positions), and ``tiling_edges`` is the
+one edge rule of a tiling.  Tilings change only through their height function
 (``tiling_heights``, ``tiling_from_heights``).  A face set that need not be
 a minimal interface is projected by ``_project_faces`` to arrays on ids of
 its own triangles (no plane box): its distinct rhombi with their types,
@@ -44,6 +45,7 @@ delta edge, two of different directions a good edge, four an omega edge.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -461,39 +463,38 @@ def random_tiling(region: Region, flips: int, seed: int) -> Tiling:
     """Seeded random walk over tilings by elementary flips of the height function.
 
     Starts from the staircase heights, the all-type-0 tiling of an R0-closed
-    region, and applies ``flips`` uniformly chosen flips; deterministic in the
-    seed.  A vertex whose star lies in the region flips when its six
-    neighbours lie 1 and 2 above it, or 1 and 2 below: the terrace move
-    h(p) +- 3 rotates the three rhombi around p.  The walk runs on vertex ids
-    and re-tests only p and its neighbours; each step indexes the *sorted*
-    flip positions (sorted ids are sorted vertices).
+    region, and makes ``flips`` terrace moves h(p) +- 3, each at a position p
+    drawn uniformly from the current ones (ascending ids): the inner vertices
+    whose six neighbours all lie above or all below them.  Not a sampler: its
+    stationary law is proportional to the number of flip positions, and each
+    flip moves the cube count by one, so n flips fix its parity.
     """
+    for name, x in (("flips", flips), ("seed", seed)):
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {x!r}")
     ix = region.index
     if ix.collar is None:
         raise ValueError("random_tiling needs an R0-closed region")
     h = ix.stair[:]
     steps = tuple(ix.vid(d) - ix.vid((0, 0)) for d in ALL_DIRS)
-
-    def terrace_step(p: int) -> int:
-        """+3 at a flippable local minimum, -3 at a local maximum, else 0."""
-        if p not in ix.inner:
-            return 0
-        d = {h[p + s] - h[p] for s in steps}
-        return 3 if d == {1, 2} else -3 if d == {-1, -2} else 0
-
-    flippable = {p for p in ix.inner if terrace_step(p)}
+    up = [None] * len(h)   # neighbours above each inner vertex: 3, 0, 6 on staircase classes 0, 1, 2
+    for p in ix.inner:
+        up[p] = 3 - 3 * h[p]
+    cands = sorted(p for p in ix.inner if up[p] in (0, 6))
     rng = np.random.default_rng(seed)
-    for _ in range(flips):
-        if not flippable:
-            break
-        cands = sorted(flippable)
+    for _ in range(flips if cands else 0):   # p stays a flip position, the other way
         p = cands[int(rng.integers(0, len(cands)))]
-        h[p] += terrace_step(p)
-        for q in (p, *(p + s for s in steps)):
-            if terrace_step(q):
-                flippable.add(q)
-            else:
-                flippable.discard(q)
+        d = 1 if up[p] else -1
+        h[p] += 3 * d
+        up[p] = 6 - up[p]
+        for s in steps:
+            q, n = p + s, up[p + s]
+            if n is not None:
+                up[q] = n + d
+                if n + d in (0, 6):
+                    insort(cands, q)
+                elif n in (0, 6):
+                    del cands[bisect_left(cands, q)]
     return Tiling(region, pair_by_heights(ix, h))
 
 
@@ -507,9 +508,7 @@ class DegeneracyReport:
 
     @property
     def ok(self) -> bool:
-        if not self.in_regime:
-            return True
-        return self.lower <= self.count <= self.upper
+        return not self.in_regime or self.lower <= self.count <= self.upper
 
 
 def degeneracy_bounds_check(region: Region, tilings: Sequence[Tiling]) -> DegeneracyReport:
@@ -774,8 +773,8 @@ def _good_pair_fraction(k: np.ndarray, mu: np.ndarray) -> tuple[float, bool]:
     # each keyed by the projection of its corner sum
     c = face_corners(k, mu)
     sums = np.stack([c[:, 0] + c[:, 1] + c[:, 2], c[:, 0] + c[:, 3] + c[:, 2]])
-    tri = grid_ids(sums[..., :2] - sums[..., 2:])
-    overlap = len(np.unique(tri)) < tri.size
+    tri = np.sort(grid_ids(sums[..., :2] - sums[..., 2:]), axis=None)
+    overlap = bool((tri[1:] == tri[:-1]).any())   # a repeated key: a triangle covered twice
     return (good / total if total else 1.0), overlap
 
 

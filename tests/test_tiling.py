@@ -518,6 +518,41 @@ def test_random_tiling_matches_full_scan_walk(side, flips, seed):
     assert set(tiling.rhombi) == set(random_tiling(region, flips, seed=seed).rhombi)
 
 
+_LONG_WALK_REGIONS = {
+    8: r0_closure(hexagon_region(8).triangles),
+    12: r0_closure(hexagon_region(12).triangles),
+    "strip": r0_closure(t for a in range(16) for b in range(6) for t in (tri_up(a, b), tri_dn(a, b))),
+}
+
+
+@pytest.mark.parametrize("region, flips, seed", [
+    (8, 500, 0), (8, 3000, 1), (12, 1500, 2), (12, 3000, 3), ("strip", 2000, 4),
+])
+def test_random_tiling_matches_reference_on_long_walks(region, flips, seed):
+    """On walks of about 3 to 27 flips per inner vertex, positions are
+    flipped back and forth many times and the neighbour counters move in
+    both directions again and again; the walk still ends on the tiling of
+    the frozenset reference walk, rhombus for rhombus.  The strip is the R0
+    closure of a parallelogram, an R0-closed region that is not a hexagon."""
+    region = _LONG_WALK_REGIONS[region]
+    assert region.r0_closed() and flips >= 2.5 * len(region.index.inner)
+    assert random_tiling(region, flips, seed=seed).rhombi == ref.random_tiling(region, flips, seed).rhombi
+
+
+@pytest.mark.parametrize("bad", [
+    {"flips": -5}, {"flips": True}, {"flips": 2.0}, {"flips": "3"},
+    {"seed": None}, {"seed": -1}, {"seed": False}, {"seed": 1.5},
+])
+def test_random_tiling_rejects_bad_flips_and_seed(bad):
+    """``flips`` and ``seed`` are non-negative integers (a bool is not one):
+    -5 flips would be the staircase, True one flip and a None seed OS
+    entropy.  Numpy integers are integers."""
+    ((name, value),) = bad.items()
+    with pytest.raises(ValueError, match=name):
+        random_tiling(_BASE3, **({"flips": 10, "seed": 0} | bad))
+    assert random_tiling(_BASE3, np.int64(10), seed=np.uint32(7)) == random_tiling(_BASE3, 10, seed=7)
+
+
 def test_lift_consistency_with_spin_configuration():
     """Lifting a tiling and reading it back from the spin field agree."""
     vol = Volume(dims=(10, 10, 10), shell=2)
