@@ -40,7 +40,7 @@ print(f"\nfeasibility: lambda0 = {res.lambda0:.3e}, B = {res.B:.3f} (> 1 always)
 print(f"  first b with q > 0: b0 = {res.b0:.3e}   <- the price of c_d^(k0+1)")
 
 print("\nlog C'(b) past the threshold (drops to -infinity, so C' -> 0):")
-for b, v in cprime_curve(1.0, 1.0, [3e18, 1e19, 1e20, 1e21], log=True):
+for b, v in cprime_curve(1.0, 1.0, [3e18, 1e19, 1e20, 1e21]):
     print(f"  b = {b:8.1e}:  log C' = {v:12.4g}")
 
 print("""

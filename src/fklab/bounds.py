@@ -19,8 +19,9 @@ from .quantum import TINY, CouplingTable, DecayReport, verify_decay
 
 #: Connectivity constant of the walk-counting bound in d = 3: (2d)^2.
 C_D = 36.0
-#: Largest k0 ``polymer_report`` searches.
-MAX_K0 = 10_000
+#: Largest k0 ``polymer_report`` searches: the last k0 whose
+#: C4 = (k0+1) c_d^(k0+1) is a finite float (196 c_d^196 ~ 1.7e307).
+MAX_K0 = 195
 
 
 def _exp_a(a: float) -> float:
@@ -125,6 +126,20 @@ class ConvergenceReport:
     cond4: bool
 
 
+def _chain(inp: PolymerInputs, k0: float) -> tuple:
+    """(C3, a0, C4, a1, q) of ``polymer_report``'s chain at any k0 >= 1,
+    integral or not; C3, a0 and q are None unless c_d lam < 1."""
+    cd, lam, a = C_D, inp.lam, inp.a
+    z = lam * math.exp(a)
+    C4 = (k0 + 1) * cd ** (k0 + 1)
+    a1 = k0 * cd * z / (1.0 - cd * z) ** 2
+    if not cd * lam < 1.0:
+        return None, None, C4, a1, None
+    C3 = inp.C2 * cd**3 / (1.0 - cd * lam)
+    a0 = inp.beta * (inp.C1 * lam - C3 * lam**3) - a
+    return C3, a0, C4, a1, a0 - math.log(cd) - a1 - (a + 0.25) * C4
+
+
 def polymer_report(inp: PolymerInputs) -> ConvergenceReport:
     """Evaluate the whole constant chain of the polymer-gas bound.
 
@@ -139,40 +154,31 @@ def polymer_report(inp: PolymerInputs) -> ConvergenceReport:
         q  = a0 - log c_d - a1 - a'' C4
 
     and Z_pol <= 2 C4 e^(-q) / (1 - e^(-q))^2 whenever q > 0.  Infeasible
-    conditions are reported as flags rather than producing garbage numbers.
+    conditions are reported as flags rather than producing garbage numbers;
+    a k0 past ``MAX_K0`` raises CapExceeded.
     """
-    cd, lam, a = C_D, inp.lam, inp.a
-    cond1 = cd * lam < 1.0
-    z = lam * math.exp(a)
-    cond2 = cd * z < 1.0
-    if not cond2:
+    cond1 = C_D * inp.lam < 1.0
+    z = inp.lam * math.exp(inp.a)
+    if not C_D * z < 1.0:
         return ConvergenceReport(
             k0=None, alpha=None, a0=None, C3=None, C4=None,
             a_prime=None, a_double_prime=None, a1=None, q=None, zpol_bound=None,
             cond1=cond1, cond2=False, cond4=False,
         )
     beta = inp.beta
-    base = cd * z  # = lam * c_d * e^a
+    base = C_D * z  # = lam * c_d * e^a
     k0 = 1
     while inp.C2 * beta * base**k0 > 1.0:
         k0 += 1
         if k0 > MAX_K0:
             raise CapExceeded(f"k0 search capped at {MAX_K0}")
-    alpha = inp.C2 * beta * base**k0
-
-    C3 = inp.C2 * cd**3 / (1.0 - cd * lam) if cond1 else None
-    a0 = beta * (inp.C1 * lam - C3 * lam**3) - a if cond1 else None
-    C4 = (k0 + 1) * cd ** (k0 + 1)
-    a_prime = a + math.log(2.0) / 3.0
-    a_dd = a + 0.25
-    a1 = k0 * cd * z / (1.0 - cd * z) ** 2
-    q = (a0 - math.log(cd) - a1 - a_dd * C4) if a0 is not None else None
+    C3, a0, C4, a1, q = _chain(inp, k0)
     cond4 = q is not None and q > 0.0
     zpol = 2.0 * C4 * math.exp(-q) / (1.0 - math.exp(-q)) ** 2 if cond4 else None
     return ConvergenceReport(
-        k0=k0, alpha=alpha, a0=a0, C3=C3, C4=C4,
-        a_prime=a_prime, a_double_prime=a_dd, a1=a1, q=q, zpol_bound=zpol,
-        cond1=cond1, cond2=cond2, cond4=cond4,
+        k0=k0, alpha=inp.C2 * beta * base**k0, a0=a0, C3=C3, C4=C4,
+        a_prime=inp.a + math.log(2.0) / 3.0, a_double_prime=inp.a + 0.25, a1=a1, q=q,
+        zpol_bound=zpol, cond1=cond1, cond2=True, cond4=cond4,
     )
 
 
@@ -208,8 +214,7 @@ class B0Result:
     B: float
 
 
-def find_b0(C1: float, C2: float, lam: float, a: float = 2.0,
-            b_hi: float = 1e24, rel_tol: float = 1e-7) -> B0Result:
+def find_b0(C1: float, C2: float, lam: float, a: float = 2.0, rel_tol: float = 1e-7) -> B0Result:
     """Smallest b with q(b) > 0, bracketed by bisection to rel_tol.
 
     Requires lam below the lambda_0 threshold.  q is piecewise increasing in b
@@ -235,13 +240,13 @@ def find_b0(C1: float, C2: float, lam: float, a: float = 2.0,
         return B0Result(b0=b_lo, lambda0=lam0, B=B)
     grid = b_lo
     prev = b_lo
-    while grid < b_hi:
+    while grid < 1e24:
         grid *= 1.5
         if q(grid) > 0:
             break
         prev = grid
     else:
-        raise ValueError("no sign change of q up to b_hi")
+        raise ValueError("no sign change of q up to b = 1e24")
     lo, hi = prev, grid
     while (hi - lo) > rel_tol * hi:
         mid = 0.5 * (lo + hi)
@@ -252,41 +257,25 @@ def find_b0(C1: float, C2: float, lam: float, a: float = 2.0,
     return B0Result(b0=hi, lambda0=lam0, B=B)
 
 
-def cprime_curve(C1: float, C2: float, b_values, a: float = 2.0, log: bool = False):
-    """The closing decay curve C'(b) of the polymer bound, on a grid.
+def cprime_curve(C1: float, C2: float, b_values, a: float = 2.0):
+    """log C'(b), the log of the closing decay curve of the polymer bound, on a grid.
 
-    Evaluated at lambda = lambda_0 with the continuous choice of k0; the
-    prefactor grows sublinearly (power r < 1 of b with a log), so the whole
-    expression is driven to zero by e^(-q(b)) as b grows.  The drop past the
-    feasibility threshold is so steep that linear values underflow within a
-    relative window of ~1e-15; ``log=True`` returns log C'(b) instead, which
-    stays representable (infeasible points give +inf either way).
+    ``polymer_report``'s chain at lambda = lambda_0 and the continuous
+    k0 = max(1, 1 + log(C2 c_d e^a b)/log(B c_d)), which solves
+    C2 beta (lambda_0 c_d e^a)^k0 = 1, gives
+    log C' = log(2 C4) - q - 2 log(1 - e^(-q)); infeasible points (q <= 0)
+    give +inf.  C' itself drops so steeply past the feasibility threshold
+    that it underflows within a relative window of ~1e-15, so only its log
+    is returned.
     """
-    ea = _exp_a(a)
     lam0 = lambda0(C1, C2, a)
-    B = big_b(C1, C2)
-    r = math.log(C_D) / math.log(B * C_D)
-    d0 = C2 * C_D * ea
-    X = C1 - C2 * C_D**3 * lam0**2 / (1.0 - C_D * lam0)
+    d0, log_bcd = C2 * C_D * math.exp(a), math.log(big_b(C1, C2) * C_D)
     out = []
     for b in b_values:
-        k0bar = 1.0 + math.log(d0 * b) / math.log(B * C_D)
-        A = (
-            a + math.log(C_D)
-            + k0bar * lam0 * ea / (1.0 - C_D * lam0 * ea) ** 2
-            + C_D * (a + 0.25) * (k0bar + 1.0) * C_D**k0bar
-        )
-        qb = b * X - A
-        if qb <= 0:
-            out.append((b, math.inf))
-            continue
-        log_pref = (
-            math.log(2.0) + 2.0 * math.log(C_D)
-            + math.log(2.0 + math.log(C1 * b) / math.log(B * C_D))
-            + r * math.log(C1 * b)
-        )
-        log_val = log_pref - qb - 2.0 * math.log1p(-math.exp(-min(qb, 700.0)))
-        out.append((b, log_val if log else math.exp(log_val) if log_val > -745 else 0.0))
+        k0 = max(1.0, 1.0 + math.log(d0 * b) / log_bcd)
+        _, _, C4, _, q = _chain(PolymerInputs(C1=C1, C2=C2, lam=lam0, b=b, a=a), k0)
+        feasible = q is not None and q > 0.0
+        out.append((b, math.log(2.0 * C4) - q - 2.0 * math.log1p(-math.exp(-q)) if feasible else math.inf))
     return out
 
 
@@ -304,7 +293,9 @@ class DecayAudit:
 
 def decay_audit(table: CouplingTable, table_2u: CouplingTable | None = None) -> DecayAudit:
     """Audit a coupling table against the bound |coupling| <= c1 (c/U)^g of
-    its ``quantum.verify_decay`` fit, kept as ``fit``.
+    its ``quantum.verify_decay`` fit, kept as ``fit``.  The fit's c1 is raised
+    until the bound envelopes every level above ``TINY``, so only entries at
+    or below ``TINY`` can be violations.
 
     With a companion table at doubled U the audit also checks the pair-cluster
     refinement: after removing the explicit 1/(4U) part, nearest-neighbour

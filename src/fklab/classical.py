@@ -189,7 +189,7 @@ def relative_energy(config: SpinConfiguration, terms: Terms) -> float:
     if config.volume.shell < reach:
         raise ValueError(f"shell depth {config.volume.shell} is below the interaction reach {reach}")
     weighted = _box_weighted(config)
-    e = -0.0   # the identity of float addition: a zero sum keeps its sign
+    e = 0.0
     for w, group in terms:
         broken = 0
         for offsets in group:

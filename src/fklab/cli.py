@@ -182,10 +182,7 @@ def cmd_heff(config_path: str, out: Path, seed) -> int:
         "fit_c1": decay.c1,
         "fit_c": decay.c,
         "decreasing": decay.decreasing if not decay.trivial else None,
-        "audit": {
-            "c1": decay.c, "c2_tilde": decay.c1,
-            "violations": len(audit.violations), "trivial": decay.trivial,
-        },
+        "audit": {"violations": len(audit.violations)},
     })
     return EXIT_OK
 
@@ -323,7 +320,7 @@ def cmd_bounds(config_path: str, out: Path, seed) -> int:
         # the couplings table, then the one at doubled U if the config names it
         r = decay_audit(*(CouplingTable.from_json(blob) for blob in cfg.values()))
         payload = {
-            "provenance": prov, "c1": r.fit.c, "c2_tilde": r.fit.c1,
+            "provenance": prov, "fit_c1": r.fit.c1, "fit_c": r.fit.c,
             "violations": len(r.violations),
             "pair_exponent_ok": r.pair_exponent_ok, "trivial": r.fit.trivial,
         }

@@ -410,7 +410,6 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
                     flip &= cm
                 flips = int(np.count_nonzero(flip))
                 if not flips:
-                    energy += 0.0   # the empty sum, which turns a cross-checked -0.0 into 0.0
                     continue
                 spins[sites[flip]] *= -1
                 energy += float(de[flip].sum())
@@ -464,7 +463,6 @@ def mc_run(spec: RunSpec, replica: int = 0) -> ObservableSeries:
             if current and i > next_flip:
                 next_flip = i + _sweeps_without_flip(us[i:], threshold, corner)
             if i < next_flip:
-                energy += 0.0   # the class visits' empty sums
                 accepted = 0
             else:
                 accepted = class_sweep(us[i])

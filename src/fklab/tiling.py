@@ -317,17 +317,11 @@ def r0_closure(triangles: Iterable[Triangle]) -> Region:
     Such regions (and only such) have an exterior tileable by the standard
     boundary; vertex-centered hexagons are already closed only for side 1
     (class 1 or 2 center) and side 2 (class 0), so larger working regions are
-    produced by closing a hexagon with this function.
+    produced by closing a hexagon with this function.  The type-0 pairing is
+    an involution, so adding each triangle's partner closes the set in one step.
     """
-    tris = set(triangles)
-    todo = list(tris)
-    while todo:
-        t = todo.pop()
-        p = type_partner(t, 0)
-        if p not in tris:
-            tris.add(p)
-            todo.append(p)
-    return Region(frozenset(tris))
+    tris = frozenset(triangles)
+    return Region(tris | {type_partner(t, 0) for t in tris})
 
 
 @dataclass(frozen=True)

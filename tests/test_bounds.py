@@ -135,14 +135,24 @@ def test_find_b0_requires_small_lambda():
 
 def test_cprime_decreases_to_zero():
     # past the feasibility threshold log C'(b) decreases without bound,
-    # i.e. C'(b) -> 0; the linear curve underflows to exactly 0 there
-    pts = cprime_curve(1.0, 1.0, [3e18, 1e19, 1e20, 1e21, 1e22], log=True)
+    # i.e. C'(b) -> 0
+    pts = cprime_curve(1.0, 1.0, [3e18, 1e19, 1e20, 1e21, 1e22])
     vals = [v for _, v in pts]
     assert all(math.isfinite(v) for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    lin = [v for _, v in cprime_curve(1.0, 1.0, [1e19, 1e22])]
-    assert lin == [0.0, 0.0]
     assert cprime_curve(1.0, 1.0, [1e3])[0][1] == math.inf  # infeasible side
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cprime_reads_polymer_report_chain_at_integral_k0(k):
+    """Just below the b where the continuous k0 reaches the integer k,
+    log C' is polymer_report's log(2 C4) - q - 2 log(1 - e^-q) at lambda_0."""
+    C1, C2, a = 1000.0, 1e-4, 2.0
+    b = (big_b(C1, C2) * 36.0) ** (k - 1) / (C2 * 36.0 * math.exp(a)) * (1 - 1e-9)
+    rep = polymer_report(PolymerInputs(C1=C1, C2=C2, lam=lambda0(C1, C2), b=b))
+    assert rep.k0 == k and rep.q > 0
+    want = math.log(2.0 * rep.C4) - rep.q - 2.0 * math.log1p(-math.exp(-rep.q))
+    assert cprime_curve(C1, C2, [b])[0][1] == pytest.approx(want, rel=1e-8)
 
 
 def test_decay_audit_on_exact_tables():

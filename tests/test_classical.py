@@ -1,6 +1,7 @@
 """Potential tables, truncated Hamiltonians, Ising contours, Peierls check."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,17 @@ def test_h2_single_and_double_flip():
     two = one.with_flip((1, 0, 0))
     # 10 boundary faces, each broken bond costs 2J = J1
     assert h2_relative_energy(two, CO8) == pytest.approx(CO8.j1 * 10, abs=1e-15)
+
+
+@pytest.mark.parametrize("bc", ["hom_plus", "hom_minus"])
+@pytest.mark.parametrize("dims", [(3, 3, 3), (7, 6, 5)])
+def test_uniform_box_energies_are_positive_zero(bc, dims):
+    """A uniform box breaks no term, and its energy is +0.0, never -0.0 (the
+    sign a JSON writer would print)."""
+    cfg = SpinConfiguration.from_boundary(Volume(dims=dims, shell=2), bc)
+    for energy in (h2_relative_energy, h4_relative_energy):
+        e = energy(cfg, CO8)
+        assert e == 0.0 and math.copysign(1.0, e) == 1.0
 
 
 def _h4_bruteforce(cfg: SpinConfiguration, co: ModelCoefficients) -> float:

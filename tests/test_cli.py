@@ -349,6 +349,17 @@ def test_bounds_polymer_k0_cap_exits_3(tmp_path):
     assert not out.exists()
 
 
+def test_bounds_polymer_k0_past_the_float_range_exits_3(tmp_path):
+    """A k0 whose C4 = (k0+1) 36^(k0+1) would overflow is past MAX_K0: here
+    lambda c_d e^2 = 0.99 and C2 beta ~ 2.7e8 need k0 ~ 1940."""
+    cfg = _write(tmp_path, "b.json", {
+        "op": "polymer", "C1": 1.0, "C2": 1.0, "lambda": 0.99 / (36.0 * math.e**2), "b": 1e6,
+    })
+    out = tmp_path / "o"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [
     {"op": "polymer", "C1": 1.0, "C2": 1.0, "lambda": 1e-6, "b": 1e14, "d": "x"},   # a cj key
 ])
@@ -432,7 +443,7 @@ def test_bounds_audit_consumes_coupling_files(tmp_path):
     assert main(["bounds", "--config", acfg, "--out", str(out)]) == 0
     doc = json.loads((out / "bounds_audit.json").read_text())
     assert doc["violations"] == 0
-    assert doc["c1"] / 16.0 < 1.0
+    assert doc["fit_c"] / 16.0 < 1.0
     assert doc["pair_exponent_ok"] is True
 
 

@@ -124,7 +124,7 @@ _REUSE_CHAINS = {
     "single-flip": dict(dims=(5, 5, 5), bc="bc111", hamiltonian="h4", beta=4.0,
                         move_set="single-flip"),
     "h2-shell-1": dict(dims=(5, 5, 5), bc="bc111", beta=2.0, shell=1),
-    # frozen: the energy is -0.0 only at a cross-check sweep
+    # frozen: no spin flips, so every recorded energy is 0.0
     "hom-plus": dict(dims=(4, 4, 4), bc="hom_plus", beta=_COLD),
     # some sweeps flip no spin, some do; a flat box has a non-zero width
     "intermittent": dict(dims=(7, 7, 3), bc="bc111", hamiltonian="h4", beta=3.0 * 4.0**3),

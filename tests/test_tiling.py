@@ -400,6 +400,22 @@ def test_r0_closure_and_random_tiling():
     assert len(t.rhombi) == len(base) // 2
 
 
+_HEXAGONS = {side: sorted(hexagon_region(side).triangles, key=sorted) for side in range(1, 7)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), side=st.integers(1, 6))
+def test_r0_closure_is_the_smallest_closed_superset(data, side):
+    """The closure of S is R0-closed, contains S, and adds only type-0
+    partners of triangles in S: the smallest union of type-0 rhombi over S."""
+    tris = _HEXAGONS[side]
+    s = {tris[i] for i in data.draw(st.sets(st.integers(0, len(tris) - 1)))}
+    closure = r0_closure(s)
+    assert closure.r0_closed()
+    assert s <= closure.triangles
+    assert closure.triangles - s <= {type_partner(t, 0) for t in s}
+
+
 def test_closed_form_adjacency_matches_search_oracle():
     region = r0_closure(hexagon_region(5).triangles)
     for t in region.triangles:
