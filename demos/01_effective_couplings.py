@@ -11,6 +11,7 @@ rest decays like (const/U)^g with g the closed-walk measure of the support.
 
 import numpy as np
 
+from fklab.bounds import decay_audit
 from fklab.quantum import FKParameters, extract_couplings, verify_decay
 
 print(__doc__)
@@ -37,7 +38,9 @@ for e in table.entries:
 
 rep = verify_decay(table)
 print("\nper-g maxima:", {g: f"{v:.3e}" for g, v in sorted(rep.levels.items())})
-print(f"fitted decay: |coupling| <= {rep.c1:.3g} * ({rep.c:.3g}/U)^g  (c/U = {rep.c/U:.3f} < 1)")
+print(f"fitted decay: |coupling| ~ ({rep.c:.3g}/U)^g  (c/U = {rep.c/U:.3f} < 1)")
+audit = decay_audit(table)
+print(f"fixed bound |coupling| <= (t/U)^g, set before the data: {len(audit.violations)} violations")
 
 # --- re-synthesis: the table IS the effective Hamiltonian
 from fklab.quantum import effective_energy

@@ -27,7 +27,7 @@ from .bounds import (
 from .classical import ModelCoefficients, extract_contours, h2_relative_energy, h4_relative_energy
 from .lattice import CapExceeded, SpinConfiguration, Volume
 from .mc import RunSpec, _pinned_faces, mc_run
-from .quantum import CouplingTable, FKParameters, extract_couplings
+from .quantum import CouplingTable, FKParameters, extract_couplings, verify_decay
 from .svgout import faces_svg, tiling_svg
 from .tiling import (
     MAX_TILING_TRIANGLES,
@@ -170,8 +170,7 @@ def cmd_heff(config_path: str, out: Path, seed) -> int:
     params = FKParameters(**_take(cfg, "U", "beta", "t"))
     table = extract_couplings(vol.sites(), params, max_g=cfg.get("max_g", 3),
                               **_take(cfg, "window"))
-    audit = decay_audit(table)
-    decay = audit.fit
+    decay, audit = verify_decay(table), decay_audit(table)
     prov = _provenance(doc, seed)
     _write_json(out / "couplings.json", {"provenance": prov, **table.to_json()})
     _write_json(out / "decay.json", {
@@ -179,7 +178,6 @@ def cmd_heff(config_path: str, out: Path, seed) -> int:
         "levels": {str(g): v for g, v in sorted(decay.levels.items())},
         "trivial": decay.trivial,
         "slope": decay.slope,
-        "fit_c1": decay.c1,
         "fit_c": decay.c,
         "decreasing": decay.decreasing if not decay.trivial else None,
         "audit": {"violations": len(audit.violations)},
@@ -320,9 +318,8 @@ def cmd_bounds(config_path: str, out: Path, seed) -> int:
         # the couplings table, then the one at doubled U if the config names it
         r = decay_audit(*(CouplingTable.from_json(blob) for blob in cfg.values()))
         payload = {
-            "provenance": prov, "fit_c1": r.fit.c1, "fit_c": r.fit.c,
-            "violations": len(r.violations),
-            "pair_exponent_ok": r.pair_exponent_ok, "trivial": r.fit.trivial,
+            "provenance": prov, "violations": len(r.violations),
+            "pair_exponent_ok": r.pair_exponent_ok,
         }
     _write_json(out / f"bounds_{op}.json", payload)
     return EXIT_OK

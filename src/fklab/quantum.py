@@ -380,8 +380,7 @@ class DecayReport:
     levels: dict                 # g -> max |coupling|
     trivial: bool
     slope: float | None = None
-    c1: float | None = None     # prefactor of the fitted bound c1 * (c/U)^g
-    c: float | None = None      # fitted decay base: |coupling| <~ (c/U)^g
+    c: float | None = None      # fitted decay base: |coupling| ~ (c/U)^g
 
     @property
     def decreasing(self) -> bool:
@@ -393,9 +392,11 @@ class DecayReport:
 def verify_decay(table: CouplingTable) -> DecayReport:
     """Per-g maxima of |coupling| and an affine fit of their logarithms.
 
-    The fitted pair (c1, c) realizes |coupling| <= c1 (c/U)^g on the table;
-    a clean exponential decay shows up as c/U < 1.  Raises ValueError when
-    two or more levels need that fit and U is not positive.
+    The fit's slope is log(c/U); a clean exponential decay shows up as
+    c/U < 1.  The fit describes the table and checks nothing;
+    ``bounds.decay_audit`` checks the table against a bound fixed before the
+    data.  Raises ValueError when two or more levels need the fit and U is
+    not positive.
     """
     levels: dict = {}
     for e in table.entries:
@@ -406,14 +407,11 @@ def verify_decay(table: CouplingTable) -> DecayReport:
     if len(live) == 0:
         return DecayReport(levels=levels, trivial=True)
     if len(live) == 1:
-        ((g, v),) = live.items()
-        return DecayReport(levels=levels, trivial=False, slope=None, c1=v, c=None)
+        return DecayReport(levels=levels, trivial=False)
     if not table.U > 0:
-        raise ValueError(f"the decay fit |coupling| <= c1 (c/U)^g needs U > 0, got U = {table.U!r}")
+        raise ValueError(f"the decay fit |coupling| ~ (c/U)^g needs U > 0, got U = {table.U!r}")
     gs = np.array(sorted(live))
     logs = np.log([live[g] for g in gs])
     slope, intercept = np.polyfit(gs, logs, 1)
     c = table.U * math.exp(slope)
-    # raise the prefactor until the bound envelopes every level
-    c1 = max(live[g] / (c / table.U) ** g for g in gs)
-    return DecayReport(levels=levels, trivial=False, slope=float(slope), c1=float(c1), c=float(c))
+    return DecayReport(levels=levels, trivial=False, slope=float(slope), c=float(c))

@@ -16,7 +16,8 @@ from fklab.bounds import (
     polymer_report,
     q_of_b,
 )
-from fklab.quantum import FKParameters, extract_couplings
+from fklab.lattice import Volume
+from fklab.quantum import TINY, FKParameters, extract_couplings, verify_decay
 
 PLAQ4 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
 
@@ -107,6 +108,13 @@ def test_polymer_infeasible_flags():
     assert not small_b.cond4 and small_b.zpol_bound is None
 
 
+def test_polymer_inputs_refuse_a_beta_that_is_not_finite():
+    """beta = b/lambda overflows although b and lambda are finite: refused
+    when the inputs are built, naming lambda and b, not reported as feasible."""
+    with pytest.raises(ValueError, match="b/lambda.*b = 10000000000.0, lambda = 1e-300"):
+        PolymerInputs(C1=1.0, C2=1.0, lam=1e-300, b=1e10)
+
+
 def test_q_increasing_in_b_on_plateau():
     lam = 0.5 * lambda0(1.0, 1.0)
     qs = [q_of_b(1.0, 1.0, lam, b) for b in (50, 100, 200, 400, 800)]
@@ -159,13 +167,41 @@ def test_decay_audit_on_exact_tables():
     t16 = extract_couplings(PLAQ4, FKParameters(U=16.0, beta=256.0), max_g=4)
     t32 = extract_couplings(PLAQ4, FKParameters(U=32.0, beta=512.0), max_g=4)
     audit = decay_audit(t16, t32)
-    assert not audit.fit.trivial
-    assert audit.fit.c is not None and audit.fit.c / 16.0 < 1.0
+    fit = verify_decay(t16)
+    assert not fit.trivial
+    assert fit.c is not None and fit.c / 16.0 < 1.0
     assert audit.violations == []
     assert audit.pair_exponent_ok  # pair tails drop by >= 4x when U doubles
 
 
 def test_decay_audit_trivial_at_t0():
     t0 = extract_couplings(PLAQ4, FKParameters(U=16.0, beta=64.0, t=0.0), max_g=4)
-    audit = decay_audit(t0)
-    assert audit.fit.trivial and audit.violations == []
+    assert verify_decay(t0).trivial
+    assert decay_audit(t0).violations == []
+
+
+@pytest.mark.parametrize("U", [4.0, 8.0, 16.0, 32.0])
+@pytest.mark.parametrize("dims", [(2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2)])
+def test_decay_audit_passes_extracted_tables(dims, U):
+    """Every live coupling of these windows lies inside (t/U)^g: the largest
+    U |J|^(1/g) is 0.908, at g = 5 on 2x2x2 and 3x2x2 at U = 32."""
+    table = extract_couplings(list(Volume(dims=dims).sites()), FKParameters(U=U, beta=16 * U), max_g=6)
+    assert max(e.g for e in table.entries if e.size >= 2 and abs(e.value) > TINY) >= 3
+    assert decay_audit(table).violations == []
+
+
+def test_decay_audit_flags_a_coupling_past_the_bound():
+    """One g = 3 coupling raised to 10 (1/U)^g is reported, and only that one;
+    at or below TINY an entry still counts as zero; a bound past the float
+    range is no error."""
+    U = 16.0
+    table = extract_couplings(PLAQ4, FKParameters(U=U, beta=16 * U), max_g=4)
+    target = next(e for e in table.entries if e.g == 3)
+    target.value = 10.0 * (1.0 / U) ** 3
+    assert decay_audit(table).violations == [target]
+    target.value = TINY
+    table.t = 0.0
+    assert decay_audit(table).violations == [e for e in table.entries
+                                             if e.size >= 2 and abs(e.value) > TINY]
+    table.t, table.U = 1.0, 1e-300   # (t/U)^g past the float range holds every entry
+    assert decay_audit(table).violations == []

@@ -399,8 +399,10 @@ def test_bounds_b0_and_cj(tmp_path):
             "sweeps": 20, "thermalization": 0, "measure_stride": 1}, "U"),
     # a beta whose 1/beta overflows, refused when FKParameters is built, before any trace
     ("heff", {"dims": [2, 2, 2], "U": 8, "beta": 1e-320}, "beta"),
-    # a result that strict JSON cannot hold: an infinite C3
+    # a C3 and a beta = b/lambda past the float range; a beta that overflows
+    # although b is small, refused when PolymerInputs is built
     ("bounds", {"op": "polymer", "C1": 1e308, "C2": 1e308, "lambda": 1e-300, "b": 1e308}, None),
+    ("bounds", {"op": "polymer", "C1": 1, "C2": 1, "lambda": 1e-300, "b": 1e10}, "b/lambda"),
     # a negative beta, d and t
     ("bounds", {"op": "cj", "U": 24, "beta": -50, "d": -3, "t": -1.0}, None),
     # a negative C1 (no square root of B), an e^a that underflows (no lambda0),
@@ -411,7 +413,7 @@ def test_bounds_b0_and_cj(tmp_path):
     # a seed past the 64 bits of the Philox key
     ("mc", {"dims": [3, 3, 3], "bc": "bc111", "hamiltonian": "h2", "U": 4, "beta": 1,
             "sweeps": 20, "thermalization": 0, "measure_stride": 1, "seed": 2**64}, "seed"),
-], ids=["b0-overflow", "mc-overflow", "heff-nan", "polymer-inf", "cj-degenerate",
+], ids=["b0-overflow", "mc-overflow", "heff-nan", "polymer-inf", "polymer-beta", "cj-degenerate",
         "b0-negative-c1", "b0-underflow", "cj-overflow", "mc-seed"])
 def test_out_of_range_inputs_exit_2_and_write_nothing(tmp_path, capsys, command, doc, key):
     """Inputs whose arithmetic overflows, or whose results are NaN or
@@ -442,14 +444,15 @@ def test_bounds_audit_consumes_coupling_files(tmp_path):
     out = tmp_path / "audit"
     assert main(["bounds", "--config", acfg, "--out", str(out)]) == 0
     doc = json.loads((out / "bounds_audit.json").read_text())
+    assert set(doc) == {"provenance", "violations", "pair_exponent_ok"}
     assert doc["violations"] == 0
-    assert doc["fit_c"] / 16.0 < 1.0
     assert doc["pair_exponent_ok"] is True
+    assert json.loads((tmp_path / "t16" / "decay.json").read_text())["fit_c"] / 16.0 < 1.0
 
 
 def test_bounds_audit_of_a_table_at_u_zero(tmp_path, capsys):
-    """The decay fit divides by U: a table edited to U = 0 with live couplings
-    exits 2 naming U; with every coupling zero the audit stays trivial."""
+    """The decay bound needs U > 0: a table edited to U = 0 with live couplings
+    exits 2 naming U; with every coupling zero there is nothing to check."""
     cfg = _write(tmp_path, "c.json", {"dims": [2, 2, 1], "U": 16.0, "beta": 256.0, "max_g": 4})
     assert main(["heff", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
     table = json.loads((tmp_path / "t" / "couplings.json").read_text())
@@ -465,7 +468,7 @@ def test_bounds_audit_of_a_table_at_u_zero(tmp_path, capsys):
     assert not out.exists()
     acfg = _write(tmp_path, "a.json", {"op": "audit", "couplings": dead})
     assert main(["bounds", "--config", acfg, "--out", str(out)]) == 0
-    assert json.loads((out / "bounds_audit.json").read_text())["trivial"] is True
+    assert json.loads((out / "bounds_audit.json").read_text())["violations"] == 0
 
 
 _ENERGY = {"volume": {"dims": [3, 3, 3], "shell": 2, "bc": "bc111"}, "U": 8.0}
