@@ -300,7 +300,7 @@ def decay_audit(table: CouplingTable, table_2u: CouplingTable | None = None) -> 
     ValueError naming U.
 
     With a companion table at doubled U the audit also checks the pair-cluster
-    refinement: after removing the explicit 1/(4U) part, nearest-neighbour
+    refinement: after removing the explicit t^2/(4U) part, nearest-neighbour
     couplings must decay with exponent 3, i.e. drop by at least 4x (expected
     8x) when U doubles.
     """
@@ -321,7 +321,7 @@ def decay_audit(table: CouplingTable, table_2u: CouplingTable | None = None) -> 
             best = 0.0
             for e in t.entries:
                 if e.size == 2 and e.g == 1:
-                    best = max(best, abs(abs(e.value) - 1.0 / (4.0 * t.U)))
+                    best = max(best, abs(abs(e.value) - t.t ** 2 / (4.0 * t.U)))
             return best
         t1, t2 = pair_tail(table), pair_tail(table_2u)
         pair_ok = (t2 < TINY) or (t1 / t2 >= 4.0)

@@ -228,6 +228,11 @@ class CouplingTable:
             raise ValueError("a coupling table is the object CouplingTable.to_json writes")
         entries = [CouplingEntry(sites=sites(c.get("cluster")), value=float(c["value"]),
                                  g=c["g"], connected=c["connected"]) for c in doc["couplings"]]
+        for e in entries:   # a closed walk joining two or more sites has g >= 1
+            least = 1 if e.size >= 2 else 0
+            if e.g < least:
+                raise ValueError(f"cluster {[list(s) for s in e.sites]} has g = {e.g}, "
+                                 f"below {least} for {e.size} site(s)")
         return cls(
             window=sites(doc.get("window")),
             beta=float(doc["beta"]), U=float(doc["U"]), t=float(doc["t"]),

@@ -9,20 +9,22 @@ material is through shared plane vertices (contours are closed complexes).
 
 The grouping runs on integer triangle and vertex ids; bases and contours
 hold frozensets.  A tiling (a minimal interface) enters as its partner table
-in the R0 collar of ``Region.index``, its edges from ``tiling_edges``; any
-other face set as the arrays of ``tiling._project_faces``, on the
-projection's own triangle ids, its vertices numbered by one ``grid_ids``
-call and its good pairs the rhombi of the two faces on each good 3D edge.
-A tiling is grouped once: its decomposition is kept while the tiling lives
-and shared by ``decompose_tiling`` and ``dobrushin_remove``, and the collar's
-rhombi, types and good pairs come from the region's index, so each grouping
-walks only the region's triangles.
+in the R0 collar of ``Region.index``, its bases and delta sides found by one
+walk over the index's ``across`` table; any other face set as the arrays of
+``tiling._project_faces``, on the projection's own triangle ids, its
+vertices numbered by one ``grid_ids`` call, its good pairs the rhombi of the
+two faces on each good 3D edge and its bases their ``components``.  A tiling
+is grouped once: its decomposition is kept while the tiling lives and shared
+by ``decompose_tiling`` and ``dobrushin_remove``, and the collar's pieces
+and their frontiers come from the region's index, so each walk covers only
+the region's triangles.
 
-A Dobrushin removal is a height edit: the exterior of the removed contour keeps
-its heights, each interior moves by S^n (plane step n * (1,1), heights down by
-n) with n its base level minus the exterior's, the gap takes the staircase
-moved by S^-L0 (L0 the exterior's level), and the region's triangles are
-paired again: the exterior holds the R0 collar, so the result tiles the region.
+A Dobrushin removal is a height edit on vertex ids: the exterior of the
+removed contour keeps its heights, each interior moves by S^n (plane step
+n * (1,1), heights down by n) with n its base level minus the exterior's, the
+gap takes the staircase moved by S^-L0 (L0 the exterior's level), and the
+region's triangles are paired again: the exterior holds the R0 collar, so the
+result tiles the region.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .tiling import (
     GOOD,
     OMEGA,
     Tiling,
-    _edge_walk,
     _project_faces,
     heights_by_id,
     pair_by_heights,
@@ -141,29 +142,24 @@ def f_energy(contour: RContour, coeffs: ModelCoefficients) -> float:
     return e
 
 
-def _group(corners, rhombi, kinds, objs, pairs, lines, over=frozenset(), cover=None):
+def _group(corners, rhombi, kinds, objs, members, lines, over=frozenset(), cover=None):
     """The one base and contour grouping, on integer ids whose order is that
     of sorted vertices and sorted vertex lists.
 
     ``corners`` maps triangle ids to vertex ids.  ``rhombi`` are triangle-id
     pairs (t, u) with t < u, ``kinds`` their types, ``objs`` what the boundary
-    fields hold for them, ``pairs`` the good pairs (rhombus indices) and
+    fields hold for them, ``members`` the bases as lists of rhombus indices
+    (the rhombi of good pairs, joined through them; one type each) and
     ``lines`` the delta edges, omega edges and lambda links in that order, as
     (tag, object, count, vertex ids, side id).  ``over`` holds the overlapping
     rhombi, ``cover`` the coverage of overlapping triangles, by triangle.
     Returns the decomposition and each contour's vertex, triangle and side ids.
     """
-    paired: dict = {}   # rhombus -> its good pairs
-    for i, pair in enumerate(pairs):
-        for k in pair:
-            paired.setdefault(k, []).append(i)
-    keys, bases = list(paired), []
-    for members in components(paired.values()):
-        comp = [keys[i] for i in members]
-        types = {kinds[k] for k in comp}
-        assert len(types) == 1, "a base must have a single type"
-        base = Base(rhombi=frozenset(objs[k] for k in comp), type=types.pop())
-        bases.append((min(min(rhombi[k]) for k in comp), base))
+    based, bases = set(), []
+    for comp in members:
+        based.update(comp)
+        base = Base(rhombi=frozenset(objs[k] for k in comp), type=kinds[comp[0]])
+        bases.append((min(rhombi[k][0] for k in comp), base))
     bases = [b for _, b in sorted(bases, key=lambda kb: kb[0])]
     if bases:
         big = max(range(len(bases)), key=lambda i: len(bases[i].rhombi))
@@ -171,7 +167,7 @@ def _group(corners, rhombi, kinds, objs, pairs, lines, over=frozenset(), cover=N
 
     # contour material: unbased rhombi, then the lines, joined through shared vertices
     mat = [("r", k, 1, corners[t] + corners[u], None)
-           for k, (t, u) in enumerate(rhombi) if k not in paired] + lines
+           for k, (t, u) in enumerate(rhombi) if k not in based] + lines
     contours, ids = [], []
     for members in components(m[3] for m in mat):
         own = [mat[i] for i in members]
@@ -224,38 +220,95 @@ def decompose(faces) -> Decomposition:
     halves = [(frozenset((p, w1, q)), frozenset((p, w2, q)))
               for p, w1, q, w2 in (map(tuple, c) for c in corners.tolist())]
     over = set((cover > 1).any(axis=1).nonzero()[0].tolist())
-    pairs = [(a, b) for a, b in good.tolist() if a not in over and b not in over]
+    paired: dict = {}   # rhombus -> its good pairs
+    for i, pair in enumerate(good.tolist()):
+        if over.isdisjoint(pair):
+            for k in pair:
+                paired.setdefault(k, []).append(i)
+    keys, members, types = list(paired), [], types.tolist()
+    for comp in components(paired.values()):
+        members.append([keys[i] for i in comp])
+        assert len({types[k] for k in members[-1]}) == 1, "a base must have a single type"
     lines = [("do"[c == OMEGA], frozenset(map(tuple, e)), n, v, None)
              for e, c, n, v in zip(ends.tolist(), kind.tolist(), count.tolist(), ev.tolist()) if c != GOOD]
     lines += [("l", (tuple(p), m), n, v, None)
               for p, m, n, v in zip(point.tolist(), axis.tolist(), links.tolist(), lv.tolist())]
     cover = {t: c for pair, cs in zip(halves, cover.tolist()) for t, c in zip(pair, cs) if c > 1}
-    return _group(dict(zip(tris.ravel().tolist(), cv.tolist())), tris.tolist(), types.tolist(),
-                  list(map(frozenset, halves)), pairs, lines, over, cover)[0]
+    return _group(dict(zip(tris.ravel().tolist(), cv.tolist())), tris.tolist(), types,
+                  list(map(frozenset, halves)), members, lines, over, cover)[0]
 
 
 def _collared(tiling: Tiling):
     """``_group`` of a tiling in the R0 collar of its region's index: its
-    rhombi, then the collar's, with good pairs and delta edges in the order of
-    ``tiling_edges`` over both.  The walk covers the region's triangles; the
-    collar's share (all type 0, its own sides all good) is the index's.  The
-    result is kept per tiling, in ``_DECOMPOSED``."""
+    rhombi, then the collar's.  One walk over ``across`` forms the bases and
+    finds the delta sides.  Each collar piece (``RegionIndex.pieces``, type 0)
+    starts a base and takes in the type-0 rhombi across its frontier; then
+    each region rhombus that no base has reached starts its own.  Across a
+    side that is not a rhombus diagonal, a rhombus of the same type joins the
+    base, and one of another type makes the side a delta side, recorded once.
+    Collar pieces that the region joins become one base; a base of one
+    rhombus (in no good pair) is contour material.  The result is kept per
+    tiling, in ``_DECOMPOSED``."""
     got = _DECOMPOSED.get(tiling)
     if got is None:
         ix = tiling.region.index
         if ix.collar is None:
             raise ValueError("decomposing a tiling needs an R0-closed region")
-        pairs, n = tiling.pairs, len(tiling.pairs)
-        kind = dict(ix.collar_kind)
-        for t, u in pairs:
-            kind[t] = kind[u] = ix.rtype(t, u)
-        good, delta = _edge_walk(ix, tiling.partner, [t for pair in pairs for t in pair], kind)
-        rhombi = pairs + ix.collar
-        rk = {t: k for k, pair in enumerate(rhombi) for t in pair}
-        good = [(rk[t], rk[u]) for t, u in good] + [(n + j, n + k) for j, k in ix.collar_good]
-        lines = [("d", frozenset(ix.xy[v] for v in ends), 1, ends, e) for e in delta for ends in [ix.ends(e)]]
-        got = _DECOMPOSED[tiling] = _group(ix.corners, rhombi, [kind[t] for t, _ in rhombi],
-                                           tiling.rhombi + ix.collar_rhombi, good, lines)
+        pairs, across, sides, piece_at = tiling.pairs, ix.across, ix.sides, ix.collar_piece
+        n = len(pairs)
+        at = [-1] * len(across)   # triangle id -> its rhombus in pairs, -1 off the region
+        kinds = [0] * (n + len(ix.collar))
+        for k, (t, u) in enumerate(pairs):
+            at[t] = at[u] = k
+            kinds[k] = ix.pair_type[t][u]
+        seen, taken = [False] * n, [False] * len(ix.pieces)
+        members, delta = [], []
+
+        def take(p, base, queue):
+            """Add collar piece ``p`` to ``base``, its frontier's type-0 rhombi
+            to ``queue`` and the sides to the others to ``delta``."""
+            taken[p] = True
+            base.extend(n + j for j in ix.pieces[p])
+            for t, e in ix.frontier[p]:
+                k = at[t]
+                if kinds[k]:
+                    delta.append(e)
+                elif not seen[k]:
+                    seen[k] = True
+                    queue.append(k)
+
+        def walk(base, queue):
+            for k in queue:   # the queue grows while it is walked
+                base.append(k)
+                ty = kinds[k]
+                for t, u in (pairs[k], pairs[k][::-1]):
+                    for w, e in zip(across[t], sides[t]):
+                        j = at[w]
+                        if j < 0:   # off the region; a collar piece's frontier records its delta sides
+                            if not ty and (p := piece_at[w]) >= 0 and not taken[p]:
+                                take(p, base, queue)
+                        elif kinds[j] == ty:
+                            if not seen[j]:
+                                seen[j] = True
+                                queue.append(j)
+                        elif t < w:   # recorded once; never the diagonal, u has type ty
+                            delta.append(e)
+            if len(base) > 1:
+                members.append(base)
+
+        for p in range(len(ix.pieces)):
+            if not taken[p]:
+                base, queue = [], []
+                take(p, base, queue)
+                walk(base, queue)
+        for k in range(n):
+            if not seen[k]:
+                seen[k] = True
+                walk([], [k])
+        xy = ix.xy
+        lines = [("d", frozenset((xy[v], xy[w])), 1, (v, w), e) for e in delta for v, w in [ix.ends(e)]]
+        got = _DECOMPOSED[tiling] = _group(ix.corners, pairs + ix.collar, kinds,
+                                           tiling.rhombi + ix.collar_rhombi, members, lines)
     return got
 
 
@@ -444,16 +497,26 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
     h = heights_by_id(ix, tiling.partner)
 
     def adjacent_base_level(tris) -> int:
-        """The level of the rhombi next to the contour: their triangles' middle height."""
-        levels = {sorted(h[v] for v in corners[t])[1]
-                  for t in tris if not supp_verts.isdisjoint(corners[t])}
+        """The level of the rhombi next to the contour: their triangles'
+        middle height, the mean of its three consecutive corner heights."""
+        levels = set()
+        for t in tris:
+            a, b, c = corners[t]
+            if a in supp_verts or b in supp_verts or c in supp_verts:
+                levels.add((h[a] + h[b] + h[c]) // 3)
         if len(levels) != 1:
             raise DobrushinViolation("component has an ambiguous adjacent base level",
                                      dump={"levels": levels})
         return levels.pop()
 
+    # the new heights by vertex id, the exterior's first; a shifted vertex
+    # that lands off the box goes into ``off``, by point, only to find clashes
     level0 = adjacent_base_level(groups[exterior])
-    new_h = {ix.xy[v]: h[v] for t in groups[exterior] for v in corners[t]}
+    new_h, off = [None] * len(h), {}
+    for t in groups[exterior]:
+        for v in corners[t]:
+            new_h[v] = h[v]
+    H, W, xy = ix.H, len(h) // ix.H, ix.xy
     other_supports = [supp for j, (supp, _, _) in enumerate(ids) if j != contour_index]
     shifts, interiors, clashes = {}, [], []
     for key, tris in groups.items():
@@ -464,20 +527,31 @@ def dobrushin_remove(tiling: Tiling, contour_index: int = 0, *, coeffs: ModelCoe
         tri_verts = {v for t in tris for v in corners[t]}
         inside = sum(1 for supp in other_supports if supp and supp <= tri_verts)
         interiors.append({"size": len(tris), "shift": n, "contours_inside": inside})
-        for v in tri_verts:
-            (a, b), hq = ix.xy[v], h[v] - n
-            if new_h.setdefault((a + n, b + n), hq) != hq:
-                clashes.append((a + n, b + n))
+        for v in tri_verts:   # to v + n * (H + 1), the point (a + n, b + n)
+            i, j = divmod(v, H)
+            hq = h[v] - n
+            if 0 <= i + n < W and 0 <= j + n < H:
+                w = v + n * (H + 1)
+                if new_h[w] is None:
+                    new_h[w] = hq
+                elif new_h[w] != hq:
+                    clashes.append(xy[w])
+            elif off.setdefault(p := (xy[v][0] + n, xy[v][1] + n), hq) != hq:
+                clashes.append(p)
     if clashes:
         raise DobrushinViolation(
             f"{len(clashes)} vertices get two heights from translated pieces",
             dump={"vertices": sorted(clashes)[:8]},
         )
 
-    # the gap: the staircase moved by S^-level0
-    hn = [new_h.get(p, (0, 1, -1)[(c + 2 * level0) % 3] + level0) for p, c in zip(ix.xy, ix.vclass)]
+    # the gap: the staircase moved by S^-level0; ``pair_by_heights`` reads
+    # the region's vertices only
+    gap = [(0, 1, -1)[(c + 2 * level0) % 3] + level0 for c in range(3)]
+    for v in ix.vertices:
+        if new_h[v] is None:
+            new_h[v] = gap[ix.vclass[v]]
     try:
-        new_tiling = Tiling(tiling.region, pair_by_heights(ix, hn))
+        new_tiling = Tiling(tiling.region, pair_by_heights(ix, new_h))
     except ValueError as exc:  # HeightError, or pairs that are not a tiling of the region
         raise DobrushinViolation(f"removal does not give a tiling: {exc}") from exc
 

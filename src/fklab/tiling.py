@@ -56,7 +56,7 @@ import numpy as np
 from .classical import (
     Face, face_arrays, face_corners, face_keys, face_sides, grid_ids,
 )
-from .lattice import CapExceeded, SpinConfiguration, Volume, boundary_spin
+from .lattice import CapExceeded, SpinConfiguration, Volume, boundary_spin, components
 
 PlaneVertex = tuple[int, int]
 Triangle = frozenset  # of 3 PlaneVertex
@@ -194,11 +194,14 @@ class RegionIndex:
     id pairs; it depends only on the region (None unless it is R0-closed).
     The collar's share of every decomposition of a tiling of the region is
     built with it, each None when it is: ``collar_rhombi`` (its rhombi as
-    frozensets, in ``collar`` order), ``collar_kind`` (collar triangle id ->
-    rhombus type, all 0, in ``collar`` order) and ``collar_good`` (the good
-    sides between two collar rhombi, as pairs of positions in ``collar``, in
-    the order ``tiling_edges`` meets them after the region's triangles; all
-    the collar's own sides are good).
+    frozensets, in ``collar`` order); ``pieces`` (the collar's rhombi joined
+    across their own sides, as lists of positions in ``collar``; all have
+    type 0, so these sides are all good), ``collar_piece`` (triangle id -> its
+    piece, -1 off the collar) and ``frontier`` (per piece, the ascending
+    (region triangle, side id) pairs across the collar's inner edge); and
+    ``pair_type`` (region triangle id -> {triangle across a side: the type of
+    their rhombus, the class of the corner opposite that side}, None off the
+    region), so a rhombus type is one lookup.
     """
 
     def __init__(self, region: Region):
@@ -244,18 +247,24 @@ class RegionIndex:
             inc = -1 if e % 3 == 2 else 1   # (1,1) is a down step
             self.links[v].append((w, *self.flank(e), inc))
             self.links[w].append((v, *self.flank(e), -inc))
-        self.collar = self.collar_rhombi = self.collar_kind = self.collar_good = None
+        self.collar = self.collar_rhombi = self.pieces = self.collar_piece = self.frontier = None
+        self.pair_type = None
         if closed:
             self.collar = sorted(tuple(sorted(map(self.tid, r))) for r in collar)
             self.collar_rhombi = self.rhombi(self.collar)
-            self.collar_kind = {t: self.rtype(t, u) for pair in self.collar for t, u in (pair, pair[::-1])}
-            part = [-1] * len(self.across)
-            for t, u in self.collar:
-                part[t], part[u] = u, t
-            good, delta = _edge_walk(self, part, list(self.collar_kind), self.collar_kind)
-            assert not delta, "the collar's rhombi all have type 0"
-            k = {t: i for i, pair in enumerate(self.collar) for t in pair}
-            self.collar_good = [(k[t], k[u]) for t, u in good]
+            self.pieces = components(self.sides[t] + self.sides[u] for t, u in self.collar)
+            self.collar_piece = [-1] * len(self.across)
+            for p, piece in enumerate(self.pieces):
+                for j in piece:
+                    for t in self.collar[j]:
+                        self.collar_piece[t] = p
+            self.frontier = [sorted((w, e) for j in piece for t in self.collar[j]
+                                    for w, e in zip(self.across[t], self.sides[t]) if w in self.inside)
+                             for piece in self.pieces]
+            self.pair_type = [None] * len(self.across)
+            for t in self.inside:   # side i of t lies opposite its corner 2 - i
+                self.pair_type[t] = {u: self.vclass[c]
+                                     for u, c in zip(self.across[t], reversed(self.corners[t]))}
 
     def vid(self, p: PlaneVertex) -> int:
         return (p[0] - self.a0) * self.H + p[1] - self.b0
@@ -647,12 +656,7 @@ def tiling_edges(ix: RegionIndex, partner: list, order) -> tuple[list, list]:
     the delta side ids, each once, in order of first encounter (triangles in
     ``order``, then sides).
     """
-    return _edge_walk(ix, partner, order, {t: ix.rtype(t, partner[t]) for t in order})
-
-
-def _edge_walk(ix: RegionIndex, partner: list, order, kind: dict) -> tuple[list, list]:
-    """``tiling_edges`` over the triangles in ``order``, with ``kind`` the
-    rhombus type of every triangle on the tiling, those off ``order`` too."""
+    kind = {t: ix.rtype(t, partner[t]) for t in order}
     across, sides = ix.across, ix.sides
     good, delta, seen = [], [], set()
     for t in order:

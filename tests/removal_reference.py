@@ -2,6 +2,13 @@
 removal in ``fklab.rcontour``, and the keyed union-find rule for the
 complement of a contour, the oracle for the walk of ``rcontour._complement``.
 
+``window_decomposition`` is the earlier ``rcontour._collared``: rhombus types
+from a dict, ``tiling_edges`` over the collared window and bases as the
+``components`` of its good pairs, then ``rcontour._group``.  ``point_remove``
+is the earlier height edit of ``dobrushin_remove``, keying the new heights by
+plane point (a, b) and taking a triangle's middle height by sorting.  They are
+the oracles for the index walk and the edit by vertex id.
+
 ``rhombus_remove`` translates each interior's rhombi by n * (1,1) (the plane
 step of S^n, n the level of the interior's adjacent base minus the level of
 the exterior's), reports the triangles that two translated rhombi both claim,
@@ -11,13 +18,16 @@ exceptions for the same reasons.
 """
 
 from fklab.lattice import components
-from fklab.rcontour import DobrushinViolation, RemovalReport, f_energy
+from fklab.rcontour import DobrushinViolation, RemovalReport, _complement, _group, f_energy
 from fklab.tiling import (
     Region,
     Tiling,
+    heights_by_id,
+    pair_by_heights,
     rhombus_corners,
     stair_height,
     tiling_heights,
+    tiling_edges,
     triangles_across,
     type_partner,
 )
@@ -49,6 +59,110 @@ def keyed_complement(ix, supp_verts, supp_tris, blocked):
         tris = [outside[i] for i in members]
         groups[min(tris)] = tris
     return groups
+
+
+def window_decomposition(tiling):
+    """``rcontour._collared`` of ``tiling`` by the whole-window edge rule:
+    (decomposition, each contour's vertex, triangle and side ids)."""
+    ix = tiling.region.index
+    if ix.collar is None:
+        raise ValueError("decomposing a tiling needs an R0-closed region")
+    rhombi = tiling.pairs + ix.collar
+    partner = list(tiling.partner)
+    kind = {}
+    for t, u in rhombi:
+        partner[t], partner[u] = u, t
+        kind[t] = kind[u] = ix.rtype(t, u)
+    good, delta = tiling_edges(ix, partner, [t for pair in rhombi for t in pair])
+    rk = {t: k for k, pair in enumerate(rhombi) for t in pair}
+    paired = {}   # rhombus -> its good pairs
+    for i, (t, u) in enumerate(good):
+        for k in (rk[t], rk[u]):
+            paired.setdefault(k, []).append(i)
+    keys, members = list(paired), []
+    for comp in components(paired.values()):
+        members.append([keys[i] for i in comp])
+        assert len({kind[rhombi[k][0]] for k in members[-1]}) == 1, "a base must have a single type"
+    lines = [("d", frozenset(ix.xy[v] for v in ends), 1, ends, e) for e in delta for ends in [ix.ends(e)]]
+    return _group(ix.corners, rhombi, [kind[t] for t, _ in rhombi],
+                  ix.rhombi(rhombi), members, lines)
+
+
+def point_remove(tiling, contour_index=0, *, coeffs):
+    """``dobrushin_remove`` with the new heights keyed by plane point and
+    the decompositions of ``window_decomposition``."""
+    ix = tiling.region.index
+    deco, ids = window_decomposition(tiling)
+    if not deco.contours:
+        raise ValueError("configuration has no contours to remove")
+    if not (0 <= contour_index < len(deco.contours)):
+        raise ValueError("contour index out of range")
+    target = deco.contours[contour_index]
+    f_before = sorted(f_energy(c, coeffs) for c in deco.contours)
+    supp_verts, supp_tris, blocked = ids[contour_index]
+    groups = _complement(ix, supp_tris, blocked)
+    exterior = min(ix.tri)
+    if exterior not in groups:
+        raise ValueError("could not identify the exterior component")
+    corners = ix.corners
+    h = heights_by_id(ix, tiling.partner)
+
+    def adjacent_base_level(tris) -> int:
+        levels = {sorted(h[v] for v in corners[t])[1]
+                  for t in tris if not supp_verts.isdisjoint(corners[t])}
+        if len(levels) != 1:
+            raise DobrushinViolation("component has an ambiguous adjacent base level",
+                                     dump={"levels": levels})
+        return levels.pop()
+
+    level0 = adjacent_base_level(groups[exterior])
+    new_h = {ix.xy[v]: h[v] for t in groups[exterior] for v in corners[t]}
+    other_supports = [supp for j, (supp, _, _) in enumerate(ids) if j != contour_index]
+    shifts, interiors, clashes = {}, [], []
+    for key, tris in groups.items():
+        if key == exterior:
+            continue
+        n = adjacent_base_level(tris) - level0
+        shifts[ix.tri[key]] = n
+        tri_verts = {v for t in tris for v in corners[t]}
+        inside = sum(1 for supp in other_supports if supp and supp <= tri_verts)
+        interiors.append({"size": len(tris), "shift": n, "contours_inside": inside})
+        for v in tri_verts:
+            (a, b), hq = ix.xy[v], h[v] - n
+            if new_h.setdefault((a + n, b + n), hq) != hq:
+                clashes.append((a + n, b + n))
+    if clashes:
+        raise DobrushinViolation(
+            f"{len(clashes)} vertices get two heights from translated pieces",
+            dump={"vertices": sorted(clashes)[:8]},
+        )
+    hn = [new_h.get(p, (0, 1, -1)[(c + 2 * level0) % 3] + level0) for p, c in zip(ix.xy, ix.vclass)]
+    try:
+        new_tiling = Tiling(tiling.region, pair_by_heights(ix, hn))
+    except ValueError as exc:
+        raise DobrushinViolation(f"removal does not give a tiling: {exc}") from exc
+    new_deco, _ = window_decomposition(new_tiling)
+    f_after = sorted(f_energy(c, coeffs) for c in new_deco.contours)
+    report = RemovalReport(
+        removed_f=f_energy(target, coeffs),
+        contours_before=len(deco.contours),
+        contours_after=len(new_deco.contours),
+        shifts=shifts,
+        interiors=interiors,
+    )
+    if report.contours_after != report.contours_before - 1:
+        raise DobrushinViolation(
+            "contour count did not decrease by one",
+            dump={"before": report.contours_before, "after": report.contours_after},
+        )
+    expect = list(f_before)
+    expect.remove(f_energy(target, coeffs))
+    if len(expect) != len(f_after) or any(abs(a - b) > 1e-12 for a, b in zip(sorted(expect), f_after)):
+        raise DobrushinViolation(
+            "energies of remaining contours changed",
+            dump={"before": expect, "after": f_after},
+        )
+    return new_tiling, report
 
 
 def rhombus_remove(tiling, contour_index=0, *, coeffs):

@@ -174,6 +174,16 @@ def test_decay_audit_on_exact_tables():
     assert audit.pair_exponent_ok  # pair tails drop by >= 4x when U doubles
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0, 2.0])
+def test_pair_exponent_check_subtracts_the_t_squared_pair_law(t):
+    """The nearest-neighbour coupling's explicit part is t^2/(4U), so at
+    t = 2 its remainder drops about 8x when U doubles (9.47e-4 to 1.21e-4 on
+    the plaquette at U = 16 and 32), and at t = 0 both remainders are 0."""
+    t16 = extract_couplings(PLAQ4, FKParameters(U=16.0, beta=256.0, t=t), max_g=4)
+    t32 = extract_couplings(PLAQ4, FKParameters(U=32.0, beta=512.0, t=t), max_g=4)
+    assert decay_audit(t16, t32).pair_exponent_ok is True
+
+
 def test_decay_audit_trivial_at_t0():
     t0 = extract_couplings(PLAQ4, FKParameters(U=16.0, beta=64.0, t=0.0), max_g=4)
     assert verify_decay(t0).trivial

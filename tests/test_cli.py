@@ -391,6 +391,12 @@ def test_bounds_b0_and_cj(tmp_path):
     assert doc2["values"]["2"] == pytest.approx(0.25)
 
 
+def _table(cluster, g):
+    """A coupling table of one entry, on ``cluster`` with closed-walk order ``g``."""
+    return {"window": [[0, 0, 0], [1, 0, 0]], "beta": 256.0, "U": 16.0, "t": 1.0, "constant": 0.0,
+            "max_g": 4, "couplings": [{"cluster": cluster, "g": g, "connected": True, "value": 0.01}]}
+
+
 @pytest.mark.parametrize("command, doc, key", [
     # overflows refused when the inputs are read: e^a of b0, whose message names a
     # (math.exp's own "math range error" would not match); U^3 of ModelCoefficients
@@ -413,14 +419,20 @@ def test_bounds_b0_and_cj(tmp_path):
     # a seed past the 64 bits of the Philox key
     ("mc", {"dims": [3, 3, 3], "bc": "bc111", "hamiltonian": "h2", "U": 4, "beta": 1,
             "sweeps": 20, "thermalization": 0, "measure_stride": 1, "seed": 2**64}, "seed"),
+    # coupling tables (written to a file first) with a g no closed walk has:
+    # 0 on two sites (the decay bound would divide by it), negative on one
+    ("bounds", {"op": "audit", "couplings": _table([[0, 0, 0], [1, 0, 0]], 0)}, "[[0, 0, 0], [1, 0, 0]] has g = 0"),
+    ("bounds", {"op": "audit", "couplings": _table([[0, 0, 0]], -3)}, "[[0, 0, 0]] has g = -3"),
 ], ids=["b0-overflow", "mc-overflow", "heff-nan", "polymer-inf", "polymer-beta", "cj-degenerate",
-        "b0-negative-c1", "b0-underflow", "cj-overflow", "mc-seed"])
+        "b0-negative-c1", "b0-underflow", "cj-overflow", "mc-seed", "audit-g0", "audit-g-negative"])
 def test_out_of_range_inputs_exit_2_and_write_nothing(tmp_path, capsys, command, doc, key):
     """Inputs whose arithmetic overflows, or whose results are NaN or
     infinite, are config errors: exit 2 with a JSON error line (naming the
     key, where one is given) and no artifact, never a traceback, a file of
     invalid JSON or a numerical warning on the way."""
     out = tmp_path / "o"
+    if isinstance(doc.get("couplings"), dict):
+        doc = {**doc, "couplings": _write(tmp_path, "t.json", doc["couplings"])}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([command, "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) == 2

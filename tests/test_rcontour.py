@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import contour_reference
@@ -21,7 +21,7 @@ from fklab.classical import (
     extract_contours,
     h4_relative_energy,
 )
-from fklab.lattice import Volume
+from fklab.lattice import Volume, components
 from fklab.rcontour import (
     DobrushinViolation,
     decompose,
@@ -370,15 +370,16 @@ _REGIONS = {side: r0_closure(hexagon_region(side).triangles) for side in range(2
 @settings(max_examples=40, deadline=None)
 @given(side=st.integers(2, 6), flips=st.integers(0, 120), seed=st.integers(0, 2**32 - 1))
 def test_collar_share_matches_the_full_window_walk(side, flips, seed):
-    """What ``_collared`` feeds ``_group`` (the region's walk plus the
-    index's collar share) is, in order, ``tiling_edges`` over the whole
-    window: the tiling's pairs and the collar's, the collar overlaid on the
-    partner table."""
+    """What ``_collared`` feeds ``_group`` (the walk from the index's collar
+    pieces) is what ``tiling_edges`` over the whole window gives: the
+    tiling's pairs and the collar's, the collar overlaid on the partner
+    table; its bases are the components of the good pairs, and its lines the
+    delta sides, each once."""
     tiling = random_tiling(_REGIONS[side], flips, seed=seed)
     rcontour._DECOMPOSED.pop(tiling, None)
     with mock.patch.object(rcontour, "_group", wraps=rcontour._group) as group:
         rcontour._collared(tiling)
-    (fed_corners, rhombi, kinds, objs, pairs, lines), _ = group.call_args
+    (fed_corners, rhombi, kinds, objs, members, lines), _ = group.call_args
 
     ix = tiling.region.index
     window = tiling.pairs + ix.collar
@@ -389,8 +390,12 @@ def test_collar_share_matches_the_full_window_walk(side, flips, seed):
     rk = {t: k for k, pair in enumerate(window) for t in pair}
     assert fed_corners is ix.corners and rhombi == window and objs == ix.rhombi(window)
     assert kinds == [ix.rtype(t, u) for t, u in window]
-    assert pairs == [(rk[t], rk[u]) for t, u in good]
-    assert [m[4] for m in lines] == delta and {m[0] for m in lines} <= {"d"}
+    bases = components((rk[t], rk[u]) for t, u in good)
+    assert sorted(map(sorted, members)) == sorted(sorted({rk[t] for i in comp for t in good[i]})
+                                                  for comp in bases)
+    assert sorted(m[4] for m in lines) == sorted(delta)
+    assert all(m[0] == "d" and m[3] == ix.ends(m[4]) and m[1] == frozenset(map(ix.xy.__getitem__, m[3]))
+               for m in lines)
 
 
 @settings(max_examples=40, deadline=None)
@@ -406,6 +411,43 @@ def test_complement_walk_matches_keyed_union_find(side, flips, seed):
         want = removal_reference.keyed_complement(ix, supp_verts, supp_tris, blocked)
         assert list(got.items()) == list(want.items())
         assert min(ix.tri) in got   # the exterior
+
+
+_ORACLE_REGIONS = {
+    **{f"side{side}": region for side, region in _REGIONS.items()},
+    # two collar pieces: around a hexagon with a hole, and around two hexagons apart
+    "hole": r0_closure(hexagon_region(6).triangles - hexagon_region(2).triangles),
+    "apart": Region(hexagon_region(2).triangles | hexagon_region(2, center=(12, 0)).triangles),
+}
+
+
+def _outcome(remove, tiling, idx):
+    """A removal's new tiling and report, or the type and message it raised."""
+    try:
+        return remove(tiling, idx, coeffs=CO)
+    except Exception as exc:  # noqa: BLE001 - the type and message are what is compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_ORACLE_REGIONS)), flips=st.integers(0, 120),
+       seed=st.integers(0, 2**32 - 1))
+@example(name="hole", flips=60, seed=3)
+@example(name="apart", flips=60, seed=3)
+def test_walk_and_id_edit_match_the_window_oracles(name, flips, seed):
+    """The index walk of ``_collared`` gives the decomposition and ids of
+    ``tiling_edges`` over the collared window, and ``dobrushin_remove``'s
+    edit by vertex id gives the new tiling and report (or the exception) of
+    the edit by plane point, for every contour; also where the collar has two
+    pieces."""
+    region = _ORACLE_REGIONS[name]
+    assert len(region.index.pieces) == (2 if name in ("hole", "apart") else 1)
+    tiling = random_tiling(region, flips, seed=seed)
+    rcontour._DECOMPOSED.pop(tiling, None)
+    deco, ids = rcontour._collared(tiling)
+    assert (deco, ids) == removal_reference.window_decomposition(tiling)
+    for idx in range(len(deco.contours)):
+        assert _outcome(dobrushin_remove, tiling, idx) == _outcome(removal_reference.point_remove, tiling, idx)
 
 
 def test_a_tiling_is_grouped_once_and_freed_with_it(monkeypatch):
